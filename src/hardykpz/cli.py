@@ -108,6 +108,14 @@ def _source_from(cfg: dict) -> solver.PowerSource:
     )
 
 
+def _run_inputs(args):
+    """(config, output dir, problem, grid, controls, source) of a run command."""
+    cfg = _load_config(args.config)
+    out = _out_dir(args)
+    return (cfg, out, _problem_from(cfg), _grid_from(cfg), _controls_from(cfg),
+            _source_from(cfg))
+
+
 def _resolved(cfg: dict) -> dict:
     resolved = json.loads(json.dumps(cfg, sort_keys=True))
     resolved["config_hash"] = config_hash(cfg)
@@ -167,7 +175,6 @@ def cmd_oracle(args) -> int:
                                          profile_exponent=args.profile_exponent)
         # compare over the window the coarse grid resolves
         r_lo = op.oracle_r_min
-        _, rel2, _ = radialop.power_test_profile(op2, args.theta, r_max)
         radii2, rel2, _ = radialop.power_test_profile(op2, args.theta, r_max)
         err2 = float(rel2[radii2 >= r_lo].max())
         result["refined_error"] = float(fmt17(err2))
@@ -212,12 +219,7 @@ def _supersolution_from(cfg: dict, params: ProblemParams):
 
 
 def cmd_solve(args) -> int:
-    cfg = _load_config(args.config)
-    out = _out_dir(args)
-    params = _problem_from(cfg)
-    grid = _grid_from(cfg)
-    controls = _controls_from(cfg)
-    f = _source_from(cfg)
+    cfg, out, params, grid, controls, f = _run_inputs(args)
     spec = _supersolution_from(cfg, params)
     report = solver.solve_kpz(params, f, grid, controls=controls,
                               supersolution=spec)
@@ -228,12 +230,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_damped(args) -> int:
-    cfg = _load_config(args.config)
-    out = _out_dir(args)
-    params = _problem_from(cfg)
-    grid = _grid_from(cfg)
-    controls = _controls_from(cfg)
-    f = _source_from(cfg)
+    cfg, out, params, grid, controls, f = _run_inputs(args)
     alpha = float(_require(cfg, "alpha_damp", "config"))
     c = float(cfg.get("c", params.mu))
     spec = None
@@ -249,12 +246,7 @@ def cmd_damped(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    cfg = _load_config(args.config)
-    out = _out_dir(args)
-    params = _problem_from(cfg)
-    grid = _grid_from(cfg)
-    controls = _controls_from(cfg)
-    f = _source_from(cfg)
+    cfg, out, params, grid, controls, f = _run_inputs(args)
     probe_cfg = cfg.get("probe", {})
     result = solver.mu_threshold_probe(
         params, f, grid, controls=controls,

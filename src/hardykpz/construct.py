@@ -15,7 +15,6 @@ carries a positive power of r.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -34,9 +33,6 @@ __all__ = [
     "truncate",
 ]
 
-_AMPLITUDE_SWEEP = [2.0**k for k in range(-8, 9)]
-
-
 @dataclass(frozen=True)
 class SupersolutionSpec:
     """Power-profile supersolution w = amplitude * |x|^-theta.
@@ -45,7 +41,8 @@ class SupersolutionSpec:
     against; ``margin`` is the verified slack of the defining inequality in
     units of the r^-(theta+2s) coefficient (0 for the exact homogeneous
     solution, which satisfies its equation with equality).  ``c_star`` is
-    the empirically determined source-scale threshold for the damped kind.
+    set for the damped kind only: the damped margin at the capped amplitude
+    2^8 (see ``damped_supersolution``), not a source-scale threshold.
     """
 
     kind: str
@@ -65,9 +62,6 @@ class SupersolutionSpec:
 
     def gradient_magnitude(self, r):
         return self.amplitude * self.theta * np.asarray(r, dtype=float) ** (-self.theta - 1.0)
-
-    def sup_on_grid(self, grid: radialop.RadialGrid) -> float:
-        return float(np.max(self.evaluate(grid.r)))
 
     def to_json(self) -> str:
         d = asdict(self)
@@ -143,8 +137,8 @@ def dirichlet_supersolution(params: ProblemParams, f_bound_exponent: float,
     """Radial supersolution of the Dirichlet problem for sources f <= C |x|^-e.
 
     Walks theta up from just above mu(lambda) (a tenth of the window first,
-    deeper only if needed) and sweeps the amplitude geometrically around the
-    balance point, keeping the largest margin of
+    deeper only if needed) and takes the amplitude at the balance point, the
+    maximiser of the margin (strictly concave in A) of
         A (gamma - lambda) >= A^p theta^p R^(theta+2s-(theta+1)p)
                               + mu C R^(theta+2s-e).
     Fails with DomainError when the window is empty (p >= p_plus) and with
@@ -173,24 +167,19 @@ def dirichlet_supersolution(params: ProblemParams, f_bound_exponent: float,
         gam = gamma_multiplier((N - 2.0 * s) / 2.0 - theta, N, s)
         grad_pow = theta + 2.0 * s - (theta + 1.0) * p
         src_pow = theta + 2.0 * s - e
-        a_balance = ((gam - lam) / (p * theta**p * R**grad_pow)) ** (1.0 / (p - 1.0))
-        best_amp, best_margin = None, -math.inf
-        for fac in _AMPLITUDE_SWEEP:
-            amp = a_balance * fac
-            m = (amp * (gam - lam)
-                 - amp**p * theta**p * R**grad_pow
-                 - mu_src * cf * R**src_pow)
-            if m > best_margin:
-                best_amp, best_margin = amp, m
-        if best is None or best_margin > best[2]:
-            best = (theta, best_amp, best_margin)
-        if best_margin > 0.0:
+        amp = ((gam - lam) / (p * theta**p * R**grad_pow)) ** (1.0 / (p - 1.0))
+        margin = (amp * (gam - lam)
+                  - amp**p * theta**p * R**grad_pow
+                  - mu_src * cf * R**src_pow)
+        if best is None or margin > best[2]:
+            best = (theta, amp, margin)
+        if margin > 0.0:
             return SupersolutionSpec(
                 kind="dirichlet-supersolution",
                 theta=theta,
-                amplitude=best_amp,
+                amplitude=amp,
                 window=(mu, top),
-                margin=best_margin,
+                margin=margin,
                 N=N, s=s, lam=lam, p=p,
                 f_bound_exponent=e,
             )
@@ -206,9 +195,13 @@ def damped_supersolution(N: int, s: float, lam: float, p: float,
     """Supersolution for the gradient term damped by (1+u)^-alpha.
 
     Requires alpha_damp > 2s - 1 strictly and p < 2s.  Returns the profile
-    exponent beta close to mu(lambda), the amplitude, and the empirically
-    determined source threshold c_star valid for sources f <= |x|^-(beta+2s)
-    (the bound actually used by the construction).
+    exponent beta close to mu(lambda), the amplitude, and c_star, the margin
+        c(A) = A (gamma - lambda) - A^(p-alpha) beta^p R^grad_pow
+    for sources f <= |x|^-(beta+2s) (the bound the construction uses).  The
+    guards force p - alpha < 1, so c is convex or increasing in A and
+    unbounded above: the amplitude is capped to [2^-8, 2^8], c is maximised
+    at an end of that range (in practice 2^8), and c_star is the margin at
+    the capped amplitude, not a source-scale threshold.
     """
     if not (p < 2.0 * s):
         raise DomainError(f"damped construction needs p < 2s, got p={p}, s={s}")
@@ -240,16 +233,9 @@ def damped_supersolution(N: int, s: float, lam: float, p: float,
     def c_of(amp: float) -> float:
         return amp * (gam - lam) - amp**a_exp * beta**p * R**grad_pow
 
-    best_amp, best_c = None, -math.inf
-    if a_exp > 1.0:
-        anchor = ((gam - lam) / (a_exp * beta**p * R**grad_pow)) ** (1.0 / (a_exp - 1.0))
-    else:
-        anchor = 1.0
-    for fac in _AMPLITUDE_SWEEP:
-        amp = anchor * fac
-        c = c_of(amp)
-        if c > best_c:
-            best_amp, best_c = amp, c
+    lo_amp, hi_amp = 2.0**-8, 2.0**8
+    c_lo, c_hi = c_of(lo_amp), c_of(hi_amp)
+    best_amp, best_c = (hi_amp, c_hi) if c_hi > c_lo else (lo_amp, c_lo)
     if best_c <= 0.0:
         raise ConstructionError(
             "no amplitude gives a positive damped margin",
@@ -270,42 +256,30 @@ def damped_supersolution(N: int, s: float, lam: float, p: float,
 def rescale_supersolution(spec: SupersolutionSpec, r_from: float, r_to: float) -> SupersolutionSpec:
     """Carry a power supersolution from the ball of radius r_from to r_to.
 
-    For w(x) = A |x|^-theta the pullback u(r_to x / r_from) stays in the
-    power family; the amplitude is multiplied by the scaling constant
-    C(r_to, r_from, p) that restores the margin inequality on the larger
-    ball.  The worst-case inequality is re-evaluated at the new radius.
+    The profile exponent theta is kept.  On the ball of radius r_to the
+    margin A (gamma - lambda) - A^p theta^p r_to^(theta+2s-(theta+1)p) is
+    strictly concave in A and does not depend on the source amplitude, so
+    the amplitude is set to its maximiser; the margin there is the room
+    available for a rescaled source term.
     """
     if r_from <= 0.0 or r_to <= 0.0:
         raise DomainError("ball radii must be positive")
     theta, p, lam = spec.theta, spec.p, spec.lam
     N, s = spec.N, spec.s
     gam = gamma_multiplier((N - 2.0 * s) / 2.0 - theta, N, s)
-    grad_pow = theta + 2.0 * s - (theta + 1.0) * p
-    # scaled amplitude keeps the dilation of the profile, then the extra
-    # factor restores gradient domination on the target ball; the leftover
-    # margin is the room available for a rescaled source term.
-    base_amp = spec.amplitude * (r_from / r_to) ** (-theta)
-
-    def margin_of(amp: float) -> float:
-        return amp * (gam - lam) - amp**p * theta**p * r_to**grad_pow
-
-    best_c, best_margin = None, -math.inf
-    for fac in _AMPLITUDE_SWEEP:
-        amp = base_amp * fac
-        m = margin_of(amp)
-        if m > best_margin:
-            best_c, best_margin = fac, m
-    if best_margin <= 0.0:
+    if gam <= lam:
         raise ConstructionError(
             "rescaling produced no admissible amplitude",
             {"r_from": r_from, "r_to": r_to},
         )
+    grad_pow = theta + 2.0 * s - (theta + 1.0) * p
+    amp = ((gam - lam) / (p * theta**p * r_to**grad_pow)) ** (1.0 / (p - 1.0))
     return SupersolutionSpec(
         kind=spec.kind,
         theta=theta,
-        amplitude=base_amp * best_c,
+        amplitude=amp,
         window=spec.window,
-        margin=best_margin,
+        margin=amp * (gam - lam) - amp**p * theta**p * r_to**grad_pow,
         N=N, s=s, lam=lam, p=p,
         f_bound_exponent=spec.f_bound_exponent,
         c_star=spec.c_star,

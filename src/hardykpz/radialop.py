@@ -37,7 +37,6 @@ Discretization notes
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -46,6 +45,7 @@ from scipy.optimize import nnls
 from scipy.special import hyp2f1, roots_legendre
 
 from .errors import AssemblyError, ConfigError, DomainError, GridMismatchError
+from .util import fmt17
 from . import specfun
 
 __all__ = [
@@ -63,8 +63,6 @@ __all__ = [
     "gamma_multiplier_extended",
     "save_field",
     "load_field",
-    "save_matrix",
-    "load_matrix",
 ]
 
 
@@ -144,19 +142,8 @@ class RadialField:
         if not np.all(np.isfinite(self.values)):
             raise DomainError("field values must be finite")
 
-    @classmethod
-    def from_function(cls, grid: RadialGrid, fn) -> "RadialField":
-        return cls(grid, np.asarray([fn(ri) for ri in grid.r], dtype=float))
-
-    def copy(self) -> "RadialField":
-        return RadialField(self.grid, self.values.copy())
-
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-    def require_nonnegative(self, tol: float = 0.0) -> None:
-        if np.min(self.values) < -tol:
-            raise DomainError("field was flagged nonnegative but has negative values")
 
 
 # --------------------------------------------------------------------------
@@ -246,11 +233,6 @@ class OperatorMatrix:
         """Innermost radius included in oracle error metrics (origin-closure
         row excluded)."""
         return self.grid.r[1] if self.grid.M > 1 else self.grid.r[0]
-
-    def exterior_tail(self, r: float, w: float) -> float:
-        """int_R^inf rho^-w K(r,rho) rho^(N-1) drho for an interior radius r."""
-        return _tail_integral(_Kernel(self.N, self.s), r, np.asarray([w]),
-                              self.grid.R, self.far_radius)[0]
 
 
 def _tail_integral(kern: _Kernel, r: float, ws: np.ndarray, lo: float, far: float,
@@ -677,21 +659,17 @@ def gradient(fld: RadialField) -> RadialField:
 
 
 # --------------------------------------------------------------------------
-# serialization (documented CSV dumps)
+# serialization (documented CSV dump)
 # --------------------------------------------------------------------------
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
 
 def save_field(fld: RadialField, path: str) -> None:
     """CSV dump: one header line with grid metadata, then r,value rows."""
     grid = fld.grid
     with open(path, "w") as fh:
-        fh.write(f"# radial field N={grid.N},R={_fmt(grid.R)},M={grid.M},g={_fmt(grid.g)}\n")
+        fh.write(f"# radial field N={grid.N},R={fmt17(grid.R)},M={grid.M},g={fmt17(grid.g)}\n")
         fh.write("r,value\n")
         for ri, vi in zip(grid.r, fld.values):
-            fh.write(f"{_fmt(ri)},{_fmt(vi)}\n")
+            fh.write(f"{fmt17(ri)},{fmt17(vi)}\n")
 
 
 def load_field(path: str) -> RadialField:
@@ -704,36 +682,3 @@ def load_field(path: str) -> RadialField:
         values = [float(line.split(",")[1]) for line in fh if line.strip()]
     grid = build_grid(float(meta["R"]), int(meta["M"]), float(meta["g"]), int(meta["N"]))
     return RadialField(grid, np.asarray(values))
-
-
-def save_matrix(op: OperatorMatrix, path: str) -> None:
-    """Row-major CSV dump with a structured header line: N,s,R,M,g then meta."""
-    grid = op.grid
-    with open(path, "w") as fh:
-        fh.write(f"{op.N},{_fmt(op.s)},{_fmt(grid.R)},{grid.M},{_fmt(grid.g)}\n")
-        fh.write(
-            f"# meta profile_exponent={_fmt(op.profile_exponent)},"
-            f"angular_order={op.angular_order},far_radius={_fmt(op.far_radius)},"
-            f"calibrated_rows={op.calibrated_rows}\n"
-        )
-        for row in op.matrix:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
-
-
-def load_matrix(path: str) -> OperatorMatrix:
-    with open(path) as fh:
-        N, s, R, M, g = fh.readline().strip().split(",")
-        meta_line = fh.readline()
-        meta = dict(kv.split("=") for kv in meta_line.split(" ", 2)[2].strip().split(","))
-        rows = np.loadtxt(io.StringIO(fh.read()), delimiter=",")
-    grid = build_grid(float(R), int(M), float(g), int(N))
-    return OperatorMatrix(
-        matrix=np.asarray(rows, dtype=float).reshape(int(M), int(M)),
-        grid=grid,
-        N=int(N),
-        s=float(s),
-        profile_exponent=float(meta["profile_exponent"]),
-        angular_order=int(meta["angular_order"]),
-        far_radius=float(meta["far_radius"]),
-        calibrated_rows=int(meta["calibrated_rows"]),
-    )

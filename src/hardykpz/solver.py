@@ -25,6 +25,7 @@ from .errors import (
 )
 from .specfun import ProblemParams, exponents_for, gamma_multiplier
 from .construct import SupersolutionSpec
+from .util import fmt17
 from . import radialop
 
 __all__ = [
@@ -421,7 +422,6 @@ def save_trace(report: SolverReport, path: str) -> None:
         fh.write("outer_n,inner_iters,residual,sup_norm,margin\n")
         for row in report.trace:
             fh.write(
-                f"{format(row.outer_n, '.17g')},{row.inner_iters},"
-                f"{format(row.residual, '.17g')},{format(row.sup_norm, '.17g')},"
-                f"{format(row.margin, '.17g')}\n"
+                f"{fmt17(row.outer_n)},{row.inner_iters},"
+                f"{fmt17(row.residual)},{fmt17(row.sup_norm)},{fmt17(row.margin)}\n"
             )

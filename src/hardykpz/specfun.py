@@ -38,7 +38,6 @@ __all__ = [
     "exponents_for",
     "normalizing_constant",
     "sphere_area",
-    "ball_volume",
 ]
 
 # Lanczos coefficients, g = 7, n = 9 (Godfrey's set).  Relative accuracy of
@@ -89,13 +88,6 @@ def sphere_area(N: int) -> float:
     if N < 1:
         raise DomainError(f"dimension must be >= 1, got N={N}")
     return 2.0 * math.pi ** (N / 2.0) / math.exp(log_gamma(N / 2.0))
-
-
-def ball_volume(N: int, R: float) -> float:
-    """Volume of the ball of radius R in dimension N."""
-    if R <= 0.0:
-        raise DomainError(f"radius must be positive, got R={R}")
-    return sphere_area(N) * R**N / N
 
 
 def _check_order(N: float, s: float) -> None:

@@ -234,10 +234,22 @@ def _write_cells(path: str, plan: SweepPlan, cells: list) -> None:
                      f"{c.inner_iters},{c.note}\n")
 
 
-def _load_done(path: str, plan: SweepPlan) -> dict:
+def _load_done(out_dir: str, plan: SweepPlan, plan_hash: str) -> dict:
+    """Cells of the checkpoint in out_dir, which must come from this plan."""
+    path = _cells_path(out_dir)
     done: dict = {}
     if not os.path.exists(path):
         return done
+    try:
+        with open(os.path.join(out_dir, _SIDECAR_FILE)) as fh:
+            stored_hash = json.load(fh).get("plan_hash")
+    except (FileNotFoundError, json.JSONDecodeError):
+        stored_hash = None
+    if stored_hash != plan_hash:
+        raise ConfigError(
+            f"{out_dir} holds a sweep checkpoint whose overlay.json does not "
+            "match this plan; use --no-resume to recompute every cell"
+        )
     names = [a.name for a in plan.axes]
     with open(path) as fh:
         header = fh.readline()
@@ -262,16 +274,18 @@ def run_sweep(plan: SweepPlan, out_dir: str | None = None, workers: int = 1,
     """Execute every cell of the plan; optionally checkpoint to out_dir.
 
     With ``resume`` (default) cells already present in an existing cells.csv
-    under the same output directory are not recomputed.  Cell results are
+    under the same output directory are not recomputed; a checkpoint whose
+    overlay.json names another plan hash raises ConfigError.  Cell results are
     always written in index order, so output bytes do not depend on worker
     scheduling.
     """
     plan_dict = plan.as_dict()
+    plan_hash = config_hash(plan_dict)
     done: dict = {}
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         if resume:
-            done = _load_done(_cells_path(out_dir), plan)
+            done = _load_done(out_dir, plan, plan_hash)
     todo = [(idx, vals) for idx, vals in plan.cells() if idx not in done]
     results = list(done.values())
     if workers > 1 and len(todo) > 1:
@@ -284,7 +298,7 @@ def run_sweep(plan: SweepPlan, out_dir: str | None = None, workers: int = 1,
     results.sort(key=lambda c: c.index)
     overlay = _overlay_for(plan)
     region = RegionMap(plan=plan, cells=results, overlay=overlay,
-                       plan_hash=config_hash(plan_dict))
+                       plan_hash=plan_hash)
     if out_dir is not None:
         _write_cells(_cells_path(out_dir), plan, results)
         sidecar = {

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from hardykpz import radialop as ro
 from hardykpz import specfun as sf
 
 N, S = 3, 0.75
@@ -82,6 +83,22 @@ def test_oracle_pass_fail(tmp_path):
     assert r.returncode == 1
     # domain error: exit 2
     assert run_cli("oracle", "--N", "3", "--s", "0.75", "--theta", "3.0").returncode == 2
+
+
+def test_oracle_refine_reports_recomputed_values():
+    theta = REP.mu_exp
+    r = run_cli("oracle", "--N", "3", "--s", "0.75", "--theta", repr(theta),
+                "--M", "48", "--refine")
+    assert r.returncode == 0
+    payload = json.loads(r.stdout)
+    op = ro.assemble_operator(ro.build_grid(1.0, 48, 2.0, N), N, S)
+    op2 = ro.assemble_operator(ro.build_grid(1.0, 96, 2.0, N), N, S)
+    err = ro.oracle_power_test(op, theta, 0.1)
+    radii2, rel2, _ = ro.power_test_profile(op2, theta, 0.1)
+    err2 = rel2[radii2 >= op.oracle_r_min].max()
+    assert payload["max_rel_error"] == pytest.approx(err, rel=1e-12)
+    assert payload["refined_error"] == pytest.approx(err2, rel=1e-12)
+    assert payload["refinement_ratio"] == pytest.approx(err / err2, rel=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +193,31 @@ def test_sweep_cli_checkpoint(tmp_path):
     r = run_cli("sweep", "--config", path, "--output-dir", d)  # resume
     assert r.returncode == 0
     assert tree_digest(d) == before
+
+
+def test_sweep_cli_refuses_another_plan(tmp_path):
+    def plan(start, stop):
+        return {"plan": {
+            "problem": {"N": N, "s": S, "lambda": LAM, "p": 1.3, "mu": 1e-3},
+            "grid": {"R": 1.0, "M": 32, "g": 2.0},
+            "axes": [{"name": "p", "start": start, "stop": stop, "count": 2}],
+            "source": {"coefficient": 0.3, "exponent": 2 * S},
+            "kind": "kpz",
+            "n_levels": 10,
+        }}
+    old = os.path.join(tmp_path, "old.json")
+    new = os.path.join(tmp_path, "new.json")
+    open(old, "w").write(json.dumps(plan(1.1, 1.3)))
+    open(new, "w").write(json.dumps(plan(1.4, 1.6)))
+    d = os.path.join(tmp_path, "out")
+    assert run_cli("sweep", "--config", old, "--output-dir", d).returncode == 0
+    r = run_cli("sweep", "--config", new, "--output-dir", d)
+    assert r.returncode == 2
+    assert "--no-resume" in r.stderr
+    r = run_cli("sweep", "--config", new, "--output-dir", d, "--no-resume")
+    assert r.returncode == 0
+    rows = open(os.path.join(d, "cells.csv")).read().strip().splitlines()[1:]
+    assert [float(row.split(",")[1]) for row in rows] == [1.4, 1.6]
 
 
 def test_probe_cli(tmp_path):

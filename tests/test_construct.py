@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hardykpz import construct as co
 from hardykpz import radialop as ro
@@ -15,6 +17,20 @@ REP = sf.exponents_for(N, S, LAM)
 
 def _params(p, mu=0.0, lam=LAM):
     return sf.ProblemParams(N=N, s=S, lam=lam, p=p, mu=mu)
+
+
+def _gap(spec):
+    """gamma - lambda at the spec's profile exponent."""
+    half = (spec.N - 2 * spec.s) / 2
+    return sf.gamma_multiplier(half - spec.theta, spec.N, spec.s) - spec.lam
+
+
+_SCALES = [2.0**k for k in range(-8, 9)]
+_problem_points = dict(
+    n_dim=st.integers(2, 5),
+    s=st.floats(0.55, 0.95),
+    lam_frac=st.floats(0.1, 0.95),
+)
 
 
 # -------------------------------------------------------- exact solution
@@ -109,6 +125,51 @@ def test_rescaling_keeps_supersolution():
     assert bigger.theta == spec.theta
 
 
+@settings(max_examples=60, deadline=None)
+@given(**_problem_points, p_frac=st.floats(0.2, 1.0), mu=st.floats(0.0, 1e-2),
+       e_frac=st.sampled_from([0.25, 0.5, 0.75]))
+def test_dirichlet_amplitude_maximises_margin(n_dim, s, lam_frac, p_frac, mu, e_frac):
+    lam = lam_frac * sf.hardy_constant(n_dim, s)
+    p_plus = sf.exponents_for(n_dim, s, lam).p_plus
+    p = 1.0 + p_frac * (0.99 * p_plus - 1.0)
+    params = sf.ProblemParams(N=n_dim, s=s, lam=lam, p=p, mu=mu)
+    e, cf = e_frac * 2 * s, 0.3
+    try:
+        spec = co.dirichlet_supersolution(params, f_bound_exponent=e, f_bound_coef=cf)
+    except ConstructionError:
+        assume(False)
+    gap = _gap(spec)
+
+    def margin_at(amp):
+        return amp * gap - amp**p * spec.theta**p - mu * cf
+
+    assert spec.margin == pytest.approx(margin_at(spec.amplitude), rel=1e-12)
+    for fac in _SCALES:
+        assert margin_at(spec.amplitude * fac) <= spec.margin + 1e-12 * abs(spec.margin)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_problem_points, p_frac=st.floats(0.2, 1.0), r_to=st.floats(0.25, 8.0))
+def test_rescaled_amplitude_maximises_margin(n_dim, s, lam_frac, p_frac, r_to):
+    lam = lam_frac * sf.hardy_constant(n_dim, s)
+    p_plus = sf.exponents_for(n_dim, s, lam).p_plus
+    p = 1.0 + p_frac * (0.99 * p_plus - 1.0)
+    spec = co.dirichlet_supersolution(sf.ProblemParams(N=n_dim, s=s, lam=lam, p=p),
+                                      f_bound_exponent=s)
+    moved = co.rescale_supersolution(spec, 1.0, r_to)
+    gap = _gap(moved)
+    grad_pow = moved.theta + 2 * s - (moved.theta + 1) * p
+
+    def margin_at(amp):
+        return amp * gap - amp**p * moved.theta**p * r_to**grad_pow
+
+    assert moved.theta == spec.theta
+    assert moved.margin > 0.0
+    assert moved.margin == pytest.approx(margin_at(moved.amplitude), rel=1e-12)
+    for fac in _SCALES:
+        assert margin_at(moved.amplitude * fac) <= moved.margin + 1e-12 * abs(moved.margin)
+
+
 # --------------------------------------------------- damped supersolution
 
 def test_damped_rejects_boundary_exponent():
@@ -134,6 +195,28 @@ def test_damped_window_contains_undamped_and_cstar_monotone():
         assert lo <= und.window[0] + 1e-12 and hi >= und.window[1] - 1e-12
         cstars.append(spec.c_star)
     assert all(b >= a - 1e-12 for a, b in zip(cstars, cstars[1:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_problem_points, p_frac=st.floats(0.05, 0.95), alpha_gap=st.floats(0.01, 3.0))
+def test_damped_cstar_is_the_capped_maximum(n_dim, s, lam_frac, p_frac, alpha_gap):
+    lam = lam_frac * sf.hardy_constant(n_dim, s)
+    p = 1.0 + p_frac * (2 * s - 1.0)
+    alpha = 2 * s - 1.0 + alpha_gap
+    try:
+        spec = co.damped_supersolution(n_dim, s, lam, p=p, alpha_damp=alpha)
+    except ConstructionError:
+        assume(False)
+    gap = _gap(spec)
+
+    def margin_at(amp):
+        return amp * gap - amp ** (p - alpha) * spec.theta**p
+
+    assert spec.amplitude in (_SCALES[0], _SCALES[-1])
+    assert spec.c_star == spec.margin
+    assert spec.c_star == pytest.approx(margin_at(spec.amplitude), rel=1e-12)
+    for amp in _SCALES:
+        assert margin_at(amp) <= spec.c_star + 1e-12 * abs(spec.c_star)
 
 
 def test_damped_needs_p_below_two_s():

@@ -292,17 +292,6 @@ def test_field_round_trip(tmp_path, desk_op):
     assert again.grid.same_as(grid)
 
 
-def test_matrix_round_trip(tmp_path):
-    grid = ro.build_grid(1.0, 32, 2.0, N)
-    op = ro.assemble_operator(grid, N, S)
-    path = os.path.join(tmp_path, "m.csv")
-    ro.save_matrix(op, path)
-    again = ro.load_matrix(path)
-    assert np.array_equal(again.matrix, op.matrix)
-    assert again.profile_exponent == op.profile_exponent
-    assert again.s == op.s
-
-
 # ------------------------------------------------------------- assembly
 
 def test_assembly_kernel_check_fires():

@@ -97,6 +97,22 @@ def test_sweep_deterministic_and_resumable(tmp_path):
     assert cells1 == open(os.path.join(d1, "cells.csv"), "rb").read()
 
 
+def test_sweep_resume_refuses_another_plan(tmp_path):
+    d = str(tmp_path)
+    small = dict(grid={"R": 1.0, "M": 32, "g": 2.0}, n_levels=10)
+    old = _plan(axes=[{"name": "p", "start": 1.1, "stop": 1.3, "count": 2}], **small)
+    new = _plan(axes=[{"name": "p", "start": 1.4, "stop": 1.6, "count": 2}], **small)
+    sw.run_sweep(old, out_dir=d)
+    old_cells = open(os.path.join(d, "cells.csv"), "rb").read()
+    with pytest.raises(ConfigError, match="--no-resume"):
+        sw.run_sweep(new, out_dir=d)
+    # the refused run leaves the checkpoint untouched
+    assert open(os.path.join(d, "cells.csv"), "rb").read() == old_cells
+    region = sw.run_sweep(new, out_dir=d, resume=False)
+    assert [c.values["p"] for c in region.cells] == [1.4, 1.6]
+    assert region.cells == sw.run_sweep(new).cells
+
+
 def test_sweep_empty_range():
     plan = _plan(axes=[{"name": "p", "start": 1.2, "stop": 1.2, "count": 0}])
     region = sw.run_sweep(plan)
