@@ -27,7 +27,7 @@ from .specfun import (
     hardy_constant,
     normalizing_constant,
 )
-from .util import config_hash, fmt17
+from .util import config_hash, fmt17, json_text, require, write_json
 from . import construct, radialop, solver, sweep
 
 _ENV_OUTDIR = "HARDYKPZ_OUTPUT_DIR"
@@ -35,11 +35,9 @@ _ENV_WORKERS = "HARDYKPZ_WORKERS"
 
 
 def _emit(obj, path: str | None):
-    text = json.dumps(obj, sort_keys=True, indent=1) + "\n"
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+        write_json(path, obj)
+    sys.stdout.write(json_text(obj))
 
 
 def _out_dir(args) -> str:
@@ -56,78 +54,25 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
     # a written resolved config can be replayed directly: its embedded hash
     # is not part of the configuration
     cfg.pop("config_hash", None)
     return cfg
 
 
-def _require(cfg: dict, key: str, where: str):
-    if key not in cfg:
-        raise ConfigError(f"missing key {key!r} in {where}")
-    return cfg[key]
-
-
-def _problem_from(cfg: dict) -> ProblemParams:
-    block = _require(cfg, "problem", "config")
-    return ProblemParams(
-        N=int(_require(block, "N", "problem")),
-        s=float(_require(block, "s", "problem")),
-        lam=float(_require(block, "lambda", "problem")),
-        p=float(_require(block, "p", "problem")),
-        mu=float(block.get("mu", 0.0)),
-    )
-
-
-def _grid_from(cfg: dict) -> radialop.RadialGrid:
-    block = _require(cfg, "grid", "config")
-    return radialop.build_grid(
-        R=float(block.get("R", 1.0)),
-        M=int(_require(block, "M", "grid")),
-        g=float(block.get("g", 2.0)),
-        N=int(_require(cfg["problem"], "N", "problem")),
-    )
-
-
-def _controls_from(cfg: dict) -> solver.SolverControls:
-    block = dict(cfg.get("controls", {}))
-    n_levels = int(block.pop("n_levels", 13))
-    schedule = block.pop("n_schedule", None)
-    if schedule is None:
-        schedule = tuple(2.0**j for j in range(n_levels))
-    else:
-        schedule = tuple(float(x) for x in schedule)
-    return solver.SolverControls(n_schedule=schedule, **block)
-
-
-def _source_from(cfg: dict) -> solver.PowerSource:
-    block = _require(cfg, "source", "config")
-    return solver.PowerSource(
-        coefficient=float(_require(block, "coefficient", "source")),
-        exponent=float(_require(block, "exponent", "source")),
-    )
-
-
 def _run_inputs(args):
     """(config, output dir, problem, grid, controls, source) of a run command."""
     cfg = _load_config(args.config)
     out = _out_dir(args)
-    return (cfg, out, _problem_from(cfg), _grid_from(cfg), _controls_from(cfg),
-            _source_from(cfg))
-
-
-def _resolved(cfg: dict) -> dict:
-    resolved = json.loads(json.dumps(cfg, sort_keys=True))
-    resolved["config_hash"] = config_hash(cfg)
-    return resolved
+    return (cfg, out, *solver.run_inputs(cfg))
 
 
 def _write_resolved(cfg: dict, out: str) -> str:
-    resolved = _resolved(cfg)
-    with open(os.path.join(out, "resolved_config.json"), "w") as fh:
-        json.dump(resolved, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    return resolved["config_hash"]
+    cfg_hash = config_hash(cfg)
+    write_json(os.path.join(out, "resolved_config.json"), {**cfg, "config_hash": cfg_hash})
+    return cfg_hash
 
 
 # ---------------------------------------------------------------------------
@@ -198,29 +143,25 @@ def _write_solver_outputs(report: solver.SolverReport, spec, out: str,
         "sup_bound": float(fmt17(report.sup_bound)),
         "supersolution": json.loads(spec.to_json()) if spec is not None else None,
     }
-    with open(os.path.join(out, "report.json"), "w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(os.path.join(out, "report.json"), summary)
 
 
-def _supersolution_from(cfg: dict, params: ProblemParams):
+def _supersolution_from(cfg: dict, params: ProblemParams, f: solver.PowerSource):
     block = cfg.get("supersolution", "none")
     if block in (None, "none"):
         return None
     if block == "auto":
-        src = _require(cfg, "source", "config")
-        return construct.dirichlet_supersolution(
-            params, float(src["exponent"]), float(src["coefficient"]))
+        return construct.dirichlet_supersolution(params, f.exponent, f.coefficient)
     return construct.dirichlet_supersolution(
         params,
-        float(_require(block, "f_bound_exponent", "supersolution")),
+        float(require(block, "f_bound_exponent", "supersolution")),
         float(block.get("f_bound_coef", 1.0)),
     )
 
 
 def cmd_solve(args) -> int:
     cfg, out, params, grid, controls, f = _run_inputs(args)
-    spec = _supersolution_from(cfg, params)
+    spec = _supersolution_from(cfg, params, f)
     report = solver.solve_kpz(params, f, grid, controls=controls,
                               supersolution=spec)
     cfg_hash = _write_resolved(cfg, out)
@@ -231,7 +172,7 @@ def cmd_solve(args) -> int:
 
 def cmd_damped(args) -> int:
     cfg, out, params, grid, controls, f = _run_inputs(args)
-    alpha = float(_require(cfg, "alpha_damp", "config"))
+    alpha = float(require(cfg, "alpha_damp", "config"))
     c = float(cfg.get("c", params.mu))
     spec = None
     if cfg.get("supersolution", "none") == "auto":
@@ -264,9 +205,7 @@ def cmd_probe(args) -> int:
         "note": result.note,
         "evaluations": [[float(fmt17(m)), st] for m, st in result.evaluations],
     }
-    with open(os.path.join(out, "probe.json"), "w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(os.path.join(out, "probe.json"), summary)
     sys.stdout.write(f"probe: {result.status}\n")
     return 0
 
@@ -274,8 +213,12 @@ def cmd_probe(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     out = _out_dir(args)
-    plan = sweep.SweepPlan.from_dict(_require(cfg, "plan", "config"))
-    workers = args.workers or int(os.environ.get(_ENV_WORKERS, "1"))
+    plan = sweep.SweepPlan.from_dict(require(cfg, "plan", "config"))
+    try:
+        workers = args.workers or int(os.environ.get(_ENV_WORKERS, "1"))
+    except ValueError:
+        raise ConfigError(f"{_ENV_WORKERS} must be an integer, "
+                          f"got {os.environ[_ENV_WORKERS]!r}") from None
     region = sweep.run_sweep(plan, out_dir=out, workers=workers,
                              resume=not args.no_resume)
     _write_resolved(cfg, out)

@@ -22,7 +22,7 @@ Discretization notes
   stay diagonally dominated by their negative part and the discrete
   maximum-principle check holds by construction.
 * The innermost rows cannot resolve power profiles from nodal data alone
-  (nothing exists below r_1), so rows with r below ``calib_frac``-th of the
+  (nothing exists below r_1), so rows in the first ``_CALIB_FRAC`` of the
   index range are moment-fitted to the analytic power-family response under
   the same sign constraints.  The first row is an origin-closure row: a
   sign-constrained row provably cannot reproduce the non-monotone
@@ -31,7 +31,7 @@ Discretization notes
   ``OperatorMatrix.oracle_r_min``).
 * The exterior-zero condition enters through the analytically-tailed
   integral of the kernel over (R, infinity); the far field is integrated in
-  log-spaced panels out to ``far_factor * R`` and closed with a power-law
+  log-spaced panels out to ``_FAR_FACTOR * R`` and closed with a power-law
   estimate beyond.
 """
 
@@ -64,6 +64,16 @@ __all__ = [
     "save_field",
     "load_field",
 ]
+
+# One fixed discretization: quadrature orders, calibration and far field.
+_ANGULAR_ORDER = 80   # GL order of the assembly-time angular-kernel check
+_FAR_FACTOR = 50.0    # exterior tails are integrated out to _FAR_FACTOR * R
+_CALIB_FRAC = 0.1     # share of rows (from the origin) that are moment-fitted
+_CALIB_NTHETA = 41    # power exponents in the calibration fit
+_N_FIRST = 32         # GL nodes of the singular first cell
+_N_PAIR = 10          # GL nodes per pairing panel
+_N_CELL = 8           # GL nodes per remainder cell
+_N_TAIL = 24          # log-spaced panels of the exterior tail
 
 
 # --------------------------------------------------------------------------
@@ -223,10 +233,6 @@ class OperatorMatrix:
     grid: RadialGrid
     N: int
     s: float
-    profile_exponent: float
-    angular_order: int
-    far_radius: float
-    calibrated_rows: int
 
     @property
     def oracle_r_min(self) -> float:
@@ -235,13 +241,13 @@ class OperatorMatrix:
         return self.grid.r[1] if self.grid.M > 1 else self.grid.r[0]
 
 
-def _tail_integral(kern: _Kernel, r: float, ws: np.ndarray, lo: float, far: float,
-                   n_panels: int = 24) -> np.ndarray:
+def _tail_integral(kern: _Kernel, r: float, ws: np.ndarray, lo: float,
+                   far: float) -> np.ndarray:
     """int_lo^inf rho^-w k2(r, rho) drho, vectorized over the exponents w."""
     xg, wg = roots_legendre(8)
     xi = 0.5 * (xg + 1.0)
     wxi = 0.5 * wg
-    t_edges = np.geomspace(lo - r, far - r, n_panels + 1)
+    t_edges = np.geomspace(lo - r, far - r, _N_TAIL + 1)
     a = t_edges[:-1][:, None]
     b = t_edges[1:][:, None]
     t = (a + (b - a) * xi[None, :]).ravel()
@@ -264,13 +270,10 @@ def _tail_integral(kern: _Kernel, r: float, ws: np.ndarray, lo: float, far: floa
 # --------------------------------------------------------------------------
 
 class _Assembler:
-    def __init__(self, grid: RadialGrid, N: int, s: float, profile_exponent: float,
-                 angular_order: int, far_factor: float, calib_frac: float,
-                 calib_ntheta: int, n_first: int, n_pair: int, n_cell: int,
-                 n_tail: int):
+    def __init__(self, grid: RadialGrid, N: int, s: float, w0: float):
         self.grid = grid
         self.N, self.s = N, s
-        self.w0 = profile_exponent
+        self.w0 = w0
         self.q = grid.g * self.w0          # profile decay exponent in tau
         self.kern = _Kernel(N, s)
         self.R = grid.R
@@ -280,11 +283,7 @@ class _Assembler:
         self.r = grid.r
         self.rw = grid.r**self.w0
         self.dlt = 1.0 / grid.M
-        self.far = far_factor * grid.R
-        self.angular_order = angular_order
-        self.calib_frac = calib_frac
-        self.calib_ntheta = calib_ntheta
-        self.n_first, self.n_pair, self.n_cell, self.n_tail = n_first, n_pair, n_cell, n_tail
+        self.far = _FAR_FACTOR * grid.R
         self.m_grade = min(max(2.0, 2.0 / (2.0 - 2.0 * s)), 8.0)
         self.gamma_profile = gamma_multiplier_extended((N - 2 * s) / 2.0 - self.w0, N, s)
 
@@ -318,12 +317,12 @@ class _Assembler:
         """Verify the closed angular form against direct GL quadrature."""
         worst = 0.0
         for z in (0.0, 0.2, 0.5, 0.8, 0.95):
-            direct = angular_kernel_average(self.N, self.s, z, self.angular_order)
+            direct = angular_kernel_average(self.N, self.s, z, _ANGULAR_ORDER)
             closed = self.kern.closed_angular(z)
             worst = max(worst, abs(direct - closed) / abs(closed))
         if worst > 1e-8:
             raise AssemblyError(
-                f"angular kernel quadrature (order {self.angular_order}) disagrees "
+                f"angular kernel quadrature (order {_ANGULAR_ORDER}) disagrees "
                 f"with the closed form by {worst:.2e} > 1e-8"
             )
 
@@ -335,16 +334,16 @@ class _Assembler:
         s, w0, dlt = self.s, self.w0, self.dlt
         A = np.zeros((M, M))
 
-        xg0, wg0 = roots_legendre(self.n_first)
+        xg0, wg0 = roots_legendre(_N_FIRST)
         xi0 = 0.5 * (xg0 + 1.0)
         wxi0 = 0.5 * wg0
         mgr = self.m_grade
         eta0 = dlt * xi0**mgr
         deta0 = dlt * mgr * xi0 ** (mgr - 1.0) * wxi0
-        xgp, wgp = roots_legendre(self.n_pair)
+        xgp, wgp = roots_legendre(_N_PAIR)
         xip = 0.5 * (xgp + 1.0)
         wxip = 0.5 * wgp
-        xgc, wgc = roots_legendre(self.n_cell)
+        xgc, wgc = roots_legendre(_N_CELL)
         xic = 0.5 * (xgc + 1.0)
         wxic = 0.5 * wgc
         xgo, wgo = roots_legendre(16)
@@ -360,7 +359,7 @@ class _Assembler:
             lo = R if i1 < M else R + 0.5 * (R - r[M - 2])
             A[ii, ii] += self.gamma_profile * ri ** (-2.0 * s) \
                 + rw[ii] * _tail_integral(self.kern, ri, np.asarray([w0]), lo,
-                                          self.far, self.n_tail)[0]
+                                          self.far)[0]
 
             K = min(i1 - 1, M - i1)
             if K >= 1:
@@ -448,11 +447,11 @@ class _Assembler:
             A[ii, 0] -= kap0
             A[ii, ii] += rw[ii] * nu_raw
 
-        n_cal = self._calibrate(A)
-        return A, n_cal
+        self._calibrate(A)
+        return A
 
     # -- inner-row moment calibration --------------------------------------
-    def _calibrate(self, A: np.ndarray) -> int:
+    def _calibrate(self, A: np.ndarray) -> None:
         """Fit the innermost rows to the analytic power-family response.
 
         Sign-bounded least squares (off-diagonal entries stay <= 0) so the
@@ -461,9 +460,9 @@ class _Assembler:
         sums to the exterior killing mass.
         """
         M = self.M
-        i_cal = max(2, int(math.ceil(self.calib_frac * M)))
+        i_cal = max(2, int(math.ceil(_CALIB_FRAC * M)))
         i_cal = min(i_cal, M)
-        nth = self.calib_ntheta
+        nth = _CALIB_NTHETA
         span = self.N - 2.0 * self.s
         thetas = 0.5 * (1.0 - np.cos(np.pi * np.arange(nth) / (nth - 1))) * 0.97 * span
         U = self.r[None, :] ** (-thetas[:, None])
@@ -485,8 +484,7 @@ class _Assembler:
                     np.arange(0, 2), np.arange(ii - 4, min(ii + 5, M))
                 ]))
             target = gams * self.r[ii] ** (-thetas - 2.0 * self.s) \
-                + _tail_integral(self.kern, self.r[ii], thetas, self.R, self.far,
-                                 self.n_tail)
+                + _tail_integral(self.kern, self.r[ii], thetas, self.R, self.far)
             resid = target - U @ A[ii]
             scale = np.abs(target)
             V = (U[:, cols] / scale[:, None]) * wts[:, None]
@@ -511,28 +509,20 @@ class _Assembler:
             target0 = float(target[0])
             if rowsum < 0.0 and target0 > 0.0:
                 A[ii, ii] += target0 - rowsum
-        return i_cal
 
 
-def assemble_operator(
-    grid: RadialGrid,
-    N: int,
-    s: float,
-    profile_exponent: float | None = None,
-    angular_order: int = 80,
-    far_factor: float = 50.0,
-    calib_frac: float = 0.1,
-    calib_ntheta: int = 41,
-    n_first: int = 32,
-    n_pair: int = 10,
-    n_cell: int = 8,
-    n_tail: int = 24,
-) -> OperatorMatrix:
+def assemble_operator(grid: RadialGrid, N: int, s: float,
+                      profile_exponent: float | None = None) -> OperatorMatrix:
     """Assemble the dense collocation matrix of (-Lap)^s with exterior zero.
 
     ``profile_exponent`` selects the calibration power rho^(-w0); the default
-    (N-2s)/2 is the midpoint of the admissible singular range.  Raises
-    AssemblyError when the angular closed form fails its quadrature check.
+    (N-2s)/2 is the midpoint of the admissible singular range.  Solver runs
+    use the default: the midrange profile keeps the discrete Hardy quotient
+    at the singular nodes pinned to the sharp constant, so the Picard map
+    contracts at rate about lambda/Lambda; a profile matched to mu(lambda)
+    would drive that quotient down to lambda itself and stall the iteration.
+    Raises AssemblyError when the angular closed form fails its quadrature
+    check.
     """
     if N != grid.N:
         raise GridMismatchError(f"grid was built for N={grid.N}, assembly asked N={N}")
@@ -543,19 +533,8 @@ def assemble_operator(
         raise DomainError(
             f"profile exponent must lie in (0, N-2s) = (0, {N - 2 * s}), got {w0}"
         )
-    asm = _Assembler(grid, N, s, w0, angular_order, far_factor, calib_frac,
-                     calib_ntheta, n_first, n_pair, n_cell, n_tail)
-    mat, n_cal = asm.assemble()
-    return OperatorMatrix(
-        matrix=mat,
-        grid=grid,
-        N=N,
-        s=s,
-        profile_exponent=w0,
-        angular_order=angular_order,
-        far_radius=far_factor * grid.R,
-        calibrated_rows=n_cal,
-    )
+    return OperatorMatrix(matrix=_Assembler(grid, N, s, w0).assemble(), grid=grid,
+                          N=N, s=s)
 
 
 # --------------------------------------------------------------------------
@@ -593,7 +572,8 @@ def power_test_profile(op: OperatorMatrix, theta: float, r_max_check: float | No
         raise DomainError("no nodes inside the oracle check window")
     expected = np.array([
         gam * grid.r[j] ** (-theta - 2.0 * s)
-        + _tail_integral(kern, grid.r[j], np.asarray([theta]), grid.R, op.far_radius)[0]
+        + _tail_integral(kern, grid.r[j], np.asarray([theta]), grid.R,
+                         _FAR_FACTOR * grid.R)[0]
         for j in rows
     ])
     abs_err = np.abs(got[rows] - expected)

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .specfun import ProblemParams, exponents_for, gamma_multiplier
 from .construct import SupersolutionSpec
-from .util import fmt17
+from .util import fmt17, from_block, require
 from . import radialop
 
 __all__ = [
@@ -37,7 +37,7 @@ __all__ = [
     "solve_kpz",
     "solve_damped",
     "mu_threshold_probe",
-    "operator_for_problem",
+    "run_inputs",
     "save_trace",
 ]
 
@@ -129,16 +129,46 @@ class SolverReport:
     notes: str = ""
 
 
-def operator_for_problem(params: ProblemParams, grid: radialop.RadialGrid,
-                         **assembly_kwargs) -> radialop.OperatorMatrix:
-    """Assemble the operator for a solver run (midrange calibration profile).
+def run_inputs(cfg: dict) -> tuple[ProblemParams, radialop.RadialGrid,
+                                   SolverControls, PowerSource]:
+    """Problem, grid, controls and source of a run config.
 
-    The midrange profile keeps the discrete Hardy quotient at the singular
-    nodes pinned to the sharp constant, so the Picard map contracts at rate
-    about lambda/Lambda; a profile matched to mu(lambda) would drive that
-    quotient down to lambda itself and stall the iteration.
+    The one reader of the ``problem``/``grid``/``controls``/``source`` blocks:
+    ``hardykpz solve``/``damped``/``probe`` pass their config file, and every
+    sweep cell passes the run config its plan builds.  Defaults: ``mu`` 0,
+    ``R`` 1, ``g`` 2, and the schedule 2^0..2^(n_levels-1) with 13 levels
+    unless ``controls`` gives ``n_levels`` or an explicit ``n_schedule``.
+    A missing or unknown key raises ConfigError naming it.
     """
-    return radialop.assemble_operator(grid, params.N, params.s, **assembly_kwargs)
+    block = require(cfg, "problem", "config")
+    params = ProblemParams(
+        N=int(require(block, "N", "problem")),
+        s=float(require(block, "s", "problem")),
+        lam=float(require(block, "lambda", "problem")),
+        p=float(require(block, "p", "problem")),
+        mu=float(block.get("mu", 0.0)),
+    )
+    block = require(cfg, "grid", "config")
+    grid = radialop.build_grid(
+        R=float(block.get("R", 1.0)),
+        M=int(require(block, "M", "grid")),
+        g=float(block.get("g", 2.0)),
+        N=params.N,
+    )
+    block = dict(cfg.get("controls", {}))
+    n_levels = int(block.pop("n_levels", 13))
+    schedule = block.pop("n_schedule", None)
+    if schedule is None:
+        schedule = tuple(2.0**j for j in range(n_levels))
+    else:
+        schedule = tuple(float(x) for x in schedule)
+    controls = from_block(SolverControls, {**block, "n_schedule": schedule}, "controls")
+    block = require(cfg, "source", "config")
+    source = PowerSource(
+        coefficient=float(require(block, "coefficient", "source")),
+        exponent=float(require(block, "exponent", "source")),
+    )
+    return params, grid, controls, source
 
 
 def admissible_bound_sup(params: ProblemParams, grid: radialop.RadialGrid) -> float:
@@ -191,7 +221,8 @@ def _run_scheme(params: ProblemParams, alpha_damp: float, source_scale: float,
                 supersolution: SupersolutionSpec | None,
                 operator: radialop.OperatorMatrix | None) -> SolverReport:
     """Shared engine behind solve_kpz (alpha_damp = 0) and solve_damped."""
-    op = operator if operator is not None else operator_for_problem(params, grid)
+    op = operator if operator is not None \
+        else radialop.assemble_operator(grid, params.N, params.s)
     if not op.grid.same_as(grid):
         raise GridMismatchError("operator grid does not match the solve grid")
     r = grid.r
@@ -371,7 +402,7 @@ def mu_threshold_probe(params: ProblemParams, f, grid: radialop.RadialGrid,
             isinstance(f, radialop.RadialField) and float(np.max(np.abs(f.values))) == 0.0):
         return ProbeResult(status="inconclusive",
                            note="vanishing source: scale is irrelevant by design")
-    op = operator_for_problem(params, grid)
+    op = radialop.assemble_operator(grid, params.N, params.s)
     evaluations = []
 
     def classify(mu_val: float) -> str:

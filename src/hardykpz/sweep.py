@@ -23,8 +23,8 @@ from itertools import product
 import numpy as np
 
 from .errors import ConfigError, HardyKPZError
-from .specfun import ProblemParams, exponents_for, hardy_constant
-from .util import config_hash, fmt17
+from .specfun import exponents_for, hardy_constant
+from .util import config_hash, fmt17, from_block, require, write_json
 from . import radialop, solver
 
 __all__ = [
@@ -70,7 +70,9 @@ class SweepPlan:
     ``problem`` holds the fixed parameters (N, s, lambda, p, mu); swept
     parameters are overridden cell by cell.  ``kind`` selects the plain
     gradient solver or the damped variant (which reads ``alpha_damp`` and
-    uses the mu axis as the source scale c).
+    uses the mu axis as the source scale c).  ``problem``, ``grid``,
+    ``controls`` and ``source`` take the keys and defaults of a run config
+    (see ``solver.run_inputs``); ``n_levels`` sets the truncation schedule.
     """
 
     problem: dict
@@ -88,7 +90,8 @@ class SweepPlan:
             raise ConfigError(f"solver kind must be kpz or damped, got {self.kind!r}")
         if not (1 <= len(self.axes) <= 2):
             raise ConfigError("sweeps support one or two axes")
-        self.axes = [a if isinstance(a, SweepAxis) else SweepAxis(**a) for a in self.axes]
+        self.axes = [a if isinstance(a, SweepAxis) else from_block(SweepAxis, a, "axis")
+                     for a in self.axes]
         names = [a.name for a in self.axes]
         if len(set(names)) != len(names):
             raise ConfigError("axes must be distinct")
@@ -97,8 +100,8 @@ class SweepPlan:
             total *= a.count
         if total > self.budget:
             raise ConfigError(f"{total} cells exceed the budget {self.budget}")
-        N = int(self.problem["N"])
-        s = float(self.problem["s"])
+        N = int(require(self.problem, "N", "problem"))
+        s = float(require(self.problem, "s", "problem"))
         lam_max = hardy_constant(N, s)
         for a in self.axes:
             if a.count == 0:
@@ -111,17 +114,28 @@ class SweepPlan:
                 raise ConfigError("p axis must stay above 1")
             if a.name in ("mu",) and a.start < 0.0:
                 raise ConfigError("mu axis must be nonnegative")
+        for key in ("n_levels", "n_schedule"):
+            if key in self.controls:
+                raise ConfigError(
+                    f"plan controls may not set {key!r}: the plan's n_levels "
+                    "sets the truncation schedule")
+        # plan-wide blocks fail here, before any cell runs
+        _, first = next(self.cells(), (0, {}))
+        solver.run_inputs(self._run_config(first))
 
     def as_dict(self) -> dict:
-        d = asdict(self)
-        d["axes"] = [asdict(a) if not isinstance(a, dict) else a for a in self.axes]
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepPlan":
-        d = dict(d)
-        d["axes"] = [SweepAxis(**a) for a in d.get("axes", [])]
-        return cls(**d)
+        return from_block(cls, d, "plan")
+
+    def _run_config(self, values: dict) -> dict:
+        """Run config of the cell at ``values`` (alpha_damp is not a run key)."""
+        problem = dict(self.problem)
+        problem.update((k, v) for k, v in values.items() if k != "alpha_damp")
+        return {"problem": problem, "grid": self.grid, "source": self.source,
+                "controls": {**self.controls, "n_levels": self.n_levels}}
 
     def cells(self):
         """(index, {axis: value}) pairs in deterministic index order."""
@@ -157,35 +171,21 @@ class RegionMap:
 
 @lru_cache(maxsize=4)
 def _cached_operator(N: int, s: float, R: float, M: int, g: float):
-    grid = radialop.build_grid(R, M, g, N)
-    return grid, radialop.assemble_operator(grid, N, s)
+    return radialop.assemble_operator(radialop.build_grid(R, M, g, N), N, s)
 
 
 def _run_cell(plan_dict: dict, index: int, values: dict) -> CellResult:
     plan = SweepPlan.from_dict(plan_dict)
-    prob = dict(plan.problem)
-    lam = float(values.get("lambda", prob["lambda"]))
-    p = float(values.get("p", prob["p"]))
-    mu = float(values.get("mu", prob.get("mu", 0.0)))
     alpha = float(values.get("alpha_damp", plan.alpha_damp))
-    N = int(prob["N"])
-    s = float(prob["s"])
-    gd = plan.grid
     try:
-        rep = exponents_for(N, s, lam)
-        if abs(p - rep.p_plus) < 1e-12:
+        params, grid, controls, f = solver.run_inputs(plan._run_config(values))
+        rep = exponents_for(params.N, params.s, params.lam)
+        if abs(params.p - rep.p_plus) < 1e-12:
             return CellResult(index, values, "Inconclusive", math.nan, 0,
                               "p equals p_plus: undecided by policy")
-        grid, op = _cached_operator(N, s, float(gd["R"]), int(gd["M"]), float(gd["g"]))
-        params = ProblemParams(N=N, s=s, lam=lam, p=p, mu=mu)
-        controls = solver.SolverControls(
-            n_schedule=tuple(2.0**j for j in range(plan.n_levels)),
-            **plan.controls,
-        )
-        f = solver.PowerSource(float(plan.source["coefficient"]),
-                               float(plan.source["exponent"]))
+        op = _cached_operator(params.N, params.s, grid.R, grid.M, grid.g)
         if plan.kind == "damped":
-            report = solver.solve_damped(params, alpha, mu, f, grid,
+            report = solver.solve_damped(params, alpha, params.mu, f, grid,
                                          controls=controls, operator=op)
         else:
             report = solver.solve_kpz(params, f, grid, controls=controls,
@@ -307,9 +307,7 @@ def run_sweep(plan: SweepPlan, out_dir: str | None = None, workers: int = 1,
             "overlay": overlay,
             "counts": region.counts(),
         }
-        with open(os.path.join(out_dir, _SIDECAR_FILE), "w") as fh:
-            json.dump(sidecar, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        write_json(os.path.join(out_dir, _SIDECAR_FILE), sidecar)
     return region
 
 

@@ -1,9 +1,12 @@
-"""Small shared helpers: deterministic float formatting and config hashing."""
+"""Small shared helpers: deterministic output, config hashing, config blocks."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+
+from .errors import ConfigError
 
 
 def fmt17(x: float) -> str:
@@ -19,3 +22,40 @@ def canonical_json(obj) -> str:
 def config_hash(obj) -> str:
     """Stable hex digest of a configuration mapping."""
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
+
+
+def json_text(obj) -> str:
+    """Indented JSON document with sorted keys, as every artifact writes it."""
+    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+
+
+def write_json(path: str, obj) -> None:
+    with open(path, "w") as fh:
+        fh.write(json_text(obj))
+
+
+def require(block, key: str, where: str):
+    """``block[key]``; ConfigError naming the key (or the block) otherwise."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    if key not in block:
+        raise ConfigError(f"missing key {key!r} in {where}")
+    return block[key]
+
+
+def from_block(cls, block, where: str):
+    """Dataclass ``cls`` from a config block whose keys are its field names.
+
+    An unknown or missing key raises ConfigError naming it.
+    """
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    for key in block:
+        if key not in fields:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+    for name, f in fields.items():
+        if name not in block and f.default is dataclasses.MISSING \
+                and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"missing key {name!r} in {where}")
+    return cls(**block)

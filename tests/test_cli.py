@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from hardykpz import cli
 from hardykpz import radialop as ro
 from hardykpz import specfun as sf
 
@@ -243,3 +244,79 @@ def test_help_documents_domains():
     assert "N > 2s" in r.stdout
     r = run_cli("oracle", "--help")
     assert "(0, N-2s)" in r.stdout
+
+
+# --------------------------------------------- malformed input exits 2
+
+def _sweep_cfg(**over):
+    plan = {
+        "problem": {"N": N, "s": S, "lambda": LAM, "p": 1.3, "mu": 1e-3},
+        "grid": {"R": 1.0, "M": 32, "g": 2.0},
+        "axes": [{"name": "p", "start": 1.25, "stop": 1.35, "count": 2}],
+        "source": {"coefficient": 0.3, "exponent": 2 * S},
+        "n_levels": 10,
+    }
+    plan.update(over)
+    return {"plan": plan}
+
+
+def _solve_cfg(**over):
+    cfg = {
+        "problem": {"N": N, "s": S, "lambda": LAM, "p": 1.3, "mu": 1e-3},
+        "grid": {"R": 1.0, "M": 32, "g": 2.0},
+        "controls": {"n_levels": 10},
+        "source": {"coefficient": 0.3, "exponent": 2 * S},
+    }
+    cfg.update(over)
+    return cfg
+
+
+def _main(capsys, tmp_path, command, cfg):
+    """Exit code and stderr of an in-process CLI run on the config ``cfg``."""
+    path = os.path.join(tmp_path, "cfg.json")
+    with open(path, "w") as fh:
+        fh.write(cfg if isinstance(cfg, str) else json.dumps(cfg))
+    code = cli.main([command, "--config", path,
+                     "--output-dir", os.path.join(tmp_path, "out")])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg, named", [
+    ("sweep", _sweep_cfg(problem={"s": S, "lambda": LAM, "p": 1.3}), "'N'"),
+    ("sweep", _sweep_cfg(controls={"n_levels": 12}), "n_levels"),
+    ("solve", _solve_cfg(controls={"picard_maxx": 10}), "picard_maxx"),
+    ("sweep", _sweep_cfg(controls={"picard_maxx": 10}), "picard_maxx"),
+    ("sweep", _sweep_cfg(workers=2), "workers"),
+    ("sweep", _sweep_cfg(axes=[{"name": "p", "start": 1.25, "stop": 1.35,
+                                "count": 2, "step": 0.1}]), "step"),
+    ("sweep", _sweep_cfg(source={"coefficient": -0.3, "exponent": 2 * S}),
+     "coefficient"),
+    ("solve", "[1, 2]", "cfg.json"),
+], ids=["sweep-missing-N", "sweep-plan-n_levels", "solve-unknown-control",
+        "sweep-unknown-control", "sweep-unknown-plan-key", "sweep-unknown-axis-key",
+        "sweep-negative-source", "solve-non-object-config"])
+def test_malformed_input_exits_2(capsys, tmp_path, monkeypatch, command, cfg, named):
+    monkeypatch.delenv("HARDYKPZ_WORKERS", raising=False)
+    code, err = _main(capsys, tmp_path, command, cfg)
+    assert code == 2
+    assert named in err
+    # a plan-wide error stops the sweep before any cell is written
+    assert not os.path.exists(os.path.join(tmp_path, "out", "cells.csv"))
+
+
+def test_non_integer_workers_variable_exits_2(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("HARDYKPZ_WORKERS", "two")
+    code, err = _main(capsys, tmp_path, "sweep", _sweep_cfg())
+    assert code == 2
+    assert "HARDYKPZ_WORKERS" in err
+
+
+def test_sweep_grid_defaults_match_the_run_config(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("HARDYKPZ_WORKERS", raising=False)
+    cells = []
+    for name, grid in (("given", {"R": 1.0, "M": 32, "g": 2.0}), ("default", {"M": 32})):
+        d = os.path.join(tmp_path, name)
+        os.makedirs(d)
+        assert _main(capsys, d, "sweep", _sweep_cfg(grid=grid))[0] == 0
+        cells.append(open(os.path.join(d, "out", "cells.csv"), "rb").read())
+    assert cells[0] == cells[1]

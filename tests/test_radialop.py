@@ -294,10 +294,11 @@ def test_field_round_trip(tmp_path, desk_op):
 
 # ------------------------------------------------------------- assembly
 
-def test_assembly_kernel_check_fires():
+def test_assembly_kernel_check_fires(monkeypatch):
     grid = ro.build_grid(1.0, 32, 2.0, N)
+    monkeypatch.setattr(ro, "_ANGULAR_ORDER", 2)
     with pytest.raises(AssemblyError):
-        ro.assemble_operator(grid, N, S, angular_order=2)
+        ro.assemble_operator(grid, N, S)
 
 
 def test_assembly_domain_checks():

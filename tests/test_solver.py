@@ -26,8 +26,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def op(grid):
-    return so.operator_for_problem(
-        sf.ProblemParams(N=N, s=S, lam=LAM, p=1.3, mu=0.0), grid)
+    return ro.assemble_operator(grid, N, S)
 
 
 def _params(p, mu):
@@ -99,7 +98,7 @@ def test_damped_strong_damping_converges(grid):
     spec = co.damped_supersolution(N, S, LAM, p=p, alpha_damp=alpha)
     c = min(1e-3, 0.5 * spec.c_star)
     params = sf.ProblemParams(N=N, s=S, lam=LAM, p=p, mu=c)
-    op_local = so.operator_for_problem(params, grid)
+    op_local = ro.assemble_operator(grid, N, S)
     f = so.PowerSource(1.0, spec.f_bound_exponent)
     rep = so.solve_damped(params, alpha, c, f, grid, controls=CTRL,
                           supersolution=spec, operator=op_local)
@@ -119,7 +118,7 @@ def test_lambda_zero_degeneration_bounded(grid):
     # no Hardy term: plain gradient problem with a smooth source stays
     # bounded, with no singular growth over the innermost decade of nodes
     params = sf.ProblemParams(N=N, s=S, lam=0.0, p=1.15, mu=1e-2)
-    op_local = so.operator_for_problem(params, grid)
+    op_local = ro.assemble_operator(grid, N, S)
     rep = so.solve_kpz(params, so.PowerSource(1.0, 0.0), grid,
                        controls=CTRL, operator=op_local)
     assert rep.status == "Converged"

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from hardykpz import solver as so
 from hardykpz import specfun as sf
 from hardykpz import sweep as sw
 from hardykpz.errors import ConfigError
@@ -159,3 +160,25 @@ def test_sweep_worker_pool_matches_serial(tmp_path):
     sw.run_sweep(plan, out_dir=d2, workers=2)
     assert open(os.path.join(d1, "cells.csv"), "rb").read() == \
         open(os.path.join(d2, "cells.csv"), "rb").read()
+
+
+@pytest.mark.parametrize("kind", ["kpz", "damped"])
+def test_sweep_cell_matches_direct_solve(kind):
+    plan = _plan(axes=[{"name": "p", "start": 1.25, "stop": 1.45, "count": 3}],
+                 grid={"R": 1.0, "M": 32, "g": 2.0}, n_levels=12, kind=kind,
+                 alpha_damp=1.0 if kind == "damped" else 0.0)
+    region = sw.run_sweep(plan)
+    assert len(region.cells) == 3
+    for cell in region.cells:
+        cfg = {"problem": {**plan.problem, "p": cell.values["p"]}, "grid": plan.grid,
+               "controls": {"n_levels": plan.n_levels}, "source": plan.source}
+        params, grid, controls, f = so.run_inputs(cfg)
+        if kind == "damped":
+            rep = so.solve_damped(params, plan.alpha_damp, params.mu, f, grid,
+                                  controls=controls)
+        else:
+            rep = so.solve_kpz(params, f, grid, controls=controls)
+        assert cell.status == rep.status
+        assert cell.sup_norm == rep.field.sup_norm()
+        assert cell.inner_iters == sum(row.inner_iters for row in rep.trace)
+

@@ -1,0 +1,59 @@
+"""The per-layer tracer in perfbench/ still finds the names it wraps.
+
+perfbench/tracing.py records spans by replacing module-level names of the
+package (``radialop.assemble_operator``, ``solver.solve_kpz``,
+``sweep._run_cell``, ...).  A rename or a call that bypasses the module
+global silently zeroes a per-layer metric; this test runs a solve and a
+two-worker sweep under the tracer and requires each span to be counted.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import tracing
+from hardykpz import cli
+tr = tracing.install(sys.argv[2])
+assert cli.main(["solve", "--config", sys.argv[3], "--output-dir", sys.argv[4]]) == 0
+assert cli.main(["sweep", "--config", sys.argv[5], "--output-dir", sys.argv[6],
+                 "--workers", "2"]) == 0
+print(json.dumps(tr.collect()["calls"]))
+"""
+
+
+def test_tracer_counts_every_wrapped_layer(tmp_path):
+    problem = {"N": 3, "s": 0.75, "lambda": 0.2, "p": 1.25, "mu": 1e-3}
+    source = {"coefficient": 0.3, "exponent": 1.5}
+    grid = {"R": 1.0, "M": 32, "g": 2.0}
+    solve = {"problem": problem, "grid": grid, "controls": {"n_levels": 10},
+             "source": source}
+    sweep = {"plan": {"problem": problem, "grid": grid, "source": source,
+                      "axes": [{"name": "p", "start": 1.2, "stop": 1.3, "count": 2}],
+                      "n_levels": 10}}
+    paths = {}
+    for name, cfg in (("solve", solve), ("sweep", sweep)):
+        paths[name] = os.path.join(tmp_path, name + ".json")
+        with open(paths[name], "w") as fh:
+            json.dump(cfg, fh)
+    workers = os.path.join(tmp_path, "workers")
+    os.makedirs(workers)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    env.pop("HARDYKPZ_WORKERS", None)
+    r = subprocess.run(
+        [sys.executable, "-c", SCRIPT, os.path.join(ROOT, "perfbench"), workers,
+         paths["solve"], os.path.join(tmp_path, "solve_out"),
+         paths["sweep"], os.path.join(tmp_path, "sweep_out")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert r.returncode == 0, r.stderr
+    calls = json.loads(r.stdout.strip().splitlines()[-1])
+    for name in ("solver.scheme", "radialop.assemble", "sweep.cell"):
+        assert calls.get(name, 0) > 0, name
+    assert calls["sweep.cell"] == 2
