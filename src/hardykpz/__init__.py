@@ -50,7 +50,6 @@ from .construct import (
     exact_radial_solution,
     rescale_supersolution,
     supersolution_margin,
-    truncate,
 )
 from .solver import (
     PowerSource,

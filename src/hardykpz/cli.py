@@ -21,13 +21,8 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, DomainError, GridMismatchError, HardyKPZError
-from .specfun import (
-    ProblemParams,
-    exponents_for,
-    hardy_constant,
-    normalizing_constant,
-)
-from .util import config_hash, fmt17, json_text, require, write_json
+from .specfun import exponents_for, hardy_constant, normalizing_constant
+from .util import config_hash, fmt17, json_text, require, value, write_json
 from . import construct, radialop, solver, sweep
 
 _ENV_OUTDIR = "HARDYKPZ_OUTPUT_DIR"
@@ -141,27 +136,24 @@ def _write_solver_outputs(report: solver.SolverReport, spec, out: str,
         "hardy_l1_integral": float(fmt17(report.hardy_l1_integral)),
         "sup_norm": float(fmt17(report.field.sup_norm())),
         "sup_bound": float(fmt17(report.sup_bound)),
-        "supersolution": json.loads(spec.to_json()) if spec is not None else None,
+        "supersolution": spec.as_dict() if spec is not None else None,
     }
     write_json(os.path.join(out, "report.json"), summary)
 
 
-def _supersolution_from(cfg: dict, params: ProblemParams, f: solver.PowerSource):
-    block = cfg.get("supersolution", "none")
-    if block in (None, "none"):
-        return None
-    if block == "auto":
-        return construct.dirichlet_supersolution(params, f.exponent, f.coefficient)
-    return construct.dirichlet_supersolution(
-        params,
-        float(require(block, "f_bound_exponent", "supersolution")),
-        float(block.get("f_bound_coef", 1.0)),
-    )
+def _auto_supersolution(cfg: dict) -> bool:
+    """True for ``"supersolution": "auto"``, False for ``"none"`` (the default)."""
+    choice = cfg.get("supersolution", "none")
+    if choice not in ("none", "auto"):
+        raise ConfigError(f'supersolution must be "none" or "auto", got {choice!r}')
+    return choice == "auto"
 
 
 def cmd_solve(args) -> int:
     cfg, out, params, grid, controls, f = _run_inputs(args)
-    spec = _supersolution_from(cfg, params, f)
+    spec = None
+    if _auto_supersolution(cfg):
+        spec = construct.dirichlet_supersolution(params, f.exponent, f.coefficient)
     report = solver.solve_kpz(params, f, grid, controls=controls,
                               supersolution=spec)
     cfg_hash = _write_resolved(cfg, out)
@@ -172,10 +164,10 @@ def cmd_solve(args) -> int:
 
 def cmd_damped(args) -> int:
     cfg, out, params, grid, controls, f = _run_inputs(args)
-    alpha = float(require(cfg, "alpha_damp", "config"))
-    c = float(cfg.get("c", params.mu))
+    alpha = value(cfg, "alpha_damp", "config", float)
+    c = value(cfg, "c", "config", float, params.mu)
     spec = None
-    if cfg.get("supersolution", "none") == "auto":
+    if _auto_supersolution(cfg):
         spec = construct.damped_supersolution(params.N, params.s, params.lam,
                                               params.p, alpha)
     report = solver.solve_damped(params, alpha, c, f, grid, controls=controls,

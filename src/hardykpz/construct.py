@@ -14,7 +14,6 @@ carries a positive power of r.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -30,7 +29,6 @@ __all__ = [
     "damped_supersolution",
     "rescale_supersolution",
     "supersolution_margin",
-    "truncate",
 ]
 
 @dataclass(frozen=True)
@@ -63,23 +61,9 @@ class SupersolutionSpec:
     def gradient_magnitude(self, r):
         return self.amplitude * self.theta * np.asarray(r, dtype=float) ** (-self.theta - 1.0)
 
-    def to_json(self) -> str:
-        d = asdict(self)
-        d["window"] = list(d["window"])
-        return json.dumps(d, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SupersolutionSpec":
-        d = json.loads(text)
-        d["window"] = tuple(d["window"])
-        return cls(**d)
-
-
-def truncate(sigma, k: float):
-    """Two-sided truncation max(-k, min(k, sigma)); scalar or array."""
-    if k <= 0.0:
-        raise DomainError(f"truncation level must be positive, got {k}")
-    return np.clip(sigma, -k, k)
+    def as_dict(self) -> dict:
+        """Field mapping with the window as a list, as JSON artifacts hold it."""
+        return {**asdict(self), "window": list(self.window)}
 
 
 def _window(params: ProblemParams) -> tuple[float, float, float]:

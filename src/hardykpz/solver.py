@@ -5,19 +5,21 @@ level n; for each level a damped Picard iteration solves the fixed point
 u = L^-1 RHS_n(u), warm-started from the previous level, starting from zero.
 Increasing truncation levels produce an increasing iterate sequence bounded
 by any valid supersolution; divergence across levels is classified as
-blow-up by a configurable heuristic (threshold against the supersolution
-bound plus sustained growth), never proved.
+blow-up by a fixed heuristic (threshold against the supersolution bound
+plus sustained growth), never proved.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 from scipy.linalg import LinAlgError, lu_factor, lu_solve
 
 from .errors import (
+    ConfigError,
     DomainError,
     GridMismatchError,
     NumericalDivergenceError,
@@ -25,7 +27,7 @@ from .errors import (
 )
 from .specfun import ProblemParams, exponents_for, gamma_multiplier
 from .construct import SupersolutionSpec
-from .util import fmt17, from_block, require
+from .util import fmt17, require, value
 from . import radialop
 
 __all__ = [
@@ -76,27 +78,27 @@ class PowerSource:
 
 @dataclass(frozen=True)
 class SolverControls:
-    """Knobs of the outer truncation schedule and the inner Picard loop."""
+    """Outer truncation schedule; the Picard loop and the blow-up rules are fixed.
+
+    The class constants are the inner Picard tolerance, iteration cap and
+    damping, and the blow-up thresholds: a sup-norm above ``blowup_factor``
+    times the barrier bound, ``growth_window`` consecutive increases with no
+    admissible barrier, or a sup-norm above ``sup_cap``.
+    """
 
     n_schedule: tuple = tuple(2.0**j for j in range(13))
-    picard_tol: float = 1e-8
-    picard_max: int = 500
-    blowup_factor: float = 10.0
-    damping: float = 0.7
-    growth_window: int = 5
-    sup_cap: float = 1e12
+    picard_tol: ClassVar[float] = 1e-8
+    picard_max: ClassVar[int] = 500
+    blowup_factor: ClassVar[float] = 10.0
+    damping: ClassVar[float] = 0.7
+    growth_window: ClassVar[int] = 5
+    sup_cap: ClassVar[float] = 1e12
 
     def __post_init__(self):
         if len(self.n_schedule) == 0 or min(self.n_schedule) <= 0:
             raise DomainError("truncation schedule must be positive")
         if list(self.n_schedule) != sorted(self.n_schedule):
             raise DomainError("truncation schedule must be increasing")
-        if not (0.0 < self.damping <= 1.0):
-            raise DomainError("Picard damping must lie in (0, 1]")
-        if self.blowup_factor <= 1.0:
-            raise DomainError("blow-up factor must exceed 1")
-        if self.picard_tol <= 0.0 or self.picard_max <= 0:
-            raise DomainError("Picard tolerance and iteration cap must be positive")
 
 
 @dataclass
@@ -137,36 +139,34 @@ def run_inputs(cfg: dict) -> tuple[ProblemParams, radialop.RadialGrid,
     ``hardykpz solve``/``damped``/``probe`` pass their config file, and every
     sweep cell passes the run config its plan builds.  Defaults: ``mu`` 0,
     ``R`` 1, ``g`` 2, and the schedule 2^0..2^(n_levels-1) with 13 levels
-    unless ``controls`` gives ``n_levels`` or an explicit ``n_schedule``.
-    A missing or unknown key raises ConfigError naming it.
+    unless ``controls`` gives ``n_levels``, its only key.  A missing or
+    unknown key, or a value of the wrong type, raises ConfigError naming it.
     """
     block = require(cfg, "problem", "config")
     params = ProblemParams(
-        N=int(require(block, "N", "problem")),
-        s=float(require(block, "s", "problem")),
-        lam=float(require(block, "lambda", "problem")),
-        p=float(require(block, "p", "problem")),
-        mu=float(block.get("mu", 0.0)),
+        N=value(block, "N", "problem", int),
+        s=value(block, "s", "problem", float),
+        lam=value(block, "lambda", "problem", float),
+        p=value(block, "p", "problem", float),
+        mu=value(block, "mu", "problem", float, 0.0),
     )
     block = require(cfg, "grid", "config")
     grid = radialop.build_grid(
-        R=float(block.get("R", 1.0)),
-        M=int(require(block, "M", "grid")),
-        g=float(block.get("g", 2.0)),
+        R=value(block, "R", "grid", float, 1.0),
+        M=value(block, "M", "grid", int),
+        g=value(block, "g", "grid", float, 2.0),
         N=params.N,
     )
-    block = dict(cfg.get("controls", {}))
-    n_levels = int(block.pop("n_levels", 13))
-    schedule = block.pop("n_schedule", None)
-    if schedule is None:
-        schedule = tuple(2.0**j for j in range(n_levels))
-    else:
-        schedule = tuple(float(x) for x in schedule)
-    controls = from_block(SolverControls, {**block, "n_schedule": schedule}, "controls")
+    block = cfg.get("controls", {})
+    n_levels = value(block, "n_levels", "controls", int, 13)
+    for key in block:
+        if key != "n_levels":
+            raise ConfigError(f"unknown key {key!r} in controls")
+    controls = SolverControls(n_schedule=tuple(2.0**j for j in range(n_levels)))
     block = require(cfg, "source", "config")
     source = PowerSource(
-        coefficient=float(require(block, "coefficient", "source")),
-        exponent=float(require(block, "exponent", "source")),
+        coefficient=value(block, "coefficient", "source", float),
+        exponent=value(block, "exponent", "source", float),
     )
     return params, grid, controls, source
 

@@ -16,7 +16,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from functools import lru_cache
 from itertools import product
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, HardyKPZError
 from .specfun import exponents_for, hardy_constant
-from .util import config_hash, fmt17, from_block, require, write_json
+from .util import config_hash, fmt17, from_block, value, write_json
 from . import radialop, solver
 
 __all__ = [
@@ -70,9 +70,9 @@ class SweepPlan:
     ``problem`` holds the fixed parameters (N, s, lambda, p, mu); swept
     parameters are overridden cell by cell.  ``kind`` selects the plain
     gradient solver or the damped variant (which reads ``alpha_damp`` and
-    uses the mu axis as the source scale c).  ``problem``, ``grid``,
-    ``controls`` and ``source`` take the keys and defaults of a run config
-    (see ``solver.run_inputs``); ``n_levels`` sets the truncation schedule.
+    uses the mu axis as the source scale c).  ``problem``, ``grid`` and
+    ``source`` take the keys and defaults of a run config (see
+    ``solver.run_inputs``); ``n_levels`` sets the truncation schedule.
     """
 
     problem: dict
@@ -82,7 +82,6 @@ class SweepPlan:
     kind: str = "kpz"
     alpha_damp: float = 0.0
     n_levels: int = 17
-    controls: dict = field(default_factory=dict)
     budget: int = 4096
 
     def __post_init__(self):
@@ -100,8 +99,8 @@ class SweepPlan:
             total *= a.count
         if total > self.budget:
             raise ConfigError(f"{total} cells exceed the budget {self.budget}")
-        N = int(require(self.problem, "N", "problem"))
-        s = float(require(self.problem, "s", "problem"))
+        N = value(self.problem, "N", "problem", int)
+        s = value(self.problem, "s", "problem", float)
         lam_max = hardy_constant(N, s)
         for a in self.axes:
             if a.count == 0:
@@ -114,11 +113,6 @@ class SweepPlan:
                 raise ConfigError("p axis must stay above 1")
             if a.name in ("mu",) and a.start < 0.0:
                 raise ConfigError("mu axis must be nonnegative")
-        for key in ("n_levels", "n_schedule"):
-            if key in self.controls:
-                raise ConfigError(
-                    f"plan controls may not set {key!r}: the plan's n_levels "
-                    "sets the truncation schedule")
         # plan-wide blocks fail here, before any cell runs
         _, first = next(self.cells(), (0, {}))
         solver.run_inputs(self._run_config(first))
@@ -135,7 +129,7 @@ class SweepPlan:
         problem = dict(self.problem)
         problem.update((k, v) for k, v in values.items() if k != "alpha_damp")
         return {"problem": problem, "grid": self.grid, "source": self.source,
-                "controls": {**self.controls, "n_levels": self.n_levels}}
+                "controls": {"n_levels": self.n_levels}}
 
     def cells(self):
         """(index, {axis: value}) pairs in deterministic index order."""
@@ -174,8 +168,7 @@ def _cached_operator(N: int, s: float, R: float, M: int, g: float):
     return radialop.assemble_operator(radialop.build_grid(R, M, g, N), N, s)
 
 
-def _run_cell(plan_dict: dict, index: int, values: dict) -> CellResult:
-    plan = SweepPlan.from_dict(plan_dict)
+def _run_cell(plan: SweepPlan, index: int, values: dict) -> CellResult:
     alpha = float(values.get("alpha_damp", plan.alpha_damp))
     try:
         params, grid, controls, f = solver.run_inputs(plan._run_config(values))
@@ -290,11 +283,11 @@ def run_sweep(plan: SweepPlan, out_dir: str | None = None, workers: int = 1,
     results = list(done.values())
     if workers > 1 and len(todo) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_cell, plan_dict, idx, vals)
+            futures = [pool.submit(_run_cell, plan, idx, vals)
                        for idx, vals in todo]
             results.extend(fut.result() for fut in futures)
     else:
-        results.extend(_run_cell(plan_dict, idx, vals) for idx, vals in todo)
+        results.extend(_run_cell(plan, idx, vals) for idx, vals in todo)
     results.sort(key=lambda c: c.index)
     overlay = _overlay_for(plan)
     region = RegionMap(plan=plan, cells=results, overlay=overlay,

@@ -43,6 +43,25 @@ def require(block, key: str, where: str):
     return block[key]
 
 
+_NO_DEFAULT = object()
+
+
+def value(block, key: str, where: str, kind, default=_NO_DEFAULT):
+    """``kind(block[key])``, or ``default`` when given and the key is absent.
+
+    A missing key, or a value ``kind`` cannot convert, raises ConfigError
+    naming the block and the key.
+    """
+    if default is not _NO_DEFAULT and isinstance(block, dict) and key not in block:
+        return default
+    raw = require(block, key, where)
+    try:
+        return kind(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where} key {key!r} must be {kind.__name__}, "
+                          f"got {raw!r}") from None
+
+
 def from_block(cls, block, where: str):
     """Dataclass ``cls`` from a config block whose keys are its field names.
 

@@ -3,14 +3,17 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from hardykpz import cli
+from hardykpz import cli, solver, sweep
 from hardykpz import radialop as ro
 from hardykpz import specfun as sf
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 N, S = 3, 0.75
 LAM = sf.hardy_constant(N, S) / 2
@@ -271,6 +274,10 @@ def _solve_cfg(**over):
     return cfg
 
 
+def _damped_cfg(**over):
+    return _solve_cfg(alpha_damp=2 * S - 1 + 0.5, c=1e-4, **over)
+
+
 def _main(capsys, tmp_path, command, cfg):
     """Exit code and stderr of an in-process CLI run on the config ``cfg``."""
     path = os.path.join(tmp_path, "cfg.json")
@@ -283,18 +290,30 @@ def _main(capsys, tmp_path, command, cfg):
 
 @pytest.mark.parametrize("command, cfg, named", [
     ("sweep", _sweep_cfg(problem={"s": S, "lambda": LAM, "p": 1.3}), "'N'"),
-    ("sweep", _sweep_cfg(controls={"n_levels": 12}), "n_levels"),
+    ("sweep", _sweep_cfg(controls={"n_levels": 12}), "'controls'"),
     ("solve", _solve_cfg(controls={"picard_maxx": 10}), "picard_maxx"),
-    ("sweep", _sweep_cfg(controls={"picard_maxx": 10}), "picard_maxx"),
+    ("sweep", _sweep_cfg(controls={"picard_maxx": 10}), "'controls'"),
     ("sweep", _sweep_cfg(workers=2), "workers"),
     ("sweep", _sweep_cfg(axes=[{"name": "p", "start": 1.25, "stop": 1.35,
                                 "count": 2, "step": 0.1}]), "step"),
     ("sweep", _sweep_cfg(source={"coefficient": -0.3, "exponent": 2 * S}),
      "coefficient"),
     ("solve", "[1, 2]", "cfg.json"),
+    ("solve", _solve_cfg(grid={"R": 1.0, "M": "abc", "g": 2.0}), "grid key 'M'"),
+    ("solve", _solve_cfg(controls={"n_levels": "x"}), "controls key 'n_levels'"),
+    ("solve", _solve_cfg(controls=5), "controls must be a JSON object"),
+    ("solve", _solve_cfg(controls={"picard_max": 10}), "picard_max"),
+    ("solve", _solve_cfg(controls={"n_schedule": [1.0, 2.0]}), "n_schedule"),
+    ("sweep", _sweep_cfg(controls={}), "'controls'"),
+    ("damped", _damped_cfg(supersolution={"f_bound_exponent": 2 * S,
+                                          "f_bound_coef": 0.3}), "supersolution"),
+    ("damped", _damped_cfg(supersolution="Auto"), "supersolution"),
 ], ids=["sweep-missing-N", "sweep-plan-n_levels", "solve-unknown-control",
         "sweep-unknown-control", "sweep-unknown-plan-key", "sweep-unknown-axis-key",
-        "sweep-negative-source", "solve-non-object-config"])
+        "sweep-negative-source", "solve-non-object-config", "solve-grid-M-not-int",
+        "solve-n_levels-not-int", "solve-non-object-controls", "solve-control-picard_max",
+        "solve-control-n_schedule", "sweep-plan-controls",
+        "damped-explicit-supersolution", "damped-supersolution-Auto"])
 def test_malformed_input_exits_2(capsys, tmp_path, monkeypatch, command, cfg, named):
     monkeypatch.delenv("HARDYKPZ_WORKERS", raising=False)
     code, err = _main(capsys, tmp_path, command, cfg)
@@ -302,6 +321,17 @@ def test_malformed_input_exits_2(capsys, tmp_path, monkeypatch, command, cfg, na
     assert named in err
     # a plan-wide error stops the sweep before any cell is written
     assert not os.path.exists(os.path.join(tmp_path, "out", "cells.csv"))
+
+
+def test_readme_configs_pass_the_readers():
+    """The solve and sweep configs shown in README.md pass the config readers."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", fh.read(), re.S)]
+    [run_cfg] = [b for b in blocks if "problem" in b]
+    [sweep_cfg] = [b for b in blocks if "plan" in b]
+    solver.run_inputs(run_cfg)
+    cli._auto_supersolution(run_cfg)
+    sweep.SweepPlan.from_dict(sweep_cfg["plan"])
 
 
 def test_non_integer_workers_variable_exits_2(capsys, tmp_path, monkeypatch):

@@ -144,10 +144,6 @@ def test_controls_validation():
         so.SolverControls(n_schedule=())
     with pytest.raises(DomainError):
         so.SolverControls(n_schedule=(4.0, 2.0))
-    with pytest.raises(DomainError):
-        so.SolverControls(damping=0.0)
-    with pytest.raises(DomainError):
-        so.SolverControls(blowup_factor=1.0)
 
 
 def test_power_source_admissibility():
