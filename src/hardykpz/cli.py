@@ -183,9 +183,9 @@ def cmd_probe(args) -> int:
     probe_cfg = cfg.get("probe", {})
     result = solver.mu_threshold_probe(
         params, f, grid, controls=controls,
-        mu_floor=float(probe_cfg.get("mu_floor", 1e-8)),
-        mu_cap=float(probe_cfg.get("mu_cap", 1e8)),
-        rel_width=float(probe_cfg.get("rel_width", 0.05)),
+        mu_floor=value(probe_cfg, "mu_floor", "probe", float, 1e-8),
+        mu_cap=value(probe_cfg, "mu_cap", "probe", float, 1e8),
+        rel_width=value(probe_cfg, "rel_width", "probe", float, 0.05),
     )
     cfg_hash = _write_resolved(cfg, out)
     summary = {

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import nnls
@@ -112,6 +113,18 @@ class RadialGrid:
     def integrate(self, values: np.ndarray) -> float:
         """Ball integral of a radial nodal function."""
         return float(np.dot(self.weights, values))
+
+    @cached_property
+    def _gradient_stencil(self) -> tuple:
+        """Spacings and 3-point coefficients of ``gradient_values``, made once."""
+        r = self.r
+        hm = r[1:-1] - r[:-2]
+        hp = r[2:] - r[1:-1]
+        return (r[1] - r[0],
+                -hp / (hm * (hm + hp)),
+                (hp - hm) / (hm * hp),
+                hm / (hp * (hm + hp)),
+                2.0 * (r[-1] - r[-2]))
 
 
 def build_grid(R: float, M: int, g: float, N: int = 3) -> RadialGrid:
@@ -233,6 +246,9 @@ class OperatorMatrix:
     grid: RadialGrid
     N: int
     s: float
+    # (lu, piv) of ``matrix``, set by the solver's first run on this operator
+    # and reused by every later run
+    factors: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def oracle_r_min(self) -> float:
@@ -608,22 +624,24 @@ def rayleigh_quotient(op: OperatorMatrix, fld: RadialField) -> float:
 
 
 def gradient_values(grid: RadialGrid, u: np.ndarray) -> np.ndarray:
-    """Array-level worker behind ``gradient`` (used by the solver loop)."""
-    r = grid.r
-    M = grid.M
-    out = np.empty(M)
-    out[0] = (u[1] - u[0]) / (r[1] - r[0])
-    hm = r[1:-1] - r[:-2]
-    hp = r[2:] - r[1:-1]
-    out[1:-1] = (
-        -hp / (hm * (hm + hp)) * u[:-2]
-        + (hp - hm) / (hm * hp) * u[1:-1]
-        + hm / (hp * (hm + hp)) * u[2:]
-    )
-    h_last = r[-1] - r[-2]
+    """Array-level worker behind ``gradient`` (used by the solver loop).
+
+    Evaluates the same expressions, in the same order, as the plain formula
+    (-hp/(hm(hm+hp)) u[i-1] + (hp-hm)/(hm hp) u[i] + hm/(hp(hm+hp)) u[i+1]),
+    with the grid's coefficients computed once, so the result is bitwise equal.
+    """
+    h_first, c_minus, c_mid, c_plus, two_h_last = grid._gradient_stencil
+    out = np.empty(grid.M)
+    out[0] = (u[1] - u[0]) / h_first
+    inner = out[1:-1]
+    np.multiply(c_minus, u[:-2], out=inner)
+    term = c_mid * u[1:-1]
+    inner += term
+    np.multiply(c_plus, u[2:], out=term)
+    inner += term
     # ghost value 0 at R + h_last
-    out[-1] = (0.0 - u[-2]) / (2.0 * h_last)
-    return np.abs(out)
+    out[-1] = (0.0 - u[-2]) / two_h_last
+    return np.abs(out, out=out)
 
 
 def gradient(fld: RadialField) -> RadialField:

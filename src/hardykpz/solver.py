@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
-from scipy.linalg import LinAlgError, lu_factor, lu_solve
+from scipy.linalg import LinAlgError, lu_factor
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import (
     ConfigError,
@@ -216,21 +217,45 @@ def _source_values(f, grid: radialop.RadialGrid) -> np.ndarray:
     raise DomainError(f"unsupported source type {type(f)!r}")
 
 
+def lu_solve(getrs, factors: tuple, b: np.ndarray) -> np.ndarray:
+    """Solution x of A x = b from ``factors`` = lu_factor(A), written over b.
+
+    Calls the LAPACK ``getrs`` that scipy.linalg.lu_solve calls, resolved once
+    per run, without lu_solve's per-call input checks and batch dispatch: the
+    Picard loop's right-hand sides are float vectors of the operator's size,
+    and a non-finite one gives a non-finite iterate, which the loop rejects.
+    """
+    x, info = getrs(*factors, b, overwrite_b=1)
+    if info != 0:
+        raise SolveError(f"LAPACK getrs rejected argument {-info}")
+    return x
+
+
 def _run_scheme(params: ProblemParams, alpha_damp: float, source_scale: float,
                 f, grid: radialop.RadialGrid, controls: SolverControls,
                 supersolution: SupersolutionSpec | None,
                 operator: radialop.OperatorMatrix | None) -> SolverReport:
-    """Shared engine behind solve_kpz (alpha_damp = 0) and solve_damped."""
+    """Shared engine behind solve_kpz (alpha_damp = 0) and solve_damped.
+
+    The operator is factored on its first run and its factors are reused by
+    every later run on it.  The Picard step evaluates the plain expressions
+    (rhs = g/(1+g/n) [/(1+u)^alpha] + lam (u/(1+u/n)) r^-2s + source with
+    g = |grad u|^p, then u <- (1-omega) u + omega L^-1 rhs) in the same order,
+    in place, so every iterate is bitwise that of the plain formulas.
+    """
     op = operator if operator is not None \
         else radialop.assemble_operator(grid, params.N, params.s)
     if not op.grid.same_as(grid):
         raise GridMismatchError("operator grid does not match the solve grid")
     r = grid.r
     hardy_weight = r ** (-2.0 * params.s)
-    try:
-        lu = lu_factor(op.matrix)
-    except LinAlgError as exc:
-        raise SolveError(f"linear operator factorization failed: {exc}") from exc
+    if op.factors is None:
+        try:
+            op.factors = lu_factor(op.matrix)
+        except LinAlgError as exc:
+            raise SolveError(f"linear operator factorization failed: {exc}") from exc
+    factors = op.factors
+    getrs, = get_lapack_funcs(("getrs",), (factors[0],))
     f_vals = _source_values(f, grid)
     source = source_scale * f_vals
 
@@ -242,6 +267,8 @@ def _run_scheme(params: ProblemParams, alpha_damp: float, source_scale: float,
         sup_bound = admissible_bound_sup(params, grid)
 
     u = np.zeros(grid.M)
+    u_new = np.empty(grid.M)
+    tmp = np.empty(grid.M)
     trace: list[TraceRow] = []
     mono_violations = 0
     sup_history: list[float] = []
@@ -251,12 +278,23 @@ def _run_scheme(params: ProblemParams, alpha_damp: float, source_scale: float,
     omega = controls.damping
 
     def rhs_of(v: np.ndarray, level: float) -> np.ndarray:
-        grad_p = radialop.gradient_values(grid, v) ** p
-        grad_term = grad_p / (1.0 + grad_p / level)
+        rhs = radialop.gradient_values(grid, v)
+        rhs **= p
+        t = np.divide(rhs, level, out=tmp)
+        t += 1.0
+        rhs /= t
         if alpha_damp != 0.0:
-            grad_term = grad_term / (1.0 + v) ** alpha_damp
-        hardy_term = lam * (v / (1.0 + v / level)) * hardy_weight
-        return grad_term + hardy_term + source
+            t = np.add(v, 1.0, out=tmp)
+            t **= alpha_damp
+            rhs /= t
+        t = np.divide(v, level, out=tmp)
+        t += 1.0
+        np.divide(v, t, out=t)
+        t *= lam
+        t *= hardy_weight
+        rhs += t
+        rhs += source
+        return rhs
 
     finished = False
     for level in controls.n_schedule:
@@ -264,15 +302,20 @@ def _run_scheme(params: ProblemParams, alpha_damp: float, source_scale: float,
         inner_resid = math.inf
         iters = 0
         for iters in range(1, controls.picard_max + 1):
-            rhs = rhs_of(u, level)
-            u_new = (1.0 - omega) * u + omega * lu_solve(lu, rhs)
-            if not np.all(np.isfinite(u_new)):
+            step = lu_solve(getrs, factors, rhs_of(u, level))
+            step *= omega
+            np.multiply(u, 1.0 - omega, out=u_new)
+            u_new += step
+            # np.max propagates NaN and inf, so this is the finiteness check
+            top = float(np.abs(u_new, out=step).max())
+            if not math.isfinite(top):
                 raise NumericalDivergenceError(
                     f"non-finite iterate at truncation level {level}"
                 )
-            scale = max(float(np.max(np.abs(u_new))), 1e-300)
-            inner_resid = float(np.max(np.abs(u_new - u))) / scale
-            u = u_new
+            scale = max(top, 1e-300)
+            np.subtract(u_new, u, out=step)
+            inner_resid = float(np.abs(step, out=step).max()) / scale
+            u, u_new = u_new, u
             if inner_resid <= controls.picard_tol:
                 break
         sup = float(np.max(np.abs(u)))
@@ -392,10 +435,10 @@ def mu_threshold_probe(params: ProblemParams, f, grid: radialop.RadialGrid,
                        rel_width: float = 0.05) -> ProbeResult:
     """Bisect the source scale between a Converged and a BlowUp run.
 
-    The operator is assembled once and reused.  Returns bracket endpoints
-    with relative width <= rel_width, or an inconclusive result (reported,
-    not raised) when no bracket exists inside [mu_floor, mu_cap] - e.g. for
-    a vanishing source, where the scale is irrelevant by design.
+    The operator is assembled and factored once and reused.  Returns bracket
+    endpoints with relative width <= rel_width, or an inconclusive result
+    (reported, not raised) when no bracket exists inside [mu_floor, mu_cap] -
+    e.g. for a vanishing source, where the scale is irrelevant by design.
     """
     controls = controls or SolverControls()
     if f is None or (isinstance(f, PowerSource) and f.is_zero()) or (

@@ -50,6 +50,8 @@ class SweepAxis:
     def __post_init__(self):
         if self.name not in _AXIS_NAMES:
             raise ConfigError(f"axis must be one of {_AXIS_NAMES}, got {self.name!r}")
+        for key, kind in (("start", float), ("stop", float), ("count", int)):
+            value(vars(self), key, "axis", kind)
         if self.count < 0:
             raise ConfigError("axis point count must be nonnegative")
         if self.count > 1 and not (self.stop > self.start):
@@ -87,8 +89,10 @@ class SweepPlan:
     def __post_init__(self):
         if self.kind not in ("kpz", "damped"):
             raise ConfigError(f"solver kind must be kpz or damped, got {self.kind!r}")
-        if not (1 <= len(self.axes) <= 2):
-            raise ConfigError("sweeps support one or two axes")
+        value(vars(self), "alpha_damp", "plan", float)
+        value(vars(self), "budget", "plan", int)
+        if not isinstance(self.axes, (list, tuple)) or not (1 <= len(self.axes) <= 2):
+            raise ConfigError("plan key 'axes' must list one or two axes")
         self.axes = [a if isinstance(a, SweepAxis) else from_block(SweepAxis, a, "axis")
                      for a in self.axes]
         names = [a.name for a in self.axes]

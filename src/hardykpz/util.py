@@ -47,16 +47,23 @@ _NO_DEFAULT = object()
 
 
 def value(block, key: str, where: str, kind, default=_NO_DEFAULT):
-    """``kind(block[key])``, or ``default`` when given and the key is absent.
+    """``kind(block[key])`` (``kind`` is int or float), or ``default`` when
+    given and the key is absent.
 
-    A missing key, or a value ``kind`` cannot convert, raises ConfigError
-    naming the block and the key.
+    A missing key, or a value that is not a number of that kind (a string, a
+    boolean, a fraction for int), raises ConfigError naming the block and the
+    key.
     """
     if default is not _NO_DEFAULT and isinstance(block, dict) and key not in block:
         return default
     raw = require(block, key, where)
     try:
-        return kind(raw)
+        if isinstance(raw, (str, bool)):
+            raise TypeError
+        out = kind(raw)
+        if kind is int and out != raw:
+            raise ValueError
+        return out
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where} key {key!r} must be {kind.__name__}, "
                           f"got {raw!r}") from None

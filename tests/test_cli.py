@@ -308,12 +308,32 @@ def _main(capsys, tmp_path, command, cfg):
     ("damped", _damped_cfg(supersolution={"f_bound_exponent": 2 * S,
                                           "f_bound_coef": 0.3}), "supersolution"),
     ("damped", _damped_cfg(supersolution="Auto"), "supersolution"),
+    ("probe", _solve_cfg(probe={"rel_width": "abc"}), "probe key 'rel_width'"),
+    ("probe", _solve_cfg(probe={"mu_floor": None}), "probe key 'mu_floor'"),
+    ("probe", _solve_cfg(probe={"mu_cap": True}), "probe key 'mu_cap'"),
+    ("probe", _solve_cfg(probe=5), "probe must be a JSON object"),
+    ("sweep", _sweep_cfg(axes=[{"name": "p", "start": 1.25, "stop": 1.35,
+                                "count": "3"}]), "axis key 'count'"),
+    ("sweep", _sweep_cfg(axes=[{"name": "p", "start": 1.25, "stop": 1.35,
+                                "count": 2.5}]), "axis key 'count'"),
+    ("sweep", _sweep_cfg(axes=[{"name": "p", "start": "1.25", "stop": 1.35,
+                                "count": 2}]), "axis key 'start'"),
+    ("sweep", _sweep_cfg(axes=[{"name": "p", "start": 1.25, "stop": None,
+                                "count": 2}]), "axis key 'stop'"),
+    ("sweep", _sweep_cfg(axes=5), "'axes'"),
+    ("sweep", _sweep_cfg(budget="4096"), "plan key 'budget'"),
+    ("sweep", _sweep_cfg(alpha_damp="x"), "plan key 'alpha_damp'"),
+    ("solve", _solve_cfg(grid={"R": 1.0, "M": "32", "g": 2.0}), "grid key 'M'"),
 ], ids=["sweep-missing-N", "sweep-plan-n_levels", "solve-unknown-control",
         "sweep-unknown-control", "sweep-unknown-plan-key", "sweep-unknown-axis-key",
         "sweep-negative-source", "solve-non-object-config", "solve-grid-M-not-int",
         "solve-n_levels-not-int", "solve-non-object-controls", "solve-control-picard_max",
         "solve-control-n_schedule", "sweep-plan-controls",
-        "damped-explicit-supersolution", "damped-supersolution-Auto"])
+        "damped-explicit-supersolution", "damped-supersolution-Auto",
+        "probe-rel_width-string", "probe-mu_floor-null", "probe-mu_cap-bool",
+        "probe-non-object-block", "sweep-count-string", "sweep-count-fraction",
+        "sweep-start-string", "sweep-stop-null", "sweep-axes-not-list",
+        "sweep-budget-string", "sweep-alpha_damp-string", "solve-grid-M-string"])
 def test_malformed_input_exits_2(capsys, tmp_path, monkeypatch, command, cfg, named):
     monkeypatch.delenv("HARDYKPZ_WORKERS", raising=False)
     code, err = _main(capsys, tmp_path, command, cfg)

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardykpz import construct as co
 from hardykpz import radialop as ro
@@ -179,3 +182,188 @@ def test_probe_zero_source_inconclusive(grid):
     res = so.mu_threshold_probe(params, so.PowerSource(0.0, 1.0), grid, controls=CTRL)
     assert res.status == "inconclusive"
     assert "by design" in res.note
+
+
+# ------------------------------------------- the plain scheme, bit for bit
+
+def _plain_gradient(grid, u):
+    """|du/dr| by the 3-point stencil, coefficients formed on every call."""
+    r = grid.r
+    out = np.empty(grid.M)
+    out[0] = (u[1] - u[0]) / (r[1] - r[0])
+    hm = r[1:-1] - r[:-2]
+    hp = r[2:] - r[1:-1]
+    out[1:-1] = (
+        -hp / (hm * (hm + hp)) * u[:-2]
+        + (hp - hm) / (hm * hp) * u[1:-1]
+        + hm / (hp * (hm + hp)) * u[2:]
+    )
+    out[-1] = (0.0 - u[-2]) / (2.0 * (r[-1] - r[-2]))
+    return np.abs(out)
+
+
+def _plain_scheme(params, alpha, c, f, grid, op, controls, spec):
+    """Reference truncation scheme: plain array expressions, scipy's lu_solve.
+
+    Returns (status, u, trace rows, monotonicity violations, sup bound,
+    fixed-point residual) with the classification rules of the solver.
+    """
+    lu = scipy.linalg.lu_factor(op.matrix)
+    weight = grid.r ** (-2.0 * params.s)
+    source = c * f.values(grid)
+    w = spec.evaluate(grid.r) if spec is not None else None
+    sup_bound = float(np.max(w)) if spec is not None \
+        else so.admissible_bound_sup(params, grid)
+    tol, omega = controls.picard_tol, controls.damping
+
+    def rhs_of(v, level):
+        grad_p = _plain_gradient(grid, v) ** params.p
+        grad_term = grad_p / (1.0 + grad_p / level)
+        if alpha != 0.0:
+            grad_term = grad_term / (1.0 + v) ** alpha
+        return grad_term + params.lam * (v / (1.0 + v / level)) * weight + source
+
+    u = np.zeros(grid.M)
+    rows, sups, mono, status = [], [], 0, "MaxIterations"
+    for level in controls.n_schedule:
+        prev = u.copy()
+        for iters in range(1, controls.picard_max + 1):
+            u_new = (1.0 - omega) * u + omega * scipy.linalg.lu_solve(lu, rhs_of(u, level))
+            assert np.all(np.isfinite(u_new))
+            resid = float(np.max(np.abs(u_new - u))) / max(float(np.max(np.abs(u_new))), 1e-300)
+            u = u_new
+            if resid <= tol:
+                break
+        sup = float(np.max(np.abs(u)))
+        sups.append(sup)
+        mono += int(np.sum(prev - u > 10.0 * tol * max(sup, 1.0)))
+        rows.append((level, iters, resid, sup,
+                     float(np.min(w - u)) if w is not None else math.nan))
+        win = controls.growth_window
+        recent = sups[-(win + 1):]
+        if (math.isfinite(sup_bound) and sup_bound > 0.0
+                and sup > controls.blowup_factor * sup_bound) \
+                or (sup_bound == 0.0 and sup > 0.0 and len(sups) > win
+                    and all(b > a + 10.0 * tol * max(sup, 1.0)
+                            for a, b in zip(recent, recent[1:]))) \
+                or sup > controls.sup_cap:
+            status = "BlowUp"
+            break
+        if level == controls.n_schedule[-1]:
+            if resid > tol or (w is not None and np.any(u > w + 1e-6 * sup_bound + 1e-12)):
+                status = "MaxIterations"
+            else:
+                status = "Converged"
+    residual = math.nan
+    if status == "Converged":
+        rhs = rhs_of(u, controls.n_schedule[-1])
+        residual = float(np.max(np.abs(op.matrix @ u - rhs))) / max(
+            float(np.max(np.abs(rhs))), 1e-300)
+    return status, u, rows, mono, sup_bound, residual
+
+
+_TRACE_FIELDS = ("outer_n", "inner_iters", "residual", "sup_norm", "margin")
+
+
+def _assert_same_trace(trace, rows):
+    """TraceRows equal to rows of (outer_n, inner_iters, ...) bit for bit."""
+    assert len(trace) == len(rows)
+    for k, name in enumerate(_TRACE_FIELDS):
+        assert np.array_equal([getattr(row, name) for row in trace],
+                              [row[k] for row in rows], equal_nan=True), name
+
+
+_LEVELS10 = so.SolverControls(n_schedule=tuple(2.0**j for j in range(10)))
+_LAM_08 = 0.8 * sf.hardy_constant(N, S)
+
+
+@pytest.mark.parametrize("case", ["converged", "blowup", "capped", "damped"])
+def test_scheme_matches_the_plain_formulas_bitwise(grid, op, case):
+    f = so.PowerSource(0.3, 2 * S)
+    alpha, spec, controls = 0.0, None, CTRL
+    if case == "converged":
+        params = _params(0.9 * REP.p_plus, 1e-3)
+        spec = co.dirichlet_supersolution(params, f_bound_exponent=2 * S, f_bound_coef=0.3)
+    elif case == "blowup":
+        params = _params(1.1 * REP.p_plus, 1e-3)
+    elif case == "capped":
+        # near Lambda: two levels stop at picard_max before the blow-up call
+        p_plus = sf.exponents_for(N, S, _LAM_08).p_plus
+        params = sf.ProblemParams(N=N, s=S, lam=_LAM_08, p=0.9 * p_plus, mu=1e-2)
+        f, controls = so.PowerSource(0.3, 1.5), _LEVELS10
+    else:
+        p = 2 * S - 0.05
+        alpha = 2 * S - 1.0 + 0.5
+        spec = co.damped_supersolution(N, S, LAM, p=p, alpha_damp=alpha)
+        params = sf.ProblemParams(N=N, s=S, lam=LAM, p=p, mu=min(1e-3, 0.5 * spec.c_star))
+        f = so.PowerSource(1.0, spec.f_bound_exponent)
+    if alpha == 0.0:
+        rep = so.solve_kpz(params, f, grid, controls=controls, supersolution=spec,
+                           operator=op)
+    else:
+        rep = so.solve_damped(params, alpha, params.mu, f, grid, controls=controls,
+                              supersolution=spec, operator=op)
+    status, u, rows, mono, sup_bound, residual = _plain_scheme(
+        params, alpha, params.mu, f, grid, op, controls, spec)
+    expected = {"converged": "Converged", "blowup": "BlowUp", "capped": "BlowUp",
+                "damped": "Converged"}[case]
+    assert rep.status == status == expected
+    if case == "capped":
+        assert any(row[1] == controls.picard_max for row in rows)
+    assert np.array_equal(rep.field.values, u)
+    _assert_same_trace(rep.trace, rows)
+    assert rep.monotonicity_violations == mono
+    assert rep.sup_bound == sup_bound
+    assert np.array_equal(rep.fixed_point_residual, residual, equal_nan=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(M=st.integers(16, 300), g=st.floats(1.0, 4.0), R=st.floats(0.1, 10.0),
+       seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-6, 1e6))
+def test_gradient_values_equals_the_plain_stencil(M, g, R, seed, scale):
+    grid = ro.build_grid(R, M, g, N)
+    u = scale * np.random.default_rng(seed).standard_normal(M)
+    assert np.array_equal(ro.gradient_values(grid, u), _plain_gradient(grid, u))
+
+
+# ------------------------------------------------------ one factorization
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """Number of solver.lu_factor calls made since the fixture was set up."""
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return scipy.linalg.lu_factor(a)
+    monkeypatch.setattr(so, "lu_factor", counting)
+    return calls
+
+
+def test_probe_factors_its_operator_once(grid, factor_calls):
+    params = _params(0.9 * REP.p_plus, 1e-3)
+    ctrl = so.SolverControls(n_schedule=tuple(2.0**j for j in range(12)))
+    res = so.mu_threshold_probe(params, so.PowerSource(0.3, 2 * S), grid, controls=ctrl)
+    assert res.status == "bracketed"
+    assert len(res.evaluations) > 1
+    assert len(factor_calls) == 1
+
+
+def test_run_on_factored_operator_matches_fresh_operator(grid, factor_calls):
+    params = _params(0.9 * REP.p_plus, 1e-3)
+    f = so.PowerSource(0.3, 2 * S)
+    used = ro.assemble_operator(grid, N, S)
+    so.solve_kpz(params, f, grid, controls=CTRL, operator=used)
+    assert used.factors is not None and len(factor_calls) == 1
+    again = so.solve_kpz(params, f, grid, controls=CTRL, operator=used)
+    assert len(factor_calls) == 1
+    fresh = so.solve_kpz(params, f, grid, controls=CTRL,
+                         operator=ro.assemble_operator(grid, N, S))
+    assert len(factor_calls) == 2
+    assert again.status == fresh.status
+    assert np.array_equal(again.field.values, fresh.field.values)
+    _assert_same_trace(again.trace, [[getattr(row, name) for name in _TRACE_FIELDS]
+                                     for row in fresh.trace])
+    for name in ("monotonicity_violations", "fixed_point_residual",
+                 "gradient_lp_integral", "hardy_l1_integral", "sup_bound"):
+        assert getattr(again, name) == getattr(fresh, name), name

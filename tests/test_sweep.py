@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hardykpz import solver as so
 from hardykpz import specfun as sf
@@ -182,3 +183,19 @@ def test_sweep_cell_matches_direct_solve(kind):
         assert cell.sup_norm == rep.field.sup_norm()
         assert cell.inner_iters == sum(row.inner_iters for row in rep.trace)
 
+
+
+def test_serial_sweep_factors_its_operator_once(monkeypatch):
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return scipy.linalg.lu_factor(a)
+    monkeypatch.setattr(so, "lu_factor", counting)
+    sw._cached_operator.cache_clear()
+    plan = _plan(axes=[{"name": "p", "start": 1.2, "stop": 1.5, "count": 16}],
+                 grid={"R": 1.0, "M": 48, "g": 2.0}, n_levels=12)
+    region = sw.run_sweep(plan, workers=1)
+    assert len(region.cells) == 16
+    assert {c.status for c in region.cells} == {"Converged", "BlowUp"}
+    assert len(calls) == 1

@@ -3,8 +3,10 @@
 perfbench/tracing.py records spans by replacing module-level names of the
 package (``radialop.assemble_operator``, ``solver.solve_kpz``,
 ``sweep._run_cell``, ...).  A rename or a call that bypasses the module
-global silently zeroes a per-layer metric; this test runs a solve and a
-two-worker sweep under the tracer and requires each span to be counted.
+global silently zeroes a per-layer metric; this test runs a solve, a probe and a
+two-worker sweep under the tracer and requires each span to be counted.  The
+probe must factor its operator once and make one ``solver.lu_solve`` call per
+inner Picard iteration.
 """
 
 import json
@@ -20,10 +22,12 @@ sys.path.insert(0, sys.argv[1])
 import tracing
 from hardykpz import cli
 tr = tracing.install(sys.argv[2])
-assert cli.main(["solve", "--config", sys.argv[3], "--output-dir", sys.argv[4]]) == 0
-assert cli.main(["sweep", "--config", sys.argv[5], "--output-dir", sys.argv[6],
+assert cli.main(["probe", "--config", sys.argv[3], "--output-dir", sys.argv[4]]) == 0
+probe = tr.collect()
+assert cli.main(["solve", "--config", sys.argv[3], "--output-dir", sys.argv[5]]) == 0
+assert cli.main(["sweep", "--config", sys.argv[6], "--output-dir", sys.argv[7],
                  "--workers", "2"]) == 0
-print(json.dumps(tr.collect()["calls"]))
+print(json.dumps({"probe": probe, "calls": tr.collect()["calls"]}))
 """
 
 
@@ -49,11 +53,17 @@ def test_tracer_counts_every_wrapped_layer(tmp_path):
     env.pop("HARDYKPZ_WORKERS", None)
     r = subprocess.run(
         [sys.executable, "-c", SCRIPT, os.path.join(ROOT, "perfbench"), workers,
-         paths["solve"], os.path.join(tmp_path, "solve_out"),
+         paths["solve"], os.path.join(tmp_path, "probe_out"),
+         os.path.join(tmp_path, "solve_out"),
          paths["sweep"], os.path.join(tmp_path, "sweep_out")],
         capture_output=True, text=True, env=env, timeout=300)
     assert r.returncode == 0, r.stderr
-    calls = json.loads(r.stdout.strip().splitlines()[-1])
+    out = json.loads(r.stdout.strip().splitlines()[-1])
+    calls = out["calls"]
     for name in ("solver.scheme", "radialop.assemble", "sweep.cell"):
         assert calls.get(name, 0) > 0, name
     assert calls["sweep.cell"] == 2
+    probe = out["probe"]
+    assert probe["calls"]["solver.scheme"] > 1
+    assert probe["calls"]["solver.lu_factor"] == 1
+    assert probe["calls"]["solver.lu_solve"] == probe["counts"]["solver.inner_iters"] > 0
