@@ -24,7 +24,6 @@ from .specfun import (
     ExponentReport,
     ProblemParams,
     alpha_of_lambda,
-    critical_exponents,
     exponents_for,
     gamma_multiplier,
     hardy_constant,
@@ -36,10 +35,8 @@ from .radialop import (
     OperatorMatrix,
     RadialField,
     RadialGrid,
-    apply_operator,
     assemble_operator,
     build_grid,
-    gradient,
     oracle_power_test,
     rayleigh_quotient,
 )
@@ -48,8 +45,6 @@ from .construct import (
     damped_supersolution,
     dirichlet_supersolution,
     exact_radial_solution,
-    rescale_supersolution,
-    supersolution_margin,
 )
 from .solver import (
     PowerSource,

@@ -87,6 +87,8 @@ def cmd_exponents(args) -> int:
     if args.table:
         if args.lambda_min is None or args.lambda_max is None:
             raise ConfigError("--table needs --lambda-min and --lambda-max")
+        if args.count < 1:
+            raise ConfigError(f"--count must be >= 1, got {args.count}")
         lams = np.linspace(args.lambda_min, args.lambda_max, args.count)
         path = args.out or "exponents.csv"
         sweep.write_exponent_table(path, args.N, args.s, lams)

@@ -2,9 +2,8 @@
 
 All constructions here are power profiles w = A |x|^-theta whose response
 under the fractional Laplacian is available through the Gamma-ratio
-multiplier, so admissibility and margins reduce to scalar inequalities.
-The numerical re-check against the discrete operator lives in
-``supersolution_margin``.
+multiplier, so admissibility and margins reduce to scalar inequalities on
+the unit ball; no discrete operator enters.
 
 Margins are recorded as coefficients of r^-(theta+2s): the supersolution
 inequality, multiplied through by r^(theta+2s), becomes a scalar inequality
@@ -19,16 +18,14 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import ConstructionError, DomainError
-from .specfun import ProblemParams, critical_exponents, gamma_multiplier
-from . import radialop
+from .specfun import ProblemParams, gamma_multiplier
+from . import specfun
 
 __all__ = [
     "SupersolutionSpec",
     "exact_radial_solution",
     "dirichlet_supersolution",
     "damped_supersolution",
-    "rescale_supersolution",
-    "supersolution_margin",
 ]
 
 @dataclass(frozen=True)
@@ -38,9 +35,7 @@ class SupersolutionSpec:
     ``window`` is the admissible exponent interval the construction checked
     against; ``margin`` is the verified slack of the defining inequality in
     units of the r^-(theta+2s) coefficient (0 for the exact homogeneous
-    solution, which satisfies its equation with equality).  ``c_star`` is
-    set for the damped kind only: the damped margin at the capped amplitude
-    2^8 (see ``damped_supersolution``), not a source-scale threshold.
+    solution, which satisfies its equation with equality).
     """
 
     kind: str
@@ -53,13 +48,9 @@ class SupersolutionSpec:
     lam: float
     p: float
     f_bound_exponent: float | None = None
-    c_star: float | None = None
 
     def evaluate(self, r):
         return self.amplitude * np.asarray(r, dtype=float) ** (-self.theta)
-
-    def gradient_magnitude(self, r):
-        return self.amplitude * self.theta * np.asarray(r, dtype=float) ** (-self.theta - 1.0)
 
     def as_dict(self) -> dict:
         """Field mapping with the window as a list, as JSON artifacts hold it."""
@@ -68,7 +59,7 @@ class SupersolutionSpec:
 
 def _window(params: ProblemParams) -> tuple[float, float, float]:
     """(mu, mubar, theta_line) with theta_line = (2s-p)/(p-1)."""
-    rep = critical_exponents(params)
+    rep = specfun.exponents_for(params.N, params.s, params.lam)
     theta_line = (2.0 * params.s - params.p) / (params.p - 1.0)
     return rep.mu_exp, rep.mubar_exp, theta_line
 
@@ -137,7 +128,7 @@ def dirichlet_supersolution(params: ProblemParams, f_bound_exponent: float,
     if top <= mu:
         raise DomainError(
             f"empty supersolution window: p={p} is not below "
-            f"p_plus={critical_exponents(params).p_plus}"
+            f"p_plus={specfun.exponents_for(N, s, lam).p_plus}"
         )
     e = float(f_bound_exponent)
     cf = float(f_bound_coef)
@@ -179,13 +170,13 @@ def damped_supersolution(N: int, s: float, lam: float, p: float,
     """Supersolution for the gradient term damped by (1+u)^-alpha.
 
     Requires alpha_damp > 2s - 1 strictly and p < 2s.  Returns the profile
-    exponent beta close to mu(lambda), the amplitude, and c_star, the margin
+    exponent beta close to mu(lambda), the amplitude, and the margin
         c(A) = A (gamma - lambda) - A^(p-alpha) beta^p R^grad_pow
     for sources f <= |x|^-(beta+2s) (the bound the construction uses).  The
     guards force p - alpha < 1, so c is convex or increasing in A and
     unbounded above: the amplitude is capped to [2^-8, 2^8], c is maximised
-    at an end of that range (in practice 2^8), and c_star is the margin at
-    the capped amplitude, not a source-scale threshold.
+    at an end of that range (in practice 2^8), and the margin is set by that
+    cap, so it is no source-scale threshold.
     """
     if not (p < 2.0 * s):
         raise DomainError(f"damped construction needs p < 2s, got p={p}, s={s}")
@@ -193,8 +184,8 @@ def damped_supersolution(N: int, s: float, lam: float, p: float,
         raise DomainError(
             f"damping exponent must exceed 2s-1 = {2 * s - 1}, got {alpha_damp}"
         )
-    params = ProblemParams(N=N, s=s, lam=lam, p=p, mu=0.0)
-    rep = critical_exponents(params)
+    ProblemParams(N=N, s=s, lam=lam, p=p)  # the domain checks of the point
+    rep = specfun.exponents_for(N, s, lam)
     mu, mubar = rep.mu_exp, rep.mubar_exp
     beta = next(_theta_ladder(mu, mubar))
     # damped admissibility: (beta(alpha+1)+2s)/(beta+1) > 2s > p holds for
@@ -233,62 +224,4 @@ def damped_supersolution(N: int, s: float, lam: float, p: float,
         margin=best_c,
         N=N, s=s, lam=lam, p=p,
         f_bound_exponent=beta + 2.0 * s,
-        c_star=best_c,
     )
-
-
-def rescale_supersolution(spec: SupersolutionSpec, r_from: float, r_to: float) -> SupersolutionSpec:
-    """Carry a power supersolution from the ball of radius r_from to r_to.
-
-    The profile exponent theta is kept.  On the ball of radius r_to the
-    margin A (gamma - lambda) - A^p theta^p r_to^(theta+2s-(theta+1)p) is
-    strictly concave in A and does not depend on the source amplitude, so
-    the amplitude is set to its maximiser; the margin there is the room
-    available for a rescaled source term.
-    """
-    if r_from <= 0.0 or r_to <= 0.0:
-        raise DomainError("ball radii must be positive")
-    theta, p, lam = spec.theta, spec.p, spec.lam
-    N, s = spec.N, spec.s
-    gam = gamma_multiplier((N - 2.0 * s) / 2.0 - theta, N, s)
-    if gam <= lam:
-        raise ConstructionError(
-            "rescaling produced no admissible amplitude",
-            {"r_from": r_from, "r_to": r_to},
-        )
-    grad_pow = theta + 2.0 * s - (theta + 1.0) * p
-    amp = ((gam - lam) / (p * theta**p * r_to**grad_pow)) ** (1.0 / (p - 1.0))
-    return SupersolutionSpec(
-        kind=spec.kind,
-        theta=theta,
-        amplitude=amp,
-        window=spec.window,
-        margin=amp * (gam - lam) - amp**p * theta**p * r_to**grad_pow,
-        N=N, s=s, lam=lam, p=p,
-        f_bound_exponent=spec.f_bound_exponent,
-        c_star=spec.c_star,
-    )
-
-
-def supersolution_margin(op: radialop.OperatorMatrix, spec: SupersolutionSpec,
-                         params: ProblemParams, f_values: np.ndarray | None = None,
-                         interior_fraction: float = 0.95) -> float:
-    """Discrete re-check of the supersolution inequality on the grid.
-
-    Evaluates L w - lambda w / r^2s - |grad w|^p - mu f at the nodes (with
-    the analytic gradient of the power profile) and returns the minimum over
-    the checked window: origin-closure node and the outer 1-interior_fraction
-    tail excluded.  Positive means the discrete operator confirms the
-    closed-form margin within its own tolerance.
-    """
-    grid = op.grid
-    r = grid.r
-    w = spec.evaluate(r)
-    lhs = op.matrix @ w
-    rhs = params.lam * w * r ** (-2.0 * params.s) \
-        + spec.gradient_magnitude(r) ** params.p
-    if f_values is not None:
-        rhs = rhs + params.mu * np.asarray(f_values, dtype=float)
-    slack = lhs - rhs
-    mask = (r >= op.oracle_r_min) & (r <= interior_fraction * grid.R)
-    return float(np.min(slack[mask]))

@@ -55,15 +55,12 @@ __all__ = [
     "OperatorMatrix",
     "build_grid",
     "assemble_operator",
-    "apply_operator",
     "oracle_power_test",
     "power_test_profile",
     "rayleigh_quotient",
-    "gradient",
     "angular_kernel_average",
     "gamma_multiplier_extended",
     "save_field",
-    "load_field",
 ]
 
 # One fixed discretization: quadrature orders, calibration and far field.
@@ -557,13 +554,6 @@ def assemble_operator(grid: RadialGrid, N: int, s: float,
 # operations on assembled operators
 # --------------------------------------------------------------------------
 
-def apply_operator(op: OperatorMatrix, fld: RadialField) -> RadialField:
-    """Matrix-vector product; fields must live on the assembly grid."""
-    if not op.grid.same_as(fld.grid):
-        raise GridMismatchError("field grid does not match the operator grid")
-    return RadialField(fld.grid, op.matrix @ fld.values)
-
-
 def power_test_profile(op: OperatorMatrix, theta: float, r_max_check: float | None = None):
     """Per-node oracle errors of the operator on the power field r^-theta.
 
@@ -624,9 +614,11 @@ def rayleigh_quotient(op: OperatorMatrix, fld: RadialField) -> float:
 
 
 def gradient_values(grid: RadialGrid, u: np.ndarray) -> np.ndarray:
-    """Array-level worker behind ``gradient`` (used by the solver loop).
+    """|du/dr| at the nodes by nonuniform centered differences.
 
-    Evaluates the same expressions, in the same order, as the plain formula
+    One-sided at the first node; the boundary node differences against the
+    exterior zero one spacing beyond R.  Evaluates the same expressions, in
+    the same order, as the plain formula
     (-hp/(hm(hm+hp)) u[i-1] + (hp-hm)/(hm hp) u[i] + hm/(hp(hm+hp)) u[i+1]),
     with the grid's coefficients computed once, so the result is bitwise equal.
     """
@@ -644,18 +636,6 @@ def gradient_values(grid: RadialGrid, u: np.ndarray) -> np.ndarray:
     return np.abs(out, out=out)
 
 
-def gradient(fld: RadialField) -> RadialField:
-    """|du/dr| by nonuniform centered differences.
-
-    One-sided at the first node; the boundary node differences against the
-    exterior zero one spacing beyond R.
-    """
-    grid = fld.grid
-    if grid.M < 16:
-        raise ConfigError("gradient needs at least 16 nodes")
-    return RadialField(grid, gradient_values(grid, fld.values))
-
-
 # --------------------------------------------------------------------------
 # serialization (documented CSV dump)
 # --------------------------------------------------------------------------
@@ -668,15 +648,3 @@ def save_field(fld: RadialField, path: str) -> None:
         fh.write("r,value\n")
         for ri, vi in zip(grid.r, fld.values):
             fh.write(f"{fmt17(ri)},{fmt17(vi)}\n")
-
-
-def load_field(path: str) -> RadialField:
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("# radial field "):
-            raise ConfigError(f"{path} is not a radial field dump")
-        meta = dict(kv.split("=") for kv in header.split(" ")[3].strip().split(","))
-        fh.readline()
-        values = [float(line.split(",")[1]) for line in fh if line.strip()]
-    grid = build_grid(float(meta["R"]), int(meta["M"]), float(meta["g"]), int(meta["N"]))
-    return RadialField(grid, np.asarray(values))

@@ -63,9 +63,6 @@ class PowerSource:
     def values(self, grid: radialop.RadialGrid) -> np.ndarray:
         return self.coefficient * grid.r ** (-self.exponent)
 
-    def is_zero(self) -> bool:
-        return self.coefficient == 0.0
-
     def scaled(self, factor: float) -> "PowerSource":
         return PowerSource(self.coefficient * factor, self.exponent)
 
@@ -129,7 +126,6 @@ class SolverReport:
     gradient_lp_integral: float = math.nan
     hardy_l1_integral: float = math.nan
     sup_bound: float = math.nan
-    notes: str = ""
 
 
 def run_inputs(cfg: dict) -> tuple[ProblemParams, radialop.RadialGrid,
@@ -203,20 +199,6 @@ def admissible_bound_sup(params: ProblemParams, grid: radialop.RadialGrid) -> fl
     return best
 
 
-def _source_values(f, grid: radialop.RadialGrid) -> np.ndarray:
-    if f is None:
-        return np.zeros(grid.M)
-    if isinstance(f, PowerSource):
-        return f.values(grid)
-    if isinstance(f, radialop.RadialField):
-        if not f.grid.same_as(grid):
-            raise GridMismatchError("source field lives on a different grid")
-        if np.min(f.values) < 0.0:
-            raise DomainError("source must be nonnegative")
-        return f.values
-    raise DomainError(f"unsupported source type {type(f)!r}")
-
-
 def lu_solve(getrs, factors: tuple, b: np.ndarray) -> np.ndarray:
     """Solution x of A x = b from ``factors`` = lu_factor(A), written over b.
 
@@ -232,7 +214,7 @@ def lu_solve(getrs, factors: tuple, b: np.ndarray) -> np.ndarray:
 
 
 def _run_scheme(params: ProblemParams, alpha_damp: float, source_scale: float,
-                f, grid: radialop.RadialGrid, controls: SolverControls,
+                f: PowerSource, grid: radialop.RadialGrid, controls: SolverControls,
                 supersolution: SupersolutionSpec | None,
                 operator: radialop.OperatorMatrix | None) -> SolverReport:
     """Shared engine behind solve_kpz (alpha_damp = 0) and solve_damped.
@@ -256,8 +238,7 @@ def _run_scheme(params: ProblemParams, alpha_damp: float, source_scale: float,
             raise SolveError(f"linear operator factorization failed: {exc}") from exc
     factors = op.factors
     getrs, = get_lapack_funcs(("getrs",), (factors[0],))
-    f_vals = _source_values(f, grid)
-    source = source_scale * f_vals
+    source = source_scale * f.values(grid)
 
     w_vals = None
     if supersolution is not None:
@@ -378,26 +359,26 @@ def _run_scheme(params: ProblemParams, alpha_damp: float, source_scale: float,
     return report
 
 
-def solve_kpz(params: ProblemParams, f, grid: radialop.RadialGrid,
+def solve_kpz(params: ProblemParams, f: PowerSource, grid: radialop.RadialGrid,
               controls: SolverControls | None = None,
               supersolution: SupersolutionSpec | None = None,
               operator: radialop.OperatorMatrix | None = None) -> SolverReport:
     """Run the truncation scheme for the gradient problem.
 
-    ``f`` is a PowerSource, a RadialField on the same grid, or None (no
-    source).  ``supersolution`` - when provided - supplies the barrier used
-    both for the blow-up threshold and the nodewise margin in the trace;
-    without one, classification relies on the sustained-growth heuristic
-    alone (used by the threshold probe and by sweep cells beyond p_plus,
-    where no barrier exists).
+    The source is always a PowerSource f(r) = C r^-e, the problem's one kind
+    of datum, scaled by ``params.mu``.  ``supersolution`` - when provided -
+    supplies the barrier used both for the blow-up threshold and the nodewise
+    margin in the trace; without one, classification relies on the
+    sustained-growth heuristic alone (used by the threshold probe and by
+    sweep cells beyond p_plus, where no barrier exists).
     """
     controls = controls or SolverControls()
     return _run_scheme(params, 0.0, params.mu, f, grid, controls,
                        supersolution, operator)
 
 
-def solve_damped(params: ProblemParams, alpha_damp: float, c: float, f,
-                 grid: radialop.RadialGrid,
+def solve_damped(params: ProblemParams, alpha_damp: float, c: float,
+                 f: PowerSource, grid: radialop.RadialGrid,
                  controls: SolverControls | None = None,
                  supersolution: SupersolutionSpec | None = None,
                  operator: radialop.OperatorMatrix | None = None) -> SolverReport:
@@ -429,7 +410,8 @@ class ProbeResult:
         return math.sqrt(self.mu_lo * self.mu_hi)
 
 
-def mu_threshold_probe(params: ProblemParams, f, grid: radialop.RadialGrid,
+def mu_threshold_probe(params: ProblemParams, f: PowerSource,
+                       grid: radialop.RadialGrid,
                        controls: SolverControls | None = None,
                        mu_floor: float = 1e-8, mu_cap: float = 1e8,
                        rel_width: float = 0.05) -> ProbeResult:
@@ -439,10 +421,17 @@ def mu_threshold_probe(params: ProblemParams, f, grid: radialop.RadialGrid,
     endpoints with relative width <= rel_width, or an inconclusive result
     (reported, not raised) when no bracket exists inside [mu_floor, mu_cap] -
     e.g. for a vanishing source, where the scale is irrelevant by design.
+    Raises DomainError, before any scheme runs, unless rel_width > 0 and
+    0 < mu_floor < mu_cap: otherwise the bisection would never end or would
+    divide by a zero lower end.
     """
+    if not rel_width > 0.0:
+        raise DomainError(f"probe key 'rel_width' must be > 0, got {rel_width}")
+    if not 0.0 < mu_floor < mu_cap:
+        raise DomainError(f"probe keys need 0 < 'mu_floor' < 'mu_cap', "
+                          f"got mu_floor={mu_floor}, mu_cap={mu_cap}")
     controls = controls or SolverControls()
-    if f is None or (isinstance(f, PowerSource) and f.is_zero()) or (
-            isinstance(f, radialop.RadialField) and float(np.max(np.abs(f.values))) == 0.0):
+    if f.coefficient == 0.0:
         return ProbeResult(status="inconclusive",
                            note="vanishing source: scale is irrelevant by design")
     op = radialop.assemble_operator(grid, params.N, params.s)

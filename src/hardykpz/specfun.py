@@ -15,8 +15,9 @@ Conventions
 * ``gamma_multiplier(beta, N, s)`` is the same ratio read as a spectral
   multiplier: ``u = |x|**(-(N-2s)/2 + beta)`` satisfies
   ``(-Lap)^s u = gamma_multiplier(beta) * |x|**(-2s) * u`` away from 0.
-* ``critical_exponents`` packages the derived exponents p-, p+, p* for a
-  parameter point, on which the existence/non-existence dichotomy turns.
+* ``exponents_for(N, s, lam)`` packages the derived exponents p-, p+, p*
+  for a parameter point, on which the existence/non-existence dichotomy
+  turns.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "lambda_of_alpha",
     "gamma_multiplier",
     "alpha_of_lambda",
-    "critical_exponents",
     "exponents_for",
     "normalizing_constant",
     "sphere_area",
@@ -292,10 +292,3 @@ def exponents_for(N: int, s: float, lam: float) -> ExponentReport:
         p_plus=p_plus,
         p_star=N / (N - 2.0 * s + 1.0),
     )
-
-
-def critical_exponents(params: ProblemParams) -> ExponentReport:
-    """Exponent report for a validated parameter tuple."""
-    if params.lam <= 0.0:
-        raise DomainError("critical exponents need lambda > 0")
-    return exponents_for(params.N, params.s, params.lam)

@@ -209,7 +209,7 @@ def test_criterion_7_damped_regime():
     p = 2 * S - 0.05
     alpha = 2 * S - 1.0 + 0.5
     spec = co.damped_supersolution(N, S, LAM, p=p, alpha_damp=alpha)
-    c = min(1e-3, 0.5 * spec.c_star)
+    c = 1e-3
     grid = ro.build_grid(1.0, 100, 2.0, N)
     params = sf.ProblemParams(N=N, s=S, lam=LAM, p=p, mu=c)
     op = ro.assemble_operator(grid, N, S)

@@ -73,6 +73,12 @@ def test_exponents_table(tmp_path):
     assert r.returncode == 0
     lines = open(out).read().strip().splitlines()
     assert len(lines) == 6
+    for count in ("-1", "0"):
+        r = run_cli("exponents", "--N", "3", "--s", "0.75", "--table",
+                    "--lambda-min", "0.05", "--lambda-max", "0.4", "--count", count,
+                    "--out", out)
+        assert r.returncode == 2
+        assert "--count" in r.stderr
 
 
 def test_oracle_pass_fail(tmp_path):
@@ -341,6 +347,24 @@ def test_malformed_input_exits_2(capsys, tmp_path, monkeypatch, command, cfg, na
     assert named in err
     # a plan-wide error stops the sweep before any cell is written
     assert not os.path.exists(os.path.join(tmp_path, "out", "cells.csv"))
+
+
+@pytest.mark.parametrize("probe, named", [
+    ({"rel_width": 0.0}, "'rel_width'"),
+    ({"rel_width": -0.1}, "'rel_width'"),
+    ({"mu_floor": 0.0}, "'mu_floor'"),
+    ({"mu_floor": -1.0}, "'mu_floor'"),
+    ({"mu_floor": 1.0, "mu_cap": 1.0}, "'mu_cap'"),
+    ({"mu_floor": 2.0, "mu_cap": 1.0}, "'mu_cap'"),
+], ids=["rel_width-zero", "rel_width-negative", "mu_floor-zero", "mu_floor-negative",
+        "mu_floor-equals-cap", "mu_floor-above-cap"])
+def test_probe_bounds_exit_2_before_any_scheme(capsys, tmp_path, monkeypatch, probe, named):
+    def no_scheme(*args, **kwargs):
+        raise AssertionError("a scheme ran on out-of-domain probe bounds")
+    monkeypatch.setattr(solver, "solve_kpz", no_scheme)
+    code, err = _main(capsys, tmp_path, "probe", _solve_cfg(probe=probe))
+    assert code == 2
+    assert named in err
 
 
 def test_readme_configs_pass_the_readers():

@@ -6,7 +6,9 @@ package (``radialop.assemble_operator``, ``solver.solve_kpz``,
 global silently zeroes a per-layer metric; this test runs a solve, a probe and a
 two-worker sweep under the tracer and requires each span to be counted.  The
 probe must factor its operator once and make one ``solver.lu_solve`` call per
-inner Picard iteration.
+inner Picard iteration.  The solve builds its supersolution, whose one
+exponent report must reach ``specfun.exponents_for`` through the module
+attribute: a name bound at import in ``construct`` would escape the count.
 """
 
 import json
@@ -25,9 +27,10 @@ tr = tracing.install(sys.argv[2])
 assert cli.main(["probe", "--config", sys.argv[3], "--output-dir", sys.argv[4]]) == 0
 probe = tr.collect()
 assert cli.main(["solve", "--config", sys.argv[3], "--output-dir", sys.argv[5]]) == 0
+solve = {name: n - probe["calls"].get(name, 0) for name, n in tr.collect()["calls"].items()}
 assert cli.main(["sweep", "--config", sys.argv[6], "--output-dir", sys.argv[7],
                  "--workers", "2"]) == 0
-print(json.dumps({"probe": probe, "calls": tr.collect()["calls"]}))
+print(json.dumps({"probe": probe, "solve": solve, "calls": tr.collect()["calls"]}))
 """
 
 
@@ -36,7 +39,7 @@ def test_tracer_counts_every_wrapped_layer(tmp_path):
     source = {"coefficient": 0.3, "exponent": 1.5}
     grid = {"R": 1.0, "M": 32, "g": 2.0}
     solve = {"problem": problem, "grid": grid, "controls": {"n_levels": 10},
-             "source": source}
+             "source": source, "supersolution": "auto"}
     sweep = {"plan": {"problem": problem, "grid": grid, "source": source,
                       "axes": [{"name": "p", "start": 1.2, "stop": 1.3, "count": 2}],
                       "n_levels": 10}}
@@ -67,3 +70,6 @@ def test_tracer_counts_every_wrapped_layer(tmp_path):
     assert probe["calls"]["solver.scheme"] > 1
     assert probe["calls"]["solver.lu_factor"] == 1
     assert probe["calls"]["solver.lu_solve"] == probe["counts"]["solver.inner_iters"] > 0
+    solve = out["solve"]
+    assert solve["construct.supersolution"] == 1
+    assert solve["specfun.exponents_for"] == 1
