@@ -4,9 +4,11 @@ The operator acts on radial fields sampled at graded nodes r_i = R (i/M)^g
 with the exterior-zero convention (fields vanish on |x| > R).  For a radial
 function the nonlocal operator reduces to a one-dimensional principal-value
 integral against the angular average of the hypersingular kernel; that
-angular average has a closed Gauss-hypergeometric form which is evaluated
-directly and cross-checked against Gauss-Legendre quadrature in the polar
-angle during assembly.
+angular average has a closed Gauss-hypergeometric form, 2F1(-s, N/2-s-1;
+N/2; 1-y) in y = 1 - (min/max)^2, which is evaluated from a piecewise
+Chebyshev table built once per (N, s) and checked during assembly twice:
+against scipy's ``hyp2f1`` at every table piece, and (as the closed angular
+form) against Gauss-Legendre quadrature in the polar angle.
 
 Discretization notes
 --------------------
@@ -33,6 +35,9 @@ Discretization notes
   integral of the kernel over (R, infinity); the far field is integrated in
   log-spaced panels out to ``_FAR_FACTOR * R`` and closed with a power-law
   estimate beyond.
+* Assembly works on flat lists of (row, panel) and (row, cell) pairs, in
+  chunks of at most ``_CHUNK`` kernel points, and scatter-adds the results
+  into the matrix, so no temporary grows with M^2.
 """
 
 from __future__ import annotations
@@ -71,7 +76,26 @@ _CALIB_NTHETA = 41    # power exponents in the calibration fit
 _N_FIRST = 32         # GL nodes of the singular first cell
 _N_PAIR = 10          # GL nodes per pairing panel
 _N_CELL = 8           # GL nodes per remainder cell
+_N_ORIGIN = 16        # GL nodes of the origin cell (0, r_1)
 _N_TAIL = 24          # log-spaced panels of the exterior tail
+_N_TAIL_NODES = 8     # GL nodes per exterior-tail panel
+_CHEB_DEGREE = 20     # degree of each Chebyshev piece of the kernel table
+_CHEB_PIECES = 60     # dyadic pieces [2^-(k+1), 2^-k] of y = 1 - x, k < 60
+_CHUNK = 1 << 13      # kernel points evaluated per batch during assembly
+
+
+def _unit_rule(n: int):
+    """n-point Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = roots_legendre(n)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+# the quadrature rules never change, so they are built once
+_RULE_FIRST = _unit_rule(_N_FIRST)
+_RULE_PAIR = _unit_rule(_N_PAIR)
+_RULE_CELL = _unit_rule(_N_CELL)
+_RULE_ORIGIN = _unit_rule(_N_ORIGIN)
+_RULE_TAIL = _unit_rule(_N_TAIL_NODES)
 
 
 # --------------------------------------------------------------------------
@@ -196,7 +220,18 @@ def angular_kernel_average(N: int, s: float, z: float, order: int = 80) -> float
 
 
 class _Kernel:
-    """Radial kernel k2(r, rho) = K(r, rho) * rho^(N-1) in closed form."""
+    """Radial kernel k2(r, rho) = K(r, rho) * rho^(N-1) in closed form.
+
+    Its angular factor g2(y) = 2F1(-s, N/2-s-1; N/2; 1-y), with
+    y = 1 - (min/max)^2 in [0, 1], comes from a table built once per kernel.
+    Piece k covers y in [2^-(k+1), 2^-k], with local variable
+    t = 2^(k+2) y - 3 in [-1, 1], and holds the degree-``_CHEB_DEGREE``
+    Chebyshev interpolant of ``hyp2f1`` sampled at its Chebyshev nodes.  The
+    pieces are dyadic because g2 has a y^(2s+1) branch point at y = 0: every
+    piece then sits at the same relative distance from it, and one degree
+    serves them all.  Below the last piece g2 equals 2F1(.; 1) to far below
+    double precision, so y is clamped to that piece's lower edge.
+    """
 
     def __init__(self, N: int, s: float):
         self.N, self.s = N, s
@@ -204,15 +239,44 @@ class _Kernel:
         # normalization that underlies the Gamma-ratio identities (twice the
         # quadratic-form constant reported by specfun.normalizing_constant).
         self.C = 2.0 * specfun.normalizing_constant(N, s) * specfun.sphere_area(N)
+        n = _CHEB_DEGREE + 1
+        theta = np.pi * (np.arange(n) + 0.5) / n
+        y = np.ldexp((np.cos(theta)[:, None] + 3.0) / 4.0, -np.arange(_CHEB_PIECES))
+        to_coef = np.cos(np.outer(np.arange(n), theta)) * (2.0 / n)
+        to_coef[0] *= 0.5
+        # row j holds the coefficient of T_j on every piece
+        self._coef = to_coef @ self.reference(y)
+        self._y_min = math.ldexp(1.0, -_CHEB_PIECES)
 
-    def g2(self, x):
-        return hyp2f1(-self.s, self.N / 2.0 - self.s - 1.0, self.N / 2.0, x)
+    def reference(self, y):
+        """g2(y) from scipy's ``hyp2f1``: the values the table interpolates."""
+        return hyp2f1(-self.s, self.N / 2.0 - self.s - 1.0, self.N / 2.0, 1.0 - y)
+
+    def g2(self, y):
+        """g2(y) from the table, by Clenshaw's recurrence on y's piece."""
+        y = np.maximum(y, self._y_min)
+        _, ex = np.frexp(y)
+        piece = np.maximum(-ex, 0).astype(np.intp)
+        t = 4.0 * np.ldexp(y, piece) - 3.0
+        t2 = 2.0 * t
+        coef = self._coef
+        b1 = coef[-1].take(piece)
+        b2 = np.zeros_like(t)
+        for cj in coef[-2:0:-1]:
+            b0 = cj.take(piece)
+            b0 += t2 * b1
+            b0 -= b2
+            b1, b2 = b0, b1
+        out = coef[0].take(piece)
+        out += t * b1
+        out -= b2
+        return out
 
     def closed_angular(self, z: float) -> float:
         """Angular average in closed form, same normalization as angular_kernel_average."""
         sn = specfun.sphere_area(self.N)
         omz = (1.0 - z) * (1.0 + z)
-        return sn * omz ** (-(2.0 * self.s + 1.0)) * float(self.g2(z * z))
+        return sn * omz ** (-(2.0 * self.s + 1.0)) * float(self.g2(omz))
 
     def k2(self, r, rho, omz=None):
         N, s = self.N, self.s
@@ -226,7 +290,7 @@ class _Kernel:
             self.C
             * mx ** (-(N + 2 * s))
             * omz ** (-(2 * s + 1.0))
-            * self.g2(1.0 - omz)
+            * self.g2(omz)
             * rho ** (N - 1)
         )
 
@@ -254,33 +318,55 @@ class OperatorMatrix:
         return self.grid.r[1] if self.grid.M > 1 else self.grid.r[0]
 
 
-def _tail_integral(kern: _Kernel, r: float, ws: np.ndarray, lo: float,
+def _tail_integral(kern: _Kernel, r: np.ndarray, ws: np.ndarray, lo,
                    far: float) -> np.ndarray:
-    """int_lo^inf rho^-w k2(r, rho) drho, vectorized over the exponents w."""
-    xg, wg = roots_legendre(8)
-    xi = 0.5 * (xg + 1.0)
-    wxi = 0.5 * wg
-    t_edges = np.geomspace(lo - r, far - r, _N_TAIL + 1)
-    a = t_edges[:-1][:, None]
-    b = t_edges[1:][:, None]
-    t = (a + (b - a) * xi[None, :]).ravel()
-    wq = ((b - a) * wxi[None, :]).ravel()
-    rho = r + t
-    base = kern.k2(np.full_like(rho, r), rho) * wq
-    vals = (rho[None, :] ** (-ws[:, None]) * base[None, :]).sum(axis=1)
-    s = kern.s
-    N = kern.N
+    """int_lo^inf rho^-w k2(r, rho) drho for every radius r and exponent w.
+
+    Returns shape (len(r), len(ws)); ``lo`` is one lower limit or one per r.
+    """
+    r = np.asarray(r, float)
+    ws = np.asarray(ws, float)
+    lo = np.broadcast_to(np.asarray(lo, float), r.shape)
+    xi, wxi = _RULE_TAIL
+    s, N = kern.s, kern.N
     c2 = (1.0 + 2 * s) - s * (N - 2 * s - 2.0) / N
-    vals += kern.C * (
+    out = np.empty((len(r), len(ws)))
+    step = max(1, _CHUNK // (_N_TAIL * _N_TAIL_NODES * len(ws)))
+    for i in range(0, len(r), step):
+        ri = r[i:i + step]
+        rr = ri[:, None]
+        t_edges = np.geomspace(lo[i:i + step] - ri, far - ri, _N_TAIL + 1, axis=1)
+        a = t_edges[:, :-1, None]
+        b = t_edges[:, 1:, None]
+        t = (a + (b - a) * xi).reshape(len(rr), -1)
+        wq = ((b - a) * wxi).reshape(len(rr), -1)
+        rho = rr + t
+        base = kern.k2(rr, rho) * wq
+        out[i:i + step] = (rho[:, None, :] ** (-ws[:, None]) * base[:, None, :]).sum(axis=2)
+    out += kern.C * (
         far ** (-ws - 2 * s) / (ws + 2 * s)
-        + c2 * r * r * far ** (-ws - 2 * s - 2.0) / (ws + 2 * s + 2.0)
+        + c2 * (r * r)[:, None] * far ** (-ws - 2 * s - 2.0) / (ws + 2 * s + 2.0)
     )
-    return vals
+    return out
 
 
 # --------------------------------------------------------------------------
 # assembly
 # --------------------------------------------------------------------------
+
+def _ragged(first: np.ndarray, count: np.ndarray, width: int):
+    """Every pair (i, first[i] + m), m < count[i], as two flat arrays.
+
+    The pairs come in order of i and m, in chunks of at most ``_CHUNK``
+    kernel points at ``width`` points per pair.
+    """
+    ends = np.cumsum(count)
+    step = max(1, _CHUNK // width)
+    for lo in range(0, int(ends[-1]), step):
+        flat = np.arange(lo, min(lo + step, int(ends[-1])))
+        rows = np.searchsorted(ends, flat, side="right")
+        yield rows, first[rows] + flat - (ends[rows] - count[rows])
+
 
 class _Assembler:
     def __init__(self, grid: RadialGrid, N: int, s: float, w0: float):
@@ -301,11 +387,15 @@ class _Assembler:
         self.gamma_profile = gamma_multiplier_extended((N - 2 * s) / 2.0 - self.w0, N, s)
 
     # -- kernel helpers --------------------------------------------------
-    def _w_sides(self, ii: int, eta: np.ndarray):
-        """Kernel-with-Jacobian at tau_i +- eta, stable for tiny eta."""
+    def _w_sides(self, rows: np.ndarray, eta: np.ndarray):
+        """Kernel-with-Jacobian at tau_i +- eta, stable for tiny eta.
+
+        Row n of the result belongs to node ``rows[n]`` and row n of ``eta``
+        (or to the one row of offsets that ``eta`` holds).
+        """
         g, R = self.g, self.R
-        ti = self.tau_arr[ii]
-        r = self.r[ii]
+        ti = self.tau_arr[rows][:, None]
+        r = self.r[rows][:, None]
         out = []
         for sgn in (+1.0, -1.0):
             taus = ti + sgn * eta
@@ -319,15 +409,25 @@ class _Assembler:
             out.append(self.kern.k2(r, rho, omz) * jac)
         return out
 
-    def _profile_shapes(self, ii: int, eta: np.ndarray):
-        """Even/odd branches of the profile around node ii, in tau offsets."""
-        x = eta / self.tau_arr[ii]
+    def _profile_shapes(self, rows: np.ndarray, eta: np.ndarray):
+        """Even/odd branches of the profile around each node, in tau offsets."""
+        x = eta / self.tau_arr[rows][:, None]
         ep = np.expm1(-self.q * np.log1p(x))
         em = np.expm1(-self.q * np.log1p(-x))
         return -(ep + em), (em - ep)
 
     def _check_kernel(self):
-        """Verify the closed angular form against direct GL quadrature."""
+        """Verify the kernel table against hyp2f1, and the closed angular form
+        it feeds against direct GL quadrature."""
+        # geometric piece midpoints 2^-(k+1/2): never an interpolation node
+        y = np.ldexp(math.sqrt(0.5), -np.arange(_CHEB_PIECES))
+        ref = self.kern.reference(y)
+        worst = float(np.max(np.abs(self.kern.g2(y) - ref) / np.abs(ref)))
+        if worst > 1e-12:
+            raise AssemblyError(
+                f"kernel table (degree {_CHEB_DEGREE}) disagrees with hyp2f1 "
+                f"by {worst:.2e} > 1e-12"
+            )
         worst = 0.0
         for z in (0.0, 0.2, 0.5, 0.8, 0.95):
             direct = angular_kernel_average(self.N, self.s, z, _ANGULAR_ORDER)
@@ -339,129 +439,125 @@ class _Assembler:
                 f"with the closed form by {worst:.2e} > 1e-8"
             )
 
-    # -- main loop --------------------------------------------------------
+    # -- assembly ---------------------------------------------------------
     def assemble(self) -> np.ndarray:
         self._check_kernel()
-        M, R, g = self.M, self.R, self.g
-        r, rw, tau = self.r, self.rw, self.tau_arr
-        s, w0, dlt = self.s, self.w0, self.dlt
+        M, R, r = self.M, self.R, self.r
         A = np.zeros((M, M))
-
-        xg0, wg0 = roots_legendre(_N_FIRST)
-        xi0 = 0.5 * (xg0 + 1.0)
-        wxi0 = 0.5 * wg0
-        mgr = self.m_grade
-        eta0 = dlt * xi0**mgr
-        deta0 = dlt * mgr * xi0 ** (mgr - 1.0) * wxi0
-        xgp, wgp = roots_legendre(_N_PAIR)
-        xip = 0.5 * (xgp + 1.0)
-        wxip = 0.5 * wgp
-        xgc, wgc = roots_legendre(_N_CELL)
-        xic = 0.5 * (xgc + 1.0)
-        wxic = 0.5 * wgc
-        xgo, wgo = roots_legendre(16)
-        xio = 0.5 * (xgo + 1.0)
-        wxio = 0.5 * wgo
-
-        for ii in range(M):
-            i1 = ii + 1
-            ri = r[ii]
-            # analytic principal value of the profile + exterior tail; the
-            # boundary row integrates the exterior from half a cell out (its
-            # delta^s layer is unresolved by design).
-            lo = R if i1 < M else R + 0.5 * (R - r[M - 2])
-            A[ii, ii] += self.gamma_profile * ri ** (-2.0 * s) \
-                + rw[ii] * _tail_integral(self.kern, ri, np.asarray([w0]), lo,
-                                          self.far)[0]
-
-            K = min(i1 - 1, M - i1)
-            if K >= 1:
-                wp, wm = self._w_sides(ii, eta0)
-                we = 0.5 * (wp + wm)
-                wo = 0.5 * (wp - wm)
-                dsh, ssh = self._profile_shapes(ii, eta0)
-                dsh_e, ssh_e = self._profile_shapes(ii, np.asarray([dlt]))
-                cD = np.zeros(K + 1)
-                cS = np.zeros(K + 1)
-                cD[1] += float(np.sum(deta0 * (dsh / dsh_e[0]) * we))
-                cS[1] += float(np.sum(deta0 * (ssh / ssh_e[0]) * wo))
-                if K >= 2:
-                    ks = np.arange(1, K)
-                    eta = (ks[:, None] + xip[None, :]) * dlt
-                    wp, wm = self._w_sides(ii, eta)
-                    we = 0.5 * (wp + wm)
-                    wo = 0.5 * (wp - wm)
-                    dsh, ssh = self._profile_shapes(ii, eta)
-                    dk, sk = self._profile_shapes(ii, np.arange(1, K + 1) * dlt)
-                    dden = dk[:-1] - dk[1:]
-                    sden = sk[1:] - sk[:-1]
-                    bl_d = np.where(np.abs(dden)[:, None] > 1e-300,
-                                    (dsh - dk[1:][:, None]) / dden[:, None],
-                                    1.0 - xip[None, :])
-                    bl_s = np.where(np.abs(sden)[:, None] > 1e-300,
-                                    (sk[1:][:, None] - ssh) / sden[:, None],
-                                    1.0 - xip[None, :])
-                    base = dlt * wxip[None, :]
-                    cD[1:K] += np.sum(base * bl_d * we, axis=1)
-                    cD[2:K + 1] += np.sum(base * (1.0 - bl_d) * we, axis=1)
-                    cS[1:K] += np.sum(base * bl_s * wo, axis=1)
-                    cS[2:K + 1] += np.sum(base * (1.0 - bl_s) * wo, axis=1)
-                k = np.arange(1, K + 1)
-                pp = rw[ii] / rw[ii + k]
-                pm = rw[ii] / rw[ii - k]
-                A[ii, ii + k] -= cD[1:] + cS[1:]
-                A[ii, ii - k] -= cD[1:] - cS[1:]
-                A[ii, ii] += float(np.sum(cD[1:] * (pp + pm) + cS[1:] * (pp - pm)))
-
-            # one-sided closure cells next to the extreme rows
-            if i1 == 1:
-                wp, _ = self._w_sides(ii, eta0)
-                one = float(np.sum(deta0 * xi0 ** (2 * mgr) * wp))
-                A[0, 1] -= one
-                A[0, 0] += one * rw[0] / rw[1]
-            if i1 == M:
-                _, wm = self._w_sides(ii, eta0)
-                one = float(np.sum(deta0 * xi0 ** (2 * mgr) * wm))
-                A[M - 1, M - 2] -= one
-                A[M - 1, M - 1] += one * rw[M - 1] / rw[M - 2]
-
-            # remainder cells, interpolated along the profile
-            jr0 = i1 + K if K >= 1 else (2 if i1 == 1 else M)
-            cells = []
-            if jr0 < M:
-                cells.append(np.arange(jr0, M))
-            jl_hi = i1 - K - 1 if K >= 1 else (M - 2 if i1 == M else 0)
-            if jl_hi >= 1:
-                cells.append(np.arange(1, jl_hi + 1))
-            if cells:
-                js = np.concatenate(cells)
-                tq = tau[js - 1][:, None] + xic[None, :] * dlt
-                rho = R * tq**g
-                jac = R * g * tq ** (g - 1.0)
-                wgt = self.kern.k2(np.full_like(rho, ri), rho) * jac * (dlt * wxic[None, :])
-                pw = rho ** (-w0)
-                pj = r[js - 1] ** (-w0)
-                pj1 = r[js] ** (-w0)
-                bl = (pw - pj1[:, None]) / (pj - pj1)[:, None]
-                c_left = np.sum(wgt * bl, axis=1)
-                c_right = np.sum(wgt * (1.0 - bl), axis=1)
-                np.add.at(A[ii], js - 1, -c_left)
-                np.add.at(A[ii], js, -c_right)
-                A[ii, ii] += float(np.sum(c_left * rw[ii] * pj + c_right * rw[ii] * pj1))
-
-            # origin cell (0, r_1): the field is extended by its innermost
-            # value; the profile part is integrated exactly so constants
-            # reproduce the full killing mass.
-            rho = r[0] * xio**2.0
-            drho = r[0] * 2.0 * xio * wxio
-            kvals = self.kern.k2(np.full_like(rho, ri), rho) * drho
-            kap0 = float(np.sum(kvals))
-            nu_raw = float(np.sum(rho ** (-w0) * kvals))
-            A[ii, 0] -= kap0
-            A[ii, ii] += rw[ii] * nu_raw
-
+        # analytic principal value of the profile + exterior tail; the
+        # boundary row integrates the exterior from half a cell out (its
+        # delta^s layer is unresolved by design).
+        lo = np.full(M, R)
+        lo[-1] = R + 0.5 * (R - r[M - 2])
+        diag = self.gamma_profile * r ** (-2.0 * self.s) \
+            + self.rw * _tail_integral(self.kern, r, [self.w0], lo, self.far)[:, 0]
+        idx = np.arange(M)
+        K = np.minimum(idx, M - 1 - idx)   # pairs (i - k, i + k), k = 1..K
+        self._first_cells(A, diag, K)
+        self._pairing_panels(A, diag, K)
+        self._remainder_cells(A, diag, K)
+        self._origin_cell(A, diag)
+        A[idx, idx] += diag
         self._calibrate(A)
         return A
+
+    def _add_pairs(self, A, diag, rows, k, cD, cS) -> None:
+        """Scatter even/odd weights cD, cS on the nodes row +- k."""
+        rw = self.rw
+        A[rows, rows + k] -= cD + cS
+        A[rows, rows - k] -= cD - cS
+        pp = rw[rows] / rw[rows + k]
+        pm = rw[rows] / rw[rows - k]
+        diag += np.bincount(rows, cD * (pp + pm) + cS * (pp - pm), minlength=self.M)
+
+    def _first_cells(self, A, diag, K) -> None:
+        """Singular first cell (graded nodes) of every paired row, and the
+        one-sided closure cells of the two extreme rows."""
+        M, dlt, mgr, rw = self.M, self.dlt, self.m_grade, self.rw
+        xi0, wxi0 = _RULE_FIRST
+        eta0 = dlt * xi0**mgr
+        deta0 = dlt * mgr * xi0 ** (mgr - 1.0) * wxi0
+        for rows, _ in _ragged(np.ones(M, int), (K >= 1).astype(int), _N_FIRST):
+            wp, wm = self._w_sides(rows, eta0)
+            dsh, ssh = self._profile_shapes(rows, eta0)
+            dsh_e, ssh_e = self._profile_shapes(rows, np.asarray([dlt]))
+            cD = np.sum(deta0 * (dsh / dsh_e) * (0.5 * (wp + wm)), axis=1)
+            cS = np.sum(deta0 * (ssh / ssh_e) * (0.5 * (wp - wm)), axis=1)
+            self._add_pairs(A, diag, rows, 1, cD, cS)
+        wp, wm = self._w_sides(np.asarray([0, M - 1]), eta0)
+        end = deta0 * xi0 ** (2 * mgr)
+        one = float(np.sum(end * wp[0]))
+        A[0, 1] -= one
+        diag[0] += one * rw[0] / rw[1]
+        one = float(np.sum(end * wm[1]))
+        A[M - 1, M - 2] -= one
+        diag[M - 1] += one * rw[M - 1] / rw[M - 2]
+
+    def _pairing_panels(self, A, diag, K) -> None:
+        """Panels (k, k+1) cells out of each row, k = 1..K-1, paired across
+        the node and interpolated along the profile."""
+        dlt = self.dlt
+        xip, wxip = _RULE_PAIR
+        base = dlt * wxip
+        for rows, k in _ragged(np.ones(self.M, int), np.maximum(K - 1, 0), _N_PAIR):
+            eta = (k[:, None] + xip) * dlt
+            wp, wm = self._w_sides(rows, eta)
+            we = 0.5 * (wp + wm)
+            wo = 0.5 * (wp - wm)
+            dsh, ssh = self._profile_shapes(rows, eta)
+            dk, sk = self._profile_shapes(rows, (k * dlt)[:, None])
+            dk1, sk1 = self._profile_shapes(rows, ((k + 1) * dlt)[:, None])
+            dden = dk - dk1
+            sden = sk1 - sk
+            bl_d = np.where(np.abs(dden) > 1e-300, (dsh - dk1) / dden, 1.0 - xip)
+            bl_s = np.where(np.abs(sden) > 1e-300, (sk1 - ssh) / sden, 1.0 - xip)
+            self._add_pairs(A, diag, rows, k, np.sum(base * bl_d * we, axis=1),
+                            np.sum(base * bl_s * wo, axis=1))
+            self._add_pairs(A, diag, rows, k + 1, np.sum(base * (1.0 - bl_d) * we, axis=1),
+                            np.sum(base * (1.0 - bl_s) * wo, axis=1))
+
+    def _remainder_cells(self, A, diag, K) -> None:
+        """Unpaired cells (nodes j, j+1) beyond each row's pairing band,
+        interpolated along the profile."""
+        M, R, g, dlt = self.M, self.R, self.g, self.dlt
+        r, rw = self.r, self.rw
+        xic, wxic = _RULE_CELL
+        # everything but the kernel depends on the cell only
+        tq = self.tau_arr[:-1, None] + xic * dlt
+        rho = R * tq**g
+        wq = R * g * tq ** (g - 1.0) * (dlt * wxic)
+        pn = r ** (-self.w0)
+        bl = (rho ** (-self.w0) - pn[1:, None]) / (pn[:-1] - pn[1:])[:, None]
+        br = 1.0 - bl
+        i1 = np.arange(1, M + 1)
+        # right cells j = jr0..M-1 and left cells j = 1..jl_hi (1-based j)
+        jr0 = np.where(K >= 1, i1 + K, np.where(i1 == 1, 2, M))
+        jl_hi = np.where(K >= 1, i1 - K - 1, np.where(i1 == M, M - 2, 0))
+        for first, count in ((jr0, np.maximum(M - jr0, 0)),
+                             (np.ones(M, int), np.maximum(jl_hi, 0))):
+            for rows, j in _ragged(first, count, _N_CELL):
+                c = j - 1
+                wgt = self.kern.k2(r[rows][:, None], rho[c]) * wq[c]
+                c_left = np.sum(wgt * bl[c], axis=1)
+                c_right = np.sum(wgt * br[c], axis=1)
+                A[rows, c] -= c_left
+                A[rows, j] -= c_right
+                diag += np.bincount(rows, (c_left * pn[c] + c_right * pn[j]) * rw[rows],
+                                    minlength=M)
+
+    def _origin_cell(self, A, diag) -> None:
+        """Origin cell (0, r_1): the field is extended by its innermost value;
+        the profile part is integrated exactly so constants reproduce the full
+        killing mass."""
+        M, r = self.M, self.r
+        xio, wxio = _RULE_ORIGIN
+        rho = r[0] * xio**2.0
+        drho = r[0] * 2.0 * xio * wxio
+        prof = rho ** (-self.w0)
+        for rows, _ in _ragged(np.zeros(M, int), np.ones(M, int), _N_ORIGIN):
+            kvals = self.kern.k2(r[rows][:, None], rho) * drho
+            A[rows, 0] -= np.sum(kvals, axis=1)
+            diag += np.bincount(rows, self.rw[rows] * (kvals @ prof), minlength=M)
 
     # -- inner-row moment calibration --------------------------------------
     def _calibrate(self, A: np.ndarray) -> None:
@@ -489,6 +585,7 @@ class _Assembler:
         # monotone power response and cannot follow the Gamma-ratio bump, and
         # fitting it anyway drags its local Hardy quotient down to the fitted
         # curve and stalls the solver's Picard iteration.
+        tails = _tail_integral(self.kern, self.r[1:i_cal], thetas, self.R, self.far)
         for ii in range(1, i_cal):
             if ii <= 3:
                 cols = np.arange(0, min(20, M))
@@ -496,8 +593,7 @@ class _Assembler:
                 cols = np.unique(np.concatenate([
                     np.arange(0, 2), np.arange(ii - 4, min(ii + 5, M))
                 ]))
-            target = gams * self.r[ii] ** (-thetas - 2.0 * self.s) \
-                + _tail_integral(self.kern, self.r[ii], thetas, self.R, self.far)
+            target = gams * self.r[ii] ** (-thetas - 2.0 * self.s) + tails[ii - 1]
             resid = target - U @ A[ii]
             scale = np.abs(target)
             V = (U[:, cols] / scale[:, None]) * wts[:, None]
@@ -576,12 +672,9 @@ def power_test_profile(op: OperatorMatrix, theta: float, r_max_check: float | No
     rows = np.where(mask)[0]
     if len(rows) == 0:
         raise DomainError("no nodes inside the oracle check window")
-    expected = np.array([
-        gam * grid.r[j] ** (-theta - 2.0 * s)
-        + _tail_integral(kern, grid.r[j], np.asarray([theta]), grid.R,
-                         _FAR_FACTOR * grid.R)[0]
-        for j in rows
-    ])
+    rr = grid.r[rows]
+    expected = gam * rr ** (-theta - 2.0 * s) \
+        + _tail_integral(kern, rr, [theta], grid.R, _FAR_FACTOR * grid.R)[:, 0]
     abs_err = np.abs(got[rows] - expected)
     rel_err = abs_err / np.abs(expected)
     return grid.r[rows], rel_err, abs_err

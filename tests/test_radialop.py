@@ -2,10 +2,13 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import roots_legendre
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import hyp2f1, roots_legendre
 
 from hardykpz import radialop as ro
 from hardykpz import specfun as sf
@@ -68,13 +71,13 @@ def _power_pv_quadrature(n_dim, s, theta, r=1.0):
     """Independent principal-value quadrature of the whole-space power identity.
 
     Stable paired evaluation (log-difference form for the odd kernel part)
-    entirely separate from the assembly code path.
+    entirely separate from the assembly code path: the angular factor comes
+    from scipy's hyp2f1, not from the kernel table.
     """
-    kern = ro._Kernel(n_dim, s)
-    C = kern.C
+    C = ro._Kernel(n_dim, s).C
 
     def g2(x):
-        return kern.g2(x)
+        return hyp2f1(-s, n_dim / 2 - s - 1, n_dim / 2, x)
 
     xg, wg = roots_legendre(80)
     xi = 0.5 * (xg + 1)
@@ -112,6 +115,25 @@ def _power_pv_quadrature(n_dim, s, theta, r=1.0):
         val += np.sum((r**-theta - rho**-theta) * k2 * w)
     val += C * r**-theta * (1e8 * r) ** (-2 * s) / (2 * s)
     return val
+
+
+# y values the table must cover: both ends, every dyadic piece edge (and the
+# edges below the last piece), and log-uniform values down to 1e-300
+_EDGE_Y = [0.0, 1.0] + [math.ldexp(1.0, -k) for k in range(80)]
+_TABLE_Y = st.one_of(st.sampled_from(_EDGE_Y),
+                     st.floats(-300.0, 0.0).map(lambda e: 10.0**e))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_dim=st.integers(2, 8),
+       s=st.one_of(st.just(0.5), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+       ys=st.lists(_TABLE_Y, min_size=1, max_size=40))
+def test_kernel_table_matches_hyp2f1(n_dim, s, ys):
+    kern = ro._Kernel(n_dim, s)
+    y = np.asarray(ys + _EDGE_Y)
+    want = hyp2f1(-s, n_dim / 2 - s - 1, n_dim / 2, 1.0 - y)
+    got = kern.g2(y)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
 
 
 def test_power_identity_independent_quadrature():
@@ -300,9 +322,220 @@ def test_assembly_kernel_check_fires(monkeypatch):
         ro.assemble_operator(grid, N, S)
 
 
+def test_assembly_table_check_fires(monkeypatch):
+    grid = ro.build_grid(1.0, 32, 2.0, N)
+    monkeypatch.setattr(ro, "_CHEB_DEGREE", 3)
+    with pytest.raises(AssemblyError, match="kernel table"):
+        ro.assemble_operator(grid, N, S)
+
+
 def test_assembly_domain_checks():
     grid = ro.build_grid(1.0, 32, 2.0, N)
     with pytest.raises(DomainError):
         ro.assemble_operator(grid, N, S, profile_exponent=2.0)
     with pytest.raises(GridMismatchError):
         ro.assemble_operator(ro.build_grid(1.0, 32, 2.0, 4), N, S)
+
+
+def _counting(monkeypatch, name, size):
+    """Replace ``radialop.<name>`` by a wrapper that counts calls and points."""
+    fn = getattr(ro, name)
+    seen = {"calls": 0, "points": 0}
+
+    def wrapper(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        seen["calls"] += 1
+        seen["points"] += size(out)
+        return out
+
+    monkeypatch.setattr(ro, name, wrapper)
+    return seen
+
+
+def test_assembly_work_does_not_grow_with_the_grid(monkeypatch):
+    """Kernel samples and quadrature rules are made per (N, s), not per row."""
+    seen = []
+    for M in (64, 128):
+        with monkeypatch.context() as mp:
+            hyp = _counting(mp, "hyp2f1", np.size)
+            rules = _counting(mp, "roots_legendre", lambda out: 0)
+            ro.assemble_operator(ro.build_grid(1.0, M, 2.0, N), N, S)
+        seen.append((hyp["calls"], hyp["points"], rules["calls"]))
+    assert seen[0] == seen[1]
+    assert seen[0][1] <= 5000
+    assert seen[0][2] <= 5
+
+
+def test_assembly_memory_stays_chunked():
+    """Assembly temporaries are bounded by the chunk size, not by M^2."""
+    grid = ro.build_grid(1.0, 200, 2.0, N)
+    tracemalloc.start()
+    try:
+        ro.assemble_operator(grid, N, S)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+
+
+# ---------------------------------------------- reference assembly loop
+
+def _plain_w_sides(asm, ii, eta):
+    g, R = asm.g, asm.R
+    ti = asm.tau_arr[ii]
+    r = asm.r[ii]
+    out = []
+    for sgn in (+1.0, -1.0):
+        taus = ti + sgn * eta
+        dr = r * np.expm1(g * np.log1p(sgn * eta / ti))
+        rho = r + dr
+        if sgn > 0:
+            omz = dr * (rho + r) / rho**2
+        else:
+            omz = (-dr) * (rho + r) / r**2
+        jac = R * g * taus ** (g - 1.0)
+        out.append(asm.kern.k2(r, rho, omz) * jac)
+    return out
+
+
+def _plain_profile_shapes(asm, ii, eta):
+    x = eta / asm.tau_arr[ii]
+    ep = np.expm1(-asm.q * np.log1p(x))
+    em = np.expm1(-asm.q * np.log1p(-x))
+    return -(ep + em), (em - ep)
+
+
+def _plain_tail(kern, r, w, lo, far):
+    xg, wg = roots_legendre(8)
+    xi = 0.5 * (xg + 1.0)
+    wxi = 0.5 * wg
+    t_edges = np.geomspace(lo - r, far - r, 24 + 1)
+    a = t_edges[:-1][:, None]
+    b = t_edges[1:][:, None]
+    t = (a + (b - a) * xi[None, :]).ravel()
+    wq = ((b - a) * wxi[None, :]).ravel()
+    rho = r + t
+    val = np.sum(rho ** (-w) * kern.k2(np.full_like(rho, r), rho) * wq)
+    s, n_dim = kern.s, kern.N
+    c2 = (1.0 + 2 * s) - s * (n_dim - 2 * s - 2.0) / n_dim
+    return val + kern.C * (far ** (-w - 2 * s) / (w + 2 * s)
+                           + c2 * r * r * far ** (-w - 2 * s - 2.0) / (w + 2 * s + 2.0))
+
+
+def _plain_assemble(asm):
+    """The assembly written as one plain loop over rows, without calibration."""
+    M, R, g = asm.M, asm.R, asm.g
+    r, rw, tau = asm.r, asm.rw, asm.tau_arr
+    s, w0, dlt = asm.s, asm.w0, asm.dlt
+    A = np.zeros((M, M))
+    xg0, wg0 = roots_legendre(32)
+    xi0 = 0.5 * (xg0 + 1.0)
+    wxi0 = 0.5 * wg0
+    mgr = asm.m_grade
+    eta0 = dlt * xi0**mgr
+    deta0 = dlt * mgr * xi0 ** (mgr - 1.0) * wxi0
+    xgp, wgp = roots_legendre(10)
+    xip = 0.5 * (xgp + 1.0)
+    wxip = 0.5 * wgp
+    xgc, wgc = roots_legendre(8)
+    xic = 0.5 * (xgc + 1.0)
+    wxic = 0.5 * wgc
+    xgo, wgo = roots_legendre(16)
+    xio = 0.5 * (xgo + 1.0)
+    wxio = 0.5 * wgo
+    for ii in range(M):
+        i1 = ii + 1
+        ri = r[ii]
+        lo = R if i1 < M else R + 0.5 * (R - r[M - 2])
+        A[ii, ii] += asm.gamma_profile * ri ** (-2.0 * s) \
+            + rw[ii] * _plain_tail(asm.kern, ri, w0, lo, asm.far)
+        K = min(i1 - 1, M - i1)
+        if K >= 1:
+            wp, wm = _plain_w_sides(asm, ii, eta0)
+            we = 0.5 * (wp + wm)
+            wo = 0.5 * (wp - wm)
+            dsh, ssh = _plain_profile_shapes(asm, ii, eta0)
+            dsh_e, ssh_e = _plain_profile_shapes(asm, ii, np.asarray([dlt]))
+            cD = np.zeros(K + 1)
+            cS = np.zeros(K + 1)
+            cD[1] += float(np.sum(deta0 * (dsh / dsh_e[0]) * we))
+            cS[1] += float(np.sum(deta0 * (ssh / ssh_e[0]) * wo))
+            if K >= 2:
+                ks = np.arange(1, K)
+                eta = (ks[:, None] + xip[None, :]) * dlt
+                wp, wm = _plain_w_sides(asm, ii, eta)
+                we = 0.5 * (wp + wm)
+                wo = 0.5 * (wp - wm)
+                dsh, ssh = _plain_profile_shapes(asm, ii, eta)
+                dk, sk = _plain_profile_shapes(asm, ii, np.arange(1, K + 1) * dlt)
+                dden = dk[:-1] - dk[1:]
+                sden = sk[1:] - sk[:-1]
+                bl_d = np.where(np.abs(dden)[:, None] > 1e-300,
+                                (dsh - dk[1:][:, None]) / dden[:, None],
+                                1.0 - xip[None, :])
+                bl_s = np.where(np.abs(sden)[:, None] > 1e-300,
+                                (sk[1:][:, None] - ssh) / sden[:, None],
+                                1.0 - xip[None, :])
+                base = dlt * wxip[None, :]
+                cD[1:K] += np.sum(base * bl_d * we, axis=1)
+                cD[2:K + 1] += np.sum(base * (1.0 - bl_d) * we, axis=1)
+                cS[1:K] += np.sum(base * bl_s * wo, axis=1)
+                cS[2:K + 1] += np.sum(base * (1.0 - bl_s) * wo, axis=1)
+            k = np.arange(1, K + 1)
+            pp = rw[ii] / rw[ii + k]
+            pm = rw[ii] / rw[ii - k]
+            A[ii, ii + k] -= cD[1:] + cS[1:]
+            A[ii, ii - k] -= cD[1:] - cS[1:]
+            A[ii, ii] += float(np.sum(cD[1:] * (pp + pm) + cS[1:] * (pp - pm)))
+        if i1 == 1:
+            wp, _ = _plain_w_sides(asm, ii, eta0)
+            one = float(np.sum(deta0 * xi0 ** (2 * mgr) * wp))
+            A[0, 1] -= one
+            A[0, 0] += one * rw[0] / rw[1]
+        if i1 == M:
+            _, wm = _plain_w_sides(asm, ii, eta0)
+            one = float(np.sum(deta0 * xi0 ** (2 * mgr) * wm))
+            A[M - 1, M - 2] -= one
+            A[M - 1, M - 1] += one * rw[M - 1] / rw[M - 2]
+        jr0 = i1 + K if K >= 1 else (2 if i1 == 1 else M)
+        cells = []
+        if jr0 < M:
+            cells.append(np.arange(jr0, M))
+        jl_hi = i1 - K - 1 if K >= 1 else (M - 2 if i1 == M else 0)
+        if jl_hi >= 1:
+            cells.append(np.arange(1, jl_hi + 1))
+        if cells:
+            js = np.concatenate(cells)
+            tq = tau[js - 1][:, None] + xic[None, :] * dlt
+            rho = R * tq**g
+            jac = R * g * tq ** (g - 1.0)
+            wgt = asm.kern.k2(np.full_like(rho, ri), rho) * jac * (dlt * wxic[None, :])
+            pw = rho ** (-w0)
+            pj = r[js - 1] ** (-w0)
+            pj1 = r[js] ** (-w0)
+            bl = (pw - pj1[:, None]) / (pj - pj1)[:, None]
+            c_left = np.sum(wgt * bl, axis=1)
+            c_right = np.sum(wgt * (1.0 - bl), axis=1)
+            np.add.at(A[ii], js - 1, -c_left)
+            np.add.at(A[ii], js, -c_right)
+            A[ii, ii] += float(np.sum(c_left * rw[ii] * pj + c_right * rw[ii] * pj1))
+        rho = r[0] * xio**2.0
+        drho = r[0] * 2.0 * xio * wxio
+        kvals = asm.kern.k2(np.full_like(rho, ri), rho) * drho
+        A[ii, 0] -= float(np.sum(kvals))
+        A[ii, ii] += rw[ii] * float(np.sum(rho ** (-w0) * kvals))
+    return A
+
+
+@pytest.mark.parametrize("M", [32, 64])
+@pytest.mark.parametrize("g", [1.0, 2.0])
+@pytest.mark.parametrize("s", [0.6, 0.75])
+def test_batched_assembly_matches_the_plain_loop(monkeypatch, M, g, s):
+    """The flat (row, panel) and (row, cell) bookkeeping puts every weight
+    where the per-row loop does."""
+    monkeypatch.setattr(ro._Assembler, "_calibrate", lambda self, A: None)
+    asm = ro._Assembler(ro.build_grid(1.0, M, g, N), N, s, (N - 2 * s) / 2)
+    got = asm.assemble()
+    want = _plain_assemble(asm)
+    rel = np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)
+    assert rel.max() <= 1e-11
