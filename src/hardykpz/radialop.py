@@ -307,8 +307,8 @@ class OperatorMatrix:
     grid: RadialGrid
     N: int
     s: float
-    # (lu, piv) of ``matrix``, set by the solver's first run on this operator
-    # and reused by every later run
+    # (lu, piv) of ``matrix``, set by solver.factor_operator on first use and
+    # reused by every later run
     factors: tuple | None = field(default=None, repr=False, compare=False)
 
     @property

@@ -199,6 +199,19 @@ def admissible_bound_sup(params: ProblemParams, grid: radialop.RadialGrid) -> fl
     return best
 
 
+def factor_operator(op: radialop.OperatorMatrix) -> tuple:
+    """LU factors of ``op.matrix``, computed on first use and kept on ``op``.
+
+    Raises SolveError when LAPACK cannot factor the matrix.
+    """
+    if op.factors is None:
+        try:
+            op.factors = lu_factor(op.matrix)
+        except LinAlgError as exc:
+            raise SolveError(f"linear operator factorization failed: {exc}") from exc
+    return op.factors
+
+
 def lu_solve(getrs, factors: tuple, b: np.ndarray) -> np.ndarray:
     """Solution x of A x = b from ``factors`` = lu_factor(A), written over b.
 
@@ -231,12 +244,7 @@ def _run_scheme(params: ProblemParams, alpha_damp: float, source_scale: float,
         raise GridMismatchError("operator grid does not match the solve grid")
     r = grid.r
     hardy_weight = r ** (-2.0 * params.s)
-    if op.factors is None:
-        try:
-            op.factors = lu_factor(op.matrix)
-        except LinAlgError as exc:
-            raise SolveError(f"linear operator factorization failed: {exc}") from exc
-    factors = op.factors
+    factors = factor_operator(op)
     getrs, = get_lapack_funcs(("getrs",), (factors[0],))
     source = source_scale * f.values(grid)
 

@@ -8,6 +8,12 @@ JSON sidecar carrying the analytic overlay curves (p_plus, p_minus, p_star,
 data: solver errors inside a cell mark it Inconclusive and never abort the
 sweep.  Cells that land exactly on the critical exponent are Inconclusive
 by policy (nothing is proven at p = p_plus).
+
+The axes never change N, s or the grid, so a sweep has one operator: the
+parent process assembles and factors it once, before any cell runs, and
+every cell solves with it.  Pool workers receive it through the pool
+initializer and only run the triangular solves.  Serial and pool sweeps
+therefore read the same factors and write the same bytes.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
-from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -167,12 +172,25 @@ class RegionMap:
         return out
 
 
-@lru_cache(maxsize=4)
-def _cached_operator(N: int, s: float, R: float, M: int, g: float):
-    return radialop.assemble_operator(radialop.build_grid(R, M, g, N), N, s)
+def _plan_operator(plan: SweepPlan) -> radialop.OperatorMatrix | HardyKPZError:
+    """Assemble and factor the one operator of all the cells of ``plan``.
+
+    Returns the error that building it raised instead: every cell that
+    reaches its operator reports that error as its own, as a cell that
+    built the operator itself would.
+    """
+    _, first = next(plan.cells())
+    params, grid, _, _ = solver.run_inputs(plan._run_config(first))
+    try:
+        op = radialop.assemble_operator(grid, params.N, params.s)
+        solver.factor_operator(op)
+    except HardyKPZError as exc:
+        return exc
+    return op
 
 
-def _run_cell(plan: SweepPlan, index: int, values: dict) -> CellResult:
+def _run_cell(plan: SweepPlan, op: radialop.OperatorMatrix | HardyKPZError,
+              index: int, values: dict) -> CellResult:
     alpha = float(values.get("alpha_damp", plan.alpha_damp))
     try:
         params, grid, controls, f = solver.run_inputs(plan._run_config(values))
@@ -180,7 +198,8 @@ def _run_cell(plan: SweepPlan, index: int, values: dict) -> CellResult:
         if abs(params.p - rep.p_plus) < 1e-12:
             return CellResult(index, values, "Inconclusive", math.nan, 0,
                               "p equals p_plus: undecided by policy")
-        op = _cached_operator(params.N, params.s, grid.R, grid.M, grid.g)
+        if isinstance(op, HardyKPZError):
+            raise op
         if plan.kind == "damped":
             report = solver.solve_damped(params, alpha, params.mu, f, grid,
                                          controls=controls, operator=op)
@@ -193,6 +212,21 @@ def _run_cell(plan: SweepPlan, index: int, values: dict) -> CellResult:
     except HardyKPZError as exc:
         return CellResult(index, values, "Inconclusive", math.nan, 0,
                           f"{type(exc).__name__}: {exc}")
+
+
+# the plan's operator in a pool worker, set there by the pool initializer;
+# the parent process never sets it
+_worker_op = None
+
+
+def _use_operator(op) -> None:
+    """Pool initializer: keep the plan's operator for this worker's cells."""
+    global _worker_op
+    _worker_op = op
+
+
+def _pool_cell(plan: SweepPlan, index: int, values: dict) -> CellResult:
+    return _run_cell(plan, _worker_op, index, values)
 
 
 def _overlay_for(plan: SweepPlan) -> dict:
@@ -270,6 +304,10 @@ def run_sweep(plan: SweepPlan, out_dir: str | None = None, workers: int = 1,
               resume: bool = True) -> RegionMap:
     """Execute every cell of the plan; optionally checkpoint to out_dir.
 
+    The plan's operator is assembled and factored here, once, when any cell
+    is left to run; with ``workers`` > 1 the pool's initializer hands it to
+    each worker.
+
     With ``resume`` (default) cells already present in an existing cells.csv
     under the same output directory are not recomputed; a checkpoint whose
     overlay.json names another plan hash raises ConfigError.  Cell results are
@@ -285,13 +323,15 @@ def run_sweep(plan: SweepPlan, out_dir: str | None = None, workers: int = 1,
             done = _load_done(out_dir, plan, plan_hash)
     todo = [(idx, vals) for idx, vals in plan.cells() if idx not in done]
     results = list(done.values())
+    op = _plan_operator(plan) if todo else None
     if workers > 1 and len(todo) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_cell, plan, idx, vals)
+        with ProcessPoolExecutor(max_workers=workers, initializer=_use_operator,
+                                 initargs=(op,)) as pool:
+            futures = [pool.submit(_pool_cell, plan, idx, vals)
                        for idx, vals in todo]
             results.extend(fut.result() for fut in futures)
     else:
-        results.extend(_run_cell(plan, idx, vals) for idx, vals in todo)
+        results.extend(_run_cell(plan, op, idx, vals) for idx, vals in todo)
     results.sort(key=lambda c: c.index)
     overlay = _overlay_for(plan)
     region = RegionMap(plan=plan, cells=results, overlay=overlay,

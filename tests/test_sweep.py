@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from hardykpz import radialop as ro
 from hardykpz import solver as so
 from hardykpz import specfun as sf
 from hardykpz import sweep as sw
@@ -153,14 +154,21 @@ def test_sweep_plan_validation():
 
 
 def test_sweep_worker_pool_matches_serial(tmp_path):
-    plan = _plan(axes=[{"name": "p", "start": 1.25, "stop": 1.55, "count": 4}],
-                 grid={"R": 1.0, "M": 32, "g": 2.0}, n_levels=12)
-    d1 = os.path.join(tmp_path, "serial")
-    d2 = os.path.join(tmp_path, "pool")
-    sw.run_sweep(plan, out_dir=d1, workers=1)
-    sw.run_sweep(plan, out_dir=d2, workers=2)
-    assert open(os.path.join(d1, "cells.csv"), "rb").read() == \
-        open(os.path.join(d2, "cells.csv"), "rb").read()
+    p_axis = [{"name": "p", "start": 1.25, "stop": 1.55, "count": 4}]
+    plans = {
+        "kpz": dict(axes=p_axis),
+        "damped": dict(axes=p_axis, kind="damped", alpha_damp=1.0),
+        "lambda-mu": dict(axes=[{"name": "lambda", "start": 0.1, "stop": 0.4, "count": 2},
+                                {"name": "mu", "start": 1e-4, "stop": 1e-2, "count": 2}]),
+    }
+    for name, over in plans.items():
+        plan = _plan(grid={"R": 1.0, "M": 32, "g": 2.0}, n_levels=12, **over)
+        d1 = os.path.join(tmp_path, name, "serial")
+        d2 = os.path.join(tmp_path, name, "pool")
+        sw.run_sweep(plan, out_dir=d1, workers=1)
+        sw.run_sweep(plan, out_dir=d2, workers=2)
+        assert open(os.path.join(d1, "cells.csv"), "rb").read() == \
+            open(os.path.join(d2, "cells.csv"), "rb").read(), name
 
 
 @pytest.mark.parametrize("kind", ["kpz", "damped"])
@@ -192,10 +200,31 @@ def test_serial_sweep_factors_its_operator_once(monkeypatch):
         calls.append(a)
         return scipy.linalg.lu_factor(a)
     monkeypatch.setattr(so, "lu_factor", counting)
-    sw._cached_operator.cache_clear()
     plan = _plan(axes=[{"name": "p", "start": 1.2, "stop": 1.5, "count": 16}],
                  grid={"R": 1.0, "M": 48, "g": 2.0}, n_levels=12)
     region = sw.run_sweep(plan, workers=1)
     assert len(region.cells) == 16
     assert {c.status for c in region.cells} == {"Converged", "BlowUp"}
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_assembly_error_marks_cells(monkeypatch, workers):
+    calls = []
+    assemble = ro.assemble_operator
+
+    def counting(*args):
+        calls.append(args)
+        return assemble(*args)
+    monkeypatch.setattr(ro, "_CHEB_DEGREE", 3)
+    monkeypatch.setattr(ro, "assemble_operator", counting)
+    plan = _plan(axes=[{"name": "p", "start": REP.p_plus, "stop": REP.p_plus + 0.3,
+                        "count": 4}],
+                 grid={"R": 1.0, "M": 32, "g": 2.0}, n_levels=12)
+    region = sw.run_sweep(plan, workers=workers)
+    assert [c.status for c in region.cells] == ["Inconclusive"] * 4
+    # the cell at p_plus never reaches the operator and keeps its policy note
+    assert "policy" in region.cells[0].note
+    for cell in region.cells[1:]:
+        assert cell.note.startswith("AssemblyError: kernel table")
     assert len(calls) == 1

@@ -6,9 +6,11 @@ package (``radialop.assemble_operator``, ``solver.solve_kpz``,
 global silently zeroes a per-layer metric; this test runs a solve, a probe and a
 two-worker sweep under the tracer and requires each span to be counted.  The
 probe must factor its operator once and make one ``solver.lu_solve`` call per
-inner Picard iteration.  The solve builds its supersolution, whose one
-exponent report must reach ``specfun.exponents_for`` through the module
-attribute: a name bound at import in ``construct`` would escape the count.
+inner Picard iteration.  The two-worker sweep must assemble and factor its
+one operator once, counting the parent and the workers together.  The solve
+builds its supersolution, whose one exponent report must reach
+``specfun.exponents_for`` through the module attribute: a name bound at
+import in ``construct`` would escape the count.
 """
 
 import json
@@ -27,10 +29,13 @@ tr = tracing.install(sys.argv[2])
 assert cli.main(["probe", "--config", sys.argv[3], "--output-dir", sys.argv[4]]) == 0
 probe = tr.collect()
 assert cli.main(["solve", "--config", sys.argv[3], "--output-dir", sys.argv[5]]) == 0
-solve = {name: n - probe["calls"].get(name, 0) for name, n in tr.collect()["calls"].items()}
+before = tr.collect()["calls"]
+solve = {name: n - probe["calls"].get(name, 0) for name, n in before.items()}
 assert cli.main(["sweep", "--config", sys.argv[6], "--output-dir", sys.argv[7],
                  "--workers", "2"]) == 0
-print(json.dumps({"probe": probe, "solve": solve, "calls": tr.collect()["calls"]}))
+calls = tr.collect()["calls"]
+sweep = {name: n - before.get(name, 0) for name, n in calls.items()}
+print(json.dumps({"probe": probe, "solve": solve, "sweep": sweep, "calls": calls}))
 """
 
 
@@ -73,3 +78,8 @@ def test_tracer_counts_every_wrapped_layer(tmp_path):
     solve = out["solve"]
     assert solve["construct.supersolution"] == 1
     assert solve["specfun.exponents_for"] == 1
+    # the sweep's parent assembles and factors its one operator; the workers
+    # only solve with it
+    sweep = out["sweep"]
+    assert sweep["radialop.assemble"] == 1
+    assert sweep["solver.lu_factor"] == 1
