@@ -1,16 +1,22 @@
 """Monotone approximation scheme for the gradient problem with Hardy term.
 
 The truncated problems saturate the gradient power and the Hardy term at
-level n; for each level a damped Picard iteration solves the fixed point
-u = L^-1 RHS_n(u), warm-started from the previous level, starting from zero.
-Increasing truncation levels produce an increasing iterate sequence bounded
-by any valid supersolution; divergence across levels is classified as
-blow-up by a fixed heuristic (threshold against the supersolution bound
-plus sustained growth), never proved.
+level n; each level solves the fixed point of the damped map
+G(u) = (1-omega) u + omega L^-1 RHS_n(u), warm-started from the previous
+level, starting from zero.  The inner iteration is safeguarded Anderson
+acceleration of G (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011), and its
+certificate is the plain Picard one: a level converges only when one plain
+step G(x) moves x by at most ``picard_tol`` relative, and G(x) is the
+level's result, so the fixed point and the convergence test are those of
+damped Picard.  Increasing truncation levels produce an increasing iterate
+sequence bounded by any valid supersolution; divergence across levels is
+classified as blow-up by a fixed heuristic (threshold against the
+supersolution bound plus sustained growth), never proved.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -76,12 +82,17 @@ class PowerSource:
 
 @dataclass(frozen=True)
 class SolverControls:
-    """Outer truncation schedule; the Picard loop and the blow-up rules are fixed.
+    """Outer truncation schedule; the inner iteration and blow-up rules are fixed.
 
-    The class constants are the inner Picard tolerance, iteration cap and
-    damping, and the blow-up thresholds: a sup-norm above ``blowup_factor``
-    times the barrier bound, ``growth_window`` consecutive increases with no
-    admissible barrier, or a sup-norm above ``sup_cap``.
+    The class constants are the inner tolerance, the cap on map evaluations
+    per level and the damping of the Picard map G; the Anderson history
+    depth, the restart rule (the residual rises above
+    ``anderson_restart_factor`` times the level's best, or ``anderson_depth``
+    steps pass without a new best) and the number of restarts after which a
+    level takes plain steps only; the plain ``polish_steps`` taken once the
+    certificate holds; and the blow-up thresholds: a sup-norm above
+    ``blowup_factor`` times the barrier bound, ``growth_window`` consecutive
+    increases with no admissible barrier, or a sup-norm above ``sup_cap``.
     """
 
     n_schedule: tuple = tuple(2.0**j for j in range(13))
@@ -89,6 +100,10 @@ class SolverControls:
     picard_max: ClassVar[int] = 500
     blowup_factor: ClassVar[float] = 10.0
     damping: ClassVar[float] = 0.7
+    anderson_depth: ClassVar[int] = 5
+    anderson_restart_factor: ClassVar[float] = 10.0
+    anderson_restarts: ClassVar[int] = 3
+    polish_steps: ClassVar[int] = 5
     growth_window: ClassVar[int] = 5
     sup_cap: ClassVar[float] = 1e12
 
@@ -176,18 +191,24 @@ def admissible_bound_sup(params: ProblemParams, grid: radialop.RadialGrid) -> fl
     source-free problem; the family supremum is the blow-up reference when
     no explicit barrier is supplied.  It collapses to zero exactly when the
     window empties at p = p_plus: iterates of a supercritical run exceed
-    every admissible bound by definition.
+    every admissible bound by definition.  It does not depend on mu, so it is
+    memoized per (N, s, lambda, p, R, r_1): the probe's bisection asks for
+    the same value on every run.  A call that raises is not remembered.
     """
-    if params.lam <= 0.0:
+    return _family_bound_sup(params.N, params.s, params.lam, params.p,
+                             grid.R, grid.r[0])
+
+
+@functools.lru_cache(maxsize=256)
+def _family_bound_sup(N: int, s: float, lam: float, p: float, R: float,
+                      r1: float) -> float:
+    if lam <= 0.0:
         return math.inf
-    N, s, lam, p = params.N, params.s, params.lam, params.p
     rep = exponents_for(N, s, lam)
     theta_line = (2.0 * s - p) / (p - 1.0)
     top = min(rep.mubar_exp, theta_line)
     if top <= rep.mu_exp:
         return 0.0
-    R = grid.R
-    r1 = grid.r[0]
     best = 0.0
     for theta in np.linspace(rep.mu_exp * (1 + 1e-6), top * (1 - 1e-6), 128):
         gam = gamma_multiplier((N - 2.0 * s) / 2.0 - theta, N, s)
@@ -217,7 +238,7 @@ def lu_solve(getrs, factors: tuple, b: np.ndarray) -> np.ndarray:
 
     Calls the LAPACK ``getrs`` that scipy.linalg.lu_solve calls, resolved once
     per run, without lu_solve's per-call input checks and batch dispatch: the
-    Picard loop's right-hand sides are float vectors of the operator's size,
+    inner loop's right-hand sides are float vectors of the operator's size,
     and a non-finite one gives a non-finite iterate, which the loop rejects.
     """
     x, info = getrs(*factors, b, overwrite_b=1)
@@ -233,10 +254,20 @@ def _run_scheme(params: ProblemParams, alpha_damp: float, source_scale: float,
     """Shared engine behind solve_kpz (alpha_damp = 0) and solve_damped.
 
     The operator is factored on its first run and its factors are reused by
-    every later run on it.  The Picard step evaluates the plain expressions
-    (rhs = g/(1+g/n) [/(1+u)^alpha] + lam (u/(1+u/n)) r^-2s + source with
-    g = |grad u|^p, then u <- (1-omega) u + omega L^-1 rhs) in the same order,
-    in place, so every iterate is bitwise that of the plain formulas.
+    every later run on it.  Every step evaluates one plain Picard map
+    G(x) = (1-omega) x + omega L^-1 rhs (rhs = g/(1+g/n) [/(1+x)^alpha]
+    + lam (x/(1+x/n)) r^-2s + source, g = |grad x|^p) from the plain
+    expressions in the same order, in place.  The next x is then
+    G(x) - sum_i gamma_i dG_i, projected onto x >= 0 (which keeps the
+    right-hand side finite), where dG_i and dF_i are the differences of the
+    last ``anderson_depth`` successive G(x) and residuals F(x) = G(x) - x,
+    and gamma solves the normal equations of min |F(x) - sum_i gamma_i dF_i|.
+    A restart (see SolverControls) drops the history and steps on from the
+    G(x) of least residual; after ``anderson_restarts`` of them, or once the
+    certificate holds, the steps are plain: x = G(x).  A level ends when the
+    certificate holds after ``polish_steps`` plain steps, which damp the
+    high-frequency part of the extrapolation error that L amplifies in the
+    reported fixed-point residual, or after ``picard_max`` evaluations.
     """
     op = operator if operator is not None \
         else radialop.assemble_operator(grid, params.N, params.s)
@@ -245,7 +276,7 @@ def _run_scheme(params: ProblemParams, alpha_damp: float, source_scale: float,
     r = grid.r
     hardy_weight = r ** (-2.0 * params.s)
     factors = factor_operator(op)
-    getrs, = get_lapack_funcs(("getrs",), (factors[0],))
+    getrs, gesv = get_lapack_funcs(("getrs", "gesv"), (factors[0],))
     source = source_scale * f.values(grid)
 
     w_vals = None
@@ -255,9 +286,18 @@ def _run_scheme(params: ProblemParams, alpha_damp: float, source_scale: float,
     else:
         sup_bound = admissible_bound_sup(params, grid)
 
-    u = np.zeros(grid.M)
-    u_new = np.empty(grid.M)
-    tmp = np.empty(grid.M)
+    M = grid.M
+    u = np.zeros(M)        # the iterate x; after each level, its certified G(x)
+    g = np.empty(M)        # G(x)
+    res = np.empty(M)      # G(x) - x
+    g_prev = np.empty(M)
+    res_prev = np.empty(M)
+    g_best = np.empty(M)   # the G(x) of least residual on this level
+    res_best = np.empty(M)
+    tmp = np.empty(M)
+    depth = controls.anderson_depth
+    d_g = np.empty((depth, M))    # differences of successive G(x), oldest first
+    d_res = np.empty((depth, M))  # differences of successive residuals
     trace: list[TraceRow] = []
     mono_violations = 0
     sup_history: list[float] = []
@@ -265,6 +305,7 @@ def _run_scheme(params: ProblemParams, alpha_damp: float, source_scale: float,
     lam = params.lam
     p = params.p
     omega = controls.damping
+    tol = controls.picard_tol
 
     def rhs_of(v: np.ndarray, level: float) -> np.ndarray:
         rhs = radialop.gradient_values(grid, v)
@@ -289,24 +330,73 @@ def _run_scheme(params: ProblemParams, alpha_damp: float, source_scale: float,
     for level in controls.n_schedule:
         u_prev_outer = u.copy()
         inner_resid = math.inf
-        iters = 0
+        best = math.inf
+        stall = 0
+        hist = 0
+        restarts = 0
+        polish = controls.polish_steps
+        gamma = None
         for iters in range(1, controls.picard_max + 1):
+            if gamma is not None:
+                # Anderson step: x = G(x) - sum_i gamma_i dG_i, kept >= 0
+                np.dot(gamma, d_g[:hist], out=u)
+                np.subtract(g, u, out=u)
+                np.maximum(u, 0.0, out=u)
+            elif iters > 1:
+                np.copyto(u, g)
             step = lu_solve(getrs, factors, rhs_of(u, level))
             step *= omega
-            np.multiply(u, 1.0 - omega, out=u_new)
-            u_new += step
+            np.multiply(u, 1.0 - omega, out=g)
+            g += step
             # np.max propagates NaN and inf, so this is the finiteness check
-            top = float(np.abs(u_new, out=step).max())
+            top = float(np.abs(g, out=step).max())
             if not math.isfinite(top):
                 raise NumericalDivergenceError(
                     f"non-finite iterate at truncation level {level}"
                 )
-            scale = max(top, 1e-300)
-            np.subtract(u_new, u, out=step)
-            inner_resid = float(np.abs(step, out=step).max()) / scale
-            u, u_new = u_new, u
-            if inner_resid <= controls.picard_tol:
-                break
+            np.subtract(g, u, out=res)
+            inner_resid = float(np.abs(res, out=step).max()) / max(top, 1e-300)
+            gamma = None
+            if inner_resid <= tol:
+                if polish == 0:
+                    break
+                polish -= 1
+                continue
+            if restarts == controls.anderson_restarts:
+                continue
+            if inner_resid < best:
+                best = inner_resid
+                stall = 0
+                np.copyto(g_best, g)
+                np.copyto(res_best, res)
+            else:
+                stall += 1
+            if inner_resid > controls.anderson_restart_factor * best or stall == depth:
+                # restart: drop the history and step on from the best G(x)
+                restarts += 1
+                hist = 0
+                stall = 0
+                np.copyto(g, g_best)
+                np.copyto(res, res_best)
+            elif iters > 1:
+                if hist == depth:
+                    d_g[:-1] = d_g[1:]
+                    d_res[:-1] = d_res[1:]
+                    hist -= 1
+                np.subtract(g, g_prev, out=d_g[hist])
+                np.subtract(res, res_prev, out=d_res[hist])
+                hist += 1
+            np.copyto(g_prev, g)
+            np.copyto(res_prev, res)
+            if hist:
+                # least-squares weights from the normal equations
+                block = d_res[:hist]
+                *_, gamma, info = gesv(block @ block.T, block @ res,
+                                       overwrite_a=1, overwrite_b=1)
+                if info != 0:  # singular: drop the history
+                    gamma = None
+                    hist = 0
+        u, g = g, u
         sup = float(np.max(np.abs(u)))
         sup_history.append(sup)
         drop = u_prev_outer - u

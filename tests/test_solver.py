@@ -1,18 +1,19 @@
 """Monotone truncation scheme: dichotomy, invariants, probe."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hardykpz import construct as co
 from hardykpz import radialop as ro
 from hardykpz import solver as so
 from hardykpz import specfun as sf
-from hardykpz.errors import DomainError
+from hardykpz.errors import ConstructionError, DomainError
 
 N, S = 3, 0.75
 LAM = sf.hardy_constant(N, S) / 2
@@ -174,6 +175,56 @@ def test_probe_zero_source_inconclusive(grid):
     assert "by design" in res.note
 
 
+def test_probe_bracket_holds_under_uncapped_plain_picard(monkeypatch):
+    # the bracket comes from runs that are decided, not from the cap: plain
+    # damped Picard with no practical cap agrees on both ends
+    small = ro.build_grid(1.0, 64, 2.0, N)
+    p = 0.9 * sf.exponents_for(N, S, _LAM_08).p_plus
+    params = sf.ProblemParams(N=N, s=S, lam=_LAM_08, p=p, mu=1e-3)
+    f = so.PowerSource(0.3, 1.5)
+    ctrl = so.SolverControls(n_schedule=tuple(2.0**j for j in range(15)))
+    res = so.mu_threshold_probe(params, f, small, controls=ctrl)
+    assert res.status == "bracketed"
+    monkeypatch.setattr(so.SolverControls, "picard_max", 20_000)
+    monkeypatch.setattr(so.SolverControls, "anderson_restarts", 0)
+    monkeypatch.setattr(so.SolverControls, "polish_steps", 0)
+    for mu, expected in ((res.mu_lo, "Converged"), (res.mu_hi, "BlowUp")):
+        rep = so.solve_kpz(sf.ProblemParams(N=N, s=S, lam=_LAM_08, p=p, mu=mu), f,
+                           small, controls=ctrl)
+        assert rep.status == expected, mu
+        assert max(row.inner_iters for row in rep.trace) < 20_000
+
+
+def test_admissible_bound_sup_is_memoized_and_errors_are_not(grid, monkeypatch):
+    gammas, failures = [], []
+    gamma_multiplier, exponents_for = so.gamma_multiplier, so.exponents_for
+
+    def counting(*args):
+        gammas.append(args)
+        return gamma_multiplier(*args)
+
+    def failing(*args):
+        failures.append(args)
+        raise DomainError("no exponents")
+    monkeypatch.setattr(so, "gamma_multiplier", counting)
+    monkeypatch.setattr(so, "exponents_for", failing)
+    so._family_bound_sup.cache_clear()
+    params = _params(0.9 * REP.p_plus, 1e-3)
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            so.admissible_bound_sup(params, grid)
+    assert len(failures) == 2
+    monkeypatch.setattr(so, "exponents_for", exponents_for)
+    bound = so.admissible_bound_sup(params, grid)
+    calls = len(gammas)
+    assert calls > 0 and bound > 0.0
+    # mu does not enter the bound: another mu is a cache hit
+    assert so.admissible_bound_sup(_params(0.9 * REP.p_plus, 5e-3), grid) == bound
+    assert len(gammas) == calls
+    assert so.admissible_bound_sup(_params(0.8 * REP.p_plus, 1e-3), grid) != bound
+    assert len(gammas) > calls
+
+
 # ------------------------------------------- the plain scheme, bit for bit
 
 def _plain_gradient(grid, u):
@@ -195,8 +246,12 @@ def _plain_gradient(grid, u):
 def _plain_scheme(params, alpha, c, f, grid, op, controls, spec):
     """Reference truncation scheme: plain array expressions, scipy's lu_solve.
 
-    Returns (status, u, trace rows, monotonicity violations, sup bound,
-    fixed-point residual) with the classification rules of the solver.
+    Each level runs the safeguarded Anderson iteration on the damped map
+    G(x) = (1-omega) x + omega L^-1 rhs_n(x), with the history kept in lists
+    and the constants read from ``controls``; with ``anderson_restarts`` = 0
+    and ``polish_steps`` = 0 it is plain damped Picard.  Returns (status, u,
+    trace rows, monotonicity violations, sup bound, fixed-point residual)
+    with the classification rules of the solver.
     """
     lu = scipy.linalg.lu_factor(op.matrix)
     weight = grid.r ** (-2.0 * params.s)
@@ -217,13 +272,44 @@ def _plain_scheme(params, alpha, c, f, grid, op, controls, spec):
     rows, sups, mono, status = [], [], 0, "MaxIterations"
     for level in controls.n_schedule:
         prev = u.copy()
+        x, d_g, d_res, best, stall, restarts = u, [], [], math.inf, 0, 0
+        polish, gamma = controls.polish_steps, None
         for iters in range(1, controls.picard_max + 1):
-            u_new = (1.0 - omega) * u + omega * scipy.linalg.lu_solve(lu, rhs_of(u, level))
-            assert np.all(np.isfinite(u_new))
-            resid = float(np.max(np.abs(u_new - u))) / max(float(np.max(np.abs(u_new))), 1e-300)
-            u = u_new
+            if gamma is not None:
+                x = np.maximum(g - gamma @ np.array(d_g), 0.0)
+            elif iters > 1:
+                x = g
+            g = (1.0 - omega) * x + omega * scipy.linalg.lu_solve(lu, rhs_of(x, level))
+            assert np.all(np.isfinite(g))
+            res = g - x
+            resid = float(np.max(np.abs(res))) / max(float(np.max(np.abs(g))), 1e-300)
+            gamma = None
             if resid <= tol:
-                break
+                if polish == 0:
+                    break
+                polish -= 1
+                continue
+            if restarts == controls.anderson_restarts:
+                continue
+            if resid < best:
+                best, stall, g_best, res_best = resid, 0, g, res
+            else:
+                stall += 1
+            if resid > controls.anderson_restart_factor * best \
+                    or stall == controls.anderson_depth:
+                restarts, stall, d_g, d_res = restarts + 1, 0, [], []
+                g, res = g_best, res_best
+            elif iters > 1:
+                d_g = (d_g + [g - g_prev])[-controls.anderson_depth:]
+                d_res = (d_res + [res - res_prev])[-controls.anderson_depth:]
+            g_prev, res_prev = g, res
+            if d_res:
+                block = np.array(d_res)
+                try:
+                    gamma = np.linalg.solve(block @ block.T, block @ res)
+                except np.linalg.LinAlgError:
+                    d_g, d_res = [], []
+        u = g
         sup = float(np.max(np.abs(u)))
         sups.append(sup)
         mono += int(np.sum(prev - u > 10.0 * tol * max(sup, 1.0)))
@@ -267,8 +353,13 @@ _LEVELS10 = so.SolverControls(n_schedule=tuple(2.0**j for j in range(10)))
 _LAM_08 = 0.8 * sf.hardy_constant(N, S)
 
 
-@pytest.mark.parametrize("case", ["converged", "blowup", "capped", "damped"])
-def test_scheme_matches_the_plain_formulas_bitwise(grid, op, case):
+_CASES = ["converged", "blowup", "capped", "damped", "projected"]
+_EXPECTED = {"converged": "Converged", "blowup": "BlowUp", "capped": "BlowUp",
+             "damped": "Converged", "projected": "BlowUp"}
+
+
+def _case(case):
+    """(params, damping exponent, source, controls, barrier) of a named case."""
     f = so.PowerSource(0.3, 2 * S)
     alpha, spec, controls = 0.0, None, CTRL
     if case == "converged":
@@ -277,9 +368,16 @@ def test_scheme_matches_the_plain_formulas_bitwise(grid, op, case):
     elif case == "blowup":
         params = _params(1.1 * REP.p_plus, 1e-3)
     elif case == "capped":
-        # near Lambda: two levels stop at picard_max before the blow-up call
+        # near Lambda: the level where the iterate leaves the bounded branch
+        # stops at picard_max before the blow-up call
         p_plus = sf.exponents_for(N, S, _LAM_08).p_plus
-        params = sf.ProblemParams(N=N, s=S, lam=_LAM_08, p=0.9 * p_plus, mu=1e-2)
+        params = sf.ProblemParams(N=N, s=S, lam=_LAM_08, p=0.9 * p_plus, mu=1.3e-2)
+        f, controls = so.PowerSource(0.3, 1.5), _LEVELS10
+    elif case == "projected":
+        # supercritical near Lambda: extrapolated iterates go negative and
+        # are projected onto u >= 0 on the way to the blow-up call
+        p_plus = sf.exponents_for(N, S, _LAM_08).p_plus
+        params = sf.ProblemParams(N=N, s=S, lam=_LAM_08, p=1.1 * p_plus, mu=0.1)
         f, controls = so.PowerSource(0.3, 1.5), _LEVELS10
     else:
         p = 2 * S - 0.05
@@ -287,17 +385,25 @@ def test_scheme_matches_the_plain_formulas_bitwise(grid, op, case):
         spec = co.damped_supersolution(N, S, LAM, p=p, alpha_damp=alpha)
         params = sf.ProblemParams(N=N, s=S, lam=LAM, p=p, mu=1e-3)
         f = so.PowerSource(1.0, spec.f_bound_exponent)
+    return params, alpha, f, controls, spec
+
+
+def _solve_case(case, grid, op):
+    params, alpha, f, controls, spec = _case(case)
     if alpha == 0.0:
-        rep = so.solve_kpz(params, f, grid, controls=controls, supersolution=spec,
-                           operator=op)
-    else:
-        rep = so.solve_damped(params, alpha, params.mu, f, grid, controls=controls,
-                              supersolution=spec, operator=op)
+        return so.solve_kpz(params, f, grid, controls=controls, supersolution=spec,
+                            operator=op)
+    return so.solve_damped(params, alpha, params.mu, f, grid, controls=controls,
+                           supersolution=spec, operator=op)
+
+
+@pytest.mark.parametrize("case", _CASES)
+def test_scheme_matches_the_plain_formulas_bitwise(grid, op, case):
+    rep = _solve_case(case, grid, op)
+    params, alpha, f, controls, spec = _case(case)
     status, u, rows, mono, sup_bound, residual = _plain_scheme(
         params, alpha, params.mu, f, grid, op, controls, spec)
-    expected = {"converged": "Converged", "blowup": "BlowUp", "capped": "BlowUp",
-                "damped": "Converged"}[case]
-    assert rep.status == status == expected
+    assert rep.status == status == _EXPECTED[case]
     if case == "capped":
         assert any(row[1] == controls.picard_max for row in rows)
     assert np.array_equal(rep.field.values, u)
@@ -307,6 +413,31 @@ def test_scheme_matches_the_plain_formulas_bitwise(grid, op, case):
     assert np.array_equal(rep.fixed_point_residual, residual, equal_nan=True)
 
 
+@pytest.mark.parametrize("case", _CASES)
+def test_accelerated_scheme_certifies_the_picard_fixed_point(grid, op, case, monkeypatch):
+    rep = _solve_case(case, grid, op)
+    params, alpha, f, controls, spec = _case(case)
+    monkeypatch.setattr(so.SolverControls, "picard_max", 20_000)
+    monkeypatch.setattr(so.SolverControls, "anderson_restarts", 0)
+    monkeypatch.setattr(so.SolverControls, "polish_steps", 0)
+    status, u, rows, *_ = _plain_scheme(params, alpha, params.mu, f, grid, op,
+                                        controls, spec)
+    assert max(row[1] for row in rows) < 20_000
+    assert rep.status == status
+    # a plain-Picard stop lies up to tol q/(1-q) short of the fixed point, q
+    # the damped map's contraction factor: below 0.99 on every level compared
+    # here (at most 521 plain steps), so the two runs agree to 100 tol;
+    # measured at most 3.1e-7 (capped case) and 2.9e-8 on the converged fields
+    close = 100.0 * controls.picard_tol
+    assert len(rep.trace) == len(rows)
+    for row, plain in zip(rep.trace[:-1], rows[:-1]):
+        assert row.residual <= controls.picard_tol
+        assert abs(row.sup_norm - plain[3]) <= close * plain[3]
+    if status == "Converged":
+        assert rep.trace[-1].residual <= controls.picard_tol
+        assert np.max(np.abs(rep.field.values - u)) <= close * np.max(np.abs(u))
+
+
 @settings(max_examples=60, deadline=None)
 @given(M=st.integers(16, 300), g=st.floats(1.0, 4.0), R=st.floats(0.1, 10.0),
        seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-6, 1e6))
@@ -314,6 +445,39 @@ def test_gradient_values_equals_the_plain_stencil(M, g, R, seed, scale):
     grid = ro.build_grid(R, M, g, N)
     u = scale * np.random.default_rng(seed).standard_normal(M)
     assert np.array_equal(ro.gradient_values(grid, u), _plain_gradient(grid, u))
+
+
+# ----------------------------------- invariants of the accelerated scheme
+
+@functools.lru_cache(maxsize=None)
+def _small_operator(M):
+    grid = ro.build_grid(1.0, M, 2.0, N)
+    return grid, ro.assemble_operator(grid, N, S)
+
+
+@settings(max_examples=30, deadline=None)
+@given(M=st.integers(32, 64), lam_frac=st.floats(0.05, 0.9),
+       p_frac=st.floats(0.2, 0.95), log_mu=st.floats(-5.0, -1.0),
+       e_frac=st.floats(0.0, 1.0))
+def test_accelerated_iterates_stay_monotone_and_under_the_barrier(
+        M, lam_frac, p_frac, log_mu, e_frac):
+    # the extrapolated iterates may overshoot; the certified ones may not
+    lam = lam_frac * sf.hardy_constant(N, S)
+    p_plus = sf.exponents_for(N, S, lam).p_plus
+    params = sf.ProblemParams(N=N, s=S, lam=lam, p=1.0 + p_frac * (p_plus - 1.0),
+                              mu=10.0**log_mu)
+    f = so.PowerSource(0.3, e_frac * 2 * S)
+    try:
+        spec = co.dirichlet_supersolution(params, f.exponent, f.coefficient)
+    except ConstructionError:
+        assume(False)  # mu too large for this barrier
+    assume(f.admissible_for(spec, 1.0))
+    grid, op = _small_operator(M)
+    rep = so.solve_kpz(params, f, grid, controls=CTRL, supersolution=spec, operator=op)
+    assert rep.monotonicity_violations == 0
+    slack = 1e-6 * rep.sup_bound
+    assert all(row.margin >= -slack for row in rep.trace)
+    assert np.all(rep.field.values <= spec.evaluate(grid.r) + slack)
 
 
 # ------------------------------------------------------ one factorization
