@@ -208,11 +208,15 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     out = _out_dir(args)
     plan = sweep.SweepPlan.from_dict(require(cfg, "plan", "config"))
-    try:
-        workers = args.workers or int(os.environ.get(_ENV_WORKERS, "1"))
-    except ValueError:
-        raise ConfigError(f"{_ENV_WORKERS} must be an integer, "
-                          f"got {os.environ[_ENV_WORKERS]!r}") from None
+    source, workers = "--workers", args.workers
+    if workers is None:
+        source, raw = _ENV_WORKERS, os.environ.get(_ENV_WORKERS, "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise ConfigError(f"{_ENV_WORKERS} must be an integer, got {raw!r}") from None
+    if workers < 1:
+        raise ConfigError(f"{source} must be >= 1, got {workers}")
     region = sweep.run_sweep(plan, out_dir=out, workers=workers,
                              resume=not args.no_resume)
     _write_resolved(cfg, out)
@@ -286,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     psw.add_argument("--config", required=True)
     psw.add_argument("--output-dir", help=f"artifact directory (or ${_ENV_OUTDIR})")
     psw.add_argument("--workers", type=int, default=None,
-                     help=f"worker processes (or ${_ENV_WORKERS})")
+                     help=f"worker processes, >= 1 (or ${_ENV_WORKERS})")
     psw.add_argument("--no-resume", action="store_true",
                      help="recompute every cell even if a checkpoint exists")
     psw.set_defaults(fn=cmd_sweep)

@@ -64,7 +64,6 @@ __all__ = [
     "power_test_profile",
     "rayleigh_quotient",
     "angular_kernel_average",
-    "gamma_multiplier_extended",
     "save_field",
 ]
 
@@ -194,7 +193,7 @@ class RadialField:
 # kernel
 # --------------------------------------------------------------------------
 
-def gamma_multiplier_extended(beta: float, N: int, s: float) -> float:
+def _gamma_multiplier_extended(beta: float, N: int, s: float) -> float:
     """Gamma-ratio multiplier extended by continuity to 0 at |beta|=(N-2s)/2."""
     half = (N - 2.0 * s) / 2.0
     if abs(beta) >= half * (1.0 - 1e-12):
@@ -384,7 +383,7 @@ class _Assembler:
         self.dlt = 1.0 / grid.M
         self.far = _FAR_FACTOR * grid.R
         self.m_grade = min(max(2.0, 2.0 / (2.0 - 2.0 * s)), 8.0)
-        self.gamma_profile = gamma_multiplier_extended((N - 2 * s) / 2.0 - self.w0, N, s)
+        self.gamma_profile = _gamma_multiplier_extended((N - 2 * s) / 2.0 - self.w0, N, s)
 
     # -- kernel helpers --------------------------------------------------
     def _w_sides(self, rows: np.ndarray, eta: np.ndarray):
@@ -576,7 +575,7 @@ class _Assembler:
         thetas = 0.5 * (1.0 - np.cos(np.pi * np.arange(nth) / (nth - 1))) * 0.97 * span
         U = self.r[None, :] ** (-thetas[:, None])
         gams = np.asarray([
-            gamma_multiplier_extended(span / 2.0 - th, self.N, self.s) for th in thetas
+            _gamma_multiplier_extended(span / 2.0 - th, self.N, self.s) for th in thetas
         ])
         wts = np.where(thetas <= 0.6 * span, 1.0,
                        1.0 - 0.75 * (thetas - 0.6 * span) / (0.4 * span))
@@ -667,7 +666,7 @@ def power_test_profile(op: OperatorMatrix, theta: float, r_max_check: float | No
     kern = _Kernel(N, s)
     u = grid.r ** (-theta)
     got = op.matrix @ u
-    gam = gamma_multiplier_extended((N - 2.0 * s) / 2.0 - theta, N, s)
+    gam = _gamma_multiplier_extended((N - 2.0 * s) / 2.0 - theta, N, s)
     mask = (grid.r <= min(r_max, 0.999 * grid.R)) & (grid.r >= op.oracle_r_min)
     rows = np.where(mask)[0]
     if len(rows) == 0:

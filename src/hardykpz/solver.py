@@ -86,10 +86,9 @@ class SolverControls:
 
     The class constants are the inner tolerance, the cap on map evaluations
     per level and the damping of the Picard map G; the Anderson history
-    depth, the restart rule (the residual rises above
-    ``anderson_restart_factor`` times the level's best, or ``anderson_depth``
-    steps pass without a new best) and the number of restarts after which a
-    level takes plain steps only; the plain ``polish_steps`` taken once the
+    depth, which is also the number of steps without a new least residual
+    after which a level takes plain steps only (``anderson_depth`` = 0 is
+    plain damped Picard); the plain ``polish_steps`` taken once the
     certificate holds; and the blow-up thresholds: a sup-norm above
     ``blowup_factor`` times the barrier bound, ``growth_window`` consecutive
     increases with no admissible barrier, or a sup-norm above ``sup_cap``.
@@ -101,8 +100,6 @@ class SolverControls:
     blowup_factor: ClassVar[float] = 10.0
     damping: ClassVar[float] = 0.7
     anderson_depth: ClassVar[int] = 5
-    anderson_restart_factor: ClassVar[float] = 10.0
-    anderson_restarts: ClassVar[int] = 3
     polish_steps: ClassVar[int] = 5
     growth_window: ClassVar[int] = 5
     sup_cap: ClassVar[float] = 1e12
@@ -262,12 +259,12 @@ def _run_scheme(params: ProblemParams, alpha_damp: float, source_scale: float,
     right-hand side finite), where dG_i and dF_i are the differences of the
     last ``anderson_depth`` successive G(x) and residuals F(x) = G(x) - x,
     and gamma solves the normal equations of min |F(x) - sum_i gamma_i dF_i|.
-    A restart (see SolverControls) drops the history and steps on from the
-    G(x) of least residual; after ``anderson_restarts`` of them, or once the
-    certificate holds, the steps are plain: x = G(x).  A level ends when the
-    certificate holds after ``polish_steps`` plain steps, which damp the
-    high-frequency part of the extrapolation error that L amplifies in the
-    reported fixed-point residual, or after ``picard_max`` evaluations.
+    Once ``anderson_depth`` consecutive steps make no new least residual on
+    the level, or once the certificate holds, the steps are plain: x = G(x).
+    A level ends when the certificate holds after ``polish_steps`` plain
+    steps, which damp the high-frequency part of the extrapolation error
+    that L amplifies in the reported fixed-point residual, or after
+    ``picard_max`` evaluations.
     """
     op = operator if operator is not None \
         else radialop.assemble_operator(grid, params.N, params.s)
@@ -292,8 +289,6 @@ def _run_scheme(params: ProblemParams, alpha_damp: float, source_scale: float,
     res = np.empty(M)      # G(x) - x
     g_prev = np.empty(M)
     res_prev = np.empty(M)
-    g_best = np.empty(M)   # the G(x) of least residual on this level
-    res_best = np.empty(M)
     tmp = np.empty(M)
     depth = controls.anderson_depth
     d_g = np.empty((depth, M))    # differences of successive G(x), oldest first
@@ -301,7 +296,6 @@ def _run_scheme(params: ProblemParams, alpha_damp: float, source_scale: float,
     trace: list[TraceRow] = []
     mono_violations = 0
     sup_history: list[float] = []
-    status = "MaxIterations"
     lam = params.lam
     p = params.p
     omega = controls.damping
@@ -326,14 +320,12 @@ def _run_scheme(params: ProblemParams, alpha_damp: float, source_scale: float,
         rhs += source
         return rhs
 
-    finished = False
     for level in controls.n_schedule:
         u_prev_outer = u.copy()
         inner_resid = math.inf
         best = math.inf
         stall = 0
         hist = 0
-        restarts = 0
         polish = controls.polish_steps
         gamma = None
         for iters in range(1, controls.picard_max + 1):
@@ -362,23 +354,12 @@ def _run_scheme(params: ProblemParams, alpha_damp: float, source_scale: float,
                     break
                 polish -= 1
                 continue
-            if restarts == controls.anderson_restarts:
-                continue
-            if inner_resid < best:
-                best = inner_resid
-                stall = 0
-                np.copyto(g_best, g)
-                np.copyto(res_best, res)
-            else:
-                stall += 1
-            if inner_resid > controls.anderson_restart_factor * best or stall == depth:
-                # restart: drop the history and step on from the best G(x)
-                restarts += 1
-                hist = 0
-                stall = 0
-                np.copyto(g, g_best)
-                np.copyto(res, res_best)
-            elif iters > 1:
+            if stall < depth:
+                stall = 0 if inner_resid < best else stall + 1
+                best = min(best, inner_resid)
+            if stall == depth:
+                continue  # depth steps with no new least residual: plain from here
+            if iters > 1:
                 if hist == depth:
                     d_g[:-1] = d_g[1:]
                     d_res[:-1] = d_res[1:]
@@ -409,36 +390,24 @@ def _run_scheme(params: ProblemParams, alpha_damp: float, source_scale: float,
 
         # classification: iterates exceeding the barrier (or, with no
         # admissible barrier at all, any sustained growth) mean blow-up
-        if math.isfinite(sup_bound) and sup_bound > 0.0 \
-                and sup > controls.blowup_factor * sup_bound:
+        recent = sup_history[-(controls.growth_window + 1):]
+        growing = len(recent) > controls.growth_window and all(
+            b > a + tol_abs for a, b in zip(recent, recent[1:]))
+        if (math.isfinite(sup_bound) and sup_bound > 0.0
+                and sup > controls.blowup_factor * sup_bound) \
+                or (sup_bound == 0.0 and sup > 0.0 and growing) \
+                or sup > controls.sup_cap:
             status = "BlowUp"
-            finished = True
             break
-        if sup_bound == 0.0 and sup > 0.0:
-            win = controls.growth_window
-            if len(sup_history) > win:
-                recent = sup_history[-(win + 1):]
-                tol_inc = 10.0 * controls.picard_tol * max(sup, 1.0)
-                if all(b > a + tol_inc for a, b in zip(recent, recent[1:])):
-                    status = "BlowUp"
-                    finished = True
-                    break
-        if sup > controls.sup_cap:
-            status = "BlowUp"
-            finished = True
-            break
-        if level == controls.n_schedule[-1]:
-            if inner_resid > controls.picard_tol:
-                status = "MaxIterations"
-            elif w_vals is not None and bool(
-                    np.any(u > w_vals + 1e-6 * sup_bound + 1e-12)):
-                status = "MaxIterations"  # barrier violated without threshold
-            else:
-                status = "Converged"
-            finished = True
-
-    if not finished:
-        status = "MaxIterations"
+    else:
+        # the last level ran without a blow-up call
+        if inner_resid > controls.picard_tol:
+            status = "MaxIterations"
+        elif w_vals is not None and bool(
+                np.any(u > w_vals + 1e-6 * sup_bound + 1e-12)):
+            status = "MaxIterations"  # barrier violated without threshold
+        else:
+            status = "Converged"
 
     report = SolverReport(
         status=status,

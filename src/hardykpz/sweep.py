@@ -305,8 +305,9 @@ def run_sweep(plan: SweepPlan, out_dir: str | None = None, workers: int = 1,
     """Execute every cell of the plan; optionally checkpoint to out_dir.
 
     The plan's operator is assembled and factored here, once, when any cell
-    is left to run; with ``workers`` > 1 the pool's initializer hands it to
-    each worker.
+    is left to run.  With ``workers`` > 1 and more than one cell left, the
+    cells run in a pool of min(workers, cells left) processes, whose
+    initializer hands each one the operator.
 
     With ``resume`` (default) cells already present in an existing cells.csv
     under the same output directory are not recomputed; a checkpoint whose
@@ -324,7 +325,8 @@ def run_sweep(plan: SweepPlan, out_dir: str | None = None, workers: int = 1,
     todo = [(idx, vals) for idx, vals in plan.cells() if idx not in done]
     results = list(done.values())
     op = _plan_operator(plan) if todo else None
-    if workers > 1 and len(todo) > 1:
+    workers = min(workers, len(todo))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_use_operator,
                                  initargs=(op,)) as pool:
             futures = [pool.submit(_pool_cell, plan, idx, vals)

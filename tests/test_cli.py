@@ -284,13 +284,13 @@ def _damped_cfg(**over):
     return _solve_cfg(alpha_damp=2 * S - 1 + 0.5, c=1e-4, **over)
 
 
-def _main(capsys, tmp_path, command, cfg):
+def _main(capsys, tmp_path, command, cfg, *extra):
     """Exit code and stderr of an in-process CLI run on the config ``cfg``."""
     path = os.path.join(tmp_path, "cfg.json")
     with open(path, "w") as fh:
         fh.write(cfg if isinstance(cfg, str) else json.dumps(cfg))
     code = cli.main([command, "--config", path,
-                     "--output-dir", os.path.join(tmp_path, "out")])
+                     "--output-dir", os.path.join(tmp_path, "out"), *extra])
     return code, capsys.readouterr().err
 
 
@@ -383,6 +383,30 @@ def test_non_integer_workers_variable_exits_2(capsys, tmp_path, monkeypatch):
     code, err = _main(capsys, tmp_path, "sweep", _sweep_cfg())
     assert code == 2
     assert "HARDYKPZ_WORKERS" in err
+
+
+@pytest.mark.parametrize("flag, variable, named", [
+    (["--workers", "0"], None, "--workers"),
+    (["--workers", "-2"], None, "--workers"),
+    (["--workers", "0"], "3", "--workers"),
+    ([], "0", "HARDYKPZ_WORKERS"),
+    ([], "-1", "HARDYKPZ_WORKERS"),
+], ids=["flag-zero", "flag-negative", "flag-zero-over-variable", "variable-zero",
+        "variable-negative"])
+def test_worker_count_below_one_exits_2(capsys, tmp_path, monkeypatch, flag, variable,
+                                        named):
+    # the flag wins over the variable even when it is 0, and names itself
+    if variable is None:
+        monkeypatch.delenv("HARDYKPZ_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("HARDYKPZ_WORKERS", variable)
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran with fewer than one worker")
+    monkeypatch.setattr(sweep, "run_sweep", no_sweep)
+    code, err = _main(capsys, tmp_path, "sweep", _sweep_cfg(), *flag)
+    assert code == 2
+    assert f"{named} must be >= 1" in err
 
 
 def test_sweep_grid_defaults_match_the_run_config(capsys, tmp_path, monkeypatch):

@@ -1,10 +1,16 @@
 """Sweeps and exponent tables: classification maps, overlays, checkpointing."""
 
+import functools
 import os
+import tempfile
+from concurrent.futures import Future
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardykpz import radialop as ro
 from hardykpz import solver as so
@@ -100,6 +106,40 @@ def test_sweep_deterministic_and_resumable(tmp_path):
     assert cells1 == open(os.path.join(d1, "cells.csv"), "rb").read()
 
 
+# a finished M=32 sweep whose middle cell lies on p_plus (Inconclusive by policy)
+_RESUME_PLAN = dict(axes=[{"name": "p", "start": REP.p_plus - 0.3,
+                           "stop": REP.p_plus + 0.3, "count": 5}],
+                    grid={"R": 1.0, "M": 32, "g": 2.0}, n_levels=10)
+
+
+@functools.lru_cache(maxsize=None)
+def _finished_sweep():
+    """(cells.csv bytes, overlay.json bytes) of the finished resume plan."""
+    with tempfile.TemporaryDirectory() as d:
+        sw.run_sweep(_plan(**_RESUME_PLAN), out_dir=d)
+        return tuple(open(os.path.join(d, name), "rb").read()
+                     for name in ("cells.csv", "overlay.json"))
+
+
+@settings(max_examples=20, deadline=None)
+@given(dropped=st.sets(st.integers(0, 4)))
+def test_sweep_resume_is_idempotent(dropped):
+    cells, overlay = _finished_sweep()
+    header, *rows = cells.decode().splitlines(keepends=True)
+    assert sum("policy" in row for row in rows) == 1
+    with tempfile.TemporaryDirectory() as d:
+        with open(os.path.join(d, "cells.csv"), "w") as fh:
+            fh.write(header + "".join(r for i, r in enumerate(rows) if i not in dropped))
+        with open(os.path.join(d, "overlay.json"), "wb") as fh:
+            fh.write(overlay)
+        with mock.patch.object(so, "solve_kpz", wraps=so.solve_kpz) as solve:
+            sw.run_sweep(_plan(**_RESUME_PLAN), out_dir=d)
+        # only the dropped cells run, and the policy cell never reaches the solver
+        assert solve.call_count == sum("policy" not in rows[i] for i in dropped)
+        for name, expected in (("cells.csv", cells), ("overlay.json", overlay)):
+            assert open(os.path.join(d, name), "rb").read() == expected, name
+
+
 def test_sweep_resume_refuses_another_plan(tmp_path):
     d = str(tmp_path)
     small = dict(grid={"R": 1.0, "M": 32, "g": 2.0}, n_levels=10)
@@ -169,6 +209,50 @@ def test_sweep_worker_pool_matches_serial(tmp_path):
         sw.run_sweep(plan, out_dir=d2, workers=2)
         assert open(os.path.join(d1, "cells.csv"), "rb").read() == \
             open(os.path.join(d2, "cells.csv"), "rb").read(), name
+
+
+class _InlinePool:
+    """ProcessPoolExecutor stand-in: records max_workers, runs cells in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        done = Future()
+        done.set_result(fn(*args))
+        return done
+
+
+@pytest.mark.parametrize("workers, cells, kept, pool_size", [
+    (100_000, 2, 0, 2), (3, 5, 0, 3), (4, 3, 1, 2), (8, 3, 2, None), (1, 3, 0, None),
+], ids=["huge", "fewer-workers", "resumed", "one-left", "serial"])
+def test_sweep_pool_is_sized_to_the_cells_left(tmp_path, monkeypatch, workers, cells,
+                                               kept, pool_size):
+    # no real pool is started: the stand-in only records the size asked for
+    monkeypatch.setattr(sw, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(sw, "_worker_op", None)
+    plan = _plan(axes=[{"name": "p", "start": 1.25, "stop": 1.45, "count": cells}],
+                 grid={"R": 1.0, "M": 32, "g": 2.0}, n_levels=10)
+    path = os.path.join(tmp_path, "cells.csv")
+    if kept:
+        sw.run_sweep(plan, out_dir=str(tmp_path))
+        lines = open(path).readlines()
+        open(path, "w").writelines(lines[:1 + kept])
+        _InlinePool.sizes.clear()
+    region = sw.run_sweep(plan, out_dir=str(tmp_path), workers=workers)
+    assert _InlinePool.sizes == ([] if pool_size is None else [pool_size])
+    assert len(region.cells) == cells
+    assert region.cells == sw.run_sweep(plan).cells
 
 
 @pytest.mark.parametrize("kind", ["kpz", "damped"])
