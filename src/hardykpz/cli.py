@@ -22,11 +22,16 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, GridMismatchError, HardyKPZError
 from .specfun import exponents_for, hardy_constant, normalizing_constant
-from .util import config_hash, fmt17, json_text, require, value, write_json
+from .util import config_hash, json_text, known, require, value, write_json
 from . import construct, radialop, solver, sweep
 
 _ENV_OUTDIR = "HARDYKPZ_OUTPUT_DIR"
 _ENV_WORKERS = "HARDYKPZ_WORKERS"
+
+# the top-level keys of a run config (solve, damped, probe) and of a sweep config
+_RUN_KEYS = ("problem", "grid", "controls", "source", "supersolution", "alpha_damp",
+             "probe")
+_SWEEP_KEYS = ("plan",)
 
 
 def _emit(obj, path: str | None):
@@ -41,7 +46,8 @@ def _out_dir(args) -> str:
     return out
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, keys) -> dict:
+    """The JSON object in ``path``, whose top-level keys must be in ``keys``."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -54,12 +60,12 @@ def _load_config(path: str) -> dict:
     # a written resolved config can be replayed directly: its embedded hash
     # is not part of the configuration
     cfg.pop("config_hash", None)
-    return cfg
+    return known(cfg, keys, "config")
 
 
 def _run_inputs(args):
     """(config, output dir, problem, grid, controls, source) of a run command."""
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, _RUN_KEYS)
     out = _out_dir(args)
     return (cfg, out, *solver.run_inputs(cfg))
 
@@ -78,8 +84,8 @@ def cmd_constants(args) -> int:
     lam = hardy_constant(args.N, args.s)
     a_ns = normalizing_constant(args.N, args.s)
     _emit({"N": args.N, "s": args.s,
-           "hardy_constant": float(fmt17(lam)),
-           "normalizing_constant": float(fmt17(a_ns))}, args.out)
+           "hardy_constant": float(lam),
+           "normalizing_constant": float(a_ns)}, args.out)
     return 0
 
 
@@ -107,10 +113,10 @@ def cmd_oracle(args) -> int:
                                     profile_exponent=args.profile_exponent)
     r_max = args.r_max if args.r_max is not None else 0.1 * args.R
     err = radialop.oracle_power_test(op, args.theta, r_max)
-    result = {"theta": args.theta, "max_rel_error": float(fmt17(err)),
+    result = {"theta": args.theta, "max_rel_error": float(err),
               "tolerance": args.tolerance, "passed": bool(err <= args.tolerance),
-              "checked_r_min": float(fmt17(op.oracle_r_min)),
-              "checked_r_max": float(fmt17(r_max))}
+              "checked_r_min": float(op.oracle_r_min),
+              "checked_r_max": float(r_max)}
     if args.refine:
         grid2 = radialop.build_grid(args.R, 2 * args.M, args.g, args.N)
         op2 = radialop.assemble_operator(grid2, args.N, args.s,
@@ -119,8 +125,8 @@ def cmd_oracle(args) -> int:
         r_lo = op.oracle_r_min
         radii2, rel2, _ = radialop.power_test_profile(op2, args.theta, r_max)
         err2 = float(rel2[radii2 >= r_lo].max())
-        result["refined_error"] = float(fmt17(err2))
-        result["refinement_ratio"] = float(fmt17(err / err2))
+        result["refined_error"] = float(err2)
+        result["refinement_ratio"] = float(err / err2)
     _emit(result, args.out)
     return 0 if result["passed"] else 1
 
@@ -133,11 +139,11 @@ def _write_solver_outputs(report: solver.SolverReport, spec, out: str,
         "config_hash": cfg_hash,
         "status": report.status,
         "monotonicity_violations": report.monotonicity_violations,
-        "fixed_point_residual": float(fmt17(report.fixed_point_residual)),
-        "gradient_lp_integral": float(fmt17(report.gradient_lp_integral)),
-        "hardy_l1_integral": float(fmt17(report.hardy_l1_integral)),
-        "sup_norm": float(fmt17(report.field.sup_norm())),
-        "sup_bound": float(fmt17(report.sup_bound)),
+        "fixed_point_residual": float(report.fixed_point_residual),
+        "gradient_lp_integral": float(report.gradient_lp_integral),
+        "hardy_l1_integral": float(report.hardy_l1_integral),
+        "sup_norm": float(report.field.sup_norm()),
+        "sup_bound": float(report.sup_bound),
         "supersolution": spec.as_dict() if spec is not None else None,
     }
     write_json(os.path.join(out, "report.json"), summary)
@@ -167,12 +173,11 @@ def cmd_solve(args) -> int:
 def cmd_damped(args) -> int:
     cfg, out, params, grid, controls, f = _run_inputs(args)
     alpha = value(cfg, "alpha_damp", "config", float)
-    c = value(cfg, "c", "config", float, params.mu)
     spec = None
     if _auto_supersolution(cfg):
         spec = construct.damped_supersolution(params.N, params.s, params.lam,
                                               params.p, alpha)
-    report = solver.solve_damped(params, alpha, c, f, grid, controls=controls,
+    report = solver.solve_damped(params, alpha, f, grid, controls=controls,
                                  supersolution=spec)
     cfg_hash = _write_resolved(cfg, out)
     _write_solver_outputs(report, spec, out, cfg_hash)
@@ -182,7 +187,7 @@ def cmd_damped(args) -> int:
 
 def cmd_probe(args) -> int:
     cfg, out, params, grid, controls, f = _run_inputs(args)
-    probe_cfg = cfg.get("probe", {})
+    probe_cfg = known(cfg.get("probe", {}), ("mu_floor", "mu_cap", "rel_width"), "probe")
     result = solver.mu_threshold_probe(
         params, f, grid, controls=controls,
         mu_floor=value(probe_cfg, "mu_floor", "probe", float, 1e-8),
@@ -193,11 +198,11 @@ def cmd_probe(args) -> int:
     summary = {
         "config_hash": cfg_hash,
         "status": result.status,
-        "mu_lo": float(fmt17(result.mu_lo)),
-        "mu_hi": float(fmt17(result.mu_hi)),
-        "midpoint": float(fmt17(result.midpoint)) if result.status == "bracketed" else None,
+        "mu_lo": float(result.mu_lo),
+        "mu_hi": float(result.mu_hi),
+        "midpoint": float(result.midpoint) if result.status == "bracketed" else None,
         "note": result.note,
-        "evaluations": [[float(fmt17(m)), st] for m, st in result.evaluations],
+        "evaluations": [[float(m), st] for m, st in result.evaluations],
     }
     write_json(os.path.join(out, "probe.json"), summary)
     sys.stdout.write(f"probe: {result.status}\n")
@@ -205,7 +210,7 @@ def cmd_probe(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, _SWEEP_KEYS)
     out = _out_dir(args)
     plan = sweep.SweepPlan.from_dict(require(cfg, "plan", "config"))
     source, workers = "--workers", args.workers

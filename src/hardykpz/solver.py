@@ -26,7 +26,6 @@ from scipy.linalg import LinAlgError, lu_factor
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import (
-    ConfigError,
     DomainError,
     GridMismatchError,
     NumericalDivergenceError,
@@ -34,7 +33,7 @@ from .errors import (
 )
 from .specfun import ProblemParams, exponents_for, gamma_multiplier
 from .construct import SupersolutionSpec
-from .util import fmt17, require, value
+from .util import fmt17, known, require, value
 from . import radialop
 
 __all__ = [
@@ -145,13 +144,14 @@ def run_inputs(cfg: dict) -> tuple[ProblemParams, radialop.RadialGrid,
     """Problem, grid, controls and source of a run config.
 
     The one reader of the ``problem``/``grid``/``controls``/``source`` blocks:
-    ``hardykpz solve``/``damped``/``probe`` pass their config file, and every
-    sweep cell passes the run config its plan builds.  Defaults: ``mu`` 0,
-    ``R`` 1, ``g`` 2, and the schedule 2^0..2^(n_levels-1) with 13 levels
-    unless ``controls`` gives ``n_levels``, its only key.  A missing or
-    unknown key, or a value of the wrong type, raises ConfigError naming it.
+    ``hardykpz solve``/``damped``/``probe`` pass their config file, a sweep
+    plan its first cell's.  Defaults: ``mu`` 0, ``R`` 1, ``g`` 2, and the
+    schedule 2^0..2^(n_levels-1) with 13 levels unless ``controls`` gives
+    ``n_levels``, its only key.  A missing or unknown key, or a value of the
+    wrong type, raises ConfigError naming it.
     """
-    block = require(cfg, "problem", "config")
+    block = known(require(cfg, "problem", "config"), ("N", "s", "lambda", "p", "mu"),
+                  "problem")
     params = ProblemParams(
         N=value(block, "N", "problem", int),
         s=value(block, "s", "problem", float),
@@ -159,20 +159,17 @@ def run_inputs(cfg: dict) -> tuple[ProblemParams, radialop.RadialGrid,
         p=value(block, "p", "problem", float),
         mu=value(block, "mu", "problem", float, 0.0),
     )
-    block = require(cfg, "grid", "config")
+    block = known(require(cfg, "grid", "config"), ("R", "M", "g"), "grid")
     grid = radialop.build_grid(
         R=value(block, "R", "grid", float, 1.0),
         M=value(block, "M", "grid", int),
         g=value(block, "g", "grid", float, 2.0),
         N=params.N,
     )
-    block = cfg.get("controls", {})
+    block = known(cfg.get("controls", {}), ("n_levels",), "controls")
     n_levels = value(block, "n_levels", "controls", int, 13)
-    for key in block:
-        if key != "n_levels":
-            raise ConfigError(f"unknown key {key!r} in controls")
     controls = SolverControls(n_schedule=tuple(2.0**j for j in range(n_levels)))
-    block = require(cfg, "source", "config")
+    block = known(require(cfg, "source", "config"), ("coefficient", "exponent"), "source")
     source = PowerSource(
         coefficient=value(block, "coefficient", "source", float),
         exponent=value(block, "exponent", "source", float),
@@ -244,8 +241,8 @@ def lu_solve(getrs, factors: tuple, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _run_scheme(params: ProblemParams, alpha_damp: float, source_scale: float,
-                f: PowerSource, grid: radialop.RadialGrid, controls: SolverControls,
+def _run_scheme(params: ProblemParams, alpha_damp: float, f: PowerSource,
+                grid: radialop.RadialGrid, controls: SolverControls,
                 supersolution: SupersolutionSpec | None,
                 operator: radialop.OperatorMatrix | None) -> SolverReport:
     """Shared engine behind solve_kpz (alpha_damp = 0) and solve_damped.
@@ -274,7 +271,7 @@ def _run_scheme(params: ProblemParams, alpha_damp: float, source_scale: float,
     hardy_weight = r ** (-2.0 * params.s)
     factors = factor_operator(op)
     getrs, gesv = get_lapack_funcs(("getrs", "gesv"), (factors[0],))
-    source = source_scale * f.values(grid)
+    source = params.mu * f.values(grid)
 
     w_vals = None
     if supersolution is not None:
@@ -440,26 +437,22 @@ def solve_kpz(params: ProblemParams, f: PowerSource, grid: radialop.RadialGrid,
     sweep cells beyond p_plus, where no barrier exists).
     """
     controls = controls or SolverControls()
-    return _run_scheme(params, 0.0, params.mu, f, grid, controls,
-                       supersolution, operator)
+    return _run_scheme(params, 0.0, f, grid, controls, supersolution, operator)
 
 
-def solve_damped(params: ProblemParams, alpha_damp: float, c: float,
-                 f: PowerSource, grid: radialop.RadialGrid,
+def solve_damped(params: ProblemParams, alpha_damp: float, f: PowerSource,
+                 grid: radialop.RadialGrid,
                  controls: SolverControls | None = None,
                  supersolution: SupersolutionSpec | None = None,
                  operator: radialop.OperatorMatrix | None = None) -> SolverReport:
     """Truncation scheme with the gradient term damped by (1+u)^-alpha.
 
-    With alpha_damp = 0 this reduces bitwise to solve_kpz at source scale c.
+    The source is params.mu * f; with alpha_damp = 0 this is bitwise solve_kpz.
     """
     if alpha_damp < 0.0:
         raise DomainError("damping exponent must be nonnegative")
-    if c < 0.0:
-        raise DomainError("source scale must be nonnegative")
     controls = controls or SolverControls()
-    return _run_scheme(params, alpha_damp, c, f, grid, controls,
-                       supersolution, operator)
+    return _run_scheme(params, alpha_damp, f, grid, controls, supersolution, operator)
 
 
 @dataclass

@@ -4,16 +4,19 @@ A sweep runs the solver over a 1D or 2D lattice of (p, lambda, mu,
 alpha_damp) values, records the per-cell classification, and writes a CSV
 (one row per cell, in index order regardless of completion order) plus a
 JSON sidecar carrying the analytic overlay curves (p_plus, p_minus, p_star,
-2s along the swept axis) and the configuration hash.  Classification is
-data: solver errors inside a cell mark it Inconclusive and never abort the
-sweep.  Cells that land exactly on the critical exponent are Inconclusive
-by policy (nothing is proven at p = p_plus).
+2s along the swept axis) and the configuration hash.  Every cell is checked
+before any runs; one outside the analytic domain is a configuration error.
+Classification is data: solver errors inside a cell mark it Inconclusive and
+never abort the sweep.  Cells that land exactly on the critical exponent are
+Inconclusive by policy (nothing is proven at p = p_plus).  Each row is
+appended to the CSV as its cell finishes, so a killed sweep resumes from the
+cells it finished.
 
 The axes never change N, s or the grid, so a sweep has one operator: the
 parent process assembles and factors it once, before any cell runs, and
-every cell solves with it.  Pool workers receive it through the pool
-initializer and only run the triangular solves.  Serial and pool sweeps
-therefore read the same factors and write the same bytes.
+every cell solves with it.  Pool workers receive it, with the plan, through
+the pool initializer and only run the triangular solves.  Serial and pool
+sweeps therefore read the same factors and write the same bytes.
 """
 
 from __future__ import annotations
@@ -21,13 +24,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from dataclasses import asdict, dataclass, replace
 from itertools import product
 
 import numpy as np
 
-from .errors import ConfigError, HardyKPZError
+from .errors import ConfigError, DomainError, HardyKPZError
 from .specfun import exponents_for, hardy_constant
 from .util import config_hash, fmt17, from_block, value, write_json
 from . import radialop, solver
@@ -74,12 +77,13 @@ class SweepAxis:
 class SweepPlan:
     """Declarative description of one sweep.
 
-    ``problem`` holds the fixed parameters (N, s, lambda, p, mu); swept
-    parameters are overridden cell by cell.  ``kind`` selects the plain
-    gradient solver or the damped variant (which reads ``alpha_damp`` and
-    uses the mu axis as the source scale c).  ``problem``, ``grid`` and
-    ``source`` take the keys and defaults of a run config (see
-    ``solver.run_inputs``); ``n_levels`` sets the truncation schedule.
+    ``problem``, ``grid`` and ``source`` take the keys and defaults of a run
+    config (see ``solver.run_inputs``).  Construction reads them once, with
+    the first cell's swept values, and checks every cell: one outside the
+    analytic domain raises ConfigError naming it, before any cell runs.
+    ``kind`` selects the plain gradient solver or the damped variant, the
+    one that takes ``alpha_damp`` (a plan value or an axis); both scale the
+    source by ``mu``.  ``n_levels`` sets the truncation schedule.
     """
 
     problem: dict
@@ -108,23 +112,28 @@ class SweepPlan:
             total *= a.count
         if total > self.budget:
             raise ConfigError(f"{total} cells exceed the budget {self.budget}")
-        N = value(self.problem, "N", "problem", int)
-        s = value(self.problem, "s", "problem", float)
-        lam_max = hardy_constant(N, s)
-        for a in self.axes:
-            if a.count == 0:
-                continue
-            if a.name == "lambda" and not (0.0 < a.start and a.stop < lam_max):
-                raise ConfigError(
-                    f"lambda axis must stay inside (0, {lam_max}) for N={N}, s={s}"
-                )
-            if a.name == "p" and not (a.start > 1.0):
-                raise ConfigError("p axis must stay above 1")
-            if a.name in ("mu",) and a.start < 0.0:
-                raise ConfigError("mu axis must be nonnegative")
-        # plan-wide blocks fail here, before any cell runs
+        if self.kind == "kpz" and (self.alpha_damp != 0.0 or "alpha_damp" in names):
+            raise ConfigError("plan key 'alpha_damp' needs kind damped")
+        if not isinstance(self.problem, dict):
+            raise ConfigError("problem must be a JSON object")
         _, first = next(self.cells(), (0, {}))
-        solver.run_inputs(self._run_config(first))
+        problem = {**self.problem, **{k: v for k, v in first.items() if k != "alpha_damp"}}
+        self._params, self._grid, self._controls, self._source = solver.run_inputs(
+            {"problem": problem, "grid": self.grid, "source": self.source,
+             "controls": {"n_levels": self.n_levels}})
+        self._cells = []  # (params, alpha_damp, p_plus) of every cell, by index
+        for index, values in self.cells():
+            alpha = float(values.get("alpha_damp", self.alpha_damp))
+            try:
+                params = replace(self._params, **{
+                    {"lambda": "lam"}.get(k, k): v for k, v in values.items()
+                    if k != "alpha_damp"})
+                if alpha < 0.0:
+                    raise DomainError("damping exponent must be nonnegative")
+                p_plus = exponents_for(params.N, params.s, params.lam).p_plus
+            except DomainError as exc:
+                raise ConfigError(f"sweep cell {index} {values}: {exc}") from None
+            self._cells.append((params, alpha, p_plus))
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -132,13 +141,6 @@ class SweepPlan:
     @classmethod
     def from_dict(cls, d: dict) -> "SweepPlan":
         return from_block(cls, d, "plan")
-
-    def _run_config(self, values: dict) -> dict:
-        """Run config of the cell at ``values`` (alpha_damp is not a run key)."""
-        problem = dict(self.problem)
-        problem.update((k, v) for k, v in values.items() if k != "alpha_damp")
-        return {"problem": problem, "grid": self.grid, "source": self.source,
-                "controls": {"n_levels": self.n_levels}}
 
     def cells(self):
         """(index, {axis: value}) pairs in deterministic index order."""
@@ -179,10 +181,8 @@ def _plan_operator(plan: SweepPlan) -> radialop.OperatorMatrix | HardyKPZError:
     reaches its operator reports that error as its own, as a cell that
     built the operator itself would.
     """
-    _, first = next(plan.cells())
-    params, grid, _, _ = solver.run_inputs(plan._run_config(first))
     try:
-        op = radialop.assemble_operator(grid, params.N, params.s)
+        op = radialop.assemble_operator(plan._grid, plan._params.N, plan._params.s)
         solver.factor_operator(op)
     except HardyKPZError as exc:
         return exc
@@ -191,21 +191,19 @@ def _plan_operator(plan: SweepPlan) -> radialop.OperatorMatrix | HardyKPZError:
 
 def _run_cell(plan: SweepPlan, op: radialop.OperatorMatrix | HardyKPZError,
               index: int, values: dict) -> CellResult:
-    alpha = float(values.get("alpha_damp", plan.alpha_damp))
+    params, alpha, p_plus = plan._cells[index]
+    if abs(params.p - p_plus) < 1e-12:
+        return CellResult(index, values, "Inconclusive", math.nan, 0,
+                          "p equals p_plus: undecided by policy")
     try:
-        params, grid, controls, f = solver.run_inputs(plan._run_config(values))
-        rep = exponents_for(params.N, params.s, params.lam)
-        if abs(params.p - rep.p_plus) < 1e-12:
-            return CellResult(index, values, "Inconclusive", math.nan, 0,
-                              "p equals p_plus: undecided by policy")
         if isinstance(op, HardyKPZError):
             raise op
         if plan.kind == "damped":
-            report = solver.solve_damped(params, alpha, params.mu, f, grid,
-                                         controls=controls, operator=op)
+            report = solver.solve_damped(params, alpha, plan._source, plan._grid,
+                                         controls=plan._controls, operator=op)
         else:
-            report = solver.solve_kpz(params, f, grid, controls=controls,
-                                      operator=op)
+            report = solver.solve_kpz(params, plan._source, plan._grid,
+                                      controls=plan._controls, operator=op)
         iters = int(sum(row.inner_iters for row in report.trace))
         return CellResult(index, values, report.status,
                           report.field.sup_norm(), iters)
@@ -214,28 +212,28 @@ def _run_cell(plan: SweepPlan, op: radialop.OperatorMatrix | HardyKPZError,
                           f"{type(exc).__name__}: {exc}")
 
 
-# the plan's operator in a pool worker, set there by the pool initializer;
-# the parent process never sets it
+# the plan and its operator in a pool worker, set there by the pool
+# initializer; the parent process never sets them
+_worker_plan = None
 _worker_op = None
 
 
-def _use_operator(op) -> None:
-    """Pool initializer: keep the plan's operator for this worker's cells."""
-    global _worker_op
-    _worker_op = op
+def _use_plan(plan: SweepPlan, op) -> None:
+    """Pool initializer: keep the plan and its operator for this worker's cells."""
+    global _worker_plan, _worker_op
+    _worker_plan, _worker_op = plan, op
 
 
-def _pool_cell(plan: SweepPlan, index: int, values: dict) -> CellResult:
-    return _run_cell(plan, _worker_op, index, values)
+def _pool_cell(index: int, values: dict) -> CellResult:
+    return _run_cell(_worker_plan, _worker_op, index, values)
 
 
 def _overlay_for(plan: SweepPlan) -> dict:
     """Analytic exponent curves along the swept axis, recomputed fresh."""
-    N = int(plan.problem["N"])
-    s = float(plan.problem["s"])
+    N, s = plan._params.N, plan._params.s
     lam_axis = next((a for a in plan.axes if a.name == "lambda"), None)
     lams = lam_axis.points() if lam_axis is not None and lam_axis.count > 0 else \
-        np.asarray([float(plan.problem["lambda"])])
+        np.asarray([plan._params.lam])
     rows = [exponents_for(N, s, float(lam)) for lam in lams]
     return {
         "lambda": [float(x) for x in lams],
@@ -255,14 +253,15 @@ def _cells_path(out_dir: str) -> str:
     return os.path.join(out_dir, _CELLS_FILE)
 
 
-def _write_cells(path: str, plan: SweepPlan, cells: list) -> None:
-    names = [a.name for a in plan.axes]
-    with open(path, "w") as fh:
-        fh.write("index," + ",".join(names) + ",status,sup_norm,inner_iters,note\n")
-        for c in sorted(cells, key=lambda c: c.index):
-            vals = ",".join(fmt17(c.values[n]) for n in names)
-            fh.write(f"{c.index},{vals},{c.status},{fmt17(c.sup_norm)},"
-                     f"{c.inner_iters},{c.note}\n")
+def _cell_line(names: list, c: CellResult) -> str:
+    vals = ",".join(fmt17(c.values[n]) for n in names)
+    return f"{c.index},{vals},{c.status},{fmt17(c.sup_norm)},{c.inner_iters},{c.note}\n"
+
+
+def _write_cells(fh, names: list, cells: list) -> None:
+    """The cells.csv header, then one line per cell in the order given."""
+    fh.write("index," + ",".join(names) + ",status,sup_norm,inner_iters,note\n")
+    fh.writelines(_cell_line(names, c) for c in cells)
 
 
 def _load_done(out_dir: str, plan: SweepPlan, plan_hash: str) -> dict:
@@ -287,6 +286,8 @@ def _load_done(out_dir: str, plan: SweepPlan, plan_hash: str) -> dict:
         if not header.startswith("index,"):
             return {}
         for line in fh:
+            if not line.endswith("\n"):
+                break  # the row a killed sweep was writing
             parts = line.rstrip("\n").split(",")
             if len(parts) < 4 + len(names):
                 continue
@@ -300,6 +301,19 @@ def _load_done(out_dir: str, plan: SweepPlan, plan_hash: str) -> dict:
     return done
 
 
+def _finished_cells(plan: SweepPlan, op, todo: list, workers: int):
+    """Results of the cells in ``todo``, in the order they finish."""
+    if workers <= 1:
+        for idx, vals in todo:
+            yield _run_cell(plan, op, idx, vals)
+        return
+    with ProcessPoolExecutor(max_workers=workers, initializer=_use_plan,
+                             initargs=(plan, op)) as pool:
+        futures = [pool.submit(_pool_cell, idx, vals) for idx, vals in todo]
+        for fut in as_completed(futures):
+            yield fut.result()
+
+
 def run_sweep(plan: SweepPlan, out_dir: str | None = None, workers: int = 1,
               resume: bool = True) -> RegionMap:
     """Execute every cell of the plan; optionally checkpoint to out_dir.
@@ -307,39 +321,47 @@ def run_sweep(plan: SweepPlan, out_dir: str | None = None, workers: int = 1,
     The plan's operator is assembled and factored here, once, when any cell
     is left to run.  With ``workers`` > 1 and more than one cell left, the
     cells run in a pool of min(workers, cells left) processes, whose
-    initializer hands each one the operator.
+    initializer hands each one the plan and the operator.
 
-    With ``resume`` (default) cells already present in an existing cells.csv
-    under the same output directory are not recomputed; a checkpoint whose
-    overlay.json names another plan hash raises ConfigError.  Cell results are
-    always written in index order, so output bytes do not depend on worker
-    scheduling.
+    overlay.json (with the plan hash) and cells.csv (header and resumed
+    cells) are written before any cell runs, and each row is appended and
+    flushed as its cell finishes.  At the end both are written in full, rows
+    in index order, so their bytes do not depend on worker scheduling.  With
+    ``resume`` (default) cells already in out_dir's cells.csv are not
+    recomputed; a checkpoint whose overlay.json names another plan hash
+    raises ConfigError.
     """
     plan_dict = plan.as_dict()
     plan_hash = config_hash(plan_dict)
+    names = [a.name for a in plan.axes]
     done: dict = {}
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         if resume:
             done = _load_done(out_dir, plan, plan_hash)
     todo = [(idx, vals) for idx, vals in plan.cells() if idx not in done]
-    results = list(done.values())
-    op = _plan_operator(plan) if todo else None
-    workers = min(workers, len(todo))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_use_operator,
-                                 initargs=(op,)) as pool:
-            futures = [pool.submit(_pool_cell, plan, idx, vals)
-                       for idx, vals in todo]
-            results.extend(fut.result() for fut in futures)
-    else:
-        results.extend(_run_cell(plan, op, idx, vals) for idx, vals in todo)
-    results.sort(key=lambda c: c.index)
+    results = sorted(done.values(), key=lambda c: c.index)
     overlay = _overlay_for(plan)
+    if out_dir is None:
+        checkpoint = open(os.devnull, "w")
+    else:
+        write_json(os.path.join(out_dir, _SIDECAR_FILE),
+                   {"plan": plan_dict, "plan_hash": plan_hash})
+        checkpoint = open(_cells_path(out_dir), "w")
+    with checkpoint:
+        _write_cells(checkpoint, names, results)
+        checkpoint.flush()
+        op = _plan_operator(plan) if todo else None
+        for cell in _finished_cells(plan, op, todo, min(workers, len(todo))):
+            results.append(cell)
+            checkpoint.write(_cell_line(names, cell))
+            checkpoint.flush()
+    results.sort(key=lambda c: c.index)
     region = RegionMap(plan=plan, cells=results, overlay=overlay,
                        plan_hash=plan_hash)
     if out_dir is not None:
-        _write_cells(_cells_path(out_dir), plan, results)
+        with open(_cells_path(out_dir), "w") as fh:
+            _write_cells(fh, names, results)
         sidecar = {
             "plan": plan_dict,
             "plan_hash": region.plan_hash,

@@ -34,6 +34,18 @@ def write_json(path: str, obj) -> None:
         fh.write(json_text(obj))
 
 
+def known(block, keys, where: str) -> dict:
+    """``block`` when it is a dict whose keys are all in ``keys``; otherwise
+    ConfigError naming the block or the first unknown key.
+    """
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    for key in block:
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+    return block
+
+
 def require(block, key: str, where: str):
     """``block[key]``; ConfigError naming the key (or the block) otherwise."""
     if not isinstance(block, dict):
@@ -74,12 +86,8 @@ def from_block(cls, block, where: str):
 
     An unknown or missing key raises ConfigError naming it.
     """
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where} must be a JSON object")
     fields = {f.name: f for f in dataclasses.fields(cls)}
-    for key in block:
-        if key not in fields:
-            raise ConfigError(f"unknown key {key!r} in {where}")
+    known(block, fields, where)
     for name, f in fields.items():
         if name not in block and f.default is dataclasses.MISSING \
                 and f.default_factory is dataclasses.MISSING:

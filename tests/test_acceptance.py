@@ -213,7 +213,7 @@ def test_criterion_7_damped_regime():
     grid = ro.build_grid(1.0, 100, 2.0, N)
     params = sf.ProblemParams(N=N, s=S, lam=LAM, p=p, mu=c)
     op = ro.assemble_operator(grid, N, S)
-    rep = so.solve_damped(params, alpha, c, so.PowerSource(1.0, spec.f_bound_exponent),
+    rep = so.solve_damped(params, alpha, so.PowerSource(1.0, spec.f_bound_exponent),
                           grid, controls=CTRL, supersolution=spec, operator=op)
     rejected = False
     try:

@@ -169,12 +169,11 @@ def test_blowup_is_data_not_failure(tmp_path):
 
 def test_damped_cli(tmp_path):
     cfg = {
-        "problem": {"N": N, "s": S, "lambda": LAM, "p": 2 * S - 0.05, "mu": 0.0},
+        "problem": {"N": N, "s": S, "lambda": LAM, "p": 2 * S - 0.05, "mu": 1e-4},
         "grid": {"R": 1.0, "M": 64, "g": 2.0},
         "controls": {"n_levels": 15},
         "source": {"coefficient": 1.0, "exponent": 0.5},
         "alpha_damp": 2 * S - 1 + 0.5,
-        "c": 1e-4,
         "supersolution": "auto",
     }
     path = os.path.join(tmp_path, "cfg.json")
@@ -281,7 +280,7 @@ def _solve_cfg(**over):
 
 
 def _damped_cfg(**over):
-    return _solve_cfg(alpha_damp=2 * S - 1 + 0.5, c=1e-4, **over)
+    return _solve_cfg(alpha_damp=2 * S - 1 + 0.5, **over)
 
 
 def _main(capsys, tmp_path, command, cfg, *extra):
@@ -330,6 +329,17 @@ def _main(capsys, tmp_path, command, cfg, *extra):
     ("sweep", _sweep_cfg(budget="4096"), "plan key 'budget'"),
     ("sweep", _sweep_cfg(alpha_damp="x"), "plan key 'alpha_damp'"),
     ("solve", _solve_cfg(grid={"R": 1.0, "M": "32", "g": 2.0}), "grid key 'M'"),
+    ("solve", _solve_cfg(problem={"N": N, "s": S, "lambda": LAM, "p": 1.3, "MU": 1e-3}),
+     "'MU' in problem"),
+    ("solve", _solve_cfg(grid={"R": 1.0, "M": 32, "G": 2.0}), "'G' in grid"),
+    ("solve", _solve_cfg(source={"coefficient": 0.3, "exponant": 2 * S}),
+     "'exponant' in source"),
+    ("solve", _solve_cfg(supersolutoin="auto"), "'supersolutoin' in config"),
+    ("probe", _solve_cfg(probe={"rel_widht": 0.05}), "'rel_widht' in probe"),
+    ("damped", _damped_cfg(c=1e-4), "'c' in config"),
+    ("sweep", {**_sweep_cfg(), "workers": 2}, "'workers' in config"),
+    ("sweep", _sweep_cfg(problem={"N": N, "s": S, "lambda": LAM, "p": 1.3, "MU": 1e-3}),
+     "'MU' in problem"),
 ], ids=["sweep-missing-N", "sweep-plan-n_levels", "solve-unknown-control",
         "sweep-unknown-control", "sweep-unknown-plan-key", "sweep-unknown-axis-key",
         "sweep-negative-source", "solve-non-object-config", "solve-grid-M-not-int",
@@ -339,7 +349,10 @@ def _main(capsys, tmp_path, command, cfg, *extra):
         "probe-rel_width-string", "probe-mu_floor-null", "probe-mu_cap-bool",
         "probe-non-object-block", "sweep-count-string", "sweep-count-fraction",
         "sweep-start-string", "sweep-stop-null", "sweep-axes-not-list",
-        "sweep-budget-string", "sweep-alpha_damp-string", "solve-grid-M-string"])
+        "sweep-budget-string", "sweep-alpha_damp-string", "solve-grid-M-string",
+        "solve-problem-typo", "solve-grid-typo", "solve-source-typo",
+        "solve-top-level-typo", "probe-block-typo", "damped-c", "sweep-top-level-key",
+        "sweep-problem-typo"])
 def test_malformed_input_exits_2(capsys, tmp_path, monkeypatch, command, cfg, named):
     monkeypatch.delenv("HARDYKPZ_WORKERS", raising=False)
     code, err = _main(capsys, tmp_path, command, cfg)
@@ -347,6 +360,29 @@ def test_malformed_input_exits_2(capsys, tmp_path, monkeypatch, command, cfg, na
     assert named in err
     # a plan-wide error stops the sweep before any cell is written
     assert not os.path.exists(os.path.join(tmp_path, "out", "cells.csv"))
+
+
+@pytest.mark.parametrize("over, named", [
+    ({"kind": "damped", "alpha_damp": 0.0,
+      "axes": [{"name": "alpha_damp", "start": -0.5, "stop": 1.0, "count": 4}]},
+     "sweep cell 0 {'alpha_damp': -0.5}: damping exponent must be nonnegative"),
+    ({"axes": [{"name": "alpha_damp", "start": 0.0, "stop": 2.0, "count": 3}]},
+     "'alpha_damp' needs kind damped"),
+    ({"alpha_damp": 1.0}, "'alpha_damp' needs kind damped"),
+    ({"problem": {"N": N, "s": S, "lambda": 0.0, "p": 1.3, "mu": 1e-3}},
+     "sweep cell 0 {'p': 1.25}: lambda must be positive"),
+], ids=["damped-negative-cell", "kpz-alpha_damp-axis", "kpz-alpha_damp-value",
+        "lambda-zero"])
+def test_plan_errors_exit_2_before_assembly(capsys, tmp_path, monkeypatch, over, named):
+    monkeypatch.delenv("HARDYKPZ_WORKERS", raising=False)
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("an operator was assembled for a plan with an error")
+    monkeypatch.setattr(ro, "assemble_operator", no_assembly)
+    code, err = _main(capsys, tmp_path, "sweep", _sweep_cfg(**over))
+    assert code == 2
+    assert named in err
+    assert os.listdir(os.path.join(tmp_path, "out")) == []
 
 
 @pytest.mark.parametrize("probe, named", [
@@ -367,12 +403,18 @@ def test_probe_bounds_exit_2_before_any_scheme(capsys, tmp_path, monkeypatch, pr
     assert named in err
 
 
-def test_readme_configs_pass_the_readers():
+def test_readme_configs_pass_the_readers(tmp_path):
     """The solve and sweep configs shown in README.md pass the config readers."""
     with open(os.path.join(ROOT, "README.md")) as fh:
         blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", fh.read(), re.S)]
     [run_cfg] = [b for b in blocks if "problem" in b]
     [sweep_cfg] = [b for b in blocks if "plan" in b]
+    # the readers of `solve`, `damped` and `probe`, then those of `sweep`
+    path = os.path.join(tmp_path, "cfg.json")
+    for cfg, keys in ((run_cfg, cli._RUN_KEYS), (sweep_cfg, cli._SWEEP_KEYS)):
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        assert cli._load_config(path, keys) == cfg
     solver.run_inputs(run_cfg)
     cli._auto_supersolution(run_cfg)
     sweep.SweepPlan.from_dict(sweep_cfg["plan"])

@@ -92,7 +92,7 @@ def test_damped_zero_alpha_matches_kpz_bitwise(grid, op):
     params = _params(1.25, 1e-3)
     f = so.PowerSource(0.3, 2 * S)
     a = so.solve_kpz(params, f, grid, controls=CTRL, operator=op)
-    b = so.solve_damped(params, 0.0, params.mu, f, grid, controls=CTRL, operator=op)
+    b = so.solve_damped(params, 0.0, f, grid, controls=CTRL, operator=op)
     assert np.array_equal(a.field.values, b.field.values)
     assert a.status == b.status
 
@@ -105,7 +105,7 @@ def test_damped_strong_damping_converges(grid):
     params = sf.ProblemParams(N=N, s=S, lam=LAM, p=p, mu=c)
     op_local = ro.assemble_operator(grid, N, S)
     f = so.PowerSource(1.0, spec.f_bound_exponent)
-    rep = so.solve_damped(params, alpha, c, f, grid, controls=CTRL,
+    rep = so.solve_damped(params, alpha, f, grid, controls=CTRL,
                           supersolution=spec, operator=op_local)
     assert rep.status == "Converged"
     assert np.all(rep.field.values <= spec.evaluate(grid.r) + 1e-10)
@@ -113,7 +113,7 @@ def test_damped_strong_damping_converges(grid):
 
 def test_damped_zero_source_is_zero(grid, op):
     params = _params(1.3, 0.0)
-    rep = so.solve_damped(params, 1.0, 0.0, so.PowerSource(1.0, 0.5), grid,
+    rep = so.solve_damped(params, 1.0, so.PowerSource(1.0, 0.5), grid,
                           controls=CTRL, operator=op)
     assert rep.status == "Converged"
     assert rep.field.sup_norm() == 0.0
@@ -166,6 +166,44 @@ def test_probe_brackets_and_scales(grid):
     # doubling the source exactly halves the threshold (the scheme depends
     # on the product mu * f only)
     assert res2.midpoint == pytest.approx(res.midpoint / 2.0, rel=1e-12)
+
+
+def _probes_under_f_and_2f(lam, p, mu0, coefficient):
+    grid = ro.build_grid(1.0, 32, 2.0, N)
+    params = sf.ProblemParams(N=N, s=S, lam=lam, p=p, mu=mu0)
+    ctrl = so.SolverControls(n_schedule=tuple(2.0**j for j in range(12)))
+    f = so.PowerSource(coefficient, 2 * S)
+    return (so.mu_threshold_probe(params, f, grid, controls=ctrl),
+            so.mu_threshold_probe(params, f.scaled(2.0), grid, controls=ctrl))
+
+
+@settings(max_examples=5, deadline=None)
+@given(lam_frac=st.floats(0.05, 0.9), p_frac=st.floats(0.2, 1.2),
+       log_mu0=st.floats(-5.0, 0.0), coefficient=st.floats(0.05, 2.0))
+def test_doubling_the_source_halves_the_probe_bracket(lam_frac, p_frac, log_mu0,
+                                                      coefficient):
+    # a run at mu with 2f is bitwise the run at 2 mu with f, and the
+    # bisection's lattice mu0 * 2^(dyadic) maps onto itself under one octave.
+    # The probe counts a MaxIterations run as the blow-up side, so with one
+    # the bracket can depend on the path (see the test below).
+    lam = lam_frac * sf.hardy_constant(N, S)
+    p = 1.0 + p_frac * (sf.exponents_for(N, S, lam).p_plus - 1.0)
+    res, res2 = _probes_under_f_and_2f(lam, p, 10.0**log_mu0, coefficient)
+    assume(res.status == res2.status == "bracketed")
+    assume(all(st != "MaxIterations" for _, st in res.evaluations + res2.evaluations))
+    assert (res2.mu_lo, res2.mu_hi) == (res.mu_lo / 2.0, res.mu_hi / 2.0)
+
+
+@pytest.mark.xfail(strict=True, reason="a MaxIterations run counts as the blow-up "
+                   "side of the probe; ROADMAP item 1c")
+def test_doubling_the_source_halves_the_bracket_with_an_undecided_run():
+    # under f the probe meets MaxIterations at mu = 13.22 and brackets
+    # [12.66, 13.22]; under 2f it brackets [15.73, 16.42], because the status
+    # is not monotone in mu here: Converged runs lie above undecided ones
+    res, res2 = _probes_under_f_and_2f(0.02916445837810979, 1.3701919900061528,
+                                       5.044834167690188e-05, 0.16072294185523298)
+    assert res.status == res2.status == "bracketed"
+    assert (res2.mu_lo, res2.mu_hi) == (res.mu_lo / 2.0, res.mu_hi / 2.0)
 
 
 def test_probe_zero_source_inconclusive(grid):
@@ -392,7 +430,7 @@ def _solve_case(case, grid, op):
     if alpha == 0.0:
         return so.solve_kpz(params, f, grid, controls=controls, supersolution=spec,
                             operator=op)
-    return so.solve_damped(params, alpha, params.mu, f, grid, controls=controls,
+    return so.solve_damped(params, alpha, f, grid, controls=controls,
                            supersolution=spec, operator=op)
 
 

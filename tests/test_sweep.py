@@ -255,6 +255,78 @@ def test_sweep_pool_is_sized_to_the_cells_left(tmp_path, monkeypatch, workers, c
     assert region.cells == sw.run_sweep(plan).cells
 
 
+def _no_real_pool(monkeypatch):
+    """Run pool sweeps in-process, and undo what the pool initializer sets."""
+    monkeypatch.setattr(sw, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(sw, "_worker_plan", None)
+    monkeypatch.setattr(sw, "_worker_op", None)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_reads_its_run_inputs_once(monkeypatch, workers):
+    _no_real_pool(monkeypatch)
+    calls = {"run_inputs": 0, "build_grid": 0}
+    for module, name in ((so, "run_inputs"), (ro, "build_grid")):
+        def counting(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    plan = _plan(axes=[{"name": "p", "start": 1.2, "stop": 1.5, "count": 16}],
+                 grid={"R": 1.0, "M": 32, "g": 2.0}, n_levels=10)
+    region = sw.run_sweep(plan, workers=workers)
+    assert len(region.cells) == 16
+    assert calls == {"run_inputs": 1, "build_grid": 1}
+
+
+class _StoringPool(_InlinePool):
+    """_InlinePool whose futures hold a cell's exception, as a process pool's do."""
+
+    def submit(self, fn, *args):
+        done = Future()
+        try:
+            done.set_result(fn(*args))
+        except BaseException as exc:
+            done.set_exception(exc)
+        return done
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+@pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+def test_killed_sweep_keeps_its_finished_cells(tmp_path, monkeypatch, workers, k):
+    _no_real_pool(monkeypatch)
+    monkeypatch.setattr(sw, "ProcessPoolExecutor", _StoringPool)
+    cells, overlay = _finished_sweep()
+    header, *rows = cells.decode().splitlines(keepends=True)
+    solve_kpz, solved = so.solve_kpz, []
+
+    def interrupted(*args, **kwargs):
+        if len(solved) == k:
+            raise KeyboardInterrupt
+        solved.append(args)
+        return solve_kpz(*args, **kwargs)
+    d = str(tmp_path)
+    with mock.patch.object(so, "solve_kpz", interrupted), pytest.raises(KeyboardInterrupt):
+        sw.run_sweep(_plan(**_RESUME_PLAN), out_dir=d, workers=workers)
+    first, *kept = open(os.path.join(d, "cells.csv")).read().splitlines(keepends=True)
+    assert first == header
+    assert set(kept) <= set(rows)
+    if workers == 1:
+        # the cells before the interrupted one, each row in full
+        assert kept == rows[:len(kept)]
+        assert sum("policy" not in row for row in kept) == k
+    # a kill in the middle of a row leaves it unterminated, here with every
+    # field but a digit short
+    lost = [row for row in rows if row not in kept]
+    with open(os.path.join(d, "cells.csv"), "a") as fh:
+        fh.write(lost[0][:-3])
+    with mock.patch.object(so, "solve_kpz", wraps=so.solve_kpz) as solve:
+        sw.run_sweep(_plan(**_RESUME_PLAN), out_dir=d, workers=workers)
+    assert solve.call_count == sum("policy" not in row for row in lost)
+    for name, expected in (("cells.csv", cells), ("overlay.json", overlay)):
+        assert open(os.path.join(d, name), "rb").read() == expected, name
+
+
 @pytest.mark.parametrize("kind", ["kpz", "damped"])
 def test_sweep_cell_matches_direct_solve(kind):
     plan = _plan(axes=[{"name": "p", "start": 1.25, "stop": 1.45, "count": 3}],
@@ -267,7 +339,7 @@ def test_sweep_cell_matches_direct_solve(kind):
                "controls": {"n_levels": plan.n_levels}, "source": plan.source}
         params, grid, controls, f = so.run_inputs(cfg)
         if kind == "damped":
-            rep = so.solve_damped(params, plan.alpha_damp, params.mu, f, grid,
+            rep = so.solve_damped(params, plan.alpha_damp, f, grid,
                                   controls=controls)
         else:
             rep = so.solve_kpz(params, f, grid, controls=controls)
