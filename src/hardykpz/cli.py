@@ -28,9 +28,10 @@ from . import construct, radialop, solver, sweep
 _ENV_OUTDIR = "HARDYKPZ_OUTPUT_DIR"
 _ENV_WORKERS = "HARDYKPZ_WORKERS"
 
-# the top-level keys of a run config (solve, damped, probe) and of a sweep config
-_RUN_KEYS = ("problem", "grid", "controls", "source", "supersolution", "alpha_damp",
-             "probe")
+# the top-level keys of a run config (solve, probe), of a damped config and of
+# a sweep config
+_RUN_KEYS = ("problem", "grid", "controls", "source", "supersolution")
+_DAMPED_KEYS = (*_RUN_KEYS, "alpha_damp")
 _SWEEP_KEYS = ("plan",)
 
 
@@ -63,9 +64,9 @@ def _load_config(path: str, keys) -> dict:
     return known(cfg, keys, "config")
 
 
-def _run_inputs(args):
+def _run_inputs(args, keys=_RUN_KEYS):
     """(config, output dir, problem, grid, controls, source) of a run command."""
-    cfg = _load_config(args.config, _RUN_KEYS)
+    cfg = _load_config(args.config, keys)
     out = _out_dir(args)
     return (cfg, out, *solver.run_inputs(cfg))
 
@@ -109,8 +110,7 @@ def cmd_exponents(args) -> int:
 
 def cmd_oracle(args) -> int:
     grid = radialop.build_grid(args.R, args.M, args.g, args.N)
-    op = radialop.assemble_operator(grid, args.N, args.s,
-                                    profile_exponent=args.profile_exponent)
+    op = radialop.assemble_operator(grid, args.N, args.s)
     r_max = args.r_max if args.r_max is not None else 0.1 * args.R
     err = radialop.oracle_power_test(op, args.theta, r_max)
     result = {"theta": args.theta, "max_rel_error": float(err),
@@ -119,8 +119,7 @@ def cmd_oracle(args) -> int:
               "checked_r_max": float(r_max)}
     if args.refine:
         grid2 = radialop.build_grid(args.R, 2 * args.M, args.g, args.N)
-        op2 = radialop.assemble_operator(grid2, args.N, args.s,
-                                         profile_exponent=args.profile_exponent)
+        op2 = radialop.assemble_operator(grid2, args.N, args.s)
         # compare over the window the coarse grid resolves
         r_lo = op.oracle_r_min
         radii2, rel2, _ = radialop.power_test_profile(op2, args.theta, r_max)
@@ -161,7 +160,8 @@ def cmd_solve(args) -> int:
     cfg, out, params, grid, controls, f = _run_inputs(args)
     spec = None
     if _auto_supersolution(cfg):
-        spec = construct.dirichlet_supersolution(params, f.exponent, f.coefficient)
+        spec = construct.dirichlet_supersolution(params, f.exponent, f.coefficient,
+                                                 R=grid.R)
     report = solver.solve_kpz(params, f, grid, controls=controls,
                               supersolution=spec)
     cfg_hash = _write_resolved(cfg, out)
@@ -171,12 +171,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_damped(args) -> int:
-    cfg, out, params, grid, controls, f = _run_inputs(args)
+    cfg, out, params, grid, controls, f = _run_inputs(args, _DAMPED_KEYS)
     alpha = value(cfg, "alpha_damp", "config", float)
     spec = None
     if _auto_supersolution(cfg):
         spec = construct.damped_supersolution(params.N, params.s, params.lam,
-                                              params.p, alpha)
+                                              params.p, alpha, R=grid.R)
     report = solver.solve_damped(params, alpha, f, grid, controls=controls,
                                  supersolution=spec)
     cfg_hash = _write_resolved(cfg, out)
@@ -187,13 +187,8 @@ def cmd_damped(args) -> int:
 
 def cmd_probe(args) -> int:
     cfg, out, params, grid, controls, f = _run_inputs(args)
-    probe_cfg = known(cfg.get("probe", {}), ("mu_floor", "mu_cap", "rel_width"), "probe")
-    result = solver.mu_threshold_probe(
-        params, f, grid, controls=controls,
-        mu_floor=value(probe_cfg, "mu_floor", "probe", float, 1e-8),
-        mu_cap=value(probe_cfg, "mu_cap", "probe", float, 1e8),
-        rel_width=value(probe_cfg, "rel_width", "probe", float, 0.05),
-    )
+    _auto_supersolution(cfg)  # checked as for solve, but the probe runs without a barrier
+    result = solver.mu_threshold_probe(params, f, grid, controls=controls)
     cfg_hash = _write_resolved(cfg, out)
     summary = {
         "config_hash": cfg_hash,
@@ -272,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--R", type=float, default=1.0)
     po.add_argument("--M", type=int, default=200)
     po.add_argument("--g", type=float, default=2.0)
-    po.add_argument("--profile-exponent", type=float, default=None)
     po.add_argument("--tolerance", type=float, default=0.02)
     po.add_argument("--r-max", type=float, default=None,
                     help="check window upper radius (default R/10)")

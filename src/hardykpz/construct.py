@@ -3,7 +3,7 @@
 All constructions here are power profiles w = A |x|^-theta whose response
 under the fractional Laplacian is available through the Gamma-ratio
 multiplier, so admissibility and margins reduce to scalar inequalities on
-the unit ball; no discrete operator enters.
+the ball of radius R; no discrete operator enters.
 
 Margins are recorded as coefficients of r^-(theta+2s): the supersolution
 inequality, multiplied through by r^(theta+2s), becomes a scalar inequality
@@ -108,8 +108,10 @@ def _theta_ladder(mu: float, top: float):
 
 
 def dirichlet_supersolution(params: ProblemParams, f_bound_exponent: float,
-                            f_bound_coef: float = 1.0) -> SupersolutionSpec:
-    """Radial supersolution of the Dirichlet problem for sources f <= C |x|^-e.
+                            f_bound_coef: float = 1.0,
+                            R: float = 1.0) -> SupersolutionSpec:
+    """Radial supersolution of the Dirichlet problem on the ball of radius R
+    for sources f <= C |x|^-e.
 
     Walks theta up from just above mu(lambda) (a tenth of the window first,
     deeper only if needed) and takes the amplitude at the balance point, the
@@ -134,7 +136,6 @@ def dirichlet_supersolution(params: ProblemParams, f_bound_exponent: float,
     cf = float(f_bound_coef)
     if cf < 0.0:
         raise DomainError("source bound coefficient must be nonnegative")
-    R = 1.0  # constructions are stated on the unit ball; rescale explicitly
     best = None
     for theta in _theta_ladder(mu, top):
         if e > 2.0 * s + theta:
@@ -166,8 +167,9 @@ def dirichlet_supersolution(params: ProblemParams, f_bound_exponent: float,
 
 
 def damped_supersolution(N: int, s: float, lam: float, p: float,
-                         alpha_damp: float) -> SupersolutionSpec:
-    """Supersolution for the gradient term damped by (1+u)^-alpha.
+                         alpha_damp: float, R: float = 1.0) -> SupersolutionSpec:
+    """Supersolution on the ball of radius R for the gradient term damped by
+    (1+u)^-alpha.
 
     Requires alpha_damp > 2s - 1 strictly and p < 2s.  Returns the profile
     exponent beta close to mu(lambda), the amplitude, and the margin
@@ -187,7 +189,13 @@ def damped_supersolution(N: int, s: float, lam: float, p: float,
     ProblemParams(N=N, s=s, lam=lam, p=p)  # the domain checks of the point
     rep = specfun.exponents_for(N, s, lam)
     mu, mubar = rep.mu_exp, rep.mubar_exp
-    beta = next(_theta_ladder(mu, mubar))
+    beta = next(_theta_ladder(mu, mubar), None)
+    if beta is None:
+        raise ConstructionError(
+            f"empty damped window: mubar - mu = {mubar - mu} is too narrow for "
+            "the least exponent step (lambda too close to Lambda)",
+            {"window": (mu, mubar)},
+        )
     # damped admissibility: (beta(alpha+1)+2s)/(beta+1) > 2s > p holds for
     # every beta > 0 once alpha > 2s-1; keep the explicit guard anyway.
     if (beta * (alpha_damp + 1.0) + 2.0 * s) / (beta + 1.0) <= p:
@@ -195,7 +203,6 @@ def damped_supersolution(N: int, s: float, lam: float, p: float,
             "damped window degenerate: gradient term not dominated",
             {"beta": beta, "alpha": alpha_damp},
         )
-    R = 1.0
     gam = gamma_multiplier((N - 2.0 * s) / 2.0 - beta, N, s)
     grad_pow = beta + 2.0 * s - ((beta + 1.0) * p - beta * alpha_damp)
     if grad_pow <= 0.0:

@@ -13,11 +13,11 @@ form) against Gauss-Legendre quadrature in the polar angle.
 Discretization notes
 --------------------
 * Collocation rows are written against a calibration power profile
-  rho^(-w0) (w0 = ``profile_exponent``, default (N-2s)/2, the center of the
-  admissible singularity range).  The hypersingular principal value of the
-  profile itself is inserted analytically through the Gamma-ratio
-  multiplier, so the matrix is exact on the profile family and on constant
-  fields up to quadrature accuracy.
+  rho^(-w0) with the fixed w0 = (N-2s)/2, the center of the admissible
+  singularity range.  The hypersingular principal value of the profile
+  itself is inserted analytically through the Gamma-ratio multiplier, so
+  the matrix is exact on the profile family and on constant fields up to
+  quadrature accuracy.
 * Within cells and pairing panels, nodal values are interpolated along the
   profile (a convex blend that reproduces both constants and the profile),
   which keeps every interpolation weight a convex combination: the rows
@@ -619,14 +619,12 @@ class _Assembler:
                 A[ii, ii] += target0 - rowsum
 
 
-def assemble_operator(grid: RadialGrid, N: int, s: float,
-                      profile_exponent: float | None = None) -> OperatorMatrix:
+def assemble_operator(grid: RadialGrid, N: int, s: float) -> OperatorMatrix:
     """Assemble the dense collocation matrix of (-Lap)^s with exterior zero.
 
-    ``profile_exponent`` selects the calibration power rho^(-w0); the default
-    (N-2s)/2 is the midpoint of the admissible singular range.  Solver runs
-    use the default: the midrange profile keeps the discrete Hardy quotient
-    at the singular nodes pinned to the sharp constant, so the Picard map
+    The calibration power is rho^(-w0) with w0 = (N-2s)/2, the midpoint of
+    the admissible singular range: it keeps the discrete Hardy quotient at
+    the singular nodes pinned to the sharp constant, so the Picard map
     contracts at rate about lambda/Lambda; a profile matched to mu(lambda)
     would drive that quotient down to lambda itself and stall the iteration.
     Raises AssemblyError when the angular closed form fails its quadrature
@@ -636,11 +634,7 @@ def assemble_operator(grid: RadialGrid, N: int, s: float,
         raise GridMismatchError(f"grid was built for N={grid.N}, assembly asked N={N}")
     if not (0.0 < s < 1.0) or N <= 2 * s:
         raise DomainError(f"need 0 < s < 1 and N > 2s, got N={N}, s={s}")
-    w0 = (N - 2.0 * s) / 2.0 if profile_exponent is None else float(profile_exponent)
-    if not (0.0 < w0 < N - 2.0 * s):
-        raise DomainError(
-            f"profile exponent must lie in (0, N-2s) = (0, {N - 2 * s}), got {w0}"
-        )
+    w0 = (N - 2.0 * s) / 2.0
     return OperatorMatrix(matrix=_Assembler(grid, N, s, w0).assemble(), grid=grid,
                           N=N, s=s)
 

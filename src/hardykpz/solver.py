@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
@@ -455,6 +455,12 @@ def solve_damped(params: ProblemParams, alpha_damp: float, f: PowerSource,
     return _run_scheme(params, alpha_damp, f, grid, controls, supersolution, operator)
 
 
+# the probe's search range for mu and the relative width of its final bracket
+_MU_FLOOR = 1e-8
+_MU_CAP = 1e8
+_REL_WIDTH = 0.05
+
+
 @dataclass
 class ProbeResult:
     """Bracketing outcome of the source-scale threshold probe."""
@@ -472,24 +478,17 @@ class ProbeResult:
 
 def mu_threshold_probe(params: ProblemParams, f: PowerSource,
                        grid: radialop.RadialGrid,
-                       controls: SolverControls | None = None,
-                       mu_floor: float = 1e-8, mu_cap: float = 1e8,
-                       rel_width: float = 0.05) -> ProbeResult:
+                       controls: SolverControls | None = None) -> ProbeResult:
     """Bisect the source scale between a Converged and a BlowUp run.
 
-    The operator is assembled and factored once and reused.  Returns bracket
-    endpoints with relative width <= rel_width, or an inconclusive result
-    (reported, not raised) when no bracket exists inside [mu_floor, mu_cap] -
-    e.g. for a vanishing source, where the scale is irrelevant by design.
-    Raises DomainError, before any scheme runs, unless rel_width > 0 and
-    0 < mu_floor < mu_cap: otherwise the bisection would never end or would
-    divide by a zero lower end.
+    The operator is assembled and factored once and reused.  From mu_0 =
+    ``params.mu`` (1 when it is 0), the scale steps by a factor 4 (up from a
+    Converged run, down from any other) until the status flips, then bisects
+    geometrically to relative width <= ``_REL_WIDTH``.  The result is
+    inconclusive (reported, not raised) when no bracket exists inside
+    [``_MU_FLOOR``, ``_MU_CAP``] - e.g. for a vanishing source, where the
+    scale is irrelevant by design.
     """
-    if not rel_width > 0.0:
-        raise DomainError(f"probe key 'rel_width' must be > 0, got {rel_width}")
-    if not 0.0 < mu_floor < mu_cap:
-        raise DomainError(f"probe keys need 0 < 'mu_floor' < 'mu_cap', "
-                          f"got mu_floor={mu_floor}, mu_cap={mu_cap}")
     controls = controls or SolverControls()
     if f.coefficient == 0.0:
         return ProbeResult(status="inconclusive",
@@ -497,41 +496,28 @@ def mu_threshold_probe(params: ProblemParams, f: PowerSource,
     op = radialop.assemble_operator(grid, params.N, params.s)
     evaluations = []
 
-    def classify(mu_val: float) -> str:
-        run_params = ProblemParams(params.N, params.s, params.lam, params.p, mu_val)
-        rep = solve_kpz(run_params, f, grid, controls, supersolution=None, operator=op)
+    def converges(mu_val: float) -> bool:
+        rep = solve_kpz(replace(params, mu=mu_val), f, grid, controls,
+                        supersolution=None, operator=op)
         evaluations.append((mu_val, rep.status))
-        return rep.status
+        return rep.status == "Converged"
 
-    mu0 = params.mu if params.mu > 0.0 else 1.0
-    status0 = classify(mu0)
-    if status0 == "Converged":
-        lo = mu0
-        hi = mu0
-        while True:
-            hi *= 4.0
-            if hi > mu_cap:
-                return ProbeResult(status="inconclusive", evaluations=evaluations,
-                                   note=f"no blow-up below mu={mu_cap}")
-            st = classify(hi)
-            if st != "Converged":
-                break
-            lo = hi
-    else:
-        hi = mu0
-        lo = mu0
-        while True:
-            lo /= 4.0
-            if lo < mu_floor:
-                return ProbeResult(status="inconclusive", evaluations=evaluations,
-                                   note=f"no convergence above mu={mu_floor}")
-            st = classify(lo)
-            if st == "Converged":
-                break
-            hi = lo
-    while hi / lo > 1.0 + rel_width:
+    mu = params.mu if params.mu > 0.0 else 1.0
+    up = converges(mu)
+    while True:
+        prev, mu = mu, mu * 4.0 if up else mu / 4.0
+        if up and mu > _MU_CAP:
+            return ProbeResult(status="inconclusive", evaluations=evaluations,
+                               note=f"no blow-up below mu={_MU_CAP}")
+        if not up and mu < _MU_FLOOR:
+            return ProbeResult(status="inconclusive", evaluations=evaluations,
+                               note=f"no convergence above mu={_MU_FLOOR}")
+        if converges(mu) != up:
+            break
+    lo, hi = (prev, mu) if up else (mu, prev)
+    while hi / lo > 1.0 + _REL_WIDTH:
         mid = math.sqrt(lo * hi)
-        if classify(mid) == "Converged":
+        if converges(mid):
             lo = mid
         else:
             hi = mid

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 
@@ -184,6 +185,16 @@ def test_damped_cli(tmp_path):
     assert report["status"] == "Converged"
 
 
+def test_damped_auto_near_lambda_exits_1(capsys, tmp_path):
+    # the damped window is too narrow for any profile exponent
+    lam = sf.hardy_constant(N, S) * (1.0 - 1e-10)
+    cfg = _damped_cfg(problem={"N": N, "s": S, "lambda": lam, "p": 2 * S - 0.05},
+                      supersolution="auto")
+    code, err = _main(capsys, tmp_path, "damped", cfg)
+    assert code == 1
+    assert "empty damped window" in err
+
+
 def test_sweep_cli_checkpoint(tmp_path):
     cfg = {"plan": {
         "problem": {"N": N, "s": S, "lambda": LAM, "p": 1.3, "mu": 1e-3},
@@ -235,7 +246,6 @@ def test_probe_cli(tmp_path):
         "grid": {"R": 1.0, "M": 48, "g": 2.0},
         "controls": {"n_levels": 13},
         "source": {"coefficient": 0.3, "exponent": 2 * S},
-        "probe": {"rel_width": 0.05},
     }
     path = os.path.join(tmp_path, "cfg.json")
     open(path, "w").write(json.dumps(cfg))
@@ -313,10 +323,11 @@ def _main(capsys, tmp_path, command, cfg, *extra):
     ("damped", _damped_cfg(supersolution={"f_bound_exponent": 2 * S,
                                           "f_bound_coef": 0.3}), "supersolution"),
     ("damped", _damped_cfg(supersolution="Auto"), "supersolution"),
-    ("probe", _solve_cfg(probe={"rel_width": "abc"}), "probe key 'rel_width'"),
-    ("probe", _solve_cfg(probe={"mu_floor": None}), "probe key 'mu_floor'"),
-    ("probe", _solve_cfg(probe={"mu_cap": True}), "probe key 'mu_cap'"),
-    ("probe", _solve_cfg(probe=5), "probe must be a JSON object"),
+    ("probe", _solve_cfg(supersolution={"bogus": 1}), "supersolution"),
+    ("probe", _solve_cfg(probe={"rel_width": "abc"}), "'probe' in config"),
+    ("probe", _solve_cfg(probe={"mu_floor": None}), "'probe' in config"),
+    ("probe", _solve_cfg(probe={"mu_cap": True}), "'probe' in config"),
+    ("probe", _solve_cfg(probe=5), "'probe' in config"),
     ("sweep", _sweep_cfg(axes=[{"name": "p", "start": 1.25, "stop": 1.35,
                                 "count": "3"}]), "axis key 'count'"),
     ("sweep", _sweep_cfg(axes=[{"name": "p", "start": 1.25, "stop": 1.35,
@@ -335,7 +346,9 @@ def _main(capsys, tmp_path, command, cfg, *extra):
     ("solve", _solve_cfg(source={"coefficient": 0.3, "exponant": 2 * S}),
      "'exponant' in source"),
     ("solve", _solve_cfg(supersolutoin="auto"), "'supersolutoin' in config"),
-    ("probe", _solve_cfg(probe={"rel_widht": 0.05}), "'rel_widht' in probe"),
+    ("probe", _solve_cfg(probe={"rel_width": 0.05}), "'probe' in config"),
+    ("solve", _damped_cfg(), "'alpha_damp' in config"),
+    ("probe", _damped_cfg(), "'alpha_damp' in config"),
     ("damped", _damped_cfg(c=1e-4), "'c' in config"),
     ("sweep", {**_sweep_cfg(), "workers": 2}, "'workers' in config"),
     ("sweep", _sweep_cfg(problem={"N": N, "s": S, "lambda": LAM, "p": 1.3, "MU": 1e-3}),
@@ -346,12 +359,14 @@ def _main(capsys, tmp_path, command, cfg, *extra):
         "solve-n_levels-not-int", "solve-non-object-controls", "solve-control-picard_max",
         "solve-control-n_schedule", "sweep-plan-controls",
         "damped-explicit-supersolution", "damped-supersolution-Auto",
+        "probe-supersolution-object",
         "probe-rel_width-string", "probe-mu_floor-null", "probe-mu_cap-bool",
         "probe-non-object-block", "sweep-count-string", "sweep-count-fraction",
         "sweep-start-string", "sweep-stop-null", "sweep-axes-not-list",
         "sweep-budget-string", "sweep-alpha_damp-string", "solve-grid-M-string",
         "solve-problem-typo", "solve-grid-typo", "solve-source-typo",
-        "solve-top-level-typo", "probe-block-typo", "damped-c", "sweep-top-level-key",
+        "solve-top-level-typo", "probe-block-typo", "solve-alpha_damp", "probe-alpha_damp",
+        "damped-c", "sweep-top-level-key",
         "sweep-problem-typo"])
 def test_malformed_input_exits_2(capsys, tmp_path, monkeypatch, command, cfg, named):
     monkeypatch.delenv("HARDYKPZ_WORKERS", raising=False)
@@ -385,22 +400,33 @@ def test_plan_errors_exit_2_before_assembly(capsys, tmp_path, monkeypatch, over,
     assert os.listdir(os.path.join(tmp_path, "out")) == []
 
 
-@pytest.mark.parametrize("probe, named", [
-    ({"rel_width": 0.0}, "'rel_width'"),
-    ({"rel_width": -0.1}, "'rel_width'"),
-    ({"mu_floor": 0.0}, "'mu_floor'"),
-    ({"mu_floor": -1.0}, "'mu_floor'"),
-    ({"mu_floor": 1.0, "mu_cap": 1.0}, "'mu_cap'"),
-    ({"mu_floor": 2.0, "mu_cap": 1.0}, "'mu_cap'"),
+@pytest.mark.parametrize("probe", [
+    {"rel_width": 0.0}, {"rel_width": -0.1}, {"mu_floor": 0.0}, {"mu_floor": -1.0},
+    {"mu_floor": 1.0, "mu_cap": 1.0}, {"mu_floor": 2.0, "mu_cap": 1.0},
 ], ids=["rel_width-zero", "rel_width-negative", "mu_floor-zero", "mu_floor-negative",
         "mu_floor-equals-cap", "mu_floor-above-cap"])
-def test_probe_bounds_exit_2_before_any_scheme(capsys, tmp_path, monkeypatch, probe, named):
+def test_probe_bounds_exit_2_before_any_scheme(capsys, tmp_path, monkeypatch, probe):
+    # the probe's bounds and width are fixed: a config that still sets them,
+    # in or out of their old domain, is refused before any scheme runs
     def no_scheme(*args, **kwargs):
-        raise AssertionError("a scheme ran on out-of-domain probe bounds")
+        raise AssertionError("a scheme ran on a config with a probe block")
     monkeypatch.setattr(solver, "solve_kpz", no_scheme)
     code, err = _main(capsys, tmp_path, "probe", _solve_cfg(probe=probe))
     assert code == 2
-    assert named in err
+    assert "unknown key 'probe' in config" in err
+
+
+def test_readme_cli_examples_parse():
+    """Every ``hardykpz`` line of README.md's bash blocks parses."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        blocks = re.findall(r"```bash\n(.*?)```", fh.read(), re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("hardykpz ")]
+    assert len(lines) >= 7
+    parser = cli.build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert args.fn is getattr(cli, f"cmd_{args.command}")
 
 
 def test_readme_configs_pass_the_readers(tmp_path):

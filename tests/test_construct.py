@@ -204,6 +204,37 @@ def test_damped_needs_p_below_two_s():
         co.damped_supersolution(N, S, LAM, p=2 * S, alpha_damp=1.0)
 
 
+def test_damped_empty_window_near_lambda_is_a_construction_error():
+    # at lambda = Lambda (1 - 1e-10) the window mubar - mu is about 1.5e-5,
+    # narrower than the least exponent step the construction tries
+    lam = sf.hardy_constant(N, S) * (1.0 - 1e-10)
+    with pytest.raises(ConstructionError, match="empty damped window"):
+        co.damped_supersolution(N, S, lam, p=2 * S - 0.05, alpha_damp=2 * S - 1.0 + 0.5)
+
+
+@pytest.mark.parametrize("R", [0.5, 2.0])
+def test_constructions_hold_on_the_ball_of_radius_R(R):
+    # the margin coefficient A (gamma - lambda) - A^p theta^p r^gp - mu C r^sp
+    # is nonnegative at every node of (0, R] and recorded at r = R
+    p, mu, cf, e = 0.9 * REP.p_plus, 1e-3, 0.3, 1.5
+    spec = co.dirichlet_supersolution(_params(p, mu=mu), f_bound_exponent=e,
+                                      f_bound_coef=cf, R=R)
+    r = ro.build_grid(R, 64, 2.0, N).r
+    theta, amp = spec.theta, spec.amplitude
+    margin = (amp * _gap(spec) - amp**p * theta**p * r ** (theta + 2 * S - (theta + 1) * p)
+              - mu * cf * r ** (theta + 2 * S - e))
+    assert margin.min() >= 0.0
+    assert spec.margin == pytest.approx(margin[-1], rel=1e-12)
+    alpha = 2 * S - 1.0 + 0.5
+    p = 2 * S - 0.05
+    spec = co.damped_supersolution(N, S, LAM, p=p, alpha_damp=alpha, R=R)
+    theta, amp = spec.theta, spec.amplitude
+    grad_pow = theta + 2 * S - ((theta + 1) * p - theta * alpha)
+    margin = amp * _gap(spec) - amp ** (p - alpha) * theta**p * r**grad_pow
+    assert margin.min() >= 0.0
+    assert spec.margin == pytest.approx(margin[-1], rel=1e-12)
+
+
 # ---------------------------------------------------------- serialization
 
 def test_spec_json_round_trip():

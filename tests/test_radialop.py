@@ -330,9 +330,6 @@ def test_assembly_table_check_fires(monkeypatch):
 
 
 def test_assembly_domain_checks():
-    grid = ro.build_grid(1.0, 32, 2.0, N)
-    with pytest.raises(DomainError):
-        ro.assemble_operator(grid, N, S, profile_exponent=2.0)
     with pytest.raises(GridMismatchError):
         ro.assemble_operator(ro.build_grid(1.0, 32, 2.0, 4), N, S)
 

@@ -213,6 +213,47 @@ def test_probe_zero_source_inconclusive(grid):
     assert "by design" in res.note
 
 
+def _probe_m32(mu0):
+    grid = ro.build_grid(1.0, 32, 2.0, N)
+    ctrl = so.SolverControls(n_schedule=tuple(2.0**j for j in range(12)))
+    return so.mu_threshold_probe(_params(0.9 * REP.p_plus, mu0), so.PowerSource(0.3, 2 * S),
+                                 grid, controls=ctrl)
+
+
+@pytest.mark.parametrize("mu0, up", [(1e-3, True), (100.0, False)],
+                         ids=["upward", "downward"])
+def test_probe_steps_by_four_then_bisects(mu0, up):
+    # mu0 * 4^(+-k) until the status flips, then the geometric midpoints of
+    # the running bracket until its relative width is at most _REL_WIDTH
+    res = _probe_m32(mu0)
+    mus = [mu for mu, _ in res.evaluations]
+    conv = [st == "Converged" for _, st in res.evaluations]
+    assert conv[0] == up
+    k = conv.index(not up)
+    assert k >= 2
+    assert mus[:k + 1] == [mu0 * (4.0 if up else 0.25) ** j for j in range(k + 1)]
+    lo, hi = sorted(mus[k - 1:k + 1])
+    for mu, c in zip(mus[k + 1:], conv[k + 1:]):
+        assert hi / lo > 1.0 + so._REL_WIDTH
+        assert mu == math.sqrt(lo * hi)
+        lo, hi = (mu, hi) if c else (lo, mu)
+    assert res.status == "bracketed"
+    assert (res.mu_lo, res.mu_hi) == (lo, hi)
+    assert hi / lo <= 1.0 + so._REL_WIDTH
+
+
+@pytest.mark.parametrize("bound, value, mu0, status, note", [
+    ("_MU_CAP", 2e-3, 1e-3, "Converged", "no blow-up below mu=0.002"),
+    ("_MU_FLOOR", 50.0, 100.0, "BlowUp", "no convergence above mu=50.0"),
+], ids=["cap", "floor"])
+def test_probe_is_inconclusive_past_its_bounds(monkeypatch, bound, value, mu0, status, note):
+    monkeypatch.setattr(so, bound, value)
+    res = _probe_m32(mu0)
+    assert res.status == "inconclusive"
+    assert res.evaluations == [(mu0, status)]
+    assert res.note == note
+
+
 def test_probe_bracket_holds_under_uncapped_plain_picard(monkeypatch):
     # the bracket comes from runs that are decided, not from the cap: plain
     # damped Picard with no practical cap agrees on both ends
