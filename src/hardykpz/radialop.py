@@ -26,7 +26,11 @@ Discretization notes
 * The innermost rows cannot resolve power profiles from nodal data alone
   (nothing exists below r_1), so rows in the first ``_CALIB_FRAC`` of the
   index range are moment-fitted to the analytic power-family response under
-  the same sign constraints.  The first row is an origin-closure row: a
+  the same sign constraints.  The fit is well posed: the free diagonal is
+  projected out and recovered by least squares, and a Tikhonov term on the
+  correction (in unit-norm columns) makes the off-diagonal fit strictly
+  convex, so each row has one calibration, found by the active-set solver
+  ``nnls``.  The first row is an origin-closure row: a
   sign-constrained row provably cannot reproduce the non-monotone
   Gamma-ratio response there, so it is kept structure-true and excluded
   from oracle error metrics (its radius is reported by
@@ -47,7 +51,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import nnls
+from scipy.linalg.lapack import dposv, dpotrs
 from scipy.special import hyp2f1, roots_legendre
 
 from .errors import AssemblyError, ConfigError, DomainError, GridMismatchError
@@ -72,6 +76,9 @@ _ANGULAR_ORDER = 80   # GL order of the assembly-time angular-kernel check
 _FAR_FACTOR = 50.0    # exterior tails are integrated out to _FAR_FACTOR * R
 _CALIB_FRAC = 0.1     # share of rows (from the origin) that are moment-fitted
 _CALIB_NTHETA = 41    # power exponents in the calibration fit
+_CALIB_TIKHONOV = 1e-8  # Tikhonov weight of the calibration fit (unit-norm columns)
+_FIT_KKT = 1e-12      # optimality tolerance of ``nnls``, relative to its data
+_FIT_MAX_STEPS = 100  # solves ``nnls`` may take before it gives up
 _N_FIRST = 32         # GL nodes of the singular first cell
 _N_PAIR = 10          # GL nodes per pairing panel
 _N_CELL = 8           # GL nodes per remainder cell
@@ -562,10 +569,18 @@ class _Assembler:
     def _calibrate(self, A: np.ndarray) -> None:
         """Fit the innermost rows to the analytic power-family response.
 
-        Sign-bounded least squares (off-diagonal entries stay <= 0) so the
-        calibrated rows keep the maximum-principle structure; the zero
-        exponent is included with extra weight, pinning constant-field row
-        sums to the exterior killing mass.
+        Each row's correction x on its columns minimizes the weighted relative
+        misfit |V x - b| over the power family.  No off-diagonal entry may
+        rise above max(entry, 0), so the calibrated rows keep the
+        maximum-principle structure, and the zero exponent carries extra
+        weight, pinning constant-field row sums to the exterior killing mass.
+        The diagonal entry is free: the fit is projected onto the orthogonal
+        complement of its column, and the diagonal is recovered afterwards by
+        least squares.  On unit-norm columns the projected off-diagonal fit
+        carries the Tikhonov term ``_CALIB_TIKHONOV * |x|^2``, so it is
+        strictly convex: each row has exactly one calibration, whatever the
+        solver or the column order, and it is the smallest correction of the
+        assembled row that fits.
         """
         M = self.M
         i_cal = max(2, int(math.ceil(_CALIB_FRAC * M)))
@@ -598,25 +613,74 @@ class _Assembler:
             V = (U[:, cols] / scale[:, None]) * wts[:, None]
             b = (resid / scale) * wts
             off = cols != ii
-            ub = np.where(off, np.maximum(0.0, -A[ii, cols]), 0.0)
-            Vd = V[:, cols == ii]
-            c = b - V[:, off] @ ub[off]
-            G = np.concatenate([-V[:, off], Vd, -Vd], axis=1)
-            gs = np.linalg.norm(G, axis=0)
-            gs[gs == 0.0] = 1.0
-            y, _ = nnls(G / gs[None, :], c, maxiter=40 * G.shape[1])
-            y = y / gs
-            noff = int(off.sum())
-            x = np.empty(len(cols))
-            x[off] = ub[off] - y[:noff]
-            x[~off] = y[noff] - y[noff + 1]
-            A[ii, cols] += x
+            # off-diagonal unknowns y = ub - x >= 0
+            ub = np.maximum(0.0, -A[ii, cols[off]])
+            G = -V[:, off]
+            c = b + G @ ub
+            vd = V[:, ~off].ravel()
+            vn = math.sqrt(vd @ vd)
+            u = vd / vn
+            Gp = G - np.outer(u, u @ G)
+            gs = np.linalg.norm(Gp, axis=0)
+            z, _ = nnls(Gp / gs, c - u * (u @ c), _CALIB_TIKHONOV, ub * gs)
+            y = z / gs
+            A[ii, cols[off]] -= y - ub
+            A[ii, ii] += u @ (c - G @ y) / vn
             # row-sum floor: never let the constant-field response dip below
             # zero (can happen marginally for s near 1)
             rowsum = float(A[ii].sum())
             target0 = float(target[0])
             if rowsum < 0.0 and target0 > 0.0:
                 A[ii, ii] += target0 - rowsum
+
+
+def nnls(G: np.ndarray, d: np.ndarray, lam: float, z0: np.ndarray):
+    """min |G z - d|^2 + lam |z - z0|^2 over z >= 0, by Lawson-Hanson active sets.
+
+    A Tikhonov-regularized nonnegative least squares: with lam > 0 the
+    minimizer is unique.  The search starts with every variable free, drops
+    those whose unconstrained value is not positive until the rest are, and
+    from there runs Lawson & Hanson's active-set loop on the normal equations
+    (Solving Least Squares Problems, 1974, ch. 23).  Each solve is refined
+    once against the residual of G itself, which recovers the digits the
+    normal equations lose.  The loop stops only by its optimality test: no
+    bound variable's gradient exceeds ``_FIT_KKT`` times the largest entry of
+    G^T d + lam z0.  Returns (z, number of solves); raises AssemblyError
+    after ``_FIT_MAX_STEPS`` solves.
+    """
+    n = G.shape[1]
+    H = G.T @ G
+    H.flat[::n + 1] += lam
+    q = G.T @ d + lam * z0
+    eye = np.eye(n)
+    tol = _FIT_KKT * np.abs(q).max()
+    free = np.ones(n, bool)
+    z = None
+    for steps in range(1, _FIT_MAX_STEPS + 1):
+        chol, s, _ = dposv(np.where(free[:, None] & free, H, eye), np.where(free, q, 0.0))
+        # w is minus the gradient, from G itself; after the refinement step
+        # the formed H is accurate enough to update it
+        w = G.T @ (d - G @ s) + lam * (z0 - s)
+        ds = dpotrs(chol, np.where(free, w, 0.0))[0]
+        s += ds
+        w -= H @ ds
+        neg = free & (s <= 0.0)
+        if neg.any():
+            if z is None:
+                free &= ~neg
+            else:
+                # step back to the boundary and bind what reached it
+                z += np.min(z[neg] / (z[neg] - s[neg])) * (s - z)
+                free &= z > 0.0
+                z[~free] = 0.0
+            continue
+        z = s
+        bound = np.where(free, -np.inf, w)
+        j = bound.argmax()
+        if bound[j] <= tol:
+            return z, steps
+        free[j] = True
+    raise AssemblyError(f"calibration fit not optimal after {_FIT_MAX_STEPS} solves")
 
 
 def assemble_operator(grid: RadialGrid, N: int, s: float) -> OperatorMatrix:

@@ -36,6 +36,20 @@ def tree_digest(d, skip=()):
     return h.hexdigest()
 
 
+def test_cli_import_leaves_scipy_optimize_out():
+    """Importing the command line loads no scipy.optimize: that import alone
+    cost about a fifth of each command's peak memory."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys, hardykpz.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
 def test_constants_ok_and_value():
     r = run_cli("constants", "--N", "3", "--s", "0.75")
     assert r.returncode == 0

@@ -536,3 +536,99 @@ def test_batched_assembly_matches_the_plain_loop(monkeypatch, M, g, s):
     want = _plain_assemble(asm)
     rel = np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)
     assert rel.max() <= 1e-11
+
+
+# ------------------------------------------------------- calibration fit
+
+_FIT_CASES = [(n_dim, s, M) for n_dim in (2, 3, 5) for s in (0.55, 0.75, 0.9, 0.99)
+              for M in (32, 64, 200)]
+_UNCALIBRATED = {}
+
+
+def _uncalibrated(n_dim, s, M):
+    """An assembler and its matrix before the inner-row calibration."""
+    key = (n_dim, s, M)
+    if key not in _UNCALIBRATED:
+        asm = ro._Assembler(ro.build_grid(1.0, M, 2.0, n_dim), n_dim, s, (n_dim - 2 * s) / 2)
+        asm._calibrate = lambda A: None
+        A = asm.assemble()
+        del asm._calibrate
+        _UNCALIBRATED[key] = (asm, A)
+    return _UNCALIBRATED[key]
+
+
+def _calibrated(monkeypatch, case, fit):
+    """The calibrated matrix of ``case`` with ``fit`` in place of ``nnls``."""
+    asm, A = _uncalibrated(*case)
+    A = A.copy()
+    with monkeypatch.context() as mp:
+        mp.setattr(ro, "nnls", fit)
+        asm._calibrate(A)
+    return A
+
+
+def _row_relative(got, want):
+    return float(np.max(np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)))
+
+
+def _bvls(G, d, lam, z0):
+    """The regularized fit solved by scipy's bounded-variable least squares."""
+    from scipy.optimize import lsq_linear
+    n = G.shape[1]
+    res = lsq_linear(np.vstack([G, math.sqrt(lam) * np.eye(n)]),
+                     np.concatenate([d, math.sqrt(lam) * z0]), bounds=(0.0, np.inf),
+                     method="bvls", tol=1e-15)
+    return res.x, res.nit
+
+
+@pytest.mark.parametrize("case", _FIT_CASES, ids=lambda c: "N%d-s%g-M%d" % c)
+def test_calibration_is_the_unique_fit(monkeypatch, case):
+    """The calibrated rows are those of a reference solve of the same
+    regularized system, and do not depend on the order of its columns."""
+    nnls = ro.nnls
+    got = _calibrated(monkeypatch, case, nnls)
+    assert _row_relative(got, _calibrated(monkeypatch, case, _bvls)) <= 1e-9
+
+    def reversed_columns(G, d, lam, z0):
+        z, steps = nnls(G[:, ::-1], d, lam, z0[::-1])
+        return z[::-1], steps
+
+    assert _row_relative(got, _calibrated(monkeypatch, case, reversed_columns)) <= 1e-9
+
+
+@pytest.mark.parametrize("case", _FIT_CASES, ids=lambda c: "N%d-s%g-M%d" % c)
+def test_calibration_fit_stops_by_its_optimality_test(monkeypatch, case):
+    """Every row's fit ends at a KKT point, in far fewer solves than the cap."""
+    fits = []
+    nnls = ro.nnls
+
+    def recording(G, d, lam, z0):
+        z, steps = nnls(G, d, lam, z0)
+        fits.append((G, d, lam, z0, z, steps))
+        return z, steps
+
+    _calibrated(monkeypatch, case, recording)
+    assert len(fits) == max(2, math.ceil(0.1 * case[2])) - 1
+    for G, d, lam, z0, z, steps in fits:
+        assert steps <= 2 * G.shape[1] < ro._FIT_MAX_STEPS
+        grad = G.T @ (d - G @ z) + lam * (z0 - z)
+        tol = 1e-11 * np.linalg.norm(G.T @ d + lam * z0)
+        assert np.all(z >= 0.0)
+        assert np.all(np.abs(grad[z > 0.0]) <= tol)
+        assert np.all(grad[z == 0.0] <= tol)
+
+
+def test_calibration_fit_raises_at_its_cap(monkeypatch):
+    """A fit that cannot reach its optimality test is an assembly error,
+    never a silently truncated row."""
+    monkeypatch.setattr(ro, "_FIT_MAX_STEPS", 1)
+    with pytest.raises(AssemblyError, match="calibration fit"):
+        ro.assemble_operator(ro.build_grid(1.0, 32, 2.0, N), N, S)
+
+
+@pytest.mark.parametrize("M", [200, 400])
+def test_recorded_oracle_tolerances(M):
+    """README's recorded power-oracle errors at desk scale, to within 10%."""
+    op = ro.assemble_operator(ro.build_grid(1.0, M, 2.0, N), N, S)
+    assert ro.oracle_power_test(op, REP.mu_exp) == pytest.approx(1.74e-3, rel=0.1)
+    assert ro.oracle_power_test(op, REP.mubar_exp) == pytest.approx(1.59e-2, rel=0.1)

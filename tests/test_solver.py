@@ -197,11 +197,11 @@ def test_doubling_the_source_halves_the_probe_bracket(lam_frac, p_frac, log_mu0,
 @pytest.mark.xfail(strict=True, reason="a MaxIterations run counts as the blow-up "
                    "side of the probe; ROADMAP item 1c")
 def test_doubling_the_source_halves_the_bracket_with_an_undecided_run():
-    # under f the probe meets MaxIterations at mu = 13.22 and brackets
-    # [12.66, 13.22]; under 2f it brackets [15.73, 16.42], because the status
+    # under f the probe meets MaxIterations at mu = 0.955 and brackets
+    # [0.876, 0.914]; under 2f it brackets [0.955, 0.997], because the status
     # is not monotone in mu here: Converged runs lie above undecided ones
-    res, res2 = _probes_under_f_and_2f(0.02916445837810979, 1.3701919900061528,
-                                       5.044834167690188e-05, 0.16072294185523298)
+    res, res2 = _probes_under_f_and_2f(0.04008335511278975, 1.3632682473578237,
+                                       5.8280698893398054e-05, 1.8055417188183465)
     assert res.status == res2.status == "bracketed"
     assert (res2.mu_lo, res2.mu_hi) == (res.mu_lo / 2.0, res.mu_hi / 2.0)
 
