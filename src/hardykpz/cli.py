@@ -110,7 +110,7 @@ def cmd_exponents(args) -> int:
 
 def cmd_oracle(args) -> int:
     grid = radialop.build_grid(args.R, args.M, args.g, args.N)
-    op = radialop.assemble_operator(grid, args.N, args.s)
+    op = radialop.assemble_operator(grid, args.s)
     r_max = args.r_max if args.r_max is not None else 0.1 * args.R
     err = radialop.oracle_power_test(op, args.theta, r_max)
     result = {"theta": args.theta, "max_rel_error": float(err),
@@ -119,7 +119,7 @@ def cmd_oracle(args) -> int:
               "checked_r_max": float(r_max)}
     if args.refine:
         grid2 = radialop.build_grid(args.R, 2 * args.M, args.g, args.N)
-        op2 = radialop.assemble_operator(grid2, args.N, args.s)
+        op2 = radialop.assemble_operator(grid2, args.s)
         # compare over the window the coarse grid resolves
         r_lo = op.oracle_r_min
         radii2, rel2, _ = radialop.power_test_profile(op2, args.theta, r_max)
@@ -162,8 +162,8 @@ def cmd_solve(args) -> int:
     if _auto_supersolution(cfg):
         spec = construct.dirichlet_supersolution(params, f.exponent, f.coefficient,
                                                  R=grid.R)
-    report = solver.solve_kpz(params, f, grid, controls=controls,
-                              supersolution=spec)
+    op = radialop.assemble_operator(grid, params.s)
+    report = solver.solve_kpz(params, f, op, controls=controls, supersolution=spec)
     cfg_hash = _write_resolved(cfg, out)
     _write_solver_outputs(report, spec, out, cfg_hash)
     sys.stdout.write(f"status: {report.status}\n")
@@ -177,7 +177,8 @@ def cmd_damped(args) -> int:
     if _auto_supersolution(cfg):
         spec = construct.damped_supersolution(params.N, params.s, params.lam,
                                               params.p, alpha, R=grid.R)
-    report = solver.solve_damped(params, alpha, f, grid, controls=controls,
+    op = radialop.assemble_operator(grid, params.s)
+    report = solver.solve_damped(params, alpha, f, op, controls=controls,
                                  supersolution=spec)
     cfg_hash = _write_resolved(cfg, out)
     _write_solver_outputs(report, spec, out, cfg_hash)
@@ -188,7 +189,8 @@ def cmd_damped(args) -> int:
 def cmd_probe(args) -> int:
     cfg, out, params, grid, controls, f = _run_inputs(args)
     _auto_supersolution(cfg)  # checked as for solve, but the probe runs without a barrier
-    result = solver.mu_threshold_probe(params, f, grid, controls=controls)
+    op = radialop.assemble_operator(grid, params.s)
+    result = solver.mu_threshold_probe(params, f, op, controls=controls)
     cfg_hash = _write_resolved(cfg, out)
     summary = {
         "config_hash": cfg_hash,

@@ -196,20 +196,9 @@ def damped_supersolution(N: int, s: float, lam: float, p: float,
             "the least exponent step (lambda too close to Lambda)",
             {"window": (mu, mubar)},
         )
-    # damped admissibility: (beta(alpha+1)+2s)/(beta+1) > 2s > p holds for
-    # every beta > 0 once alpha > 2s-1; keep the explicit guard anyway.
-    if (beta * (alpha_damp + 1.0) + 2.0 * s) / (beta + 1.0) <= p:
-        raise ConstructionError(
-            "damped window degenerate: gradient term not dominated",
-            {"beta": beta, "alpha": alpha_damp},
-        )
     gam = gamma_multiplier((N - 2.0 * s) / 2.0 - beta, N, s)
+    # positive for every beta > 0, since p < 2s and alpha > 2s - 1 > p - 1
     grad_pow = beta + 2.0 * s - ((beta + 1.0) * p - beta * alpha_damp)
-    if grad_pow <= 0.0:
-        raise ConstructionError(
-            "damped gradient term is not subordinate on the ball",
-            {"beta": beta, "alpha": alpha_damp, "grad_pow": grad_pow},
-        )
     a_exp = p - alpha_damp
 
     def c_of(amp: float) -> float:

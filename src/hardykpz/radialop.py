@@ -8,7 +8,9 @@ angular average has a closed Gauss-hypergeometric form, 2F1(-s, N/2-s-1;
 N/2; 1-y) in y = 1 - (min/max)^2, which is evaluated from a piecewise
 Chebyshev table built once per (N, s) and checked during assembly twice:
 against scipy's ``hyp2f1`` at every table piece, and (as the closed angular
-form) against Gauss-Legendre quadrature in the polar angle.
+form) against Gauss-Legendre quadrature in the polar angle.  The operator
+depends only on the grid (R, M, g and the dimension N) and on s: one
+``assemble_operator(grid, s)`` serves every (lambda, p, mu).
 
 Discretization notes
 --------------------
@@ -154,7 +156,7 @@ class RadialGrid:
                 2.0 * (r[-1] - r[-2]))
 
 
-def build_grid(R: float, M: int, g: float, N: int = 3) -> RadialGrid:
+def build_grid(R: float, M: int, g: float, N: int) -> RadialGrid:
     """Graded radial grid on (0, R] with M nodes and grading exponent g."""
     if R <= 0.0:
         raise ConfigError(f"domain radius must be positive, got R={R}")
@@ -307,11 +309,10 @@ class _Kernel:
 
 @dataclass
 class OperatorMatrix:
-    """Dense collocation matrix for the fractional Laplacian on a radial grid."""
+    """Dense collocation matrix of (-Lap)^s on ``grid``, in dimension ``grid.N``."""
 
     matrix: np.ndarray
     grid: RadialGrid
-    N: int
     s: float
     # (lu, piv) of ``matrix``, set by solver.factor_operator on first use and
     # reused by every later run
@@ -375,10 +376,11 @@ def _ragged(first: np.ndarray, count: np.ndarray, width: int):
 
 
 class _Assembler:
-    def __init__(self, grid: RadialGrid, N: int, s: float, w0: float):
+    def __init__(self, grid: RadialGrid, s: float):
         self.grid = grid
+        N = grid.N
         self.N, self.s = N, s
-        self.w0 = w0
+        self.w0 = (N - 2.0 * s) / 2.0
         self.q = grid.g * self.w0          # profile decay exponent in tau
         self.kern = _Kernel(N, s)
         self.R = grid.R
@@ -683,24 +685,21 @@ def nnls(G: np.ndarray, d: np.ndarray, lam: float, z0: np.ndarray):
     raise AssemblyError(f"calibration fit not optimal after {_FIT_MAX_STEPS} solves")
 
 
-def assemble_operator(grid: RadialGrid, N: int, s: float) -> OperatorMatrix:
+def assemble_operator(grid: RadialGrid, s: float) -> OperatorMatrix:
     """Assemble the dense collocation matrix of (-Lap)^s with exterior zero.
 
-    The calibration power is rho^(-w0) with w0 = (N-2s)/2, the midpoint of
-    the admissible singular range: it keeps the discrete Hardy quotient at
-    the singular nodes pinned to the sharp constant, so the Picard map
-    contracts at rate about lambda/Lambda; a profile matched to mu(lambda)
-    would drive that quotient down to lambda itself and stall the iteration.
-    Raises AssemblyError when the angular closed form fails its quadrature
-    check.
+    The dimension N is ``grid.N``; callers assemble once per (grid, s) and
+    hand the result to the scheme.  The calibration power is rho^(-w0) with
+    w0 = (N-2s)/2, the midpoint of the admissible singular range: it keeps
+    the discrete Hardy quotient at the singular nodes pinned to the sharp
+    constant, so the Picard map contracts at rate about lambda/Lambda; a
+    profile matched to mu(lambda) would drive that quotient down to lambda
+    itself and stall the iteration.  Raises AssemblyError when the angular
+    closed form fails its quadrature check.
     """
-    if N != grid.N:
-        raise GridMismatchError(f"grid was built for N={grid.N}, assembly asked N={N}")
-    if not (0.0 < s < 1.0) or N <= 2 * s:
-        raise DomainError(f"need 0 < s < 1 and N > 2s, got N={N}, s={s}")
-    w0 = (N - 2.0 * s) / 2.0
-    return OperatorMatrix(matrix=_Assembler(grid, N, s, w0).assemble(), grid=grid,
-                          N=N, s=s)
+    if not (0.0 < s < 1.0) or grid.N <= 2 * s:
+        raise DomainError(f"need 0 < s < 1 and N > 2s, got N={grid.N}, s={s}")
+    return OperatorMatrix(matrix=_Assembler(grid, s).assemble(), grid=grid, s=s)
 
 
 # --------------------------------------------------------------------------
@@ -714,7 +713,7 @@ def power_test_profile(op: OperatorMatrix, theta: float, r_max_check: float | No
     r in [oracle_r_min, r_max_check].  The expected response is the
     Gamma-ratio multiplier plus the analytic exterior tail of the power.
     """
-    N, s = op.N, op.s
+    N, s = op.grid.N, op.s
     if not (0.0 < theta < N - 2.0 * s):
         raise DomainError(
             f"power exponent must lie in (0, N-2s) = (0, {N - 2 * s}), got {theta}"

@@ -242,12 +242,13 @@ def lu_solve(getrs, factors: tuple, b: np.ndarray) -> np.ndarray:
 
 
 def _run_scheme(params: ProblemParams, alpha_damp: float, f: PowerSource,
-                grid: radialop.RadialGrid, controls: SolverControls,
-                supersolution: SupersolutionSpec | None,
-                operator: radialop.OperatorMatrix | None) -> SolverReport:
+                op: radialop.OperatorMatrix, controls: SolverControls,
+                supersolution: SupersolutionSpec | None) -> SolverReport:
     """Shared engine behind solve_kpz (alpha_damp = 0) and solve_damped.
 
-    The operator is factored on its first run and its factors are reused by
+    The scheme runs on ``op`` and its grid; an operator of another (N, s)
+    than the problem's raises GridMismatchError before any iteration.  The
+    operator is factored on its first run and its factors are reused by
     every later run on it.  Every step evaluates one plain Picard map
     G(x) = (1-omega) x + omega L^-1 rhs (rhs = g/(1+g/n) [/(1+x)^alpha]
     + lam (x/(1+x/n)) r^-2s + source, g = |grad x|^p) from the plain
@@ -263,10 +264,10 @@ def _run_scheme(params: ProblemParams, alpha_damp: float, f: PowerSource,
     that L amplifies in the reported fixed-point residual, or after
     ``picard_max`` evaluations.
     """
-    op = operator if operator is not None \
-        else radialop.assemble_operator(grid, params.N, params.s)
-    if not op.grid.same_as(grid):
-        raise GridMismatchError("operator grid does not match the solve grid")
+    if (op.grid.N, op.s) != (params.N, params.s):
+        raise GridMismatchError(f"operator assembled for (N, s) = ({op.grid.N}, {op.s}), "
+                                f"problem has (N, s) = ({params.N}, {params.s})")
+    grid = op.grid
     r = grid.r
     hardy_weight = r ** (-2.0 * params.s)
     factors = factor_operator(op)
@@ -423,36 +424,37 @@ def _run_scheme(params: ProblemParams, alpha_damp: float, f: PowerSource,
     return report
 
 
-def solve_kpz(params: ProblemParams, f: PowerSource, grid: radialop.RadialGrid,
+def solve_kpz(params: ProblemParams, f: PowerSource, op: radialop.OperatorMatrix,
               controls: SolverControls | None = None,
-              supersolution: SupersolutionSpec | None = None,
-              operator: radialop.OperatorMatrix | None = None) -> SolverReport:
-    """Run the truncation scheme for the gradient problem.
+              supersolution: SupersolutionSpec | None = None) -> SolverReport:
+    """Run the truncation scheme for the gradient problem on the operator ``op``.
 
-    The source is always a PowerSource f(r) = C r^-e, the problem's one kind
-    of datum, scaled by ``params.mu``.  ``supersolution`` - when provided -
-    supplies the barrier used both for the blow-up threshold and the nodewise
-    margin in the trace; without one, classification relies on the
-    sustained-growth heuristic alone (used by the threshold probe and by
-    sweep cells beyond p_plus, where no barrier exists).
+    ``op`` is ``radialop.assemble_operator(grid, params.s)`` for a grid of
+    N = ``params.N`` (else GridMismatchError).  The source is always a
+    PowerSource f(r) = C r^-e, the problem's one kind of datum, scaled by
+    ``params.mu``.  ``supersolution`` - when provided - supplies the barrier
+    used both for the blow-up threshold and the nodewise margin in the
+    trace; without one, classification relies on the sustained-growth
+    heuristic alone (used by the threshold probe and by sweep cells beyond
+    p_plus, where no barrier exists).
     """
     controls = controls or SolverControls()
-    return _run_scheme(params, 0.0, f, grid, controls, supersolution, operator)
+    return _run_scheme(params, 0.0, f, op, controls, supersolution)
 
 
 def solve_damped(params: ProblemParams, alpha_damp: float, f: PowerSource,
-                 grid: radialop.RadialGrid,
+                 op: radialop.OperatorMatrix,
                  controls: SolverControls | None = None,
-                 supersolution: SupersolutionSpec | None = None,
-                 operator: radialop.OperatorMatrix | None = None) -> SolverReport:
+                 supersolution: SupersolutionSpec | None = None) -> SolverReport:
     """Truncation scheme with the gradient term damped by (1+u)^-alpha.
 
-    The source is params.mu * f; with alpha_damp = 0 this is bitwise solve_kpz.
+    It runs on ``op`` as solve_kpz does.  The source is params.mu * f; with
+    alpha_damp = 0 this is bitwise solve_kpz.
     """
     if alpha_damp < 0.0:
         raise DomainError("damping exponent must be nonnegative")
     controls = controls or SolverControls()
-    return _run_scheme(params, alpha_damp, f, grid, controls, supersolution, operator)
+    return _run_scheme(params, alpha_damp, f, op, controls, supersolution)
 
 
 # the probe's search range for mu and the relative width of its final bracket
@@ -477,11 +479,12 @@ class ProbeResult:
 
 
 def mu_threshold_probe(params: ProblemParams, f: PowerSource,
-                       grid: radialop.RadialGrid,
+                       op: radialop.OperatorMatrix,
                        controls: SolverControls | None = None) -> ProbeResult:
     """Bisect the source scale between a Converged and a BlowUp run.
 
-    The operator is assembled and factored once and reused.  From mu_0 =
+    Every run is a solve_kpz on the operator ``op`` it is given, factored on
+    the first run and reused by the rest.  From mu_0 =
     ``params.mu`` (1 when it is 0), the scale steps by a factor 4 (up from a
     Converged run, down from any other) until the status flips, then bisects
     geometrically to relative width <= ``_REL_WIDTH``.  The result is
@@ -493,12 +496,10 @@ def mu_threshold_probe(params: ProblemParams, f: PowerSource,
     if f.coefficient == 0.0:
         return ProbeResult(status="inconclusive",
                            note="vanishing source: scale is irrelevant by design")
-    op = radialop.assemble_operator(grid, params.N, params.s)
     evaluations = []
 
     def converges(mu_val: float) -> bool:
-        rep = solve_kpz(replace(params, mu=mu_val), f, grid, controls,
-                        supersolution=None, operator=op)
+        rep = solve_kpz(replace(params, mu=mu_val), f, op, controls)
         evaluations.append((mu_val, rep.status))
         return rep.status == "Converged"
 

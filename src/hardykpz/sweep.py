@@ -182,7 +182,7 @@ def _plan_operator(plan: SweepPlan) -> radialop.OperatorMatrix | HardyKPZError:
     built the operator itself would.
     """
     try:
-        op = radialop.assemble_operator(plan._grid, plan._params.N, plan._params.s)
+        op = radialop.assemble_operator(plan._grid, plan._params.s)
         solver.factor_operator(op)
     except HardyKPZError as exc:
         return exc
@@ -199,11 +199,10 @@ def _run_cell(plan: SweepPlan, op: radialop.OperatorMatrix | HardyKPZError,
         if isinstance(op, HardyKPZError):
             raise op
         if plan.kind == "damped":
-            report = solver.solve_damped(params, alpha, plan._source, plan._grid,
-                                         controls=plan._controls, operator=op)
+            report = solver.solve_damped(params, alpha, plan._source, op,
+                                         controls=plan._controls)
         else:
-            report = solver.solve_kpz(params, plan._source, plan._grid,
-                                      controls=plan._controls, operator=op)
+            report = solver.solve_kpz(params, plan._source, op, controls=plan._controls)
         iters = int(sum(row.inner_iters for row in report.trace))
         return CellResult(index, values, report.status,
                           report.field.sup_norm(), iters)

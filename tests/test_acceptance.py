@@ -34,7 +34,7 @@ _OPS = {}
 def desk_operator(M):
     if M not in _OPS:
         grid = ro.build_grid(1.0, M, 2.0, N)
-        _OPS[M] = ro.assemble_operator(grid, N, S)
+        _OPS[M] = ro.assemble_operator(grid, S)
     return _OPS[M]
 
 
@@ -152,8 +152,7 @@ def test_criterion_5a_subcritical_converges():
     params = sf.ProblemParams(N=N, s=S, lam=LAM, p=0.9 * REP.p_plus, mu=1e-3)
     spec = co.dirichlet_supersolution(params, f_bound_exponent=2 * S, f_bound_coef=0.3)
     assert _F.admissible_for(spec, 1.0)
-    rep = so.solve_kpz(params, _F, op.grid, controls=CTRL, supersolution=spec,
-                       operator=op)
+    rep = so.solve_kpz(params, _F, op, controls=CTRL, supersolution=spec)
     elapsed = time.time() - t0
     below = bool(np.all(rep.field.values <= spec.evaluate(op.grid.r) + 1e-10))
     ok = (rep.status == "Converged" and rep.monotonicity_violations == 0
@@ -166,7 +165,7 @@ def test_criterion_5b_supercritical_blows_up():
     t0 = time.time()
     op = desk_operator(200)
     params = sf.ProblemParams(N=N, s=S, lam=LAM, p=1.1 * REP.p_plus, mu=1e-3)
-    rep = so.solve_kpz(params, _F, op.grid, controls=CTRL, operator=op)
+    rep = so.solve_kpz(params, _F, op, controls=CTRL)
     elapsed = time.time() - t0
     ok = rep.status == "BlowUp" and elapsed < 300.0
     report("5b", ok, f"p=1.1 p+: {rep.status} ({elapsed:.1f}s)")
@@ -179,7 +178,7 @@ def test_criterion_5c_transition_band():
     for frac in np.arange(0.85, 1.16, 0.025):
         p = float(frac * REP.p_plus)
         params = sf.ProblemParams(N=N, s=S, lam=LAM, p=p, mu=1e-3)
-        rep = so.solve_kpz(params, _F, op.grid, controls=CTRL, operator=op)
+        rep = so.solve_kpz(params, _F, op, controls=CTRL)
         statuses[p] = rep.status
     conv = [p for p, st in statuses.items() if st == "Converged"]
     blow = [p for p, st in statuses.items() if st == "BlowUp"]
@@ -192,11 +191,11 @@ def test_criterion_5c_transition_band():
 
 
 def test_criterion_6_mu_threshold():
-    grid = ro.build_grid(1.0, 100, 2.0, N)
+    op = ro.assemble_operator(ro.build_grid(1.0, 100, 2.0, N), S)
     params = sf.ProblemParams(N=N, s=S, lam=LAM, p=0.9 * REP.p_plus, mu=1e-3)
     ctrl = so.SolverControls(n_schedule=tuple(2.0**j for j in range(15)))
-    res = so.mu_threshold_probe(params, _F, grid, controls=ctrl)
-    res2 = so.mu_threshold_probe(params, _F.scaled(2.0), grid, controls=ctrl)
+    res = so.mu_threshold_probe(params, _F, op, controls=ctrl)
+    res2 = so.mu_threshold_probe(params, _F.scaled(2.0), op, controls=ctrl)
     halving = abs(2.0 * res2.midpoint - res.midpoint) / res.midpoint
     ok = (res.status == "bracketed" and res.mu_hi / res.mu_lo <= 1.05
           and res2.status == "bracketed" and halving <= 0.10)
@@ -212,9 +211,9 @@ def test_criterion_7_damped_regime():
     c = 1e-3
     grid = ro.build_grid(1.0, 100, 2.0, N)
     params = sf.ProblemParams(N=N, s=S, lam=LAM, p=p, mu=c)
-    op = ro.assemble_operator(grid, N, S)
+    op = ro.assemble_operator(grid, S)
     rep = so.solve_damped(params, alpha, so.PowerSource(1.0, spec.f_bound_exponent),
-                          grid, controls=CTRL, supersolution=spec, operator=op)
+                          op, controls=CTRL, supersolution=spec)
     rejected = False
     try:
         co.damped_supersolution(N, S, LAM, p=p, alpha_damp=2 * S - 1.0)

@@ -39,13 +39,9 @@ def tree_digest(d, skip=()):
 def test_cli_import_leaves_scipy_optimize_out():
     """Importing the command line loads no scipy.optimize: that import alone
     cost about a fifth of each command's peak memory."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     code = ("import sys, hardykpz.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                       env=env)
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
 
@@ -116,8 +112,8 @@ def test_oracle_refine_reports_recomputed_values():
                 "--M", "48", "--refine")
     assert r.returncode == 0
     payload = json.loads(r.stdout)
-    op = ro.assemble_operator(ro.build_grid(1.0, 48, 2.0, N), N, S)
-    op2 = ro.assemble_operator(ro.build_grid(1.0, 96, 2.0, N), N, S)
+    op = ro.assemble_operator(ro.build_grid(1.0, 48, 2.0, N), S)
+    op2 = ro.assemble_operator(ro.build_grid(1.0, 96, 2.0, N), S)
     err = ro.oracle_power_test(op, theta, 0.1)
     radii2, rel2, _ = ro.power_test_profile(op2, theta, 0.1)
     err2 = rel2[radii2 >= op.oracle_r_min].max()

@@ -113,7 +113,7 @@ def test_dirichlet_numeric_margin_on_grid():
     params = _params(0.9 * REP.p_plus, mu=1e-3)
     spec = co.dirichlet_supersolution(params, f_bound_exponent=2 * S, f_bound_coef=0.3)
     grid = ro.build_grid(1.0, 128, 2.0, N)
-    op = ro.assemble_operator(grid, N, S)
+    op = ro.assemble_operator(grid, S)
     # L w - lambda w / r^2s - |grad w|^p - mu f at the nodes, with the
     # analytic gradient of the power profile, over the checked window: the
     # origin-closure node and the outer 5% of the ball excluded

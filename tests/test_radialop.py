@@ -12,7 +12,7 @@ from scipy.special import hyp2f1, roots_legendre
 
 from hardykpz import radialop as ro
 from hardykpz import specfun as sf
-from hardykpz.errors import AssemblyError, ConfigError, DomainError, GridMismatchError
+from hardykpz.errors import AssemblyError, ConfigError, DomainError
 
 N, S = 3, 0.75
 LAM_MAX = sf.hardy_constant(N, S)
@@ -22,7 +22,7 @@ REP = sf.exponents_for(N, S, LAM_MAX / 2)
 @pytest.fixture(scope="module")
 def desk_op():
     grid = ro.build_grid(1.0, 200, 2.0, N)
-    return ro.assemble_operator(grid, N, S)
+    return ro.assemble_operator(grid, S)
 
 
 # ------------------------------------------------------------------ grids
@@ -176,9 +176,9 @@ def test_oracle_domain(desk_op):
 
 def test_refinement_common_window():
     grid1 = ro.build_grid(1.0, 100, 2.0, N)
-    op1 = ro.assemble_operator(grid1, N, S)
+    op1 = ro.assemble_operator(grid1, S)
     grid2 = ro.build_grid(1.0, 200, 2.0, N)
-    op2 = ro.assemble_operator(grid2, N, S)
+    op2 = ro.assemble_operator(grid2, S)
     r_lo = op1.oracle_r_min
     mu = REP.mu_exp
     _, rel1, _ = ro.power_test_profile(op1, mu)
@@ -319,19 +319,21 @@ def test_assembly_kernel_check_fires(monkeypatch):
     grid = ro.build_grid(1.0, 32, 2.0, N)
     monkeypatch.setattr(ro, "_ANGULAR_ORDER", 2)
     with pytest.raises(AssemblyError):
-        ro.assemble_operator(grid, N, S)
+        ro.assemble_operator(grid, S)
 
 
 def test_assembly_table_check_fires(monkeypatch):
     grid = ro.build_grid(1.0, 32, 2.0, N)
     monkeypatch.setattr(ro, "_CHEB_DEGREE", 3)
     with pytest.raises(AssemblyError, match="kernel table"):
-        ro.assemble_operator(grid, N, S)
+        ro.assemble_operator(grid, S)
 
 
 def test_assembly_domain_checks():
-    with pytest.raises(GridMismatchError):
-        ro.assemble_operator(ro.build_grid(1.0, 32, 2.0, 4), N, S)
+    # the dimension is the grid's; s must lie in (0, 1)
+    for s in (0.0, 1.0):
+        with pytest.raises(DomainError, match="0 < s < 1"):
+            ro.assemble_operator(ro.build_grid(1.0, 32, 2.0, N), s)
 
 
 def _counting(monkeypatch, name, size):
@@ -356,7 +358,7 @@ def test_assembly_work_does_not_grow_with_the_grid(monkeypatch):
         with monkeypatch.context() as mp:
             hyp = _counting(mp, "hyp2f1", np.size)
             rules = _counting(mp, "roots_legendre", lambda out: 0)
-            ro.assemble_operator(ro.build_grid(1.0, M, 2.0, N), N, S)
+            ro.assemble_operator(ro.build_grid(1.0, M, 2.0, N), S)
         seen.append((hyp["calls"], hyp["points"], rules["calls"]))
     assert seen[0] == seen[1]
     assert seen[0][1] <= 5000
@@ -368,7 +370,7 @@ def test_assembly_memory_stays_chunked():
     grid = ro.build_grid(1.0, 200, 2.0, N)
     tracemalloc.start()
     try:
-        ro.assemble_operator(grid, N, S)
+        ro.assemble_operator(grid, S)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -531,7 +533,7 @@ def test_batched_assembly_matches_the_plain_loop(monkeypatch, M, g, s):
     """The flat (row, panel) and (row, cell) bookkeeping puts every weight
     where the per-row loop does."""
     monkeypatch.setattr(ro._Assembler, "_calibrate", lambda self, A: None)
-    asm = ro._Assembler(ro.build_grid(1.0, M, g, N), N, s, (N - 2 * s) / 2)
+    asm = ro._Assembler(ro.build_grid(1.0, M, g, N), s)
     got = asm.assemble()
     want = _plain_assemble(asm)
     rel = np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)
@@ -549,7 +551,7 @@ def _uncalibrated(n_dim, s, M):
     """An assembler and its matrix before the inner-row calibration."""
     key = (n_dim, s, M)
     if key not in _UNCALIBRATED:
-        asm = ro._Assembler(ro.build_grid(1.0, M, 2.0, n_dim), n_dim, s, (n_dim - 2 * s) / 2)
+        asm = ro._Assembler(ro.build_grid(1.0, M, 2.0, n_dim), s)
         asm._calibrate = lambda A: None
         A = asm.assemble()
         del asm._calibrate
@@ -623,12 +625,12 @@ def test_calibration_fit_raises_at_its_cap(monkeypatch):
     never a silently truncated row."""
     monkeypatch.setattr(ro, "_FIT_MAX_STEPS", 1)
     with pytest.raises(AssemblyError, match="calibration fit"):
-        ro.assemble_operator(ro.build_grid(1.0, 32, 2.0, N), N, S)
+        ro.assemble_operator(ro.build_grid(1.0, 32, 2.0, N), S)
 
 
 @pytest.mark.parametrize("M", [200, 400])
 def test_recorded_oracle_tolerances(M):
     """README's recorded power-oracle errors at desk scale, to within 10%."""
-    op = ro.assemble_operator(ro.build_grid(1.0, M, 2.0, N), N, S)
+    op = ro.assemble_operator(ro.build_grid(1.0, M, 2.0, N), S)
     assert ro.oracle_power_test(op, REP.mu_exp) == pytest.approx(1.74e-3, rel=0.1)
     assert ro.oracle_power_test(op, REP.mubar_exp) == pytest.approx(1.59e-2, rel=0.1)

@@ -13,7 +13,7 @@ from hardykpz import construct as co
 from hardykpz import radialop as ro
 from hardykpz import solver as so
 from hardykpz import specfun as sf
-from hardykpz.errors import ConstructionError, DomainError
+from hardykpz.errors import ConstructionError, DomainError, GridMismatchError
 
 N, S = 3, 0.75
 LAM = sf.hardy_constant(N, S) / 2
@@ -30,7 +30,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def op(grid):
-    return ro.assemble_operator(grid, N, S)
+    return ro.assemble_operator(grid, S)
 
 
 def _params(p, mu):
@@ -38,8 +38,7 @@ def _params(p, mu):
 
 
 def test_zero_data_converges_to_zero(grid, op):
-    rep = so.solve_kpz(_params(1.3, 0.0), so.PowerSource(0.0, 2 * S), grid,
-                       controls=CTRL, operator=op)
+    rep = so.solve_kpz(_params(1.3, 0.0), so.PowerSource(0.0, 2 * S), op, controls=CTRL)
     assert rep.status == "Converged"
     assert rep.field.sup_norm() == 0.0
 
@@ -49,7 +48,7 @@ def test_subcritical_converges_under_barrier(grid, op):
     spec = co.dirichlet_supersolution(params, f_bound_exponent=2 * S, f_bound_coef=0.3)
     f = so.PowerSource(0.3, 2 * S)
     assert f.admissible_for(spec, grid.R)
-    rep = so.solve_kpz(params, f, grid, controls=CTRL, supersolution=spec, operator=op)
+    rep = so.solve_kpz(params, f, op, controls=CTRL, supersolution=spec)
     assert rep.status == "Converged"
     assert rep.monotonicity_violations == 0
     w = spec.evaluate(grid.r)
@@ -63,15 +62,14 @@ def test_subcritical_converges_under_barrier(grid, op):
 
 def test_supercritical_classified_blow_up(grid, op):
     params = _params(1.1 * REP.p_plus, 1e-3)
-    rep = so.solve_kpz(params, so.PowerSource(0.3, 2 * S), grid,
-                       controls=CTRL, supersolution=None, operator=op)
+    rep = so.solve_kpz(params, so.PowerSource(0.3, 2 * S), op,
+                       controls=CTRL, supersolution=None)
     assert rep.status == "BlowUp"
 
 
 def test_outer_sequence_monotone(grid, op):
     params = _params(0.9 * REP.p_plus, 1e-3)
-    rep = so.solve_kpz(params, so.PowerSource(0.3, 2 * S), grid,
-                       controls=CTRL, operator=op)
+    rep = so.solve_kpz(params, so.PowerSource(0.3, 2 * S), op, controls=CTRL)
     sups = [row.sup_norm for row in rep.trace]
     tol = 10 * CTRL.picard_tol * max(sups)
     assert all(b >= a - tol for a, b in zip(sups, sups[1:]))
@@ -81,8 +79,8 @@ def test_outer_sequence_monotone(grid, op):
 def test_truncation_path_independence(grid, op):
     params = _params(0.9 * REP.p_plus, 1e-3)
     f = so.PowerSource(0.3, 2 * S)
-    scheduled = so.solve_kpz(params, f, grid, controls=CTRL, operator=op)
-    fixed = so.solve_kpz(params, f, grid, operator=op,
+    scheduled = so.solve_kpz(params, f, op, controls=CTRL)
+    fixed = so.solve_kpz(params, f, op,
                          controls=so.SolverControls(n_schedule=(CTRL.n_schedule[-1],)))
     diff = np.max(np.abs(scheduled.field.values - fixed.field.values))
     assert diff <= 5 * CTRL.picard_tol * max(scheduled.field.sup_norm(), 1e-300)
@@ -91,8 +89,8 @@ def test_truncation_path_independence(grid, op):
 def test_damped_zero_alpha_matches_kpz_bitwise(grid, op):
     params = _params(1.25, 1e-3)
     f = so.PowerSource(0.3, 2 * S)
-    a = so.solve_kpz(params, f, grid, controls=CTRL, operator=op)
-    b = so.solve_damped(params, 0.0, f, grid, controls=CTRL, operator=op)
+    a = so.solve_kpz(params, f, op, controls=CTRL)
+    b = so.solve_damped(params, 0.0, f, op, controls=CTRL)
     assert np.array_equal(a.field.values, b.field.values)
     assert a.status == b.status
 
@@ -103,18 +101,17 @@ def test_damped_strong_damping_converges(grid):
     spec = co.damped_supersolution(N, S, LAM, p=p, alpha_damp=alpha)
     c = 1e-3
     params = sf.ProblemParams(N=N, s=S, lam=LAM, p=p, mu=c)
-    op_local = ro.assemble_operator(grid, N, S)
+    op_local = ro.assemble_operator(grid, S)
     f = so.PowerSource(1.0, spec.f_bound_exponent)
-    rep = so.solve_damped(params, alpha, f, grid, controls=CTRL,
-                          supersolution=spec, operator=op_local)
+    rep = so.solve_damped(params, alpha, f, op_local, controls=CTRL,
+                          supersolution=spec)
     assert rep.status == "Converged"
     assert np.all(rep.field.values <= spec.evaluate(grid.r) + 1e-10)
 
 
 def test_damped_zero_source_is_zero(grid, op):
     params = _params(1.3, 0.0)
-    rep = so.solve_damped(params, 1.0, so.PowerSource(1.0, 0.5), grid,
-                          controls=CTRL, operator=op)
+    rep = so.solve_damped(params, 1.0, so.PowerSource(1.0, 0.5), op, controls=CTRL)
     assert rep.status == "Converged"
     assert rep.field.sup_norm() == 0.0
 
@@ -123,9 +120,8 @@ def test_lambda_zero_degeneration_bounded(grid):
     # no Hardy term: plain gradient problem with a smooth source stays
     # bounded, with no singular growth over the innermost decade of nodes
     params = sf.ProblemParams(N=N, s=S, lam=0.0, p=1.15, mu=1e-2)
-    op_local = ro.assemble_operator(grid, N, S)
-    rep = so.solve_kpz(params, so.PowerSource(1.0, 0.0), grid,
-                       controls=CTRL, operator=op_local)
+    op_local = ro.assemble_operator(grid, S)
+    rep = so.solve_kpz(params, so.PowerSource(1.0, 0.0), op_local, controls=CTRL)
     assert rep.status == "Converged"
     u = rep.field.values
     inner = u[grid.r <= 10 * grid.r[0]]
@@ -152,29 +148,29 @@ def test_power_source_admissibility():
 
 # ----------------------------------------------------------------- probe
 
-def test_probe_brackets_and_scales(grid):
+def test_probe_brackets_and_scales(op):
     params = _params(0.9 * REP.p_plus, 1e-3)
     ctrl = so.SolverControls(n_schedule=tuple(2.0**j for j in range(15)))
     f = so.PowerSource(0.3, 2 * S)
-    res = so.mu_threshold_probe(params, f, grid, controls=ctrl)
+    res = so.mu_threshold_probe(params, f, op, controls=ctrl)
     assert res.status == "bracketed"
     assert res.mu_hi / res.mu_lo <= 1.05
     statuses = dict(res.evaluations)
     assert statuses[res.mu_lo] == "Converged"
     assert statuses[res.mu_hi] != "Converged"
-    res2 = so.mu_threshold_probe(params, f.scaled(2.0), grid, controls=ctrl)
+    res2 = so.mu_threshold_probe(params, f.scaled(2.0), op, controls=ctrl)
     # doubling the source exactly halves the threshold (the scheme depends
     # on the product mu * f only)
     assert res2.midpoint == pytest.approx(res.midpoint / 2.0, rel=1e-12)
 
 
 def _probes_under_f_and_2f(lam, p, mu0, coefficient):
-    grid = ro.build_grid(1.0, 32, 2.0, N)
+    op = ro.assemble_operator(ro.build_grid(1.0, 32, 2.0, N), S)
     params = sf.ProblemParams(N=N, s=S, lam=lam, p=p, mu=mu0)
     ctrl = so.SolverControls(n_schedule=tuple(2.0**j for j in range(12)))
     f = so.PowerSource(coefficient, 2 * S)
-    return (so.mu_threshold_probe(params, f, grid, controls=ctrl),
-            so.mu_threshold_probe(params, f.scaled(2.0), grid, controls=ctrl))
+    return (so.mu_threshold_probe(params, f, op, controls=ctrl),
+            so.mu_threshold_probe(params, f.scaled(2.0), op, controls=ctrl))
 
 
 @settings(max_examples=5, deadline=None)
@@ -206,18 +202,18 @@ def test_doubling_the_source_halves_the_bracket_with_an_undecided_run():
     assert (res2.mu_lo, res2.mu_hi) == (res.mu_lo / 2.0, res.mu_hi / 2.0)
 
 
-def test_probe_zero_source_inconclusive(grid):
+def test_probe_zero_source_inconclusive(op):
     params = _params(0.9 * REP.p_plus, 1e-3)
-    res = so.mu_threshold_probe(params, so.PowerSource(0.0, 1.0), grid, controls=CTRL)
+    res = so.mu_threshold_probe(params, so.PowerSource(0.0, 1.0), op, controls=CTRL)
     assert res.status == "inconclusive"
     assert "by design" in res.note
 
 
 def _probe_m32(mu0):
-    grid = ro.build_grid(1.0, 32, 2.0, N)
+    op = ro.assemble_operator(ro.build_grid(1.0, 32, 2.0, N), S)
     ctrl = so.SolverControls(n_schedule=tuple(2.0**j for j in range(12)))
     return so.mu_threshold_probe(_params(0.9 * REP.p_plus, mu0), so.PowerSource(0.3, 2 * S),
-                                 grid, controls=ctrl)
+                                 op, controls=ctrl)
 
 
 @pytest.mark.parametrize("mu0, up", [(1e-3, True), (100.0, False)],
@@ -257,7 +253,7 @@ def test_probe_is_inconclusive_past_its_bounds(monkeypatch, bound, value, mu0, s
 def test_probe_bracket_holds_under_uncapped_plain_picard(monkeypatch):
     # the bracket comes from runs that are decided, not from the cap: plain
     # damped Picard with no practical cap agrees on both ends
-    small = ro.build_grid(1.0, 64, 2.0, N)
+    small = ro.assemble_operator(ro.build_grid(1.0, 64, 2.0, N), S)
     p = 0.9 * sf.exponents_for(N, S, _LAM_08).p_plus
     params = sf.ProblemParams(N=N, s=S, lam=_LAM_08, p=p, mu=1e-3)
     f = so.PowerSource(0.3, 1.5)
@@ -466,18 +462,16 @@ def _case(case):
     return params, alpha, f, controls, spec
 
 
-def _solve_case(case, grid, op):
+def _solve_case(case, op):
     params, alpha, f, controls, spec = _case(case)
     if alpha == 0.0:
-        return so.solve_kpz(params, f, grid, controls=controls, supersolution=spec,
-                            operator=op)
-    return so.solve_damped(params, alpha, f, grid, controls=controls,
-                           supersolution=spec, operator=op)
+        return so.solve_kpz(params, f, op, controls=controls, supersolution=spec)
+    return so.solve_damped(params, alpha, f, op, controls=controls, supersolution=spec)
 
 
 @pytest.mark.parametrize("case", _CASES)
 def test_scheme_matches_the_plain_formulas_bitwise(grid, op, case):
-    rep = _solve_case(case, grid, op)
+    rep = _solve_case(case, op)
     params, alpha, f, controls, spec = _case(case)
     status, u, rows, mono, sup_bound, residual = _plain_scheme(
         params, alpha, params.mu, f, grid, op, controls, spec)
@@ -493,7 +487,7 @@ def test_scheme_matches_the_plain_formulas_bitwise(grid, op, case):
 
 @pytest.mark.parametrize("case", _CASES)
 def test_accelerated_scheme_certifies_the_picard_fixed_point(grid, op, case, monkeypatch):
-    rep = _solve_case(case, grid, op)
+    rep = _solve_case(case, op)
     params, alpha, f, controls, spec = _case(case)
     monkeypatch.setattr(so.SolverControls, "picard_max", 20_000)
     monkeypatch.setattr(so.SolverControls, "anderson_depth", 0)
@@ -530,7 +524,7 @@ def test_gradient_values_equals_the_plain_stencil(M, g, R, seed, scale):
 @functools.lru_cache(maxsize=None)
 def _small_operator(M):
     grid = ro.build_grid(1.0, M, 2.0, N)
-    return grid, ro.assemble_operator(grid, N, S)
+    return grid, ro.assemble_operator(grid, S)
 
 
 @settings(max_examples=30, deadline=None)
@@ -551,7 +545,7 @@ def test_accelerated_iterates_stay_monotone_and_under_the_barrier(
         assume(False)  # mu too large for this barrier
     assume(f.admissible_for(spec, 1.0))
     grid, op = _small_operator(M)
-    rep = so.solve_kpz(params, f, grid, controls=CTRL, supersolution=spec, operator=op)
+    rep = so.solve_kpz(params, f, op, controls=CTRL, supersolution=spec)
     assert rep.monotonicity_violations == 0
     slack = 1e-6 * rep.sup_bound
     assert all(row.margin >= -slack for row in rep.trace)
@@ -575,7 +569,8 @@ def factor_calls(monkeypatch):
 def test_probe_factors_its_operator_once(grid, factor_calls):
     params = _params(0.9 * REP.p_plus, 1e-3)
     ctrl = so.SolverControls(n_schedule=tuple(2.0**j for j in range(12)))
-    res = so.mu_threshold_probe(params, so.PowerSource(0.3, 2 * S), grid, controls=ctrl)
+    res = so.mu_threshold_probe(params, so.PowerSource(0.3, 2 * S),
+                                ro.assemble_operator(grid, S), controls=ctrl)
     assert res.status == "bracketed"
     assert len(res.evaluations) > 1
     assert len(factor_calls) == 1
@@ -584,13 +579,12 @@ def test_probe_factors_its_operator_once(grid, factor_calls):
 def test_run_on_factored_operator_matches_fresh_operator(grid, factor_calls):
     params = _params(0.9 * REP.p_plus, 1e-3)
     f = so.PowerSource(0.3, 2 * S)
-    used = ro.assemble_operator(grid, N, S)
-    so.solve_kpz(params, f, grid, controls=CTRL, operator=used)
+    used = ro.assemble_operator(grid, S)
+    so.solve_kpz(params, f, used, controls=CTRL)
     assert used.factors is not None and len(factor_calls) == 1
-    again = so.solve_kpz(params, f, grid, controls=CTRL, operator=used)
+    again = so.solve_kpz(params, f, used, controls=CTRL)
     assert len(factor_calls) == 1
-    fresh = so.solve_kpz(params, f, grid, controls=CTRL,
-                         operator=ro.assemble_operator(grid, N, S))
+    fresh = so.solve_kpz(params, f, ro.assemble_operator(grid, S), controls=CTRL)
     assert len(factor_calls) == 2
     assert again.status == fresh.status
     assert np.array_equal(again.field.values, fresh.field.values)
@@ -599,3 +593,19 @@ def test_run_on_factored_operator_matches_fresh_operator(grid, factor_calls):
     for name in ("monotonicity_violations", "fixed_point_residual",
                  "gradient_lp_integral", "hardy_l1_integral", "sup_bound"):
         assert getattr(again, name) == getattr(fresh, name), name
+
+
+@pytest.mark.parametrize("run", [
+    lambda params, f, op: so.solve_kpz(params, f, op),
+    lambda params, f, op: so.solve_damped(params, 1.0, f, op),
+    lambda params, f, op: so.mu_threshold_probe(params, f, op),
+], ids=["solve_kpz", "solve_damped", "mu_threshold_probe"])
+def test_scheme_refuses_an_operator_of_another_problem(run):
+    # an operator assembled for s = 0.75 would run a problem with s = 0.9 on
+    # the wrong (-Lap)^s; the refusal comes before the first factorization
+    op = ro.assemble_operator(ro.build_grid(1.0, 32, 2.0, N), S)
+    s = 0.9
+    params = sf.ProblemParams(N=N, s=s, lam=sf.hardy_constant(N, s) / 2, p=1.3, mu=1e-3)
+    with pytest.raises(GridMismatchError, match=r"\(3, 0\.75\).*\(3, 0\.9\)"):
+        run(params, so.PowerSource(0.3, 2 * s), op)
+    assert op.factors is None

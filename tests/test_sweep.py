@@ -338,11 +338,11 @@ def test_sweep_cell_matches_direct_solve(kind):
         cfg = {"problem": {**plan.problem, "p": cell.values["p"]}, "grid": plan.grid,
                "controls": {"n_levels": plan.n_levels}, "source": plan.source}
         params, grid, controls, f = so.run_inputs(cfg)
+        op = ro.assemble_operator(grid, params.s)
         if kind == "damped":
-            rep = so.solve_damped(params, plan.alpha_damp, f, grid,
-                                  controls=controls)
+            rep = so.solve_damped(params, plan.alpha_damp, f, op, controls=controls)
         else:
-            rep = so.solve_kpz(params, f, grid, controls=controls)
+            rep = so.solve_kpz(params, f, op, controls=controls)
         assert cell.status == rep.status
         assert cell.sup_norm == rep.field.sup_norm()
         assert cell.inner_iters == sum(row.inner_iters for row in rep.trace)

@@ -5,7 +5,8 @@ package (``radialop.assemble_operator``, ``solver.solve_kpz``,
 ``sweep._run_cell``, ...).  A rename or a call that bypasses the module
 global silently zeroes a per-layer metric; this test runs a solve, a probe and a
 two-worker sweep under the tracer and requires each span to be counted.  The
-probe must factor its operator once and make one ``solver.lu_solve`` call per
+solve and the probe must each assemble their operator once.  The probe must
+factor its operator once and make one ``solver.lu_solve`` call per
 inner Picard iteration.  The two-worker sweep must assemble and factor its
 one operator once, counting the parent and the workers together.  The solve
 builds its supersolution, whose one exponent report must reach
@@ -56,8 +57,6 @@ def test_tracer_counts_every_wrapped_layer(tmp_path):
     workers = os.path.join(tmp_path, "workers")
     os.makedirs(workers)
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     env.pop("HARDYKPZ_WORKERS", None)
     r = subprocess.run(
         [sys.executable, "-c", SCRIPT, os.path.join(ROOT, "perfbench"), workers,
@@ -78,6 +77,9 @@ def test_tracer_counts_every_wrapped_layer(tmp_path):
     solve = out["solve"]
     assert solve["construct.supersolution"] == 1
     assert solve["specfun.exponents_for"] == 1
+    # the CLI assembles each run's operator once, and the scheme runs on it
+    assert probe["calls"]["radialop.assemble"] == 1
+    assert solve["radialop.assemble"] == 1
     # the sweep's parent assembles and factors its one operator; the workers
     # only solve with it
     sweep = out["sweep"]
