@@ -8,53 +8,8 @@ Layout
 ``solver``    Monotone truncation scheme, blow-up classification, threshold probe.
 ``sweep``     Existence-region maps and exponent tables.
 ``cli``       Command-line front end (``hardykpz``).
-"""
 
-from .errors import (
-    AssemblyError,
-    ConfigError,
-    ConstructionError,
-    DomainError,
-    GridMismatchError,
-    HardyKPZError,
-    NumericalDivergenceError,
-    SolveError,
-)
-from .specfun import (
-    ExponentReport,
-    ProblemParams,
-    alpha_of_lambda,
-    exponents_for,
-    gamma_multiplier,
-    hardy_constant,
-    lambda_of_alpha,
-    log_gamma,
-    normalizing_constant,
-)
-from .radialop import (
-    OperatorMatrix,
-    RadialField,
-    RadialGrid,
-    assemble_operator,
-    build_grid,
-    oracle_power_test,
-    rayleigh_quotient,
-)
-from .construct import (
-    SupersolutionSpec,
-    damped_supersolution,
-    dirichlet_supersolution,
-    exact_radial_solution,
-)
-from .solver import (
-    PowerSource,
-    ProbeResult,
-    SolverControls,
-    SolverReport,
-    mu_threshold_probe,
-    solve_damped,
-    solve_kpz,
-)
-from .sweep import RegionMap, SweepAxis, SweepPlan, exponent_table, run_sweep
+Each module's ``__all__`` is its API; import the modules themselves.
+"""
 
 __version__ = "0.1.0"

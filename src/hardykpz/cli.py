@@ -172,11 +172,10 @@ def cmd_solve(args) -> int:
 
 def cmd_damped(args) -> int:
     cfg, out, params, grid, controls, f = _run_inputs(args, _DAMPED_KEYS)
-    alpha = value(cfg, "alpha_damp", "config", float)
+    alpha = solver.check_damping(value(cfg, "alpha_damp", "config", float))
     spec = None
     if _auto_supersolution(cfg):
-        spec = construct.damped_supersolution(params.N, params.s, params.lam,
-                                              params.p, alpha, R=grid.R)
+        spec = construct.damped_supersolution(params, alpha, R=grid.R)
     op = radialop.assemble_operator(grid, params.s)
     report = solver.solve_damped(params, alpha, f, op, controls=controls,
                                  supersolution=spec)

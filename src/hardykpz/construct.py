@@ -166,10 +166,10 @@ def dirichlet_supersolution(params: ProblemParams, f_bound_exponent: float,
     )
 
 
-def damped_supersolution(N: int, s: float, lam: float, p: float,
-                         alpha_damp: float, R: float = 1.0) -> SupersolutionSpec:
-    """Supersolution on the ball of radius R for the gradient term damped by
-    (1+u)^-alpha.
+def damped_supersolution(params: ProblemParams, alpha_damp: float,
+                         R: float = 1.0) -> SupersolutionSpec:
+    """Supersolution on the ball of radius R for the gradient term of the
+    problem ``params`` damped by (1+u)^-alpha (``params.mu`` is not used).
 
     Requires alpha_damp > 2s - 1 strictly and p < 2s.  Returns the profile
     exponent beta close to mu(lambda), the amplitude, and the margin
@@ -180,13 +180,13 @@ def damped_supersolution(N: int, s: float, lam: float, p: float,
     at an end of that range (in practice 2^8), and the margin is set by that
     cap, so it is no source-scale threshold.
     """
+    N, s, lam, p = params.N, params.s, params.lam, params.p
     if not (p < 2.0 * s):
         raise DomainError(f"damped construction needs p < 2s, got p={p}, s={s}")
     if not (alpha_damp > 2.0 * s - 1.0):
         raise DomainError(
             f"damping exponent must exceed 2s-1 = {2 * s - 1}, got {alpha_damp}"
         )
-    ProblemParams(N=N, s=s, lam=lam, p=p)  # the domain checks of the point
     rep = specfun.exponents_for(N, s, lam)
     mu, mubar = rep.mu_exp, rep.mubar_exp
     beta = next(_theta_ladder(mu, mubar), None)

@@ -158,11 +158,11 @@ class RadialGrid:
 
 def build_grid(R: float, M: int, g: float, N: int) -> RadialGrid:
     """Graded radial grid on (0, R] with M nodes and grading exponent g."""
-    if R <= 0.0:
+    if not R > 0.0:
         raise ConfigError(f"domain radius must be positive, got R={R}")
     if M < 16:
         raise ConfigError(f"need at least 16 nodes, got M={M}")
-    if g < 1.0:
+    if not g >= 1.0:
         raise ConfigError(f"grading exponent must satisfy g >= 1, got g={g}")
     if N < 2:
         raise ConfigError(f"dimension must be >= 2, got N={N}")
@@ -223,8 +223,7 @@ def angular_kernel_average(N: int, s: float, z: float, order: int = 80) -> float
     phi = 0.5 * math.pi * (x + 1.0)
     wphi = 0.5 * math.pi * w
     vals = np.sin(phi) ** (N - 2) * (1.0 - 2.0 * z * np.cos(phi) + z * z) ** (-(N + 2.0 * s) / 2.0)
-    omega = 2.0 * math.pi ** ((N - 1) / 2.0) / math.exp(specfun.log_gamma((N - 1) / 2.0))
-    return omega * float(np.dot(vals, wphi))
+    return specfun.sphere_area(N - 1) * float(np.dot(vals, wphi))
 
 
 class _Kernel:
@@ -322,7 +321,7 @@ class OperatorMatrix:
     def oracle_r_min(self) -> float:
         """Innermost radius included in oracle error metrics (origin-closure
         row excluded)."""
-        return self.grid.r[1] if self.grid.M > 1 else self.grid.r[0]
+        return self.grid.r[1]
 
 
 def _tail_integral(kern: _Kernel, r: np.ndarray, ws: np.ndarray, lo,
@@ -586,7 +585,6 @@ class _Assembler:
         """
         M = self.M
         i_cal = max(2, int(math.ceil(_CALIB_FRAC * M)))
-        i_cal = min(i_cal, M)
         nth = _CALIB_NTHETA
         span = self.N - 2.0 * self.s
         thetas = 0.5 * (1.0 - np.cos(np.pi * np.arange(nth) / (nth - 1))) * 0.97 * span

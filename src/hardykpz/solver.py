@@ -44,6 +44,7 @@ __all__ = [
     "ProbeResult",
     "solve_kpz",
     "solve_damped",
+    "check_damping",
     "mu_threshold_probe",
     "run_inputs",
     "save_trace",
@@ -62,7 +63,7 @@ class PowerSource:
     exponent: float
 
     def __post_init__(self):
-        if self.coefficient < 0.0:
+        if not self.coefficient >= 0.0:
             raise DomainError("source coefficient must be nonnegative")
 
     def values(self, grid: radialop.RadialGrid) -> np.ndarray:
@@ -442,6 +443,15 @@ def solve_kpz(params: ProblemParams, f: PowerSource, op: radialop.OperatorMatrix
     return _run_scheme(params, 0.0, f, op, controls, supersolution)
 
 
+def check_damping(alpha_damp: float) -> float:
+    """``alpha_damp`` when it is a damping exponent, alpha >= 0; DomainError
+    otherwise.  The one statement of the rule: solve_damped, a sweep plan and
+    ``hardykpz damped`` (before it assembles) all call it."""
+    if not alpha_damp >= 0.0:
+        raise DomainError("damping exponent must be nonnegative")
+    return alpha_damp
+
+
 def solve_damped(params: ProblemParams, alpha_damp: float, f: PowerSource,
                  op: radialop.OperatorMatrix,
                  controls: SolverControls | None = None,
@@ -451,8 +461,7 @@ def solve_damped(params: ProblemParams, alpha_damp: float, f: PowerSource,
     It runs on ``op`` as solve_kpz does.  The source is params.mu * f; with
     alpha_damp = 0 this is bitwise solve_kpz.
     """
-    if alpha_damp < 0.0:
-        raise DomainError("damping exponent must be nonnegative")
+    check_damping(alpha_damp)
     controls = controls or SolverControls()
     return _run_scheme(params, alpha_damp, f, op, controls, supersolution)
 

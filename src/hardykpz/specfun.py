@@ -9,12 +9,11 @@ Conventions
 -----------
 * ``hardy_constant(N, s)`` is the sharp constant of the fractional Hardy
   inequality, the supremum of admissible zero-order coefficients.
-* ``lambda_of_alpha(alpha, N, s)`` is the even, strictly decreasing (on
-  alpha >= 0) Gamma-ratio map whose value at ``alpha`` is the coefficient
-  for which ``|x|**(-(N-2s)/2 + alpha)`` solves the pure Hardy equation.
-* ``gamma_multiplier(beta, N, s)`` is the same ratio read as a spectral
-  multiplier: ``u = |x|**(-(N-2s)/2 + beta)`` satisfies
-  ``(-Lap)^s u = gamma_multiplier(beta) * |x|**(-2s) * u`` away from 0.
+* ``gamma_multiplier(beta, N, s)`` is the even, strictly decreasing (on
+  beta >= 0) Gamma-ratio map lambda(beta): ``u = |x|**(-(N-2s)/2 + beta)``
+  satisfies ``(-Lap)^s u = gamma_multiplier(beta) * |x|**(-2s) * u`` away
+  from 0, so its value is the Hardy coefficient for which u solves the pure
+  Hardy equation.
 * ``exponents_for(N, s, lam)`` packages the derived exponents p-, p+, p*
   for a parameter point, on which the existence/non-existence dichotomy
   turns.
@@ -33,7 +32,6 @@ __all__ = [
     "ExponentReport",
     "log_gamma",
     "hardy_constant",
-    "lambda_of_alpha",
     "gamma_multiplier",
     "alpha_of_lambda",
     "exponents_for",
@@ -109,7 +107,7 @@ def hardy_constant(N: int, s: float) -> float:
 
 
 def _gamma_ratio(a: float, N: float, s: float) -> float:
-    """Shared even Gamma-ratio behind lambda_of_alpha / gamma_multiplier.
+    """Even Gamma ratio behind gamma_multiplier and alpha_of_lambda.
 
     Evaluated at |a| so the +a and -a calls are bit-for-bit identical.
     """
@@ -128,24 +126,19 @@ def _gamma_ratio(a: float, N: float, s: float) -> float:
     )
 
 
-def lambda_of_alpha(alpha: float, N: int, s: float) -> float:
-    """Hardy coefficient for which |x|^{-(N-2s)/2 +- alpha} is a radial solution.
-
-    Even in alpha by construction; strictly decreasing on [0, (N-2s)/2) with
-    lambda_of_alpha(0) = hardy_constant(N, s) and limit 0 at (N-2s)/2.
-    """
-    _check_order(N, s)
-    return _gamma_ratio(alpha, N, s)
-
-
 def gamma_multiplier(beta: float, N: int, s: float) -> float:
-    """Multiplier gamma_beta: (-Lap)^s |x|^{-(N-2s)/2+beta} = gamma_beta |x|^{-2s} u."""
+    """Multiplier gamma_beta: (-Lap)^s |x|^{-(N-2s)/2+beta} = gamma_beta |x|^{-2s} u.
+
+    gamma_beta is the Hardy coefficient for which |x|^{-(N-2s)/2 +- beta} is a
+    radial solution.  Even in beta by construction; strictly decreasing on
+    [0, (N-2s)/2) from hardy_constant(N, s) at 0 to the limit 0 at (N-2s)/2.
+    """
     _check_order(N, s)
     return _gamma_ratio(beta, N, s)
 
 
 def alpha_of_lambda(lam: float, N: int, s: float) -> float:
-    """Invert lambda_of_alpha on [0, (N-2s)/2) by bisection.
+    """Invert gamma_multiplier on [0, (N-2s)/2) by bisection.
 
     Accepts lam = hardy_constant (returns exactly 0.0) although problem
     parameters keep lambda strictly below it; the boundary value is needed
@@ -154,7 +147,7 @@ def alpha_of_lambda(lam: float, N: int, s: float) -> float:
     _check_order(N, s)
     lam = float(lam)
     lam_max = hardy_constant(N, s)
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise DomainError(f"lambda must be positive, got {lam}")
     if lam > lam_max * (1.0 + 1e-14):
         raise DomainError(
@@ -164,7 +157,7 @@ def alpha_of_lambda(lam: float, N: int, s: float) -> float:
         return 0.0
     half_gap = (N - 2.0 * s) / 2.0
     lo, hi = 0.0, half_gap - 1e-14
-    # lambda_of_alpha is decreasing: value(lo) = Lambda > lam > value(hi) ~ 0.
+    # the ratio is decreasing: value(lo) = Lambda > lam > value(hi) ~ 0.
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if _gamma_ratio(mid, N, s) > lam:
@@ -226,7 +219,7 @@ class ProblemParams:
             raise DomainError(f"s must lie in (1/2, 1), got {self.s}")
         if not (self.N > 2.0 * self.s):
             raise DomainError(f"need N > 2s, got N={self.N}, s={self.s}")
-        if self.lam < 0.0:
+        if not self.lam >= 0.0:
             raise DomainError(f"lambda must be >= 0, got {self.lam}")
         if self.lam > 0.0 and self.lam >= hardy_constant(self.N, self.s):
             raise DomainError(
@@ -235,7 +228,7 @@ class ProblemParams:
             )
         if not (self.p > 1.0):
             raise DomainError(f"gradient exponent must satisfy p > 1, got {self.p}")
-        if self.mu < 0.0:
+        if not self.mu >= 0.0:
             raise DomainError(f"source scale must satisfy mu >= 0, got {self.mu}")
 
 

@@ -58,8 +58,11 @@ class SweepAxis:
     def __post_init__(self):
         if self.name not in _AXIS_NAMES:
             raise ConfigError(f"axis must be one of {_AXIS_NAMES}, got {self.name!r}")
-        for key, kind in (("start", float), ("stop", float), ("count", int)):
-            value(vars(self), key, "axis", kind)
+        for key in ("start", "stop"):
+            value(vars(self), key, "axis", float)
+        # the count as checked (2.0 becomes 2); start and stop keep their
+        # given values, as the plan hash reads them
+        object.__setattr__(self, "count", value(vars(self), "count", "axis", int))
         if self.count < 0:
             raise ConfigError("axis point count must be nonnegative")
         if self.count > 1 and not (self.stop > self.start):
@@ -81,9 +84,10 @@ class SweepPlan:
     config (see ``solver.run_inputs``).  Construction reads them once, with
     the first cell's swept values, and checks every cell: one outside the
     analytic domain raises ConfigError naming it, before any cell runs.
-    ``kind`` selects the plain gradient solver or the damped variant, the
-    one that takes ``alpha_damp`` (a plan value or an axis); both scale the
-    source by ``mu``.  ``n_levels`` sets the truncation schedule.
+    ``_cells`` keeps each cell's (axis values, params, alpha_damp, p_plus),
+    in index order.  ``kind`` selects the plain gradient solver or the damped
+    variant, the one that takes ``alpha_damp`` (a plan value or an axis); both
+    scale the source by ``mu``.  ``n_levels`` sets the truncation schedule.
     """
 
     problem: dict
@@ -98,8 +102,8 @@ class SweepPlan:
     def __post_init__(self):
         if self.kind not in ("kpz", "damped"):
             raise ConfigError(f"solver kind must be kpz or damped, got {self.kind!r}")
-        value(vars(self), "alpha_damp", "plan", float)
-        value(vars(self), "budget", "plan", int)
+        for key, kind in (("alpha_damp", float), ("budget", int), ("n_levels", int)):
+            value(vars(self), key, "plan", kind)
         if not isinstance(self.axes, (list, tuple)) or not (1 <= len(self.axes) <= 2):
             raise ConfigError("plan key 'axes' must list one or two axes")
         self.axes = [a if isinstance(a, SweepAxis) else from_block(SweepAxis, a, "axis")
@@ -116,24 +120,24 @@ class SweepPlan:
             raise ConfigError("plan key 'alpha_damp' needs kind damped")
         if not isinstance(self.problem, dict):
             raise ConfigError("problem must be a JSON object")
-        _, first = next(self.cells(), (0, {}))
+        lattice = [dict(zip(names, map(float, combo)))
+                   for combo in product(*(a.points() for a in self.axes))]
+        first = lattice[0] if lattice else {}
         problem = {**self.problem, **{k: v for k, v in first.items() if k != "alpha_damp"}}
         self._params, self._grid, self._controls, self._source = solver.run_inputs(
             {"problem": problem, "grid": self.grid, "source": self.source,
              "controls": {"n_levels": self.n_levels}})
-        self._cells = []  # (params, alpha_damp, p_plus) of every cell, by index
-        for index, values in self.cells():
-            alpha = float(values.get("alpha_damp", self.alpha_damp))
+        self._cells = []
+        for index, values in enumerate(lattice):
             try:
                 params = replace(self._params, **{
                     {"lambda": "lam"}.get(k, k): v for k, v in values.items()
                     if k != "alpha_damp"})
-                if alpha < 0.0:
-                    raise DomainError("damping exponent must be nonnegative")
+                alpha = solver.check_damping(values.get("alpha_damp", float(self.alpha_damp)))
                 p_plus = exponents_for(params.N, params.s, params.lam).p_plus
             except DomainError as exc:
                 raise ConfigError(f"sweep cell {index} {values}: {exc}") from None
-            self._cells.append((params, alpha, p_plus))
+            self._cells.append((values, params, alpha, p_plus))
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -141,13 +145,6 @@ class SweepPlan:
     @classmethod
     def from_dict(cls, d: dict) -> "SweepPlan":
         return from_block(cls, d, "plan")
-
-    def cells(self):
-        """(index, {axis: value}) pairs in deterministic index order."""
-        grids = [a.points() for a in self.axes]
-        names = [a.name for a in self.axes]
-        for idx, combo in enumerate(product(*grids)):
-            yield idx, dict(zip(names, (float(v) for v in combo)))
 
 
 @dataclass
@@ -162,10 +159,8 @@ class CellResult:
 
 @dataclass
 class RegionMap:
-    plan: SweepPlan
     cells: list
     overlay: dict
-    plan_hash: str
 
     def counts(self) -> dict:
         out: dict = {}
@@ -190,8 +185,8 @@ def _plan_operator(plan: SweepPlan) -> radialop.OperatorMatrix | HardyKPZError:
 
 
 def _run_cell(plan: SweepPlan, op: radialop.OperatorMatrix | HardyKPZError,
-              index: int, values: dict) -> CellResult:
-    params, alpha, p_plus = plan._cells[index]
+              index: int) -> CellResult:
+    values, params, alpha, p_plus = plan._cells[index]
     if abs(params.p - p_plus) < 1e-12:
         return CellResult(index, values, "Inconclusive", math.nan, 0,
                           "p equals p_plus: undecided by policy")
@@ -223,8 +218,8 @@ def _use_plan(plan: SweepPlan, op) -> None:
     _worker_plan, _worker_op = plan, op
 
 
-def _pool_cell(index: int, values: dict) -> CellResult:
-    return _run_cell(_worker_plan, _worker_op, index, values)
+def _pool_cell(index: int) -> CellResult:
+    return _run_cell(_worker_plan, _worker_op, index)
 
 
 def _overlay_for(plan: SweepPlan) -> dict:
@@ -301,14 +296,14 @@ def _load_done(out_dir: str, plan: SweepPlan, plan_hash: str) -> dict:
 
 
 def _finished_cells(plan: SweepPlan, op, todo: list, workers: int):
-    """Results of the cells in ``todo``, in the order they finish."""
+    """Results of the cells whose indices ``todo`` lists, in the order they finish."""
     if workers <= 1:
-        for idx, vals in todo:
-            yield _run_cell(plan, op, idx, vals)
+        for idx in todo:
+            yield _run_cell(plan, op, idx)
         return
     with ProcessPoolExecutor(max_workers=workers, initializer=_use_plan,
                              initargs=(plan, op)) as pool:
-        futures = [pool.submit(_pool_cell, idx, vals) for idx, vals in todo]
+        futures = [pool.submit(_pool_cell, idx) for idx in todo]
         for fut in as_completed(futures):
             yield fut.result()
 
@@ -338,7 +333,7 @@ def run_sweep(plan: SweepPlan, out_dir: str | None = None, workers: int = 1,
         os.makedirs(out_dir, exist_ok=True)
         if resume:
             done = _load_done(out_dir, plan, plan_hash)
-    todo = [(idx, vals) for idx, vals in plan.cells() if idx not in done]
+    todo = [idx for idx in range(len(plan._cells)) if idx not in done]
     results = sorted(done.values(), key=lambda c: c.index)
     overlay = _overlay_for(plan)
     if out_dir is None:
@@ -356,14 +351,13 @@ def run_sweep(plan: SweepPlan, out_dir: str | None = None, workers: int = 1,
             checkpoint.write(_cell_line(names, cell))
             checkpoint.flush()
     results.sort(key=lambda c: c.index)
-    region = RegionMap(plan=plan, cells=results, overlay=overlay,
-                       plan_hash=plan_hash)
+    region = RegionMap(cells=results, overlay=overlay)
     if out_dir is not None:
         with open(_cells_path(out_dir), "w") as fh:
             _write_cells(fh, names, results)
         sidecar = {
             "plan": plan_dict,
-            "plan_hash": region.plan_hash,
+            "plan_hash": plan_hash,
             "overlay": overlay,
             "counts": region.counts(),
         }
@@ -378,7 +372,6 @@ def exponent_table(N: int, s: float, lambda_grid) -> list:
     tables keep one row per requested value.
     """
     lam_max = hardy_constant(N, s)
-    p_star = N / (N - 2.0 * s + 1.0)
     mid = (N + 2.0 * s) / (N - 2.0 * s + 2.0)
     rows = []
     for lam in lambda_grid:
@@ -387,8 +380,8 @@ def exponent_table(N: int, s: float, lambda_grid) -> list:
             rows.append({"lambda": lam, "valid": False})
             continue
         rep = exponents_for(N, s, lam)
-        chain_ok = (p_star < rep.p_minus <= mid <= rep.p_plus < 2.0 * s) if lam == lam_max \
-            else (p_star < rep.p_minus < mid < rep.p_plus < 2.0 * s)
+        chain_ok = (rep.p_star < rep.p_minus <= mid <= rep.p_plus < 2.0 * s) \
+            if lam == lam_max else (rep.p_star < rep.p_minus < mid < rep.p_plus < 2.0 * s)
         rows.append({
             "lambda": lam,
             "alpha": rep.alpha,

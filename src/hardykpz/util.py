@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 
 from .errors import ConfigError
 
@@ -62,9 +63,9 @@ def value(block, key: str, where: str, kind, default=_NO_DEFAULT):
     """``kind(block[key])`` (``kind`` is int or float), or ``default`` when
     given and the key is absent.
 
-    A missing key, or a value that is not a number of that kind (a string, a
-    boolean, a fraction for int), raises ConfigError naming the block and the
-    key.
+    A missing key, or a value that is not a finite number of that kind (a
+    string, a boolean, NaN or an infinity, a fraction for int), raises
+    ConfigError naming the block and the key.
     """
     if default is not _NO_DEFAULT and isinstance(block, dict) and key not in block:
         return default
@@ -73,11 +74,11 @@ def value(block, key: str, where: str, kind, default=_NO_DEFAULT):
         if isinstance(raw, (str, bool)):
             raise TypeError
         out = kind(raw)
-        if kind is int and out != raw:
+        if (kind is int and out != raw) or not math.isfinite(out):
             raise ValueError
         return out
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where} key {key!r} must be {kind.__name__}, "
+        raise ConfigError(f"{where} key {key!r} must be a finite {kind.__name__}, "
                           f"got {raw!r}") from None
 
 

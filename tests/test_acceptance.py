@@ -46,13 +46,13 @@ def report(criterion, passed, detail):
 
 def test_criterion_1_special_functions():
     t0 = time.time()
-    lam0 = sf.lambda_of_alpha(0.0, N, S)
+    lam0 = sf.gamma_multiplier(0.0, N, S)
     ok = abs(lam0 - LAM_MAX) <= 1e-12 * LAM_MAX
-    ok &= sf.lambda_of_alpha(0.37, N, S) == sf.lambda_of_alpha(-0.37, N, S)
+    ok &= sf.gamma_multiplier(0.37, N, S) == sf.gamma_multiplier(-0.37, N, S)
     rng = np.random.default_rng(1)
     for _ in range(50):
         lam = float(rng.uniform(1e-5, 1.0)) * LAM_MAX
-        back = sf.lambda_of_alpha(sf.alpha_of_lambda(lam, N, S), N, S)
+        back = sf.gamma_multiplier(sf.alpha_of_lambda(lam, N, S), N, S)
         ok &= abs(back - lam) <= 1e-10 * lam
     count = 0
     while count < 50:
@@ -207,7 +207,7 @@ def test_criterion_6_mu_threshold():
 def test_criterion_7_damped_regime():
     p = 2 * S - 0.05
     alpha = 2 * S - 1.0 + 0.5
-    spec = co.damped_supersolution(N, S, LAM, p=p, alpha_damp=alpha)
+    spec = co.damped_supersolution(sf.ProblemParams(N, S, LAM, p), alpha)
     c = 1e-3
     grid = ro.build_grid(1.0, 100, 2.0, N)
     params = sf.ProblemParams(N=N, s=S, lam=LAM, p=p, mu=c)
@@ -216,7 +216,7 @@ def test_criterion_7_damped_regime():
                           op, controls=CTRL, supersolution=spec)
     rejected = False
     try:
-        co.damped_supersolution(N, S, LAM, p=p, alpha_damp=2 * S - 1.0)
+        co.damped_supersolution(sf.ProblemParams(N, S, LAM, p), 2 * S - 1.0)
     except DomainError:
         rejected = True
     ok = rep.status == "Converged" and rejected

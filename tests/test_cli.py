@@ -363,6 +363,7 @@ def _main(capsys, tmp_path, command, cfg, *extra):
     ("sweep", {**_sweep_cfg(), "workers": 2}, "'workers' in config"),
     ("sweep", _sweep_cfg(problem={"N": N, "s": S, "lambda": LAM, "p": 1.3, "MU": 1e-3}),
      "'MU' in problem"),
+    ("sweep", _sweep_cfg(n_levels="8"), "plan key 'n_levels'"),
 ], ids=["sweep-missing-N", "sweep-plan-n_levels", "solve-unknown-control",
         "sweep-unknown-control", "sweep-unknown-plan-key", "sweep-unknown-axis-key",
         "sweep-negative-source", "solve-non-object-config", "solve-grid-M-not-int",
@@ -377,7 +378,7 @@ def _main(capsys, tmp_path, command, cfg, *extra):
         "solve-problem-typo", "solve-grid-typo", "solve-source-typo",
         "solve-top-level-typo", "probe-block-typo", "solve-alpha_damp", "probe-alpha_damp",
         "damped-c", "sweep-top-level-key",
-        "sweep-problem-typo"])
+        "sweep-problem-typo", "sweep-n_levels-string"])
 def test_malformed_input_exits_2(capsys, tmp_path, monkeypatch, command, cfg, named):
     monkeypatch.delenv("HARDYKPZ_WORKERS", raising=False)
     code, err = _main(capsys, tmp_path, command, cfg)
@@ -385,6 +386,60 @@ def test_malformed_input_exits_2(capsys, tmp_path, monkeypatch, command, cfg, na
     assert named in err
     # a plan-wide error stops the sweep before any cell is written
     assert not os.path.exists(os.path.join(tmp_path, "out", "cells.csv"))
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("argv, cfg, named", [
+    (["exponents", "--N", "3", "--s", "0.75", "--lambda", "nan"], None,
+     "lambda must be positive, got nan"),
+    (["oracle", "--N", "3", "--s", "0.75", "--theta", "0.5", "--g", "nan"], None,
+     "grading exponent must satisfy g >= 1, got g=nan"),
+    (["oracle", "--N", "3", "--s", "0.75", "--theta", "0.5", "--R", "nan"], None,
+     "domain radius must be positive, got R=nan"),
+    (["solve"], _solve_cfg(problem={"N": N, "s": S, "lambda": _NAN, "p": 1.3}),
+     "problem key 'lambda' must be a finite float, got nan"),
+    (["solve"], _solve_cfg(problem={"N": N, "s": S, "lambda": LAM, "p": 1.3, "mu": _INF}),
+     "problem key 'mu' must be a finite float, got inf"),
+    (["solve"], _solve_cfg(grid={"R": _NAN, "M": 32}), "grid key 'R'"),
+    (["solve"], _solve_cfg(source={"coefficient": _NAN, "exponent": 2 * S}),
+     "source key 'coefficient'"),
+    (["damped"], _solve_cfg(alpha_damp=_NAN), "config key 'alpha_damp'"),
+    (["sweep"], _sweep_cfg(axes=[{"name": "p", "start": _NAN, "stop": 1.35,
+                                  "count": 2}]), "axis key 'start'"),
+], ids=["exponents-lambda", "oracle-g", "oracle-R", "solve-lambda", "solve-mu-inf",
+        "solve-R", "solve-source", "damped-alpha_damp", "sweep-axis-start"])
+def test_non_finite_numbers_exit_2(capsys, tmp_path, monkeypatch, argv, cfg, named):
+    # Python's json reads and writes NaN and Infinity; both are refused
+    monkeypatch.delenv("HARDYKPZ_WORKERS", raising=False)
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("an operator was assembled for a non-finite input")
+    monkeypatch.setattr(ro, "assemble_operator", no_assembly)
+    if cfg is None:
+        code, err = cli.main(argv), capsys.readouterr().err
+    else:
+        code, err = _main(capsys, tmp_path, argv[0], json.dumps(cfg))
+    assert code == 2
+    assert named in err
+
+
+@pytest.mark.parametrize("supersolution", ["none", "auto"])
+def test_damped_negative_exponent_exits_2_before_assembly(capsys, tmp_path, monkeypatch,
+                                                          supersolution):
+    calls = []
+    assemble = ro.assemble_operator
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return assemble(*args, **kwargs)
+    monkeypatch.setattr(ro, "assemble_operator", counting)
+    cfg = {**_damped_cfg(supersolution=supersolution), "alpha_damp": -0.5}
+    code, err = _main(capsys, tmp_path, "damped", cfg)
+    assert code == 2
+    assert err == "error: damping exponent must be nonnegative\n"
+    assert calls == []
 
 
 @pytest.mark.parametrize("over, named", [

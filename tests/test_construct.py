@@ -155,11 +155,11 @@ def test_dirichlet_amplitude_maximises_margin(n_dim, s, lam_frac, p_frac, mu, e_
 
 def test_damped_rejects_boundary_exponent():
     with pytest.raises(DomainError):
-        co.damped_supersolution(N, S, LAM, p=2 * S - 0.05, alpha_damp=2 * S - 1.0)
+        co.damped_supersolution(sf.ProblemParams(N, S, LAM, 2 * S - 0.05), 2 * S - 1.0)
 
 
 def test_damped_exists_for_strong_damping():
-    spec = co.damped_supersolution(N, S, LAM, p=2 * S - 0.05, alpha_damp=2 * S - 1.0 + 0.5)
+    spec = co.damped_supersolution(sf.ProblemParams(N, S, LAM, 2 * S - 0.05), 2 * S - 1.0 + 0.5)
     assert spec.kind == "damped-supersolution"
     assert REP.mu_exp < spec.theta < REP.mubar_exp
     assert spec.margin > 0.0
@@ -171,7 +171,7 @@ def test_damped_window_contains_undamped_and_cstar_monotone():
     und = co.dirichlet_supersolution(_params(p), f_bound_exponent=2 * S)
     margins = []
     for alpha in (0.6, 1.0, 2.0, 4.0):
-        spec = co.damped_supersolution(N, S, LAM, p=p, alpha_damp=alpha)
+        spec = co.damped_supersolution(sf.ProblemParams(N, S, LAM, p), alpha)
         lo, hi = spec.window
         assert lo <= und.window[0] + 1e-12 and hi >= und.window[1] - 1e-12
         margins.append(spec.margin)
@@ -185,7 +185,7 @@ def test_damped_cstar_is_the_capped_maximum(n_dim, s, lam_frac, p_frac, alpha_ga
     p = 1.0 + p_frac * (2 * s - 1.0)
     alpha = 2 * s - 1.0 + alpha_gap
     try:
-        spec = co.damped_supersolution(n_dim, s, lam, p=p, alpha_damp=alpha)
+        spec = co.damped_supersolution(sf.ProblemParams(n_dim, s, lam, p), alpha)
     except ConstructionError:
         assume(False)
     gap = _gap(spec)
@@ -201,7 +201,7 @@ def test_damped_cstar_is_the_capped_maximum(n_dim, s, lam_frac, p_frac, alpha_ga
 
 def test_damped_needs_p_below_two_s():
     with pytest.raises(DomainError):
-        co.damped_supersolution(N, S, LAM, p=2 * S, alpha_damp=1.0)
+        co.damped_supersolution(sf.ProblemParams(N, S, LAM, 2 * S), 1.0)
 
 
 def test_damped_empty_window_near_lambda_is_a_construction_error():
@@ -209,7 +209,7 @@ def test_damped_empty_window_near_lambda_is_a_construction_error():
     # narrower than the least exponent step the construction tries
     lam = sf.hardy_constant(N, S) * (1.0 - 1e-10)
     with pytest.raises(ConstructionError, match="empty damped window"):
-        co.damped_supersolution(N, S, lam, p=2 * S - 0.05, alpha_damp=2 * S - 1.0 + 0.5)
+        co.damped_supersolution(sf.ProblemParams(N, S, lam, 2 * S - 0.05), 2 * S - 1.0 + 0.5)
 
 
 @pytest.mark.parametrize("R", [0.5, 2.0])
@@ -227,7 +227,7 @@ def test_constructions_hold_on_the_ball_of_radius_R(R):
     assert spec.margin == pytest.approx(margin[-1], rel=1e-12)
     alpha = 2 * S - 1.0 + 0.5
     p = 2 * S - 0.05
-    spec = co.damped_supersolution(N, S, LAM, p=p, alpha_damp=alpha, R=R)
+    spec = co.damped_supersolution(sf.ProblemParams(N, S, LAM, p), alpha, R=R)
     theta, amp = spec.theta, spec.amplitude
     grad_pow = theta + 2 * S - ((theta + 1) * p - theta * alpha)
     margin = amp * _gap(spec) - amp ** (p - alpha) * theta**p * r**grad_pow

@@ -13,7 +13,8 @@ from hardykpz import construct as co
 from hardykpz import radialop as ro
 from hardykpz import solver as so
 from hardykpz import specfun as sf
-from hardykpz.errors import ConstructionError, DomainError, GridMismatchError
+from hardykpz.errors import (ConfigError, ConstructionError, DomainError,
+                             GridMismatchError)
 
 N, S = 3, 0.75
 LAM = sf.hardy_constant(N, S) / 2
@@ -98,7 +99,7 @@ def test_damped_zero_alpha_matches_kpz_bitwise(grid, op):
 def test_damped_strong_damping_converges(grid):
     p = 2 * S - 0.05
     alpha = 2 * S - 1.0 + 0.5
-    spec = co.damped_supersolution(N, S, LAM, p=p, alpha_damp=alpha)
+    spec = co.damped_supersolution(sf.ProblemParams(N, S, LAM, p), alpha)
     c = 1e-3
     params = sf.ProblemParams(N=N, s=S, lam=LAM, p=p, mu=c)
     op_local = ro.assemble_operator(grid, S)
@@ -134,6 +135,23 @@ def test_controls_validation():
         so.SolverControls(n_schedule=())
     with pytest.raises(DomainError):
         so.SolverControls(n_schedule=(4.0, 2.0))
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sf.ProblemParams(N=N, s=S, lam=_NAN, p=1.3),
+    lambda: sf.ProblemParams(N=N, s=S, lam=LAM, p=1.3, mu=_NAN),
+    lambda: sf.alpha_of_lambda(_NAN, N, S),
+    lambda: so.PowerSource(_NAN, 2 * S),
+    lambda: so.check_damping(_NAN),
+    lambda: ro.build_grid(_NAN, 32, 2.0, N),
+    lambda: ro.build_grid(1.0, 32, _NAN, N),
+], ids=["lambda", "mu", "alpha_of_lambda", "source", "damping", "R", "g"])
+def test_domain_bounds_refuse_nan(build):
+    with pytest.raises((DomainError, ConfigError)):
+        build()
 
 
 def test_power_source_admissibility():
@@ -456,7 +474,7 @@ def _case(case):
     else:
         p = 2 * S - 0.05
         alpha = 2 * S - 1.0 + 0.5
-        spec = co.damped_supersolution(N, S, LAM, p=p, alpha_damp=alpha)
+        spec = co.damped_supersolution(sf.ProblemParams(N, S, LAM, p), alpha)
         params = sf.ProblemParams(N=N, s=S, lam=LAM, p=p, mu=1e-3)
         f = so.PowerSource(1.0, spec.f_bound_exponent)
     return params, alpha, f, controls, spec

@@ -55,7 +55,7 @@ def test_hardy_constant_classical_limit():
 def test_hardy_constant_equals_ratio_at_zero():
     for N, s in ((3, 0.75), (4, 0.6), (5, 0.9)):
         lam = sf.hardy_constant(N, s)
-        assert abs(sf.lambda_of_alpha(0.0, N, s) - lam) <= 1e-12 * lam
+        assert abs(sf.gamma_multiplier(0.0, N, s) - lam) <= 1e-12 * lam
 
 
 def test_hardy_constant_oracle_value():
@@ -75,22 +75,22 @@ def test_hardy_constant_domain():
 # ------------------------------------------------------- gamma-ratio map
 
 def test_lambda_of_alpha_even_bitwise():
-    v1 = sf.lambda_of_alpha(0.3, **DESK)
-    v2 = sf.lambda_of_alpha(-0.3, **DESK)
+    v1 = sf.gamma_multiplier(0.3, **DESK)
+    v2 = sf.gamma_multiplier(-0.3, **DESK)
     assert v1 == v2  # exact, by symmetric evaluation
 
 
 def test_lambda_of_alpha_vanishes_at_edge():
     edge = (DESK["N"] - 2 * DESK["s"]) / 2
-    assert sf.lambda_of_alpha(edge - 1e-8, **DESK) < 1e-6
+    assert sf.gamma_multiplier(edge - 1e-8, **DESK) < 1e-6
     with pytest.raises(DomainError):
-        sf.lambda_of_alpha(edge, **DESK)
+        sf.gamma_multiplier(edge, **DESK)
 
 
 def test_lambda_of_alpha_strictly_decreasing():
     edge = (DESK["N"] - 2 * DESK["s"]) / 2
     alphas = np.linspace(0.0, edge * (1 - 1e-9), 100)
-    vals = [sf.lambda_of_alpha(float(a), **DESK) for a in alphas]
+    vals = [sf.gamma_multiplier(float(a), **DESK) for a in alphas]
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
@@ -128,7 +128,7 @@ def test_factorization_identity():
             sf.log_gamma((N + 2 * s + 2 * a) / 4) - sf.log_gamma((N - 2 * s - 2 * a) / 4))
 
     for a in (0.1, 0.3, 0.6):
-        lam = sf.lambda_of_alpha(a, N, s)
+        lam = sf.gamma_multiplier(a, N, s)
         assert m(a) * m(-a) == pytest.approx(lam, rel=1e-12)
 
 
@@ -151,7 +151,7 @@ def test_alpha_lambda_round_trip():
     for _ in range(50):
         lam = float(rng.uniform(1e-6, 1.0)) * lam_max
         alpha = sf.alpha_of_lambda(lam, **DESK)
-        back = sf.lambda_of_alpha(alpha, **DESK)
+        back = sf.gamma_multiplier(alpha, **DESK)
         assert abs(back - lam) <= 1e-10 * lam
 
 

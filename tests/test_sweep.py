@@ -156,6 +156,19 @@ def test_sweep_resume_refuses_another_plan(tmp_path):
     assert region.cells == sw.run_sweep(new).cells
 
 
+def test_sweep_axis_count_as_float_is_the_count(tmp_path):
+    # JSON may write a count as 2.0; the axis keeps the checked int
+    cells = []
+    for count in (2, 2.0):
+        plan = _plan(axes=[{"name": "p", "start": 1.25, "stop": 1.35, "count": count}],
+                     grid={"R": 1.0, "M": 32, "g": 2.0}, n_levels=10)
+        assert type(plan.axes[0].count) is int
+        d = os.path.join(tmp_path, repr(count))
+        sw.run_sweep(plan, out_dir=d)
+        cells.append(open(os.path.join(d, "cells.csv"), "rb").read())
+    assert cells[0] == cells[1]
+
+
 def test_sweep_empty_range():
     plan = _plan(axes=[{"name": "p", "start": 1.2, "stop": 1.2, "count": 0}])
     region = sw.run_sweep(plan)
