@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -109,6 +110,9 @@ def cmd_exponents(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if not 0.0 < args.tolerance < math.inf:
+        raise DomainError(f"--tolerance must be a positive finite number, got {args.tolerance}")
+    radialop.check_power_exponent(args.theta, args.N, args.s)
     grid = radialop.build_grid(args.R, args.M, args.g, args.N)
     op = radialop.assemble_operator(grid, args.s)
     r_max = args.r_max if args.r_max is not None else 0.1 * args.R
@@ -268,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--R", type=float, default=1.0)
     po.add_argument("--M", type=int, default=200)
     po.add_argument("--g", type=float, default=2.0)
-    po.add_argument("--tolerance", type=float, default=0.02)
+    po.add_argument("--tolerance", type=float, default=0.02,
+                    help="largest passing relative error, positive and finite")
     po.add_argument("--r-max", type=float, default=None,
                     help="check window upper radius (default R/10)")
     po.add_argument("--refine", action="store_true",

@@ -7,10 +7,11 @@ integral against the angular average of the hypersingular kernel; that
 angular average has a closed Gauss-hypergeometric form, 2F1(-s, N/2-s-1;
 N/2; 1-y) in y = 1 - (min/max)^2, which is evaluated from a piecewise
 Chebyshev table built once per (N, s) and checked during assembly twice:
-against scipy's ``hyp2f1`` at every table piece, and (as the closed angular
-form) against Gauss-Legendre quadrature in the polar angle.  The operator
-depends only on the grid (R, M, g and the dimension N) and on s: one
-``assemble_operator(grid, s)`` serves every (lambda, p, mu).
+against the module's own ``hyp2f1`` at every table piece, and (as the closed
+angular form) against Gauss-Legendre quadrature in the polar angle.  The
+module needs numpy and ``math`` only.  The operator depends only on the grid
+(R, M, g and the dimension N) and on s: one ``assemble_operator(grid, s)``
+serves every (lambda, p, mu).
 
 Discretization notes
 --------------------
@@ -50,11 +51,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dposv, dpotrs
-from scipy.special import hyp2f1, roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from .errors import AssemblyError, ConfigError, DomainError, GridMismatchError
 from .util import fmt17
@@ -67,6 +67,7 @@ __all__ = [
     "build_grid",
     "assemble_operator",
     "oracle_power_test",
+    "check_power_exponent",
     "power_test_profile",
     "rayleigh_quotient",
     "angular_kernel_average",
@@ -90,6 +91,17 @@ _N_TAIL_NODES = 8     # GL nodes per exterior-tail panel
 _CHEB_DEGREE = 20     # degree of each Chebyshev piece of the kernel table
 _CHEB_PIECES = 60     # dyadic pieces [2^-(k+1), 2^-k] of y = 1 - x, k < 60
 _CHUNK = 1 << 13      # kernel points evaluated per batch during assembly
+_HYP_SWITCH = 1.0 / 16.0  # y from which hyp2f1 sums its series in 1-y, not in y
+_HYP_BAND = 1e-4      # half-width of the band around s = 1/2 that hyp2f1 interpolates
+
+
+@lru_cache(maxsize=None)
+def roots_legendre(n: int):
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], from numpy's
+    ``leggauss``; a rule is computed once per n and shared read-only."""
+    x, w = leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _unit_rule(n: int):
@@ -226,6 +238,75 @@ def angular_kernel_average(N: int, s: float, z: float, order: int = 80) -> float
     return specfun.sphere_area(N - 1) * float(np.dot(vals, wphi))
 
 
+def _gauss_series(a: float, b: float, c: float, x: np.ndarray) -> np.ndarray:
+    """sum_n (a)_n (b)_n / ((c)_n n!) x^n for 0 <= x < 1, to double precision.
+
+    The ratio of successive terms is formed as ((a+n)/(c+n)) * ((b+n)/(n+1)),
+    so that a = -s over c = -2s stays exact even for subnormal s.  Near s = 1
+    the second ratio (1-s)/(1-2s) is tiny and the third, (2-s)/(2-2s), huge,
+    so the stopping test starts at the fourth term.
+    """
+    term = np.ones_like(x)
+    total = term.copy()
+    for n in range(2000):
+        term *= ((a + n) / (c + n)) * ((b + n) / (n + 1.0)) * x
+        total += term
+        if n >= 2 and np.all(np.abs(term) <= 2.0**-53 * np.abs(total)):
+            return total
+    raise AssemblyError(f"2F1({a}, {b}; {c}; x) series did not converge")
+
+
+def _rgamma(x: float) -> float:
+    """1/Gamma(x), by reflection for x < 1/2 so that it is 0 at the poles."""
+    if x < 0.5:
+        return math.sin(math.pi * x) * math.gamma(1.0 - x) / math.pi
+    return 1.0 / math.gamma(x)
+
+
+def _hyp2f1_near_origin(N: int, s: float, y: np.ndarray) -> np.ndarray:
+    """g2(y) for small y from the connection formula to 1 - x (Abramowitz &
+    Stegun 15.3.6, DLMF 15.8.4): two series in y, the second one carrying
+    the y^(2s+1) branch.  Gamma(-2s-1) / Gamma(-s) is written by reflection
+    as -Gamma(1+s) / (2 cos(pi s) Gamma(2s+2)), with cos(pi s) taken as
+    sin(pi (1/2 - s)), which keeps its digits near s = 1/2; both terms have a
+    pole there that cancels."""
+    h = N / 2.0
+    c1 = math.gamma(h) * math.gamma(2.0 * s + 1.0) / (math.gamma(h + s) * math.gamma(s + 1.0))
+    c2 = -math.gamma(h) * math.gamma(1.0 + s) * _rgamma(h - s - 1.0) \
+        / (2.0 * math.sin(math.pi * (0.5 - s)) * math.gamma(2.0 * s + 2.0))
+    return c1 * _gauss_series(-s, h - s - 1.0, -2.0 * s, y) \
+        + c2 * y ** (2.0 * s + 1.0) * _gauss_series(h + s, s + 1.0, 2.0 * s + 2.0, y)
+
+
+def hyp2f1(N: int, s: float, y) -> np.ndarray:
+    """The kernel's angular factor g2(y) = 2F1(-s, N/2-s-1; N/2; 1-y), one
+    value per point, for 0 < s < 1 and y in [0, 1].
+
+    From y = ``_HYP_SWITCH`` up it is the Gauss series in x = 1 - y; below
+    it, the connection formula of ``_hyp2f1_near_origin``.  Within
+    ``_HYP_BAND`` of s = 1/2, where the two terms of that formula cancel, the
+    small-y values are the 4-point Lagrange interpolant in s through
+    s = 1/2 +- _HYP_BAND and 1/2 +- 2 _HYP_BAND.  It agrees with 30-digit
+    mpmath to about 4e-14 relative (README, "Discretization notes").
+    """
+    y = np.asarray(y, float)
+    out = np.empty_like(y)
+    far = y >= _HYP_SWITCH
+    out[far] = _gauss_series(-s, N / 2.0 - s - 1.0, N / 2.0, 1.0 - y[far])
+    near = y[~far]
+    t = (s - 0.5) / _HYP_BAND
+    if abs(t) >= 1.0:
+        out[~far] = _hyp2f1_near_origin(N, s, near)
+        return out
+    nodes = (-2.0, -1.0, 1.0, 2.0)
+    acc = np.zeros_like(near)
+    for tk in nodes:
+        weight = math.prod((t - tj) / (tk - tj) for tj in nodes if tj != tk)
+        acc += weight * _hyp2f1_near_origin(N, 0.5 + tk * _HYP_BAND, near)
+    out[~far] = acc
+    return out
+
+
 class _Kernel:
     """Radial kernel k2(r, rho) = K(r, rho) * rho^(N-1) in closed form.
 
@@ -256,8 +337,8 @@ class _Kernel:
         self._y_min = math.ldexp(1.0, -_CHEB_PIECES)
 
     def reference(self, y):
-        """g2(y) from scipy's ``hyp2f1``: the values the table interpolates."""
-        return hyp2f1(-self.s, self.N / 2.0 - self.s - 1.0, self.N / 2.0, 1.0 - y)
+        """g2(y) from the module's ``hyp2f1``: the values the table interpolates."""
+        return hyp2f1(self.N, self.s, y)
 
     def g2(self, y):
         """g2(y) from the table, by Clenshaw's recurrence on y's piece."""
@@ -313,9 +394,9 @@ class OperatorMatrix:
     matrix: np.ndarray
     grid: RadialGrid
     s: float
-    # (lu, piv) of ``matrix``, set by solver.factor_operator on first use and
-    # reused by every later run
-    factors: tuple | None = field(default=None, repr=False, compare=False)
+    # the inverse of ``matrix``, set by solver.factor_operator on first use
+    # and reused by every later run
+    factors: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def oracle_r_min(self) -> float:
@@ -604,9 +685,8 @@ class _Assembler:
             if ii <= 3:
                 cols = np.arange(0, min(20, M))
             else:
-                cols = np.unique(np.concatenate([
-                    np.arange(0, 2), np.arange(ii - 4, min(ii + 5, M))
-                ]))
+                cols = np.arange(min(ii + 5, M))
+                cols = cols[(cols < 2) | (cols >= ii - 4)]
             target = gams * self.r[ii] ** (-thetas - 2.0 * self.s) + tails[ii - 1]
             resid = target - U @ A[ii]
             scale = np.abs(target)
@@ -646,7 +726,8 @@ def nnls(G: np.ndarray, d: np.ndarray, lam: float, z0: np.ndarray):
     normal equations lose.  The loop stops only by its optimality test: no
     bound variable's gradient exceeds ``_FIT_KKT`` times the largest entry of
     G^T d + lam z0.  Returns (z, number of solves); raises AssemblyError
-    after ``_FIT_MAX_STEPS`` solves.
+    when the normal equations are not positive definite (possible only for
+    lam <= 0) and after ``_FIT_MAX_STEPS`` solves.
     """
     n = G.shape[1]
     H = G.T @ G
@@ -657,11 +738,17 @@ def nnls(G: np.ndarray, d: np.ndarray, lam: float, z0: np.ndarray):
     free = np.ones(n, bool)
     z = None
     for steps in range(1, _FIT_MAX_STEPS + 1):
-        chol, s, _ = dposv(np.where(free[:, None] & free, H, eye), np.where(free, q, 0.0))
+        try:
+            chol = np.linalg.cholesky(np.where(free[:, None] & free, H, eye))
+        except np.linalg.LinAlgError as exc:
+            raise AssemblyError(f"calibration fit is not positive definite: {exc}") from exc
+        # H^-1 = li^T li on the free block, from the inverse of the factor
+        li = np.linalg.inv(chol)
+        s = li.T @ (li @ np.where(free, q, 0.0))
         # w is minus the gradient, from G itself; after the refinement step
         # the formed H is accurate enough to update it
         w = G.T @ (d - G @ s) + lam * (z0 - s)
-        ds = dpotrs(chol, np.where(free, w, 0.0))[0]
+        ds = li.T @ (li @ np.where(free, w, 0.0))
         s += ds
         w -= H @ ds
         neg = free & (s <= 0.0)
@@ -704,6 +791,15 @@ def assemble_operator(grid: RadialGrid, s: float) -> OperatorMatrix:
 # operations on assembled operators
 # --------------------------------------------------------------------------
 
+def check_power_exponent(theta: float, N: int, s: float) -> None:
+    """DomainError unless r^-theta is an oracle field, 0 < theta < N - 2s
+    (NaN fails).  ``hardykpz oracle`` calls it before it assembles."""
+    if not 0.0 < theta < N - 2.0 * s:
+        raise DomainError(
+            f"power exponent must lie in (0, N-2s) = (0, {N - 2 * s}), got {theta}"
+        )
+
+
 def power_test_profile(op: OperatorMatrix, theta: float, r_max_check: float | None = None):
     """Per-node oracle errors of the operator on the power field r^-theta.
 
@@ -712,10 +808,7 @@ def power_test_profile(op: OperatorMatrix, theta: float, r_max_check: float | No
     Gamma-ratio multiplier plus the analytic exterior tail of the power.
     """
     N, s = op.grid.N, op.s
-    if not (0.0 < theta < N - 2.0 * s):
-        raise DomainError(
-            f"power exponent must lie in (0, N-2s) = (0, {N - 2 * s}), got {theta}"
-        )
+    check_power_exponent(theta, N, s)
     grid = op.grid
     r_max = 0.1 * grid.R if r_max_check is None else float(r_max_check)
     kern = _Kernel(N, s)

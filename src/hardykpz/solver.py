@@ -22,8 +22,6 @@ from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
-from scipy.linalg import LinAlgError, lu_factor
-from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import (
     DomainError,
@@ -215,31 +213,38 @@ def _family_bound_sup(N: int, s: float, lam: float, p: float, R: float,
     return best
 
 
-def factor_operator(op: radialop.OperatorMatrix) -> tuple:
-    """LU factors of ``op.matrix``, computed on first use and kept on ``op``.
+def lu_factor(a: np.ndarray) -> np.ndarray:
+    """The inverse of ``a``, formed once by LU with partial pivoting
+    (``np.linalg.inv``); raises numpy's LinAlgError when ``a`` is singular.
 
-    Raises SolveError when LAPACK cannot factor the matrix.
+    The scheme applies the operator's inverse once per map evaluation, so a
+    matrix-vector product replaces the two triangular solves.
+    """
+    return np.linalg.inv(a)
+
+
+def factor_operator(op: radialop.OperatorMatrix) -> np.ndarray:
+    """The inverse of ``op.matrix``, formed on first use and kept on ``op``.
+
+    Raises SolveError when the matrix is singular.
     """
     if op.factors is None:
         try:
             op.factors = lu_factor(op.matrix)
-        except LinAlgError as exc:
+        except np.linalg.LinAlgError as exc:
             raise SolveError(f"linear operator factorization failed: {exc}") from exc
     return op.factors
 
 
-def lu_solve(getrs, factors: tuple, b: np.ndarray) -> np.ndarray:
-    """Solution x of A x = b from ``factors`` = lu_factor(A), written over b.
+def lu_solve(inverse: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Solution x of A x = b from ``inverse`` = lu_factor(A), written into
+    ``out`` (which must not be ``b``) and returned.
 
-    Calls the LAPACK ``getrs`` that scipy.linalg.lu_solve calls, resolved once
-    per run, without lu_solve's per-call input checks and batch dispatch: the
-    inner loop's right-hand sides are float vectors of the operator's size,
-    and a non-finite one gives a non-finite iterate, which the loop rejects.
+    One BLAS matrix-vector product; the inner loop's right-hand sides are
+    float vectors of the operator's size, and a non-finite one gives a
+    non-finite iterate, which the loop rejects.
     """
-    x, info = getrs(*factors, b, overwrite_b=1)
-    if info != 0:
-        raise SolveError(f"LAPACK getrs rejected argument {-info}")
-    return x
+    return np.dot(inverse, b, out=out)
 
 
 def _run_scheme(params: ProblemParams, alpha_damp: float, f: PowerSource,
@@ -249,8 +254,8 @@ def _run_scheme(params: ProblemParams, alpha_damp: float, f: PowerSource,
 
     The scheme runs on ``op`` and its grid; an operator of another (N, s)
     than the problem's raises GridMismatchError before any iteration.  The
-    operator is factored on its first run and its factors are reused by
-    every later run on it.  Every step evaluates one plain Picard map
+    operator's inverse is formed on its first run and reused by every later
+    run on it.  Every step evaluates one plain Picard map
     G(x) = (1-omega) x + omega L^-1 rhs (rhs = g/(1+g/n) [/(1+x)^alpha]
     + lam (x/(1+x/n)) r^-2s + source, g = |grad x|^p) from the plain
     expressions in the same order, in place.  The next x is then
@@ -271,8 +276,7 @@ def _run_scheme(params: ProblemParams, alpha_damp: float, f: PowerSource,
     grid = op.grid
     r = grid.r
     hardy_weight = r ** (-2.0 * params.s)
-    factors = factor_operator(op)
-    getrs, gesv = get_lapack_funcs(("getrs", "gesv"), (factors[0],))
+    inverse = factor_operator(op)
     source = params.mu * f.values(grid)
 
     w_vals = None
@@ -288,6 +292,7 @@ def _run_scheme(params: ProblemParams, alpha_damp: float, f: PowerSource,
     res = np.empty(M)      # G(x) - x
     g_prev = np.empty(M)
     res_prev = np.empty(M)
+    step = np.empty(M)     # L^-1 rhs, then scratch
     tmp = np.empty(M)
     depth = controls.anderson_depth
     d_g = np.empty((depth, M))    # differences of successive G(x), oldest first
@@ -335,7 +340,7 @@ def _run_scheme(params: ProblemParams, alpha_damp: float, f: PowerSource,
                 np.maximum(u, 0.0, out=u)
             elif iters > 1:
                 np.copyto(u, g)
-            step = lu_solve(getrs, factors, rhs_of(u, level))
+            lu_solve(inverse, rhs_of(u, level), step)
             step *= omega
             np.multiply(u, 1.0 - omega, out=g)
             g += step
@@ -371,10 +376,9 @@ def _run_scheme(params: ProblemParams, alpha_damp: float, f: PowerSource,
             if hist:
                 # least-squares weights from the normal equations
                 block = d_res[:hist]
-                *_, gamma, info = gesv(block @ block.T, block @ res,
-                                       overwrite_a=1, overwrite_b=1)
-                if info != 0:  # singular: drop the history
-                    gamma = None
+                try:
+                    gamma = np.linalg.solve(block @ block.T, block @ res)
+                except np.linalg.LinAlgError:  # singular: drop the history
                     hist = 0
         u, g = g, u
         sup = float(np.max(np.abs(u)))

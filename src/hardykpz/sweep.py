@@ -13,10 +13,10 @@ appended to the CSV as its cell finishes, so a killed sweep resumes from the
 cells it finished.
 
 The axes never change N, s or the grid, so a sweep has one operator: the
-parent process assembles and factors it once, before any cell runs, and
-every cell solves with it.  Pool workers receive it, with the plan, through
-the pool initializer and only run the triangular solves.  Serial and pool
-sweeps therefore read the same factors and write the same bytes.
+parent process assembles it and forms its inverse once, before any cell
+runs, and every cell solves with it.  Pool workers receive it, with the
+plan, through the pool initializer and only apply the inverse.  Serial and
+pool sweeps therefore read the same inverse and write the same bytes.
 """
 
 from __future__ import annotations

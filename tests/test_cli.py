@@ -37,13 +37,47 @@ def tree_digest(d, skip=()):
 
 
 def test_cli_import_leaves_scipy_optimize_out():
-    """Importing the command line loads no scipy.optimize: that import alone
-    cost about a fifth of each command's peak memory."""
+    """Importing the command line loads no scipy module at all, scipy.optimize
+    included: the runtime needs numpy only, and scipy's import was the larger
+    part of each command's start-up time and peak memory."""
     code = ("import sys, hardykpz.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    """No command imports scipy lazily: after constants, exponents, oracle,
+    solve, damped, probe and a serial sweep, one interpreter holds no scipy
+    module."""
+    run = {"problem": {"N": N, "s": S, "lambda": LAM, "p": 1.3, "mu": 1e-3},
+           "grid": {"R": 1.0, "M": 32, "g": 2.0}, "controls": {"n_levels": 6},
+           "source": {"coefficient": 0.3, "exponent": 2 * S}}
+    plan = {"problem": run["problem"], "grid": run["grid"], "source": run["source"],
+            "axes": [{"name": "p", "start": 1.25, "stop": 1.35, "count": 2}],
+            "n_levels": 6}
+    configs = {"solve": {**run, "supersolution": "auto"}, "probe": run,
+               "damped": {**run, "alpha_damp": 1.0}, "sweep": {"plan": plan}}
+    commands = [["constants", "--N", "3", "--s", "0.75"],
+                ["exponents", "--N", "3", "--s", "0.75", "--lambda", repr(LAM)],
+                ["oracle", "--N", "3", "--s", "0.75", "--theta", "0.5", "--M", "32",
+                 "--tolerance", "1"]]
+    for name, cfg in configs.items():
+        path = os.path.join(tmp_path, f"{name}.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        commands.append([name, "--config", path, "--output-dir",
+                         os.path.join(tmp_path, name)]
+                        + (["--workers", "1"] if name == "sweep" else []))
+    code = ("import json, sys\n"
+            "from hardykpz import cli\n"
+            f"codes = [cli.main(argv) for argv in {commands!r}]\n"
+            "sys.stderr.write(json.dumps({'codes': codes, 'scipy': sorted(\n"
+            "    m for m in sys.modules if m.startswith('scipy'))}))\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stderr.splitlines()[-1]) == {"codes": [0] * 7, "scipy": []}
 
 
 def test_constants_ok_and_value():
@@ -423,6 +457,34 @@ def test_non_finite_numbers_exit_2(capsys, tmp_path, monkeypatch, argv, cfg, nam
         code, err = _main(capsys, tmp_path, argv[0], json.dumps(cfg))
     assert code == 2
     assert named in err
+
+
+def _no_assembly(monkeypatch):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("an operator was assembled for an input with an error")
+    monkeypatch.setattr(ro, "assemble_operator", no_assembly)
+
+
+@pytest.mark.parametrize("theta", ["0", "-0.5", "1.5", "5", "nan"])
+def test_oracle_theta_exits_2_before_assembly(capsys, monkeypatch, theta):
+    # at N = 3, s = 3/4 the oracle exponents are (0, N-2s) = (0, 1.5)
+    _no_assembly(monkeypatch)
+    code = cli.main(["oracle", "--N", "3", "--s", "0.75", "--theta", theta, "--M", "32"])
+    assert code == 2
+    assert f"power exponent must lie in (0, N-2s) = (0, 1.5), got {float(theta)}" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+def test_oracle_tolerance_exits_2(capsys, monkeypatch, tolerance):
+    _no_assembly(monkeypatch)
+    code = cli.main(["oracle", "--N", "3", "--s", "0.75", "--theta", "0.5", "--M", "32",
+                     "--tolerance", tolerance])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: --tolerance must be a positive finite number, "
+                            f"got {float(tolerance)}\n")
 
 
 @pytest.mark.parametrize("supersolution", ["none", "auto"])

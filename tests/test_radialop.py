@@ -4,6 +4,7 @@ import math
 import os
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,6 +135,27 @@ def test_kernel_table_matches_hyp2f1(n_dim, s, ys):
     want = hyp2f1(-s, n_dim / 2 - s - 1, n_dim / 2, 1.0 - y)
     got = kern.g2(y)
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+
+# s on both sides of the cancellation at s = 1/2 and across the paper's range;
+# y at the table's dyadic piece edges and geometric midpoints, down to 2^-60
+_HYP_S = [0.2, 0.5, 0.5 - 1e-15, 0.5 + 1e-15, 0.5 - 1e-9, 0.5 + 1e-9, 0.5 - 1e-6,
+          0.5 + 1e-6, 0.5001, 0.51, 0.75, 0.9, 0.99]
+_HYP_Y = [math.ldexp(m, -k) for k in range(61) for m in (1.0, math.sqrt(0.5))]
+
+
+@pytest.mark.parametrize("n_dim", range(2, 9))
+def test_hyp2f1_matches_mpmath(n_dim):
+    """The package's 2F1(-s, N/2-s-1; N/2; 1-y) against 30-digit mpmath."""
+    y = np.asarray(_HYP_Y)
+    with mpmath.workdps(30):
+        for s in _HYP_S:
+            a, b, c = -mpmath.mpf(s), mpmath.mpf(n_dim) / 2 - mpmath.mpf(s) - 1, \
+                mpmath.mpf(n_dim) / 2
+            want = np.asarray([float(mpmath.hyp2f1(a, b, c, 1 - mpmath.mpf(v))) for v in _HYP_Y])
+            got = ro.hyp2f1(n_dim, s, y)
+            assert got.shape == y.shape
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13, s
 
 
 def test_power_identity_independent_quadrature():
@@ -626,6 +648,14 @@ def test_calibration_fit_raises_at_its_cap(monkeypatch):
     monkeypatch.setattr(ro, "_FIT_MAX_STEPS", 1)
     with pytest.raises(AssemblyError, match="calibration fit"):
         ro.assemble_operator(ro.build_grid(1.0, 32, 2.0, N), S)
+
+
+def test_calibration_fit_refuses_an_indefinite_system():
+    """Normal equations that are not positive definite (here G^T G - I) are
+    an assembly error, never a silently wrong fit."""
+    G = 0.1 * np.random.default_rng(16).uniform(0.0, 1.0, (6, 3))
+    with pytest.raises(AssemblyError, match="not positive definite"):
+        ro.nnls(G, np.ones(6), -1.0, np.zeros(3))
 
 
 @pytest.mark.parametrize("M", [200, 400])
