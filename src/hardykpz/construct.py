@@ -136,7 +136,6 @@ def dirichlet_supersolution(params: ProblemParams, f_bound_exponent: float,
     cf = float(f_bound_coef)
     if cf < 0.0:
         raise DomainError("source bound coefficient must be nonnegative")
-    best = None
     for theta in _theta_ladder(mu, top):
         if e > 2.0 * s + theta:
             continue  # source too singular for this theta; move up the ladder
@@ -147,8 +146,6 @@ def dirichlet_supersolution(params: ProblemParams, f_bound_exponent: float,
         margin = (amp * (gam - lam)
                   - amp**p * theta**p * R**grad_pow
                   - mu_src * cf * R**src_pow)
-        if best is None or margin > best[2]:
-            best = (theta, amp, margin)
         if margin > 0.0:
             return SupersolutionSpec(
                 kind="dirichlet-supersolution",
@@ -161,8 +158,7 @@ def dirichlet_supersolution(params: ProblemParams, f_bound_exponent: float,
             )
     raise ConstructionError(
         "no (theta, amplitude) gives a positive supersolution margin "
-        f"(mu={mu_src} too large for this construction)",
-        {"window": (mu, top), "best": best},
+        f"(mu={mu_src} too large for this construction)"
     )
 
 
@@ -193,8 +189,7 @@ def damped_supersolution(params: ProblemParams, alpha_damp: float,
     if beta is None:
         raise ConstructionError(
             f"empty damped window: mubar - mu = {mubar - mu} is too narrow for "
-            "the least exponent step (lambda too close to Lambda)",
-            {"window": (mu, mubar)},
+            "the least exponent step (lambda too close to Lambda)"
         )
     gam = gamma_multiplier((N - 2.0 * s) / 2.0 - beta, N, s)
     # positive for every beta > 0, since p < 2s and alpha > 2s - 1 > p - 1
@@ -208,10 +203,7 @@ def damped_supersolution(params: ProblemParams, alpha_damp: float,
     c_lo, c_hi = c_of(lo_amp), c_of(hi_amp)
     best_amp, best_c = (hi_amp, c_hi) if c_hi > c_lo else (lo_amp, c_lo)
     if best_c <= 0.0:
-        raise ConstructionError(
-            "no amplitude gives a positive damped margin",
-            {"beta": beta, "best_c": best_c},
-        )
+        raise ConstructionError("no amplitude gives a positive damped margin")
     return SupersolutionSpec(
         kind="damped-supersolution",
         theta=beta,

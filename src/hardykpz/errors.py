@@ -29,14 +29,11 @@ class AssemblyError(HardyKPZError, RuntimeError):
 class ConstructionError(HardyKPZError, RuntimeError):
     """A supersolution construction found no admissible amplitude/exponent."""
 
-    def __init__(self, message: str, diagnostics: dict | None = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
-
 
 class NumericalDivergenceError(HardyKPZError, RuntimeError):
     """NaN/Inf appeared in solver iterates (distinct from a BlowUp classification)."""
 
 
 class SolveError(HardyKPZError, RuntimeError):
-    """Internal solver failure (e.g. singular linear operator)."""
+    """Internal solver failure (e.g. singular linear operator, or a root that
+    misses its residual rule)."""

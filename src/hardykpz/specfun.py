@@ -1,9 +1,9 @@
-"""Gamma-function core and the closed-form constants and critical exponents.
+"""Closed-form constants and critical exponents from Gamma-function ratios.
 
 Everything here is exact arithmetic on Gamma-function ratios, evaluated in
-log space with a Lanczos approximation.  No discretization enters: these
-values serve as the analytic reference for the radial operator and the
-solver modules.
+log space with ``math.lgamma``.  No discretization enters: these values
+serve as the analytic reference for the radial operator and the solver
+modules.
 
 Conventions
 -----------
@@ -25,12 +25,11 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, SolveError
 
 __all__ = [
     "ProblemParams",
     "ExponentReport",
-    "log_gamma",
     "hardy_constant",
     "gamma_multiplier",
     "alpha_of_lambda",
@@ -39,54 +38,17 @@ __all__ = [
     "sphere_area",
 ]
 
-# Lanczos coefficients, g = 7, n = 9 (Godfrey's set).  Relative accuracy of
-# the reconstructed Gamma is ~1e-14 over the range used here; verified
-# against an arbitrary-precision oracle in the test suite.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_LN_PI = math.log(math.pi)
 _LN_2 = math.log(2.0)
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0.
-
-    Lanczos approximation with reflection below 1/2, evaluated fully in log
-    space so that Gamma ratios with large or nearly-polar arguments never
-    overflow.  Absolute error of the log (= relative error of Gamma) is
-    below 1e-12 on [1e-3, 50].
-    """
-    x = float(x)
-    if not x > 0.0 or math.isinf(x) or math.isnan(x):
-        raise DomainError(f"log_gamma requires x > 0, got x={x!r}")
-    if x < 0.5:
-        # Gamma(x) Gamma(1-x) = pi / sin(pi x); both factors positive here.
-        return _LN_PI - math.log(math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    y = x - 1.0
-    acc = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (y + i)
-    t = y + _LANCZOS_G + 0.5
-    return _LN_SQRT_2PI + (y + 0.5) * math.log(t) - t + math.log(acc)
-
-
 def sphere_area(N: int) -> float:
-    """Surface measure of the unit sphere in dimension N."""
+    """Surface measure 2 pi^{N/2} / Gamma(N/2) of the unit sphere in dimension N.
+
+    Evaluated in log space, so it is finite for every N (it tends to 0).
+    """
     if N < 1:
         raise DomainError(f"dimension must be >= 1, got N={N}")
-    return 2.0 * math.pi ** (N / 2.0) / math.exp(log_gamma(N / 2.0))
+    return math.exp(_LN_2 + 0.5 * N * math.log(math.pi) - math.lgamma(N / 2.0))
 
 
 def _check_order(N: float, s: float) -> None:
@@ -96,18 +58,8 @@ def _check_order(N: float, s: float) -> None:
         raise DomainError(f"dimension must satisfy N > 2s, got N={N}, s={s}")
 
 
-def hardy_constant(N: int, s: float) -> float:
-    """Sharp Hardy constant 2^{2s} Gamma^2((N+2s)/4) / Gamma^2((N-2s)/4)."""
-    _check_order(N, s)
-    return math.exp(
-        2.0 * s * _LN_2
-        + 2.0 * log_gamma((N + 2.0 * s) / 4.0)
-        - 2.0 * log_gamma((N - 2.0 * s) / 4.0)
-    )
-
-
 def _gamma_ratio(a: float, N: float, s: float) -> float:
-    """Even Gamma ratio behind gamma_multiplier and alpha_of_lambda.
+    """Even Gamma ratio behind hardy_constant, gamma_multiplier and alpha_of_lambda.
 
     Evaluated at |a| so the +a and -a calls are bit-for-bit identical.
     """
@@ -119,11 +71,17 @@ def _gamma_ratio(a: float, N: float, s: float) -> float:
         )
     return math.exp(
         2.0 * s * _LN_2
-        + log_gamma((N + 2.0 * s + 2.0 * a) / 4.0)
-        + log_gamma((N + 2.0 * s - 2.0 * a) / 4.0)
-        - log_gamma((N - 2.0 * s + 2.0 * a) / 4.0)
-        - log_gamma((N - 2.0 * s - 2.0 * a) / 4.0)
+        + math.lgamma((N + 2.0 * s + 2.0 * a) / 4.0)
+        + math.lgamma((N + 2.0 * s - 2.0 * a) / 4.0)
+        - math.lgamma((N - 2.0 * s + 2.0 * a) / 4.0)
+        - math.lgamma((N - 2.0 * s - 2.0 * a) / 4.0)
     )
+
+
+def hardy_constant(N: int, s: float) -> float:
+    """Sharp Hardy constant 2^{2s} Gamma^2((N+2s)/4) / Gamma^2((N-2s)/4)."""
+    _check_order(N, s)
+    return _gamma_ratio(0.0, N, s)
 
 
 def gamma_multiplier(beta: float, N: int, s: float) -> float:
@@ -142,7 +100,13 @@ def alpha_of_lambda(lam: float, N: int, s: float) -> float:
 
     Accepts lam = hardy_constant (returns exactly 0.0) although problem
     parameters keep lambda strictly below it; the boundary value is needed
-    for diagnostics.  Residual satisfies |lambda(alpha) - lam| <= 1e-12 lam.
+    for diagnostics.  The bisection runs on [0, the last double below
+    (N-2s)/2] until the midpoint equals one of the ends, so alpha is one of
+    two adjacent doubles.  The residual |lambda(alpha) - lam| must stay
+    within 1e-12 lam + 4e-15 Lambda; the absolute term covers lam below the
+    ratio at the last double, where one ulp of alpha moves the ratio by about
+    1e-16 Lambda for s in (1/2, 1).  Past it (s below about 0.12, where the
+    ratio is steeper at the edge) SolveError is raised.
     """
     _check_order(N, s)
     lam = float(lam)
@@ -155,45 +119,44 @@ def alpha_of_lambda(lam: float, N: int, s: float) -> float:
         )
     if lam >= lam_max:
         return 0.0
-    half_gap = (N - 2.0 * s) / 2.0
-    lo, hi = 0.0, half_gap - 1e-14
-    # the ratio is decreasing: value(lo) = Lambda > lam > value(hi) ~ 0.
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _gamma_ratio(mid, N, s) > lam:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-17 * half_gap:
-            break
+    # the ratio is decreasing: value(lo) = Lambda > lam, value(hi) ~ 0.
+    lo, hi = 0.0, math.nextafter((N - 2.0 * s) / 2.0, 0.0)
     alpha = 0.5 * (lo + hi)
+    while lo < alpha < hi:
+        if _gamma_ratio(alpha, N, s) > lam:
+            lo = alpha
+        else:
+            hi = alpha
+        alpha = 0.5 * (lo + hi)
     residual = abs(_gamma_ratio(alpha, N, s) - lam)
-    # the absolute floor covers tiny lam near the edge of the interval, where
-    # one ulp of alpha already moves the ratio by ~1e-16 * Lambda
     if residual > 1e-12 * lam + 4e-15 * lam_max:
-        raise AssertionError(
-            f"bisection residual {residual:.3e} exceeds tolerance for lam={lam}"
+        raise SolveError(
+            f"alpha(lambda) bisection residual {residual:.3e} exceeds the "
+            f"tolerance for lambda={lam}, N={N}, s={s}"
         )
     return alpha
 
 
 def normalizing_constant(N: int, s: float) -> float:
-    """Normalizing constant of the integral operator.
+    """Normalizing constant a_{N,s} = 2^{2s-1} pi^{-N/2} Gamma((N+2s)/2) / |Gamma(-s)|.
 
-    a_{N,s} = 2^{2s-1} pi^{-N/2} Gamma((N+2s)/2) / |Gamma(-s)| with
-    |Gamma(-s)| evaluated by reflection: pi / (sin(pi s) Gamma(1+s)).
+    Raises DomainError where it exceeds the double range (N above about 440).
     """
     if not (0.0 < s < 1.0):
         raise DomainError(f"fractional order must satisfy 0 < s < 1, got s={s}")
     if N < 1:
         raise DomainError(f"dimension must be >= 1, got N={N}")
-    log_abs_gamma_minus_s = _LN_PI - math.log(math.sin(math.pi * s)) - log_gamma(1.0 + s)
-    return math.exp(
-        (2.0 * s - 1.0) * _LN_2
-        - 0.5 * N * _LN_PI
-        + log_gamma((N + 2.0 * s) / 2.0)
-        - log_abs_gamma_minus_s
-    )
+    try:
+        return math.exp(
+            (2.0 * s - 1.0) * _LN_2
+            - 0.5 * N * math.log(math.pi)
+            + math.lgamma((N + 2.0 * s) / 2.0)
+            - math.lgamma(-s)
+        )
+    except OverflowError:
+        raise DomainError(
+            f"the normalizing constant a_(N,s) exceeds the double range at N={N}, s={s}"
+        ) from None
 
 
 @dataclass(frozen=True)

@@ -110,6 +110,43 @@ def test_exponents_single_and_errors(tmp_path):
     assert payload["p_plus"] == pytest.approx(payload["p_minus"], rel=1e-12)
 
 
+@pytest.mark.parametrize("argv, code, named", [
+    # a tiny lambda has its root: p_plus is 2s to rounding
+    (["exponents", "--N", "3", "--s", "0.75", "--lambda", "1e-16"], 0, None),
+    # at s < 0.12 the root of a tiny lambda misses its residual rule
+    (["exponents", "--N", "8", "--s", "0.05", "--lambda", "1e-20"], 1, "residual"),
+    # a_{N,s} exceeds the double range
+    (["constants", "--N", "1000", "--s", "0.75"], 2, "N=1000"),
+    (["exponents", "--N", "1000", "--s", "0.75", "--lambda", "1"], 2, "N=1000"),
+])
+def test_constants_layer_exits_without_traceback(argv, code, named):
+    r = run_cli(*argv)
+    assert r.returncode == code, r.stderr
+    assert "Traceback" not in r.stderr
+    if code == 0:
+        assert json.loads(r.stdout)["p_plus"] == pytest.approx(1.5, rel=1e-12)
+    else:
+        assert r.stderr.startswith("error: ") and named in r.stderr
+
+
+def test_sweep_lambda_axis_from_tiny_lambda(tmp_path):
+    """Every cell of a lambda axis that starts at 1e-16 has its exponents, so
+    the sweep runs."""
+    plan = {"problem": {"N": N, "s": S, "lambda": LAM, "p": 1.3, "mu": 1e-3},
+            "grid": {"R": 1.0, "M": 32, "g": 2.0},
+            "source": {"coefficient": 0.3, "exponent": 2 * S},
+            "axes": [{"name": "lambda", "start": 1e-16, "stop": LAM, "count": 2}],
+            "n_levels": 6}
+    path = os.path.join(tmp_path, "sweep.json")
+    with open(path, "w") as fh:
+        json.dump({"plan": plan}, fh)
+    out = os.path.join(tmp_path, "out")
+    r = run_cli("sweep", "--config", path, "--output-dir", out, "--workers", "1")
+    assert r.returncode == 0, r.stderr
+    with open(os.path.join(out, "cells.csv")) as fh:
+        assert len(fh.read().strip().splitlines()) == 3
+
+
 def test_exponents_table(tmp_path):
     out = os.path.join(tmp_path, "tab.csv")
     r = run_cli("exponents", "--N", "3", "--s", "0.75", "--table",

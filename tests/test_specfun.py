@@ -5,9 +5,11 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hardykpz import specfun as sf
-from hardykpz.errors import DomainError
+from hardykpz.errors import DomainError, SolveError
 
 mp.mp.dps = 40
 
@@ -24,25 +26,41 @@ def mp_norm_constant(N, s):
     return 2 ** (2 * s - 1) * mp.pi ** (-N / 2) * mp.gamma((N + 2 * s) / 2) / abs(mp.gamma(-s))
 
 
-# ---------------------------------------------------------------- log_gamma
+# ------------------------------------------- constants against the oracle
 
-def test_log_gamma_classic_values():
-    assert sf.log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-    assert sf.log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), abs=1e-14)
-    assert sf.log_gamma(4.0) == pytest.approx(math.log(6.0), abs=1e-13)
-
-
-def test_log_gamma_against_high_precision_oracle():
-    xs = np.concatenate([np.geomspace(1e-3, 0.5, 60), np.linspace(0.5, 50.0, 200)])
-    worst = max(abs(sf.log_gamma(float(x)) - float(mp.loggamma(mp.mpf(float(x)))))
-                for x in xs)
-    assert worst <= 1e-12
+def mp_sphere_area(N):
+    N = mp.mpf(N)
+    return 2 * mp.pi ** (N / 2) / mp.gamma(N / 2)
 
 
-def test_log_gamma_domain():
-    for bad in (0.0, -1.0, math.nan):
-        with pytest.raises(DomainError):
-            sf.log_gamma(bad)
+_ORACLE_S = [float(s) for s in np.linspace(0.001, 0.999, 41)] + [1e-6, 0.5 + 1e-9, 1 - 1e-6]
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_constants_against_high_precision_oracle(N):
+    """Every Gamma value comes from math.lgamma: the three public constants
+    agree with 40-digit mpmath to 1e-14 relative (README records the
+    observed errors)."""
+    assert sf.sphere_area(N) == pytest.approx(float(mp_sphere_area(N)), rel=1e-14, abs=0)
+    for s in _ORACLE_S:
+        if N <= 2 * s:
+            continue
+        assert sf.hardy_constant(N, s) == pytest.approx(float(mp_hardy(N, s)), rel=1e-14, abs=0)
+        assert sf.normalizing_constant(N, s) == pytest.approx(
+            float(mp_norm_constant(N, s)), rel=1e-14, abs=0)
+
+
+def test_constants_at_large_dimension():
+    """The sphere area is evaluated in log space, so it stays finite (it
+    tends to 0); a_{N,s} leaves the double range near N = 440 and says so."""
+    for N in (343, 344, 1000, 10**6):
+        area = sf.sphere_area(N)
+        assert math.isfinite(area) and area >= 0.0
+    assert sf.sphere_area(344) == pytest.approx(float(mp_sphere_area(344)), rel=1e-12)
+    assert math.isfinite(sf.hardy_constant(1000, 0.75))
+    assert math.isfinite(sf.normalizing_constant(400, 0.75))
+    with pytest.raises(DomainError, match="N=1000"):
+        sf.normalizing_constant(1000, 0.75)
 
 
 # ---------------------------------------------------------- hardy constant
@@ -125,7 +143,7 @@ def test_factorization_identity():
 
     def m(a):
         return 2 ** (a + s) * math.exp(
-            sf.log_gamma((N + 2 * s + 2 * a) / 4) - sf.log_gamma((N - 2 * s - 2 * a) / 4))
+            math.lgamma((N + 2 * s + 2 * a) / 4) - math.lgamma((N - 2 * s - 2 * a) / 4))
 
     for a in (0.1, 0.3, 0.6):
         lam = sf.gamma_multiplier(a, N, s)
@@ -153,6 +171,33 @@ def test_alpha_lambda_round_trip():
         alpha = sf.alpha_of_lambda(lam, **DESK)
         back = sf.gamma_multiplier(alpha, **DESK)
         assert abs(back - lam) <= 1e-10 * lam
+
+
+@example(N=3, s=0.75, e=15.0)
+@settings(max_examples=200, deadline=None)
+@given(N=st.integers(2, 8),
+       s=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+       e=st.floats(0.0, 300.0))
+def test_exponents_for_reaches_every_lambda(N, s, e):
+    """For s in (1/2, 1) every lambda in (0, Lambda] has its root: the
+    bisection runs to adjacent doubles below (N-2s)/2, so the residual stays
+    within its rule even for lambda = Lambda * 1e-300."""
+    lam = sf.hardy_constant(N, s) * 10.0 ** -e
+    rep = sf.exponents_for(N, s, lam)
+    assert 0.0 <= rep.alpha < (N - 2 * s) / 2
+    # p_minus <= p_plus <= 2s, to rounding (all three meet at N = 2, s -> 1/2)
+    assert rep.p_minus - 1e-14 <= rep.p_plus <= 2 * s + 1e-14
+    if e >= 20:
+        assert rep.p_plus == pytest.approx(2 * s, rel=1e-6)
+
+
+def test_alpha_of_lambda_small_order_residual_raises():
+    """Below s ~ 0.12 the ratio is so steep at the edge of the interval that
+    one ulp of alpha misses a tiny lambda by more than the residual rule;
+    the check stays and raises SolveError (exit 1) instead of an assertion."""
+    with pytest.raises(SolveError, match="residual"):
+        sf.alpha_of_lambda(1e-20, 8, 0.05)
+    assert sf.alpha_of_lambda(1e-20, 3, 0.05) == pytest.approx(1.45, rel=1e-12)
 
 
 def test_s_to_one_consistency():
