@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands: constants, exponents, oracle, solve, damped, sweep, probe.
+Subcommands: constants, exponents, oracle, solve (damped by the config's
+``alpha_damp``, default 0), sweep, probe.
 Every run that writes artifacts also writes its fully-resolved configuration
 and that configuration's hash next to them, and reruns from the written
 configuration reproduce the outputs byte for byte (no timestamps, sorted
@@ -27,12 +28,10 @@ from .util import config_hash, json_text, known, require, value, write_json
 from . import construct, radialop, solver, sweep
 
 _ENV_OUTDIR = "HARDYKPZ_OUTPUT_DIR"
-_ENV_WORKERS = "HARDYKPZ_WORKERS"
 
-# the top-level keys of a run config (solve, probe), of a damped config and of
-# a sweep config
+# the top-level keys of a run config (probe; solve also takes alpha_damp) and
+# of a sweep config
 _RUN_KEYS = ("problem", "grid", "controls", "source", "supersolution")
-_DAMPED_KEYS = (*_RUN_KEYS, "alpha_damp")
 _SWEEP_KEYS = ("plan",)
 
 
@@ -161,25 +160,12 @@ def _auto_supersolution(cfg: dict) -> bool:
 
 
 def cmd_solve(args) -> int:
-    cfg, out, params, grid, controls, f = _run_inputs(args)
+    cfg, out, params, grid, controls, f = _run_inputs(args, (*_RUN_KEYS, "alpha_damp"))
+    alpha = solver.check_damping(value(cfg, "alpha_damp", "config", float, 0.0))
     spec = None
     if _auto_supersolution(cfg):
-        spec = construct.dirichlet_supersolution(params, f.exponent, f.coefficient,
-                                                 R=grid.R)
-    op = radialop.assemble_operator(grid, params.s)
-    report = solver.solve_kpz(params, f, op, controls=controls, supersolution=spec)
-    cfg_hash = _write_resolved(cfg, out)
-    _write_solver_outputs(report, spec, out, cfg_hash)
-    sys.stdout.write(f"status: {report.status}\n")
-    return 0
-
-
-def cmd_damped(args) -> int:
-    cfg, out, params, grid, controls, f = _run_inputs(args, _DAMPED_KEYS)
-    alpha = solver.check_damping(value(cfg, "alpha_damp", "config", float))
-    spec = None
-    if _auto_supersolution(cfg):
-        spec = construct.damped_supersolution(params, alpha, R=grid.R)
+        spec = construct.damped_supersolution(params, alpha, R=grid.R) if alpha > 0.0 \
+            else construct.dirichlet_supersolution(params, f.exponent, f.coefficient, R=grid.R)
     op = radialop.assemble_operator(grid, params.s)
     report = solver.solve_damped(params, alpha, f, op, controls=controls,
                                  supersolution=spec)
@@ -213,16 +199,9 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args.config, _SWEEP_KEYS)
     out = _out_dir(args)
     plan = sweep.SweepPlan.from_dict(require(cfg, "plan", "config"))
-    source, workers = "--workers", args.workers
-    if workers is None:
-        source, raw = _ENV_WORKERS, os.environ.get(_ENV_WORKERS, "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ConfigError(f"{_ENV_WORKERS} must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise ConfigError(f"{source} must be >= 1, got {workers}")
-    region = sweep.run_sweep(plan, out_dir=out, workers=workers,
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+    region = sweep.run_sweep(plan, out_dir=out, workers=args.workers,
                              resume=not args.no_resume)
     _write_resolved(cfg, out)
     counts = region.counts()
@@ -282,8 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     po.set_defaults(fn=cmd_oracle)
 
     for name, fn, hlp in (
-        ("solve", cmd_solve, "run the truncation scheme from a JSON config"),
-        ("damped", cmd_damped, "run the damped-gradient scheme from a JSON config"),
+        ("solve", cmd_solve, "run the (damped) truncation scheme from a JSON config"),
         ("probe", cmd_probe, "bracket the source-scale threshold"),
     ):
         p = sub.add_parser(name, help=hlp)
@@ -294,8 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     psw = sub.add_parser("sweep", help="parameter sweep with checkpoint/resume")
     psw.add_argument("--config", required=True)
     psw.add_argument("--output-dir", help=f"artifact directory (or ${_ENV_OUTDIR})")
-    psw.add_argument("--workers", type=int, default=None,
-                     help=f"worker processes, >= 1 (or ${_ENV_WORKERS})")
+    psw.add_argument("--workers", type=int, default=1, help="worker processes, >= 1")
     psw.add_argument("--no-resume", action="store_true",
                      help="recompute every cell even if a checkpoint exists")
     psw.set_defaults(fn=cmd_sweep)
@@ -306,6 +283,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if abs(getattr(args, "N", 0)) > sys.float_info.max:
+            raise DomainError("--N exceeds the double range")
         return args.fn(args)
     except (DomainError, ConfigError, GridMismatchError) as exc:
         sys.stderr.write(f"error: {exc}\n")

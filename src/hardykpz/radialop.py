@@ -281,9 +281,12 @@ def _hyp2f1_near_origin(N: int, s: float, y: np.ndarray) -> np.ndarray:
     sin(pi (1/2 - s)), which keeps its digits near s = 1/2; both terms have a
     pole there that cancels."""
     h = N / 2.0
-    c1 = math.gamma(h) * math.gamma(2.0 * s + 1.0) / (math.gamma(h + s) * math.gamma(s + 1.0))
-    c2 = -math.gamma(h) * math.gamma(1.0 + s) * _rgamma(h - s - 1.0) \
-        / (2.0 * math.sin(math.pi * (0.5 - s)) * math.gamma(2.0 * s + 2.0))
+    try:
+        c1 = math.gamma(h) * math.gamma(2.0 * s + 1.0) / (math.gamma(h + s) * math.gamma(s + 1.0))
+        c2 = -math.gamma(h) * math.gamma(1.0 + s) * _rgamma(h - s - 1.0) \
+            / (2.0 * math.sin(math.pi * (0.5 - s)) * math.gamma(2.0 * s + 2.0))
+    except OverflowError:
+        raise AssemblyError(f"kernel connection constants overflow at N={N}") from None
     return c1 * _gauss_series(-s, h - s - 1.0, -2.0 * s, y) \
         + c2 * y ** (2.0 * s + 1.0) * _gauss_series(h + s, s + 1.0, 2.0 * s + 2.0, y)
 

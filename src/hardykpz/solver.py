@@ -143,7 +143,7 @@ def run_inputs(cfg: dict) -> tuple[ProblemParams, radialop.RadialGrid,
     """Problem, grid, controls and source of a run config.
 
     The one reader of the ``problem``/``grid``/``controls``/``source`` blocks:
-    ``hardykpz solve``/``damped``/``probe`` pass their config file, a sweep
+    ``hardykpz solve``/``probe`` pass their config file, a sweep
     plan its first cell's.  Defaults: ``mu`` 0, ``R`` 1, ``g`` 2, and the
     schedule 2^0..2^(n_levels-1) with 13 levels unless ``controls`` gives
     ``n_levels``, its only key.  A missing or unknown key, or a value of the
@@ -440,8 +440,8 @@ def solve_kpz(params: ProblemParams, f: PowerSource, op: radialop.OperatorMatrix
     ``params.mu``.  ``supersolution`` - when provided - supplies the barrier
     used both for the blow-up threshold and the nodewise margin in the
     trace; without one, classification relies on the sustained-growth
-    heuristic alone (used by the threshold probe and by sweep cells beyond
-    p_plus, where no barrier exists).
+    heuristic alone (used by the threshold probe).  ``hardykpz solve`` and
+    sweep cells run solve_damped, which is this scheme at alpha_damp = 0.
     """
     controls = controls or SolverControls()
     return _run_scheme(params, 0.0, f, op, controls, supersolution)
@@ -450,7 +450,7 @@ def solve_kpz(params: ProblemParams, f: PowerSource, op: radialop.OperatorMatrix
 def check_damping(alpha_damp: float) -> float:
     """``alpha_damp`` when it is a damping exponent, alpha >= 0; DomainError
     otherwise.  The one statement of the rule: solve_damped, a sweep plan and
-    ``hardykpz damped`` (before it assembles) all call it."""
+    ``hardykpz solve`` (before it assembles) all call it."""
     if not alpha_damp >= 0.0:
         raise DomainError("damping exponent must be nonnegative")
     return alpha_damp

@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _AXIS_NAMES = ("p", "lambda", "mu", "alpha_damp")
+_MAX_CELLS = 4096  # the most cells a plan may have
 
 
 @dataclass(frozen=True)
@@ -69,10 +70,6 @@ class SweepAxis:
             raise ConfigError("axis range must be increasing")
 
     def points(self) -> np.ndarray:
-        if self.count == 0:
-            return np.asarray([])  # empty range: a legal no-op sweep
-        if self.count == 1:
-            return np.asarray([self.start])
         return np.linspace(self.start, self.stop, self.count)
 
 
@@ -85,24 +82,21 @@ class SweepPlan:
     the first cell's swept values, and checks every cell: one outside the
     analytic domain raises ConfigError naming it, before any cell runs.
     ``_cells`` keeps each cell's (axis values, params, alpha_damp, p_plus),
-    in index order.  ``kind`` selects the plain gradient solver or the damped
-    variant, the one that takes ``alpha_damp`` (a plan value or an axis); both
-    scale the source by ``mu``.  ``n_levels`` sets the truncation schedule.
+    in index order.  Every cell runs solve_damped with ``alpha_damp`` (a plan
+    value or an axis; 0 is the undamped problem) and scales the source by
+    ``mu``.  ``n_levels`` sets the truncation schedule.  A plan of more than
+    ``_MAX_CELLS`` cells is refused before its lattice is built.
     """
 
     problem: dict
     grid: dict
     axes: list
     source: dict
-    kind: str = "kpz"
     alpha_damp: float = 0.0
     n_levels: int = 17
-    budget: int = 4096
 
     def __post_init__(self):
-        if self.kind not in ("kpz", "damped"):
-            raise ConfigError(f"solver kind must be kpz or damped, got {self.kind!r}")
-        for key, kind in (("alpha_damp", float), ("budget", int), ("n_levels", int)):
+        for key, kind in (("alpha_damp", float), ("n_levels", int)):
             value(vars(self), key, "plan", kind)
         if not isinstance(self.axes, (list, tuple)) or not (1 <= len(self.axes) <= 2):
             raise ConfigError("plan key 'axes' must list one or two axes")
@@ -111,13 +105,9 @@ class SweepPlan:
         names = [a.name for a in self.axes]
         if len(set(names)) != len(names):
             raise ConfigError("axes must be distinct")
-        total = 1
-        for a in self.axes:
-            total *= a.count
-        if total > self.budget:
-            raise ConfigError(f"{total} cells exceed the budget {self.budget}")
-        if self.kind == "kpz" and (self.alpha_damp != 0.0 or "alpha_damp" in names):
-            raise ConfigError("plan key 'alpha_damp' needs kind damped")
+        total = math.prod(a.count for a in self.axes)
+        if total > _MAX_CELLS:
+            raise ConfigError(f"{total} cells exceed the limit of {_MAX_CELLS}")
         if not isinstance(self.problem, dict):
             raise ConfigError("problem must be a JSON object")
         lattice = [dict(zip(names, map(float, combo)))
@@ -193,11 +183,8 @@ def _run_cell(plan: SweepPlan, op: radialop.OperatorMatrix | HardyKPZError,
     try:
         if isinstance(op, HardyKPZError):
             raise op
-        if plan.kind == "damped":
-            report = solver.solve_damped(params, alpha, plan._source, op,
-                                         controls=plan._controls)
-        else:
-            report = solver.solve_kpz(params, plan._source, op, controls=plan._controls)
+        report = solver.solve_damped(params, alpha, plan._source, op,
+                                     controls=plan._controls)
         iters = int(sum(row.inner_iters for row in report.trace))
         return CellResult(index, values, report.status,
                           report.field.sup_norm(), iters)

@@ -257,7 +257,6 @@ def test_criterion_8_reproducibility(tmp_path):
         "grid": {"R": 1.0, "M": 32, "g": 2.0},
         "axes": [{"name": "p", "start": 1.25, "stop": 1.55, "count": 3}],
         "source": {"coefficient": 0.3, "exponent": 2 * S},
-        "kind": "kpz",
         "n_levels": 12,
     }}
     sweep_path = os.path.join(tmp_path, "sweep.json")

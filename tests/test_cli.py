@@ -49,8 +49,8 @@ def test_cli_import_leaves_scipy_optimize_out():
 
 def test_every_command_runs_without_scipy(tmp_path):
     """No command imports scipy lazily: after constants, exponents, oracle,
-    solve, damped, probe and a serial sweep, one interpreter holds no scipy
-    module."""
+    solve (undamped and damped), probe and a serial sweep, one interpreter
+    holds no scipy module."""
     run = {"problem": {"N": N, "s": S, "lambda": LAM, "p": 1.3, "mu": 1e-3},
            "grid": {"R": 1.0, "M": 32, "g": 2.0}, "controls": {"n_levels": 6},
            "source": {"coefficient": 0.3, "exponent": 2 * S}}
@@ -58,7 +58,7 @@ def test_every_command_runs_without_scipy(tmp_path):
             "axes": [{"name": "p", "start": 1.25, "stop": 1.35, "count": 2}],
             "n_levels": 6}
     configs = {"solve": {**run, "supersolution": "auto"}, "probe": run,
-               "damped": {**run, "alpha_damp": 1.0}, "sweep": {"plan": plan}}
+               "solve-damped": {**run, "alpha_damp": 1.0}, "sweep": {"plan": plan}}
     commands = [["constants", "--N", "3", "--s", "0.75"],
                 ["exponents", "--N", "3", "--s", "0.75", "--lambda", repr(LAM)],
                 ["oracle", "--N", "3", "--s", "0.75", "--theta", "0.5", "--M", "32",
@@ -67,7 +67,7 @@ def test_every_command_runs_without_scipy(tmp_path):
         path = os.path.join(tmp_path, f"{name}.json")
         with open(path, "w") as fh:
             json.dump(cfg, fh)
-        commands.append([name, "--config", path, "--output-dir",
+        commands.append([name.split("-")[0], "--config", path, "--output-dir",
                          os.path.join(tmp_path, name)]
                         + (["--workers", "1"] if name == "sweep" else []))
     code = ("import json, sys\n"
@@ -127,6 +127,25 @@ def test_constants_layer_exits_without_traceback(argv, code, named):
         assert json.loads(r.stdout)["p_plus"] == pytest.approx(1.5, rel=1e-12)
     else:
         assert r.stderr.startswith("error: ") and named in r.stderr
+
+
+_HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv, code, named", [
+    (["constants", "--N", _HUGE, "--s", "0.75"], 2, "--N exceeds the double range"),
+    (["exponents", "--N", _HUGE, "--s", "0.75", "--lambda", "0.1"], 2,
+     "--N exceeds the double range"),
+    (["oracle", "--N", _HUGE, "--s", "0.75", "--theta", "0.5"], 2,
+     "--N exceeds the double range"),
+    # the kernel's connection constants overflow a double
+    (["oracle", "--N", "343", "--s", "0.75", "--theta", "10", "--M", "16",
+      "--tolerance", "1"], 1, "kernel connection constants overflow at N=343"),
+], ids=["constants-huge-N", "exponents-huge-N", "oracle-huge-N", "oracle-N-343"])
+def test_dimension_beyond_double_range_exits_without_traceback(argv, code, named):
+    r = run_cli(*argv)
+    assert r.returncode == code, r.stderr
+    assert r.stderr == f"error: {named}\n"
 
 
 def test_sweep_lambda_axis_from_tiny_lambda(tmp_path):
@@ -260,7 +279,7 @@ def test_damped_cli(tmp_path):
     }
     path = os.path.join(tmp_path, "cfg.json")
     open(path, "w").write(json.dumps(cfg))
-    r = run_cli("damped", "--config", path, "--output-dir", str(tmp_path))
+    r = run_cli("solve", "--config", path, "--output-dir", str(tmp_path))
     assert r.returncode == 0
     report = json.loads(open(os.path.join(tmp_path, "report.json")).read())
     assert report["status"] == "Converged"
@@ -271,9 +290,29 @@ def test_damped_auto_near_lambda_exits_1(capsys, tmp_path):
     lam = sf.hardy_constant(N, S) * (1.0 - 1e-10)
     cfg = _damped_cfg(problem={"N": N, "s": S, "lambda": lam, "p": 2 * S - 0.05},
                       supersolution="auto")
-    code, err = _main(capsys, tmp_path, "damped", cfg)
+    code, err = _main(capsys, tmp_path, "solve", cfg)
     assert code == 1
     assert "empty damped window" in err
+
+
+def test_solve_alpha_damp_is_the_damped_scheme(capsys, tmp_path):
+    """`solve` with alpha_damp writes the field of solve_damped called
+    directly, and "alpha_damp": 0 writes the artifacts of a config without
+    the key."""
+    def artifacts(name, cfg):
+        d = os.path.join(tmp_path, name)
+        os.makedirs(d)
+        assert _main(capsys, d, "solve", cfg)[0] == 0
+        return [open(os.path.join(d, "out", f), "rb").read()
+                for f in ("field.csv", "trace.csv")]
+    field, _ = artifacts("damped", _damped_cfg())
+    params, grid, controls, f = solver.run_inputs(_solve_cfg())
+    rep = solver.solve_damped(params, 2 * S - 1 + 0.5, f, ro.assemble_operator(grid, S),
+                              controls=controls)
+    path = os.path.join(tmp_path, "direct.csv")
+    ro.save_field(rep.field, path)
+    assert field == open(path, "rb").read()
+    assert artifacts("zero", _solve_cfg(alpha_damp=0)) == artifacts("absent", _solve_cfg())
 
 
 def test_sweep_cli_checkpoint(tmp_path):
@@ -282,7 +321,6 @@ def test_sweep_cli_checkpoint(tmp_path):
         "grid": {"R": 1.0, "M": 32, "g": 2.0},
         "axes": [{"name": "p", "start": 1.25, "stop": 1.55, "count": 4}],
         "source": {"coefficient": 0.3, "exponent": 2 * S},
-        "kind": "kpz",
         "n_levels": 12,
     }}
     path = os.path.join(tmp_path, "cfg.json")
@@ -303,7 +341,6 @@ def test_sweep_cli_refuses_another_plan(tmp_path):
             "grid": {"R": 1.0, "M": 32, "g": 2.0},
             "axes": [{"name": "p", "start": start, "stop": stop, "count": 2}],
             "source": {"coefficient": 0.3, "exponent": 2 * S},
-            "kind": "kpz",
             "n_levels": 10,
         }}
     old = os.path.join(tmp_path, "old.json")
@@ -401,9 +438,9 @@ def _main(capsys, tmp_path, command, cfg, *extra):
     ("solve", _solve_cfg(controls={"picard_max": 10}), "picard_max"),
     ("solve", _solve_cfg(controls={"n_schedule": [1.0, 2.0]}), "n_schedule"),
     ("sweep", _sweep_cfg(controls={}), "'controls'"),
-    ("damped", _damped_cfg(supersolution={"f_bound_exponent": 2 * S,
-                                          "f_bound_coef": 0.3}), "supersolution"),
-    ("damped", _damped_cfg(supersolution="Auto"), "supersolution"),
+    ("solve", _damped_cfg(supersolution={"f_bound_exponent": 2 * S,
+                                         "f_bound_coef": 0.3}), "supersolution"),
+    ("solve", _damped_cfg(supersolution="Auto"), "supersolution"),
     ("probe", _solve_cfg(supersolution={"bogus": 1}), "supersolution"),
     ("probe", _solve_cfg(probe={"rel_width": "abc"}), "'probe' in config"),
     ("probe", _solve_cfg(probe={"mu_floor": None}), "'probe' in config"),
@@ -418,7 +455,8 @@ def _main(capsys, tmp_path, command, cfg, *extra):
     ("sweep", _sweep_cfg(axes=[{"name": "p", "start": 1.25, "stop": None,
                                 "count": 2}]), "axis key 'stop'"),
     ("sweep", _sweep_cfg(axes=5), "'axes'"),
-    ("sweep", _sweep_cfg(budget="4096"), "plan key 'budget'"),
+    ("sweep", _sweep_cfg(budget="4096"), "unknown key 'budget' in plan"),
+    ("sweep", _sweep_cfg(kind="kpz"), "unknown key 'kind' in plan"),
     ("sweep", _sweep_cfg(alpha_damp="x"), "plan key 'alpha_damp'"),
     ("solve", _solve_cfg(grid={"R": 1.0, "M": "32", "g": 2.0}), "grid key 'M'"),
     ("solve", _solve_cfg(problem={"N": N, "s": S, "lambda": LAM, "p": 1.3, "MU": 1e-3}),
@@ -428,9 +466,8 @@ def _main(capsys, tmp_path, command, cfg, *extra):
      "'exponant' in source"),
     ("solve", _solve_cfg(supersolutoin="auto"), "'supersolutoin' in config"),
     ("probe", _solve_cfg(probe={"rel_width": 0.05}), "'probe' in config"),
-    ("solve", _damped_cfg(), "'alpha_damp' in config"),
     ("probe", _damped_cfg(), "'alpha_damp' in config"),
-    ("damped", _damped_cfg(c=1e-4), "'c' in config"),
+    ("solve", _damped_cfg(c=1e-4), "'c' in config"),
     ("sweep", {**_sweep_cfg(), "workers": 2}, "'workers' in config"),
     ("sweep", _sweep_cfg(problem={"N": N, "s": S, "lambda": LAM, "p": 1.3, "MU": 1e-3}),
      "'MU' in problem"),
@@ -445,13 +482,13 @@ def _main(capsys, tmp_path, command, cfg, *extra):
         "probe-rel_width-string", "probe-mu_floor-null", "probe-mu_cap-bool",
         "probe-non-object-block", "sweep-count-string", "sweep-count-fraction",
         "sweep-start-string", "sweep-stop-null", "sweep-axes-not-list",
-        "sweep-budget-string", "sweep-alpha_damp-string", "solve-grid-M-string",
+        "sweep-budget-string", "sweep-kind-key", "sweep-alpha_damp-string",
+        "solve-grid-M-string",
         "solve-problem-typo", "solve-grid-typo", "solve-source-typo",
-        "solve-top-level-typo", "probe-block-typo", "solve-alpha_damp", "probe-alpha_damp",
+        "solve-top-level-typo", "probe-block-typo", "probe-alpha_damp",
         "damped-c", "sweep-top-level-key",
         "sweep-problem-typo", "sweep-n_levels-string"])
-def test_malformed_input_exits_2(capsys, tmp_path, monkeypatch, command, cfg, named):
-    monkeypatch.delenv("HARDYKPZ_WORKERS", raising=False)
+def test_malformed_input_exits_2(capsys, tmp_path, command, cfg, named):
     code, err = _main(capsys, tmp_path, command, cfg)
     assert code == 2
     assert named in err
@@ -476,14 +513,13 @@ _NAN, _INF = float("nan"), float("inf")
     (["solve"], _solve_cfg(grid={"R": _NAN, "M": 32}), "grid key 'R'"),
     (["solve"], _solve_cfg(source={"coefficient": _NAN, "exponent": 2 * S}),
      "source key 'coefficient'"),
-    (["damped"], _solve_cfg(alpha_damp=_NAN), "config key 'alpha_damp'"),
+    (["solve"], _solve_cfg(alpha_damp=_NAN), "config key 'alpha_damp'"),
     (["sweep"], _sweep_cfg(axes=[{"name": "p", "start": _NAN, "stop": 1.35,
                                   "count": 2}]), "axis key 'start'"),
 ], ids=["exponents-lambda", "oracle-g", "oracle-R", "solve-lambda", "solve-mu-inf",
         "solve-R", "solve-source", "damped-alpha_damp", "sweep-axis-start"])
 def test_non_finite_numbers_exit_2(capsys, tmp_path, monkeypatch, argv, cfg, named):
     # Python's json reads and writes NaN and Infinity; both are refused
-    monkeypatch.delenv("HARDYKPZ_WORKERS", raising=False)
 
     def no_assembly(*args, **kwargs):
         raise AssertionError("an operator was assembled for a non-finite input")
@@ -535,26 +571,19 @@ def test_damped_negative_exponent_exits_2_before_assembly(capsys, tmp_path, monk
         return assemble(*args, **kwargs)
     monkeypatch.setattr(ro, "assemble_operator", counting)
     cfg = {**_damped_cfg(supersolution=supersolution), "alpha_damp": -0.5}
-    code, err = _main(capsys, tmp_path, "damped", cfg)
+    code, err = _main(capsys, tmp_path, "solve", cfg)
     assert code == 2
     assert err == "error: damping exponent must be nonnegative\n"
     assert calls == []
 
 
 @pytest.mark.parametrize("over, named", [
-    ({"kind": "damped", "alpha_damp": 0.0,
-      "axes": [{"name": "alpha_damp", "start": -0.5, "stop": 1.0, "count": 4}]},
+    ({"axes": [{"name": "alpha_damp", "start": -0.5, "stop": 1.0, "count": 4}]},
      "sweep cell 0 {'alpha_damp': -0.5}: damping exponent must be nonnegative"),
-    ({"axes": [{"name": "alpha_damp", "start": 0.0, "stop": 2.0, "count": 3}]},
-     "'alpha_damp' needs kind damped"),
-    ({"alpha_damp": 1.0}, "'alpha_damp' needs kind damped"),
     ({"problem": {"N": N, "s": S, "lambda": 0.0, "p": 1.3, "mu": 1e-3}},
      "sweep cell 0 {'p': 1.25}: lambda must be positive"),
-], ids=["damped-negative-cell", "kpz-alpha_damp-axis", "kpz-alpha_damp-value",
-        "lambda-zero"])
+], ids=["damped-negative-cell", "lambda-zero"])
 def test_plan_errors_exit_2_before_assembly(capsys, tmp_path, monkeypatch, over, named):
-    monkeypatch.delenv("HARDYKPZ_WORKERS", raising=False)
-
     def no_assembly(*args, **kwargs):
         raise AssertionError("an operator was assembled for a plan with an error")
     monkeypatch.setattr(ro, "assemble_operator", no_assembly)
@@ -599,7 +628,7 @@ def test_readme_configs_pass_the_readers(tmp_path):
         blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", fh.read(), re.S)]
     [run_cfg] = [b for b in blocks if "problem" in b]
     [sweep_cfg] = [b for b in blocks if "plan" in b]
-    # the readers of `solve`, `damped` and `probe`, then those of `sweep`
+    # the readers of `solve` and `probe`, then those of `sweep`
     path = os.path.join(tmp_path, "cfg.json")
     for cfg, keys in ((run_cfg, cli._RUN_KEYS), (sweep_cfg, cli._SWEEP_KEYS)):
         with open(path, "w") as fh:
@@ -610,39 +639,30 @@ def test_readme_configs_pass_the_readers(tmp_path):
     sweep.SweepPlan.from_dict(sweep_cfg["plan"])
 
 
-def test_non_integer_workers_variable_exits_2(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("HARDYKPZ_WORKERS", "two")
-    code, err = _main(capsys, tmp_path, "sweep", _sweep_cfg())
-    assert code == 2
-    assert "HARDYKPZ_WORKERS" in err
-
-
-@pytest.mark.parametrize("flag, variable, named", [
-    (["--workers", "0"], None, "--workers"),
-    (["--workers", "-2"], None, "--workers"),
-    (["--workers", "0"], "3", "--workers"),
-    ([], "0", "HARDYKPZ_WORKERS"),
-    ([], "-1", "HARDYKPZ_WORKERS"),
-], ids=["flag-zero", "flag-negative", "flag-zero-over-variable", "variable-zero",
-        "variable-negative"])
-def test_worker_count_below_one_exits_2(capsys, tmp_path, monkeypatch, flag, variable,
-                                        named):
-    # the flag wins over the variable even when it is 0, and names itself
-    if variable is None:
-        monkeypatch.delenv("HARDYKPZ_WORKERS", raising=False)
-    else:
-        monkeypatch.setenv("HARDYKPZ_WORKERS", variable)
-
+@pytest.mark.parametrize("workers", ["0", "-2"], ids=["flag-zero", "flag-negative"])
+def test_worker_count_below_one_exits_2(capsys, tmp_path, monkeypatch, workers):
     def no_sweep(*args, **kwargs):
         raise AssertionError("a sweep ran with fewer than one worker")
     monkeypatch.setattr(sweep, "run_sweep", no_sweep)
-    code, err = _main(capsys, tmp_path, "sweep", _sweep_cfg(), *flag)
+    code, err = _main(capsys, tmp_path, "sweep", _sweep_cfg(), "--workers", workers)
     assert code == 2
-    assert f"{named} must be >= 1" in err
+    assert "--workers must be >= 1" in err
 
 
-def test_sweep_grid_defaults_match_the_run_config(capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("HARDYKPZ_WORKERS", raising=False)
+def test_sweep_workers_come_from_the_flag_alone(capsys, tmp_path, monkeypatch):
+    # one worker without the flag; no environment variable sets the count
+    monkeypatch.setenv("HARDYKPZ_WORKERS", "two")
+    counts = []
+
+    def recording(plan, out_dir, workers, resume):
+        counts.append(workers)
+        return sweep.RegionMap(cells=[], overlay={})
+    monkeypatch.setattr(sweep, "run_sweep", recording)
+    assert _main(capsys, tmp_path, "sweep", _sweep_cfg())[0] == 0
+    assert counts == [1]
+
+
+def test_sweep_grid_defaults_match_the_run_config(capsys, tmp_path):
     cells = []
     for name, grid in (("given", {"R": 1.0, "M": 32, "g": 2.0}), ("default", {"M": 32})):
         d = os.path.join(tmp_path, name)

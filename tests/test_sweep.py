@@ -29,11 +29,10 @@ def _plan(**over):
         grid={"R": 1.0, "M": 64, "g": 2.0},
         axes=[{"name": "p", "start": 1.2, "stop": 1.6, "count": 9}],
         source={"coefficient": 0.3, "exponent": 2 * S},
-        kind="kpz",
         n_levels=15,
     )
     base.update(over)
-    return sw.SweepPlan(**base)
+    return sw.SweepPlan.from_dict(base)
 
 
 # ------------------------------------------------------------------ tables
@@ -131,7 +130,7 @@ def test_sweep_resume_is_idempotent(dropped):
             fh.write(header + "".join(r for i, r in enumerate(rows) if i not in dropped))
         with open(os.path.join(d, "overlay.json"), "wb") as fh:
             fh.write(overlay)
-        with mock.patch.object(so, "solve_kpz", wraps=so.solve_kpz) as solve:
+        with mock.patch.object(so, "solve_damped", wraps=so.solve_damped) as solve:
             sw.run_sweep(_plan(**_RESUME_PLAN), out_dir=d)
         # only the dropped cells run, and the policy cell never reaches the solver
         assert solve.call_count == sum("policy" not in rows[i] for i in dropped)
@@ -195,21 +194,25 @@ def test_sweep_two_axes_and_mu():
 def test_sweep_plan_validation():
     with pytest.raises(ConfigError):
         _plan(axes=[])
-    with pytest.raises(ConfigError):
-        _plan(axes=[{"name": "p", "start": 1.2, "stop": 1.6, "count": 9}], budget=4)
+    # more than 4096 cells are refused before the lattice is built
+    with mock.patch.object(sw, "product", side_effect=AssertionError), \
+            pytest.raises(ConfigError, match="4160 cells exceed the limit of 4096"):
+        _plan(axes=[{"name": "p", "start": 1.2, "stop": 1.6, "count": 65},
+                    {"name": "mu", "start": 1e-4, "stop": 1e-3, "count": 64}])
     with pytest.raises(ConfigError):
         _plan(axes=[{"name": "q", "start": 0.0, "stop": 1.0, "count": 3}])
     with pytest.raises(ConfigError):
         _plan(axes=[{"name": "lambda", "start": 0.1, "stop": 0.9, "count": 3}])
-    with pytest.raises(ConfigError):
-        _plan(kind="other")
+    for key in ("kind", "budget"):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}' in plan"):
+            _plan(**{key: 4096})
 
 
 def test_sweep_worker_pool_matches_serial(tmp_path):
     p_axis = [{"name": "p", "start": 1.25, "stop": 1.55, "count": 4}]
     plans = {
         "kpz": dict(axes=p_axis),
-        "damped": dict(axes=p_axis, kind="damped", alpha_damp=1.0),
+        "damped": dict(axes=p_axis, alpha_damp=1.0),
         "lambda-mu": dict(axes=[{"name": "lambda", "start": 0.1, "stop": 0.4, "count": 2},
                                 {"name": "mu", "start": 1e-4, "stop": 1e-2, "count": 2}]),
     }
@@ -310,15 +313,16 @@ def test_killed_sweep_keeps_its_finished_cells(tmp_path, monkeypatch, workers, k
     monkeypatch.setattr(sw, "ProcessPoolExecutor", _StoringPool)
     cells, overlay = _finished_sweep()
     header, *rows = cells.decode().splitlines(keepends=True)
-    solve_kpz, solved = so.solve_kpz, []
+    solve_damped, solved = so.solve_damped, []
 
     def interrupted(*args, **kwargs):
         if len(solved) == k:
             raise KeyboardInterrupt
         solved.append(args)
-        return solve_kpz(*args, **kwargs)
+        return solve_damped(*args, **kwargs)
     d = str(tmp_path)
-    with mock.patch.object(so, "solve_kpz", interrupted), pytest.raises(KeyboardInterrupt):
+    with mock.patch.object(so, "solve_damped", interrupted), \
+            pytest.raises(KeyboardInterrupt):
         sw.run_sweep(_plan(**_RESUME_PLAN), out_dir=d, workers=workers)
     first, *kept = open(os.path.join(d, "cells.csv")).read().splitlines(keepends=True)
     assert first == header
@@ -332,18 +336,18 @@ def test_killed_sweep_keeps_its_finished_cells(tmp_path, monkeypatch, workers, k
     lost = [row for row in rows if row not in kept]
     with open(os.path.join(d, "cells.csv"), "a") as fh:
         fh.write(lost[0][:-3])
-    with mock.patch.object(so, "solve_kpz", wraps=so.solve_kpz) as solve:
+    with mock.patch.object(so, "solve_damped", wraps=so.solve_damped) as solve:
         sw.run_sweep(_plan(**_RESUME_PLAN), out_dir=d, workers=workers)
     assert solve.call_count == sum("policy" not in row for row in lost)
     for name, expected in (("cells.csv", cells), ("overlay.json", overlay)):
         assert open(os.path.join(d, name), "rb").read() == expected, name
 
 
-@pytest.mark.parametrize("kind", ["kpz", "damped"])
-def test_sweep_cell_matches_direct_solve(kind):
+@pytest.mark.parametrize("alpha", [0.0, 1.0], ids=["kpz", "damped"])
+def test_sweep_cell_matches_direct_solve(alpha):
+    # at alpha_damp = 0 a cell is the undamped scheme, solve_kpz
     plan = _plan(axes=[{"name": "p", "start": 1.25, "stop": 1.45, "count": 3}],
-                 grid={"R": 1.0, "M": 32, "g": 2.0}, n_levels=12, kind=kind,
-                 alpha_damp=1.0 if kind == "damped" else 0.0)
+                 grid={"R": 1.0, "M": 32, "g": 2.0}, n_levels=12, alpha_damp=alpha)
     region = sw.run_sweep(plan)
     assert len(region.cells) == 3
     for cell in region.cells:
@@ -351,8 +355,8 @@ def test_sweep_cell_matches_direct_solve(kind):
                "controls": {"n_levels": plan.n_levels}, "source": plan.source}
         params, grid, controls, f = so.run_inputs(cfg)
         op = ro.assemble_operator(grid, params.s)
-        if kind == "damped":
-            rep = so.solve_damped(params, plan.alpha_damp, f, op, controls=controls)
+        if alpha:
+            rep = so.solve_damped(params, alpha, f, op, controls=controls)
         else:
             rep = so.solve_kpz(params, f, op, controls=controls)
         assert cell.status == rep.status

@@ -56,14 +56,12 @@ def test_tracer_counts_every_wrapped_layer(tmp_path):
             json.dump(cfg, fh)
     workers = os.path.join(tmp_path, "workers")
     os.makedirs(workers)
-    env = dict(os.environ)
-    env.pop("HARDYKPZ_WORKERS", None)
     r = subprocess.run(
         [sys.executable, "-c", SCRIPT, os.path.join(ROOT, "perfbench"), workers,
          paths["solve"], os.path.join(tmp_path, "probe_out"),
          os.path.join(tmp_path, "solve_out"),
          paths["sweep"], os.path.join(tmp_path, "sweep_out")],
-        capture_output=True, text=True, env=env, timeout=300)
+        capture_output=True, text=True, timeout=300)
     assert r.returncode == 0, r.stderr
     out = json.loads(r.stdout.strip().splitlines()[-1])
     calls = out["calls"]
