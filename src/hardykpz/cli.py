@@ -4,8 +4,8 @@ Subcommands: constants, exponents, oracle, solve (damped by the config's
 ``alpha_damp``, default 0), sweep, probe.
 Every run that writes artifacts also writes its fully-resolved configuration
 and that configuration's hash next to them, and reruns from the written
-configuration reproduce the outputs byte for byte (no timestamps, sorted
-keys, 17-significant-digit floats).
+configuration reproduce the outputs byte for byte at a fixed BLAS thread
+count (no timestamps, sorted keys, 17-significant-digit floats).
 
 Exit codes: 0 on success (solver BlowUp is a classification, not a
 failure), 1 on tolerance failures and internal errors, 2 on domain or
@@ -28,6 +28,7 @@ from .util import config_hash, json_text, known, require, value, write_json
 from . import construct, radialop, solver, sweep
 
 _ENV_OUTDIR = "HARDYKPZ_OUTPUT_DIR"
+_MAX_TABLE_ROWS = 100_000   # largest `exponents --table --count`
 
 # the top-level keys of a run config (probe; solve also takes alpha_damp) and
 # of a sweep config
@@ -94,8 +95,8 @@ def cmd_exponents(args) -> int:
     if args.table:
         if args.lambda_min is None or args.lambda_max is None:
             raise ConfigError("--table needs --lambda-min and --lambda-max")
-        if args.count < 1:
-            raise ConfigError(f"--count must be >= 1, got {args.count}")
+        if not 1 <= args.count <= _MAX_TABLE_ROWS:
+            raise ConfigError(f"--count must lie in [1, {_MAX_TABLE_ROWS}], got {args.count}")
         lams = np.linspace(args.lambda_min, args.lambda_max, args.count)
         path = args.out or "exponents.csv"
         sweep.write_exponent_table(path, args.N, args.s, lams)
@@ -113,6 +114,8 @@ def cmd_oracle(args) -> int:
         raise DomainError(f"--tolerance must be a positive finite number, got {args.tolerance}")
     radialop.check_power_exponent(args.theta, args.N, args.s)
     grid = radialop.build_grid(args.R, args.M, args.g, args.N)
+    # the refined grid is checked before anything is assembled
+    grid2 = radialop.build_grid(args.R, 2 * args.M, args.g, args.N) if args.refine else None
     op = radialop.assemble_operator(grid, args.s)
     r_max = args.r_max if args.r_max is not None else 0.1 * args.R
     err = radialop.oracle_power_test(op, args.theta, r_max)
@@ -121,7 +124,6 @@ def cmd_oracle(args) -> int:
               "checked_r_min": float(op.oracle_r_min),
               "checked_r_max": float(r_max)}
     if args.refine:
-        grid2 = radialop.build_grid(args.R, 2 * args.M, args.g, args.N)
         op2 = radialop.assemble_operator(grid2, args.s)
         # compare over the window the coarse grid resolves
         r_lo = op.oracle_r_min

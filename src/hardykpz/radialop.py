@@ -17,15 +17,16 @@ Discretization notes
 --------------------
 * Collocation rows are written against a calibration power profile
   rho^(-w0) with the fixed w0 = (N-2s)/2, the center of the admissible
-  singularity range.  The hypersingular principal value of the profile
-  itself is inserted analytically through the Gamma-ratio multiplier, so
-  the matrix is exact on the profile family and on constant fields up to
-  quadrature accuracy.
+  singularity range.  One identity builds every diagonal: the analytic
+  principal value of the profile (the Gamma-ratio multiplier) plus its
+  exterior tail, less the profile values the row's off-diagonal entries
+  place, so each row is exact on the profile up to quadrature accuracy.
 * Within cells and pairing panels, nodal values are interpolated along the
   profile (a convex blend that reproduces both constants and the profile),
   which keeps every interpolation weight a convex combination: the rows
   stay diagonally dominated by their negative part and the discrete
-  maximum-principle check holds by construction.
+  maximum-principle check holds by construction.  The singular first cell
+  is pairing panel k = 0, on graded nodes.
 * The innermost rows cannot resolve power profiles from nodal data alone
   (nothing exists below r_1), so rows in the first ``_CALIB_FRAC`` of the
   index range are moment-fitted to the analytic power-family response under
@@ -102,6 +103,7 @@ _CHEB_PIECES = 60     # dyadic pieces [2^-(k+1), 2^-k] of y = 1 - x, k < 60
 _CHUNK = 1 << 13      # kernel points evaluated per batch during assembly
 _HYP_SWITCH = 1.0 / 16.0  # y from which hyp2f1 sums its series in 1-y, not in y
 _HYP_BAND = 1e-4      # half-width of the band around s = 1/2 that hyp2f1 interpolates
+_MAX_NODES = 10_000   # largest grid M: its dense operator holds 800 MB
 
 
 @lru_cache(maxsize=None)
@@ -182,8 +184,8 @@ def build_grid(R: float, M: int, g: float, N: int) -> RadialGrid:
     """Graded radial grid on (0, R] with M nodes and grading exponent g."""
     if not R > 0.0:
         raise ConfigError(f"domain radius must be positive, got R={R}")
-    if M < 16:
-        raise ConfigError(f"need at least 16 nodes, got M={M}")
+    if not 16 <= M <= _MAX_NODES:
+        raise ConfigError(f"need 16 to {_MAX_NODES} nodes, got M={M}")
     if not g >= 1.0:
         raise ConfigError(f"grading exponent must satisfy g >= 1, got g={g}")
     if N < 2:
@@ -484,7 +486,10 @@ class _Assembler:
         self.rw = grid.r**self.w0
         self.dlt = 1.0 / grid.M
         self.far = _FAR_FACTOR * grid.R
-        self.m_grade = min(max(2.0, 2.0 / (2.0 - 2.0 * s)), 8.0)
+        self.m_grade = mgr = min(max(2.0, 2.0 / (2.0 - 2.0 * s)), 8.0)
+        # graded rule of the singular first cell: nodes xi^m, weights m xi^(m-1) w
+        xi0, wxi0 = _RULE_FIRST
+        self.graded = (xi0**mgr, self.dlt * mgr * xi0 ** (mgr - 1.0) * wxi0)
         self.gamma_profile = _gamma_multiplier_extended((N - 2 * s) / 2.0 - self.w0, N, s)
 
     # -- kernel helpers --------------------------------------------------
@@ -543,90 +548,74 @@ class _Assembler:
     # -- assembly ---------------------------------------------------------
     def assemble(self) -> np.ndarray:
         self._check_kernel()
-        M, R, r = self.M, self.R, self.r
+        M, R, r, rw = self.M, self.R, self.r, self.rw
         A = np.zeros((M, M))
+        idx = np.arange(M)
+        K = np.minimum(idx, M - 1 - idx)   # pairs (i - k, i + k), k = 1..K
+        self._pairing_panels(A, K)
+        self._remainder_cells(A, K)
+        self._end_cells(A)
         # analytic principal value of the profile + exterior tail; the
         # boundary row integrates the exterior from half a cell out (its
         # delta^s layer is unresolved by design).
         lo = np.full(M, R)
         lo[-1] = R + 0.5 * (R - r[M - 2])
         diag = self.gamma_profile * r ** (-2.0 * self.s) \
-            + self.rw * _tail_integral(self.kern, r, [self.w0], lo, self.far)[:, 0]
-        idx = np.arange(M)
-        K = np.minimum(idx, M - 1 - idx)   # pairs (i - k, i + k), k = 1..K
-        self._first_cells(A, diag, K)
-        self._pairing_panels(A, diag, K)
-        self._remainder_cells(A, diag, K)
+            + rw * _tail_integral(self.kern, r, [self.w0], lo, self.far)[:, 0]
+        # the discrete part: each row's diagonal takes back the profile
+        # values rho_j^-w0 its off-diagonal entries place (A has no diagonal
+        # yet), so every row is exact on the profile
+        diag -= rw * (A @ (1.0 / rw))
         self._origin_cell(A, diag)
         A[idx, idx] += diag
         self._calibrate(A)
         return A
 
-    def _add_pairs(self, A, diag, rows, k, cD, cS) -> None:
+    @staticmethod
+    def _add_pairs(A, rows, k, cD, cS) -> None:
         """Scatter even/odd weights cD, cS on the nodes row +- k."""
-        rw = self.rw
         A[rows, rows + k] -= cD + cS
         A[rows, rows - k] -= cD - cS
-        pp = rw[rows] / rw[rows + k]
-        pm = rw[rows] / rw[rows - k]
-        diag += np.bincount(rows, cD * (pp + pm) + cS * (pp - pm), minlength=self.M)
 
-    def _first_cells(self, A, diag, K) -> None:
-        """Singular first cell (graded nodes) of every paired row, and the
-        one-sided closure cells of the two extreme rows."""
-        M, dlt, mgr, rw = self.M, self.dlt, self.m_grade, self.rw
-        xi0, wxi0 = _RULE_FIRST
-        eta0 = dlt * xi0**mgr
-        deta0 = dlt * mgr * xi0 ** (mgr - 1.0) * wxi0
-        for rows, _ in _ragged(np.ones(M, int), (K >= 1).astype(int), _N_FIRST):
-            wp, wm = self._w_sides(rows, eta0)
-            dsh, ssh = self._profile_shapes(rows, eta0)
-            dsh_e, ssh_e = self._profile_shapes(rows, np.asarray([dlt]))
-            cD = np.sum(deta0 * (dsh / dsh_e) * (0.5 * (wp + wm)), axis=1)
-            cS = np.sum(deta0 * (ssh / ssh_e) * (0.5 * (wp - wm)), axis=1)
-            self._add_pairs(A, diag, rows, 1, cD, cS)
-        wp, wm = self._w_sides(np.asarray([0, M - 1]), eta0)
-        end = deta0 * xi0 ** (2 * mgr)
-        one = float(np.sum(end * wp[0]))
-        A[0, 1] -= one
-        diag[0] += one * rw[0] / rw[1]
-        one = float(np.sum(end * wm[1]))
-        A[M - 1, M - 2] -= one
-        diag[M - 1] += one * rw[M - 1] / rw[M - 2]
-
-    def _pairing_panels(self, A, diag, K) -> None:
-        """Panels (k, k+1) cells out of each row, k = 1..K-1, paired across
-        the node and interpolated along the profile; the near panels
-        k <= ``_NEAR`` take ``_RULE_PAIR``, the far ones ``_RULE_FAR``."""
+    def _pairing_panels(self, A, K) -> None:
+        """Panels (k, k+1) cells out of each row, paired across the node and
+        interpolated along the profile, k = 0..K-1.  Panel k = 0 is the
+        singular first cell, on the graded rule; it places only node 1's
+        share, since node 0 is the row itself.  Panels k <= ``_NEAR`` take
+        ``_RULE_PAIR``, the far ones ``_RULE_FAR``."""
         M, dlt = self.M, self.dlt
+        xip, wxip = _RULE_PAIR
+        xif, wxif = _RULE_FAR
         n_near = np.clip(K - 1, 0, _NEAR)
-        for (xip, wxip), first, count in (
-                (_RULE_PAIR, np.ones(M, int), n_near),
-                (_RULE_FAR, np.full(M, _NEAR + 1), np.maximum(K - 1, 0) - n_near)):
-            base = dlt * wxip
-            for rows, k in _ragged(first, count, len(xip)):
-                eta = (k[:, None] + xip) * dlt
+        for xi, base, first, count in (
+                (*self.graded, np.zeros(M, int), np.minimum(K, 1)),
+                (xip, dlt * wxip, np.ones(M, int), n_near),
+                (xif, dlt * wxif, np.full(M, _NEAR + 1), np.maximum(K - 1, 0) - n_near)):
+            for rows, k in _ragged(first, count, len(xi)):
+                eta = (k[:, None] + xi) * dlt
                 wp, wm = self._w_sides(rows, eta)
                 we = 0.5 * (wp + wm)
                 wo = 0.5 * (wp - wm)
                 dsh, ssh = self._profile_shapes(rows, eta)
                 dk, sk = self._profile_shapes(rows, (k * dlt)[:, None])
                 dk1, sk1 = self._profile_shapes(rows, ((k + 1) * dlt)[:, None])
-                dden = dk - dk1
+                # node k+1's share of the profile blend; linear where the
+                # profile is flat to double precision
+                dden = dk1 - dk
                 sden = sk1 - sk
-                bl_d = np.where(np.abs(dden) > 1e-300, (dsh - dk1) / dden, 1.0 - xip)
-                bl_s = np.where(np.abs(sden) > 1e-300, (sk1 - ssh) / sden, 1.0 - xip)
-                self._add_pairs(A, diag, rows, k, np.sum(base * bl_d * we, axis=1),
+                bl_d = np.where(np.abs(dden) > 1e-300, (dsh - dk) / dden, xi)
+                bl_s = np.where(np.abs(sden) > 1e-300, (ssh - sk) / sden, xi)
+                if k[0] > 0:   # a chunk holds one group; in group k = 0 node k is the row
+                    self._add_pairs(A, rows, k, np.sum(base * (1.0 - bl_d) * we, axis=1),
+                                    np.sum(base * (1.0 - bl_s) * wo, axis=1))
+                self._add_pairs(A, rows, k + 1, np.sum(base * bl_d * we, axis=1),
                                 np.sum(base * bl_s * wo, axis=1))
-                self._add_pairs(A, diag, rows, k + 1, np.sum(base * (1.0 - bl_d) * we, axis=1),
-                                np.sum(base * (1.0 - bl_s) * wo, axis=1))
 
-    def _remainder_cells(self, A, diag, K) -> None:
+    def _remainder_cells(self, A, K) -> None:
         """Unpaired cells (nodes j, j+1) beyond each row's pairing band,
         interpolated along the profile; the ``_NEAR`` cells next to the band
         on each side take ``_RULE_CELL``, the others ``_RULE_FAR``."""
-        M, R, g, dlt = self.M, self.R, self.g, self.dlt
-        r, rw = self.r, self.rw
+        M, R, g, dlt, r = self.M, self.R, self.g, self.dlt, self.r
         pn = r ** (-self.w0)
         i1 = np.arange(1, M + 1)
         # right cells j = jr0..M-1 and left cells j = 1..jl_hi (1-based j)
@@ -650,12 +639,19 @@ class _Assembler:
                 for rows, j in _ragged(first, count, len(xic)):
                     c = j - 1
                     wgt = self.kern.k2(r[rows][:, None], rho[c]) * wq[c]
-                    c_left = np.sum(wgt * bl[c], axis=1)
-                    c_right = np.sum(wgt * br[c], axis=1)
-                    A[rows, c] -= c_left
-                    A[rows, j] -= c_right
-                    diag += np.bincount(rows, (c_left * pn[c] + c_right * pn[j]) * rw[rows],
-                                        minlength=M)
+                    A[rows, c] -= np.sum(wgt * bl[c], axis=1)
+                    A[rows, j] -= np.sum(wgt * br[c], axis=1)
+
+    def _end_cells(self, A) -> None:
+        """One-sided closure of the two extreme rows, which have no pairing
+        partner: the first cell toward the interior, on the graded rule,
+        weighted (eta/delta)^2 onto the neighbour."""
+        M = self.M
+        xi, base = self.graded
+        wp, wm = self._w_sides(np.asarray([0, M - 1]), self.dlt * xi)
+        end = base * xi**2
+        A[0, 1] -= float(np.sum(end * wp[0]))
+        A[M - 1, M - 2] -= float(np.sum(end * wm[1]))
 
     def _origin_cell(self, A, diag) -> None:
         """Origin cell (0, r_1): the field is extended by its innermost value;

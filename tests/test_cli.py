@@ -242,6 +242,58 @@ def test_solve_artifacts_and_replay(solve_cfg, tmp_path):
     assert tree_digest(d1) == tree_digest(d2)
 
 
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _csv_rows(path):
+    with open(path) as fh:
+        return [line.split(",") for line in fh.read().splitlines()
+                if line and not line.startswith("#")][1:]
+
+
+def test_blas_thread_count_moves_only_trailing_digits(tmp_path, monkeypatch):
+    """README's reproducibility contract: bytes hold at a fixed BLAS thread
+    count, while statuses, inner iterations and counters hold across thread
+    counts and fields agree to 1e-12 relative.  The package itself sets no
+    thread variable."""
+    for var in _THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    code = ("import os, hardykpz.cli, hardykpz.sweep\n"
+            f"print(sorted(v for v in {_THREAD_VARS!r} if v in os.environ))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0 and r.stdout.strip() == "[]", r.stderr
+    solve = _solve_cfg(grid={"R": 1.0, "M": 200, "g": 2.0}, supersolution="auto",
+                       controls={"n_levels": 13})
+    plan = _sweep_cfg(grid={"R": 1.0, "M": 200, "g": 2.0},
+                      axes=[{"name": "p", "start": 1.3, "stop": 1.5, "count": 2}])
+    seen = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        for command, cfg in (("solve", solve), ("sweep", plan)):
+            path = os.path.join(tmp_path, f"{command}.json")
+            with open(path, "w") as fh:
+                json.dump(cfg, fh)
+            out = os.path.join(tmp_path, f"{command}-{threads}")
+            r = run_cli(command, "--config", path, "--output-dir", out)
+            assert r.returncode == 0, r.stderr
+        seen[threads] = (
+            json.loads(open(os.path.join(tmp_path, f"solve-{threads}", "report.json")).read()),
+            _csv_rows(os.path.join(tmp_path, f"solve-{threads}", "trace.csv")),
+            _csv_rows(os.path.join(tmp_path, f"solve-{threads}", "field.csv")),
+            _csv_rows(os.path.join(tmp_path, f"sweep-{threads}", "cells.csv")))
+    (rep1, trace1, field1, cells1), (rep2, trace2, field2, cells2) = seen["1"], seen["2"]
+    assert rep1["status"] == rep2["status"] == "Converged"
+    assert [row[:2] for row in trace1] == [row[:2] for row in trace2]
+    u1 = [float(row[1]) for row in field1]
+    u2 = [float(row[1]) for row in field2]
+    assert max(abs(a - b) for a, b in zip(u1, u2)) <= 1e-12 * max(map(abs, u1))
+    # index, p, status and inner_iters equal; the sup-norms within 1e-12
+    assert [row[:3] + row[4:5] for row in cells1] == [row[:3] + row[4:5] for row in cells2]
+    assert [row[2] for row in cells1] == ["Converged", "BlowUp"]
+    for row1, row2 in zip(cells1, cells2):
+        assert float(row1[3]) == pytest.approx(float(row2[3]), rel=1e-12, abs=0.0)
+
+
 def test_solve_malformed_config(tmp_path):
     bad = os.path.join(tmp_path, "bad.json")
     open(bad, "w").write(json.dumps({"problem": {"N": 3, "s": 0.75}}))
@@ -546,6 +598,32 @@ def test_oracle_theta_exits_2_before_assembly(capsys, monkeypatch, theta):
     assert code == 2
     assert f"power exponent must lie in (0, N-2s) = (0, 1.5), got {float(theta)}" \
         in capsys.readouterr().err
+
+
+_HUGE_SIZE = str(10**30)
+
+
+@pytest.mark.parametrize("argv, cfg, named", [
+    (["oracle", "--N", "3", "--s", "0.75", "--theta", "0.5", "--M", _HUGE_SIZE], None,
+     f"need 16 to 10000 nodes, got M={_HUGE_SIZE}"),
+    # the refined grid 2M is refused before the grid M is assembled
+    (["oracle", "--N", "3", "--s", "0.75", "--theta", "0.5", "--M", "5001", "--refine"],
+     None, "need 16 to 10000 nodes, got M=10002"),
+    (["exponents", "--N", "3", "--s", "0.75", "--table", "--lambda-min", "0.1",
+      "--lambda-max", "0.2", "--count", _HUGE_SIZE], None,
+     f"--count must lie in [1, 100000], got {_HUGE_SIZE}"),
+    (["solve"], _solve_cfg(grid={"M": 10**30}), f"need 16 to 10000 nodes, got M={_HUGE_SIZE}"),
+], ids=["oracle-M", "oracle-refine-M", "exponents-count", "solve-grid-M"])
+def test_huge_sizes_exit_2_before_assembly(capsys, tmp_path, monkeypatch, argv, cfg, named):
+    """A size beyond its cap is a configuration error naming the flag or key,
+    not numpy's "Maximum allowed size exceeded" traceback."""
+    _no_assembly(monkeypatch)
+    if cfg is None:
+        code, err = cli.main(argv), capsys.readouterr().err
+    else:
+        code, err = _main(capsys, tmp_path, argv[0], cfg)
+    assert code == 2
+    assert err == f"error: {named}\n"
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
