@@ -274,7 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     psw = sub.add_parser("sweep", help="parameter sweep with checkpoint/resume")
     psw.add_argument("--config", required=True)
     psw.add_argument("--output-dir", help=f"artifact directory (or ${_ENV_OUTDIR})")
-    psw.add_argument("--workers", type=int, default=1, help="worker processes, >= 1")
+    psw.add_argument("--workers", type=int, default=1,
+                     help="worker processes, >= 1; the pool takes at most one "
+                          "per usable CPU and per cell left")
     psw.add_argument("--no-resume", action="store_true",
                      help="recompute every cell even if a checkpoint exists")
     psw.set_defaults(fn=cmd_sweep)

@@ -52,11 +52,23 @@ Discretization notes
   nodes); every other panel and cell takes the ``_N_FAR``-node rule.  That
   halves the kernel evaluations and moves the rows past the calibrated band
   by at most 1e-8 of their largest entry at desk scale (README).
+* The rows are assembled in contiguous blocks, one per usable CPU
+  (``util.usable_cpus``) and at least ``_MIN_BLOCK_ROWS`` rows each.  Every
+  block but the first runs in a child made by ``os.fork``, which writes its
+  rows' off-diagonal entries and their profile's exterior tails into one
+  anonymous shared mapping that holds the matrix.  No row's arithmetic
+  depends on another row, so the matrix is bitwise the same for every
+  block count.  The calling process reaps every child, then alone runs
+  what calls BLAS: the diagonal's profile identity, the origin cell and the
+  calibration.  Where ``os.fork`` is missing the assembly is serial.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import traceback
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -65,7 +77,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import AssemblyError, ConfigError, DomainError, GridMismatchError
 from .util import fmt17
-from . import specfun
+from . import specfun, util
 
 __all__ = [
     "RadialGrid",
@@ -104,6 +116,9 @@ _CHUNK = 1 << 13      # kernel points evaluated per batch during assembly
 _HYP_SWITCH = 1.0 / 16.0  # y from which hyp2f1 sums its series in 1-y, not in y
 _HYP_BAND = 1e-4      # half-width of the band around s = 1/2 that hyp2f1 interpolates
 _MAX_NODES = 10_000   # largest grid M: its dense operator holds 800 MB
+_MIN_BLOCK_ROWS = 100  # fewest rows a forked assembly block takes: below
+                       # that, forking and reaping cost more than the split
+                       # saves (M = 100: 20 ms in one block, 25 ms in two)
 
 
 @lru_cache(maxsize=None)
@@ -456,16 +471,20 @@ def _tail_integral(kern: _Kernel, r: np.ndarray, ws: np.ndarray, lo,
 # assembly
 # --------------------------------------------------------------------------
 
-def _ragged(first: np.ndarray, count: np.ndarray, width: int):
-    """Every pair (i, first[i] + m), m < count[i], as two flat arrays.
+def _ragged(first: np.ndarray, count: np.ndarray, width: int, lo: int, hi: int):
+    """Every pair (i, first[i] + m), m < count[i], lo <= i < hi, as two flat
+    arrays.
 
     The pairs come in order of i and m, in chunks of at most ``_CHUNK``
-    kernel points at ``width`` points per pair.
+    kernel points at ``width`` points per pair.  A row outside [lo, hi)
+    counts no pairs.
     """
+    i = np.arange(len(count))
+    count = np.where((i >= lo) & (i < hi), count, 0)
     ends = np.cumsum(count)
     step = max(1, _CHUNK // width)
-    for lo in range(0, int(ends[-1]), step):
-        flat = np.arange(lo, min(lo + step, int(ends[-1])))
+    for start in range(0, int(ends[-1]), step):
+        flat = np.arange(start, min(start + step, int(ends[-1])))
         rows = np.searchsorted(ends, flat, side="right")
         yield rows, first[rows] + flat - (ends[rows] - count[rows])
 
@@ -548,28 +567,41 @@ class _Assembler:
     # -- assembly ---------------------------------------------------------
     def assemble(self) -> np.ndarray:
         self._check_kernel()
-        M, R, r, rw = self.M, self.R, self.r, self.rw
-        A = np.zeros((M, M))
-        idx = np.arange(M)
-        K = np.minimum(idx, M - 1 - idx)   # pairs (i - k, i + k), k = 1..K
-        self._pairing_panels(A, K)
-        self._remainder_cells(A, K)
-        self._end_cells(A)
-        # analytic principal value of the profile + exterior tail; the
-        # boundary row integrates the exterior from half a cell out (its
-        # delta^s layer is unresolved by design).
-        lo = np.full(M, R)
-        lo[-1] = R + 0.5 * (R - r[M - 2])
-        diag = self.gamma_profile * r ** (-2.0 * self.s) \
-            + rw * _tail_integral(self.kern, r, [self.w0], lo, self.far)[:, 0]
-        # the discrete part: each row's diagonal takes back the profile
-        # values rho_j^-w0 its off-diagonal entries place (A has no diagonal
-        # yet), so every row is exact on the profile
+        M, r, rw = self.M, self.r, self.rw
+        # A and the profile's exterior tails share one mapping, which the
+        # row blocks of forked children write in place
+        shared = np.frombuffer(mmap.mmap(-1, 8 * M * (M + 1)))
+        A = shared[:M * M].reshape(M, M)
+        tail = shared[M * M:]
+        _on_row_blocks(M, lambda lo, hi: self._rows(A, tail, lo, hi))
+        # what calls BLAS runs here, after every block: the analytic
+        # principal value of the profile + its exterior tail, less the
+        # profile values rho_j^-w0 each row's off-diagonal entries place
+        # (A has no diagonal yet), so every row is exact on the profile
+        diag = self.gamma_profile * r ** (-2.0 * self.s) + rw * tail
         diag -= rw * (A @ (1.0 / rw))
         self._origin_cell(A, diag)
+        idx = np.arange(M)
         A[idx, idx] += diag
         self._calibrate(A)
         return A
+
+    def _rows(self, A, tail, lo: int, hi: int) -> None:
+        """Rows lo..hi-1: their off-diagonal entries into A and their
+        profile's exterior tail into ``tail``.  No row's arithmetic depends
+        on another row, so a block writes the bits the whole range would."""
+        M, R, r = self.M, self.R, self.r
+        idx = np.arange(M)
+        K = np.minimum(idx, M - 1 - idx)   # pairs (i - k, i + k), k = 1..K
+        self._pairing_panels(A, K, lo, hi)
+        self._remainder_cells(A, K, lo, hi)
+        self._end_cells(A, lo, hi)
+        # the boundary row integrates the exterior from half a cell out (its
+        # delta^s layer is unresolved by design)
+        start = np.full(M, R)
+        start[-1] = R + 0.5 * (R - r[M - 2])
+        tail[lo:hi] = _tail_integral(self.kern, r[lo:hi], [self.w0], start[lo:hi],
+                                     self.far)[:, 0]
 
     @staticmethod
     def _add_pairs(A, rows, k, cD, cS) -> None:
@@ -577,7 +609,7 @@ class _Assembler:
         A[rows, rows + k] -= cD + cS
         A[rows, rows - k] -= cD - cS
 
-    def _pairing_panels(self, A, K) -> None:
+    def _pairing_panels(self, A, K, lo: int, hi: int) -> None:
         """Panels (k, k+1) cells out of each row, paired across the node and
         interpolated along the profile, k = 0..K-1.  Panel k = 0 is the
         singular first cell, on the graded rule; it places only node 1's
@@ -591,7 +623,7 @@ class _Assembler:
                 (*self.graded, np.zeros(M, int), np.minimum(K, 1)),
                 (xip, dlt * wxip, np.ones(M, int), n_near),
                 (xif, dlt * wxif, np.full(M, _NEAR + 1), np.maximum(K - 1, 0) - n_near)):
-            for rows, k in _ragged(first, count, len(xi)):
+            for rows, k in _ragged(first, count, len(xi), lo, hi):
                 eta = (k[:, None] + xi) * dlt
                 wp, wm = self._w_sides(rows, eta)
                 we = 0.5 * (wp + wm)
@@ -611,7 +643,7 @@ class _Assembler:
                 self._add_pairs(A, rows, k + 1, np.sum(base * bl_d * we, axis=1),
                                 np.sum(base * bl_s * wo, axis=1))
 
-    def _remainder_cells(self, A, K) -> None:
+    def _remainder_cells(self, A, K, lo: int, hi: int) -> None:
         """Unpaired cells (nodes j, j+1) beyond each row's pairing band,
         interpolated along the profile; the ``_NEAR`` cells next to the band
         on each side take ``_RULE_CELL``, the others ``_RULE_FAR``."""
@@ -636,22 +668,25 @@ class _Assembler:
             bl = (rho ** (-self.w0) - pn[1:, None]) / (pn[:-1] - pn[1:])[:, None]
             br = 1.0 - bl
             for first, count in groups:
-                for rows, j in _ragged(first, count, len(xic)):
+                for rows, j in _ragged(first, count, len(xic), lo, hi):
                     c = j - 1
                     wgt = self.kern.k2(r[rows][:, None], rho[c]) * wq[c]
                     A[rows, c] -= np.sum(wgt * bl[c], axis=1)
                     A[rows, j] -= np.sum(wgt * br[c], axis=1)
 
-    def _end_cells(self, A) -> None:
+    def _end_cells(self, A, lo: int, hi: int) -> None:
         """One-sided closure of the two extreme rows, which have no pairing
         partner: the first cell toward the interior, on the graded rule,
-        weighted (eta/delta)^2 onto the neighbour."""
+        weighted (eta/delta)^2 onto the neighbour.  Only a row in [lo, hi)
+        takes its closure."""
         M = self.M
         xi, base = self.graded
         wp, wm = self._w_sides(np.asarray([0, M - 1]), self.dlt * xi)
         end = base * xi**2
-        A[0, 1] -= float(np.sum(end * wp[0]))
-        A[M - 1, M - 2] -= float(np.sum(end * wm[1]))
+        if lo == 0:
+            A[0, 1] -= float(np.sum(end * wp[0]))
+        if hi == M:
+            A[M - 1, M - 2] -= float(np.sum(end * wm[1]))
 
     def _origin_cell(self, A, diag) -> None:
         """Origin cell (0, r_1): the field is extended by its innermost value;
@@ -662,7 +697,7 @@ class _Assembler:
         rho = r[0] * xio**2.0
         drho = r[0] * 2.0 * xio * wxio
         prof = rho ** (-self.w0)
-        for rows, _ in _ragged(np.zeros(M, int), np.ones(M, int), _N_ORIGIN):
+        for rows, _ in _ragged(np.zeros(M, int), np.ones(M, int), _N_ORIGIN, 0, M):
             kvals = self.kern.k2(r[rows][:, None], rho) * drho
             A[rows, 0] -= np.sum(kvals, axis=1)
             diag += np.bincount(rows, self.rw[rows] * (kvals @ prof), minlength=M)
@@ -795,6 +830,48 @@ def nnls(G: np.ndarray, d: np.ndarray, lam: float, z0: np.ndarray):
             return z, steps
         free[j] = True
     raise AssemblyError(f"calibration fit not optimal after {_FIT_MAX_STEPS} solves")
+
+
+def _on_row_blocks(M: int, work) -> None:
+    """Run ``work(lo, hi)`` on contiguous blocks [lo, hi) of the rows 0..M-1,
+    one block per usable CPU and at least ``_MIN_BLOCK_ROWS`` rows each.
+
+    This process runs the first block; every other one runs in a child made
+    by ``os.fork``, which never returns into the caller: it leaves by
+    ``os._exit``, with status 1 and its traceback on stderr if ``work``
+    raised.  ``work`` must call no BLAS routine, whose threads would spin
+    against the other processes.  Every child is reaped before this returns
+    or raises, whatever this process's own block did; a child that failed
+    raises AssemblyError.  A block whose fork fails runs here instead.
+    """
+    n = max(1, min(util.usable_cpus(), M // _MIN_BLOCK_ROWS))
+    edges = [M * b // n for b in range(n + 1)]
+    children = {}
+    try:
+        for lo, hi in zip(edges[1:-1], edges[2:]):
+            try:
+                pid = os.fork()
+            except OSError:
+                work(lo, hi)
+                continue
+            if pid == 0:
+                code = 1
+                try:
+                    work(lo, hi)
+                    code = 0
+                except BaseException:   # reported by the exit code, never re-raised
+                    traceback.print_exc()
+                finally:
+                    os._exit(code)
+            children[pid] = (lo, hi)
+        work(edges[0], edges[1])
+    finally:
+        statuses = {rows: os.waitpid(pid, 0)[1] for pid, rows in children.items()}
+    for (lo, hi), status in statuses.items():
+        if status:
+            raise AssemblyError(
+                f"the child assembling rows {lo}..{hi - 1} ended with exit code "
+                f"{os.waitstatus_to_exitcode(status)}")
 
 
 def assemble_operator(grid: RadialGrid, s: float) -> OperatorMatrix:

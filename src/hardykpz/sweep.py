@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, HardyKPZError
 from .specfun import exponents_for, hardy_constant
 from .util import config_hash, fmt17, from_block, value, write_json
-from . import radialop, solver
+from . import radialop, solver, util
 
 __all__ = [
     "SweepAxis",
@@ -300,9 +300,10 @@ def run_sweep(plan: SweepPlan, out_dir: str | None = None, workers: int = 1,
     """Execute every cell of the plan; optionally checkpoint to out_dir.
 
     The plan's operator is assembled and factored here, once, when any cell
-    is left to run.  With ``workers`` > 1 and more than one cell left, the
-    cells run in a pool of min(workers, cells left) processes, whose
-    initializer hands each one the plan and the operator.
+    is left to run.  With ``workers`` > 1, more than one cell left and more
+    than one usable CPU, the cells run in a pool of min(workers, cells left,
+    usable CPUs) processes, whose initializer hands each one the plan and
+    the operator.
 
     overlay.json (with the plan hash) and cells.csv (header and resumed
     cells) are written before any cell runs, and each row is appended and
@@ -333,7 +334,8 @@ def run_sweep(plan: SweepPlan, out_dir: str | None = None, workers: int = 1,
         _write_cells(checkpoint, names, results)
         checkpoint.flush()
         op = _plan_operator(plan) if todo else None
-        for cell in _finished_cells(plan, op, todo, min(workers, len(todo))):
+        pool_size = min(workers, len(todo), util.usable_cpus())
+        for cell in _finished_cells(plan, op, todo, pool_size):
             results.append(cell)
             checkpoint.write(_cell_line(names, cell))
             checkpoint.flush()

@@ -1,4 +1,5 @@
-"""Small shared helpers: deterministic output, config hashing, config blocks."""
+"""Small shared helpers: deterministic output, config hashing, config blocks,
+the usable CPU count."""
 
 from __future__ import annotations
 
@@ -6,8 +7,19 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 
 from .errors import ConfigError
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: the one count by which the
+    assembly splits its rows and a sweep caps its pool.  1 where
+    ``os.fork`` or ``os.sched_getaffinity`` is missing, so that nothing is
+    split there."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 def fmt17(x: float) -> str:

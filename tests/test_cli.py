@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from hardykpz import cli, solver, sweep
+from hardykpz import cli, solver, sweep, util
 from hardykpz import radialop as ro
 from hardykpz import specfun as sf
 
@@ -738,6 +738,24 @@ def test_sweep_workers_come_from_the_flag_alone(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(sweep, "run_sweep", recording)
     assert _main(capsys, tmp_path, "sweep", _sweep_cfg())[0] == 0
     assert counts == [1]
+
+
+def test_artifacts_do_not_depend_on_the_usable_cpus(capsys, tmp_path, monkeypatch):
+    """One CPU or two: the same bytes from a solve whose assembly splits its
+    rows, and from a 2-cell sweep whose pool and assembly follow the count."""
+    grid = {"R": 1.0, "M": 200, "g": 2.0}
+    runs = (("solve", _solve_cfg(grid=grid, supersolution="auto"), ()),
+            ("sweep", _sweep_cfg(grid=grid), ("--workers", "2")))
+    digests = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(util, "usable_cpus", lambda: cpus)
+        for command, cfg, extra in runs:
+            d = os.path.join(tmp_path, f"{command}-{cpus}")
+            os.makedirs(d)
+            assert _main(capsys, d, command, cfg, *extra)[0] == 0
+            digests[command, cpus] = tree_digest(os.path.join(d, "out"))
+    for command, _, _ in runs:
+        assert digests[command, 1] == digests[command, 2], command
 
 
 def test_sweep_grid_defaults_match_the_run_config(capsys, tmp_path):

@@ -14,6 +14,7 @@ from scipy.special import hyp2f1, roots_legendre
 
 from hardykpz import radialop as ro
 from hardykpz import specfun as sf
+from hardykpz import util
 from hardykpz.errors import AssemblyError, ConfigError, DomainError
 
 N, S = 3, 0.75
@@ -403,16 +404,103 @@ def test_assembly_work_does_not_grow_with_the_grid(monkeypatch):
     assert seen[0][2] <= 5
 
 
-def test_assembly_memory_stays_chunked():
-    """Assembly temporaries are bounded by the chunk size, not by M^2."""
+def test_assembly_memory_stays_chunked(monkeypatch):
+    """Assembly temporaries are bounded by the chunk size, not by M^2, with
+    the rows in one block and split in two."""
     grid = ro.build_grid(1.0, 200, 2.0, N)
-    tracemalloc.start()
-    try:
-        ro.assemble_operator(grid, S)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * 2**20
+    for blocks in (1, 2):
+        _split_rows(monkeypatch, blocks)
+        tracemalloc.start()
+        try:
+            ro.assemble_operator(grid, S)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20, blocks
+
+
+# ------------------------------------------------------ row blocks
+
+def _split_rows(monkeypatch, blocks):
+    """Assemble in ``blocks`` row blocks, whatever the CPUs and the grid."""
+    monkeypatch.setattr(util, "usable_cpus", lambda: blocks)
+    monkeypatch.setattr(ro, "_MIN_BLOCK_ROWS", 1)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("n_dim", [2, 3, 5])
+@pytest.mark.parametrize("s", [0.6, 0.75, 0.9])
+@pytest.mark.parametrize("m", [64, 201])
+def test_row_blocks_assemble_the_serial_matrix_bitwise(monkeypatch, n_dim, s, m):
+    grid = ro.build_grid(1.0, m, 2.0, n_dim)
+    whole = None
+    for blocks in (1, 2, 3):
+        _split_rows(monkeypatch, blocks)
+        matrix = ro.assemble_operator(grid, s).matrix
+        if whole is None:
+            whole = matrix
+        assert np.array_equal(matrix, whole), blocks
+    _no_child_left()
+
+
+@pytest.mark.parametrize("edges", [(0, 1, 15, 16), (0, 2, 14, 16), (0, 8, 16)],
+                         ids=["first-and-last-alone", "next-to-the-ends", "halves"])
+def test_row_blocks_next_to_the_end_rows_are_bitwise(edges):
+    # the end rows take their closure cells only in the block that owns them
+    asm = ro._Assembler(ro.build_grid(1.0, 16, 2.0, N), S)
+    whole, whole_tail = np.zeros((16, 16)), np.zeros(16)
+    asm._rows(whole, whole_tail, 0, 16)
+    parts, parts_tail = np.zeros((16, 16)), np.zeros(16)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        asm._rows(parts, parts_tail, lo, hi)
+    assert np.array_equal(parts, whole)
+    assert np.array_equal(parts_tail, whole_tail)
+
+
+def _fail_in(monkeypatch, where):
+    """Make ``_remainder_cells`` raise in the children or in this process."""
+    parent = os.getpid()
+    real = ro._Assembler._remainder_cells
+
+    def remainder_cells(self, *args):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise RuntimeError(f"remainder cells failed in the {where}")
+        return real(self, *args)
+    monkeypatch.setattr(ro._Assembler, "_remainder_cells", remainder_cells)
+    return parent
+
+
+def test_a_failed_child_block_raises_and_leaves_no_child(monkeypatch):
+    _split_rows(monkeypatch, 3)
+    parent = _fail_in(monkeypatch, "child")
+    with pytest.raises(AssemblyError, match=r"rows \d+\.\.\d+ ended with exit code 1"):
+        ro.assemble_operator(ro.build_grid(1.0, 64, 2.0, N), S)
+    assert os.getpid() == parent   # no child returned into the caller
+    _no_child_left()
+
+
+def test_a_failed_parent_block_reaps_every_child_first(monkeypatch):
+    _split_rows(monkeypatch, 3)
+    parent = _fail_in(monkeypatch, "parent")
+    with pytest.raises(RuntimeError, match="in the parent"):
+        ro.assemble_operator(ro.build_grid(1.0, 64, 2.0, N), S)
+    assert os.getpid() == parent
+    _no_child_left()
+
+
+def test_a_block_whose_fork_fails_runs_in_this_process(monkeypatch):
+    grid = ro.build_grid(1.0, 64, 2.0, N)
+    whole = ro.assemble_operator(grid, S).matrix
+
+    def no_fork():
+        raise OSError("fork refused")
+    _split_rows(monkeypatch, 3)
+    monkeypatch.setattr(ro.os, "fork", no_fork)
+    assert np.array_equal(ro.assemble_operator(grid, S).matrix, whole)
 
 
 # ---------------------------------------------- reference assembly loop

@@ -15,6 +15,7 @@ from hardykpz import radialop as ro
 from hardykpz import solver as so
 from hardykpz import specfun as sf
 from hardykpz import sweep as sw
+from hardykpz import util
 from hardykpz.errors import ConfigError
 
 N, S = 3, 0.75
@@ -247,12 +248,16 @@ class _InlinePool:
         return done
 
 
-@pytest.mark.parametrize("workers, cells, kept, pool_size", [
-    (100_000, 2, 0, 2), (3, 5, 0, 3), (4, 3, 1, 2), (8, 3, 2, None), (1, 3, 0, None),
-], ids=["huge", "fewer-workers", "resumed", "one-left", "serial"])
+@pytest.mark.parametrize("workers, cells, kept, cpus, pool_size", [
+    (100_000, 2, 0, 8, 2), (3, 5, 0, 8, 3), (4, 3, 1, 8, 2), (8, 3, 2, 8, None),
+    (1, 3, 0, 8, None), (1_000_000, 5, 0, 2, 2), (4, 3, 0, 1, None),
+], ids=["huge", "fewer-workers", "resumed", "one-left", "serial", "cpu-capped",
+        "one-cpu"])
 def test_sweep_pool_is_sized_to_the_cells_left(tmp_path, monkeypatch, workers, cells,
-                                               kept, pool_size):
-    # no real pool is started: the stand-in only records the size asked for
+                                               kept, cpus, pool_size):
+    # no real pool is started: the stand-in only records the size asked for,
+    # and the pool is capped by the forced count of usable CPUs
+    monkeypatch.setattr(util, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(sw, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     monkeypatch.setattr(sw, "_worker_op", None)
