@@ -166,8 +166,9 @@ def cmd_solve(args) -> int:
     alpha = solver.check_damping(value(cfg, "alpha_damp", "config", float, 0.0))
     spec = None
     if _auto_supersolution(cfg):
-        spec = construct.damped_supersolution(params, alpha, R=grid.R) if alpha > 0.0 \
-            else construct.dirichlet_supersolution(params, f.exponent, f.coefficient, R=grid.R)
+        bound = (f.exponent, f.coefficient)
+        spec = construct.damped_supersolution(params, alpha, *bound, R=grid.R) if alpha > 0.0 \
+            else construct.dirichlet_supersolution(params, *bound, R=grid.R)
     op = radialop.assemble_operator(grid, params.s)
     report = solver.solve_damped(params, alpha, f, op, controls=controls,
                                  supersolution=spec)

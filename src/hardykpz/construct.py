@@ -5,10 +5,13 @@ under the fractional Laplacian is available through the Gamma-ratio
 multiplier, so admissibility and margins reduce to scalar inequalities on
 the ball of radius R; no discrete operator enters.
 
-Margins are recorded as coefficients of r^-(theta+2s): the supersolution
-inequality, multiplied through by r^(theta+2s), becomes a scalar inequality
-whose worst case over the ball sits at r = R because every correction term
-carries a positive power of r.
+Both supersolutions walk one ladder of exponents above mu(lambda) with one
+margin, which counts the gradient term and the source mu C |x|^-e; they
+differ in the damping exponent (0 for the Dirichlet problem), the window's
+top and the amplitude rule.  Margins are coefficients of r^-(theta+2s): the
+inequality, multiplied through by r^(theta+2s), is scalar, and its worst
+case over the ball sits at r = R because every correction term carries a
+nonnegative power of r.
 """
 
 from __future__ import annotations
@@ -57,13 +60,6 @@ class SupersolutionSpec:
         return {**asdict(self), "window": list(self.window)}
 
 
-def _window(params: ProblemParams) -> tuple[float, float, float]:
-    """(mu, mubar, theta_line) with theta_line = (2s-p)/(p-1)."""
-    rep = specfun.exponents_for(params.N, params.s, params.lam)
-    theta_line = (2.0 * params.s - params.p) / (params.p - 1.0)
-    return rep.mu_exp, rep.mubar_exp, theta_line
-
-
 def exact_radial_solution(params: ProblemParams) -> SupersolutionSpec:
     """Whole-space homogeneous solution w = A |x|^-theta0 of the gradient problem.
 
@@ -74,8 +70,9 @@ def exact_radial_solution(params: ProblemParams) -> SupersolutionSpec:
     N, s, lam, p = params.N, params.s, params.lam, params.p
     if lam <= 0.0:
         raise DomainError("the exact radial solution needs lambda > 0")
-    mu, mubar, theta0 = _window(params)
-    if not (mu < theta0 < mubar):
+    rep = specfun.exponents_for(N, s, lam)
+    theta0 = (2.0 * s - p) / (p - 1.0)
+    if not (rep.mu_exp < theta0 < rep.mubar_exp):
         gam_gap = None
         half = (N - 2.0 * s) / 2.0
         if abs(half - theta0) < half:
@@ -91,7 +88,7 @@ def exact_radial_solution(params: ProblemParams) -> SupersolutionSpec:
         kind="exact-homogeneous",
         theta=theta0,
         amplitude=amplitude,
-        window=(mu, theta0),
+        window=(rep.mu_exp, theta0),
         margin=0.0,
         N=N, s=s, lam=lam, p=p,
     )
@@ -107,109 +104,96 @@ def _theta_ladder(mu: float, top: float):
             yield mu + eps
 
 
+def _ladder_supersolution(kind: str, params: ProblemParams, alpha: float,
+                          window: tuple[float, float], f_bound_exponent: float,
+                          f_bound_coef: float, R: float, amplitude) -> SupersolutionSpec:
+    """The power profile at the first ladder exponent theta of ``window``
+    whose margin on the ball of radius R,
+        A (gamma - lambda) - A^(p-alpha) theta^p R^grad_pow - mu C R^(theta+2s-e)
+    with grad_pow = theta + 2s - ((theta+1) p - theta alpha), is positive for
+    sources f <= C |x|^-e.  Exponents with e > 2s + theta are skipped.
+    ``amplitude(margin, gap, theta, grad_pow)`` picks A, given the margin as
+    a function of A and gap = gamma - lambda.
+    """
+    N, s, lam, p = params.N, params.s, params.lam, params.p
+    e, cf = float(f_bound_exponent), float(f_bound_coef)
+    if cf < 0.0:
+        raise DomainError("source bound coefficient must be nonnegative")
+    for theta in _theta_ladder(*window):
+        if e > 2.0 * s + theta:
+            continue  # source too singular for this theta; move up the ladder
+        gap = gamma_multiplier((N - 2.0 * s) / 2.0 - theta, N, s) - lam
+        grad_pow = theta + 2.0 * s - ((theta + 1.0) * p - theta * alpha)
+        src_pow = theta + 2.0 * s - e
+
+        def margin(amp: float) -> float:
+            return (amp * gap - amp ** (p - alpha) * theta**p * R**grad_pow
+                    - params.mu * cf * R**src_pow)
+
+        amp = amplitude(margin, gap, theta, grad_pow)
+        if (c := margin(amp)) > 0.0:
+            return SupersolutionSpec(kind=kind, theta=theta, amplitude=amp,
+                                     window=window, margin=c,
+                                     N=N, s=s, lam=lam, p=p, f_bound_exponent=e)
+    raise ConstructionError(
+        f"no ladder exponent in {window} gives a positive supersolution margin "
+        f"for the source {cf} r^-{e} at mu={params.mu} (mu too large, the source "
+        "too singular, or the window narrower than the least exponent step 1e-4)"
+    )
+
+
 def dirichlet_supersolution(params: ProblemParams, f_bound_exponent: float,
                             f_bound_coef: float = 1.0,
                             R: float = 1.0) -> SupersolutionSpec:
     """Radial supersolution of the Dirichlet problem on the ball of radius R
     for sources f <= C |x|^-e.
 
-    Walks theta up from just above mu(lambda) (a tenth of the window first,
-    deeper only if needed) and takes the amplitude at the balance point, the
-    maximiser of the margin (strictly concave in A) of
+    Walks theta up from just above mu(lambda) below min(mubar, (2s-p)/(p-1))
+    and takes the amplitude at the balance point, the maximiser of the margin
+    (strictly concave in A) of
         A (gamma - lambda) >= A^p theta^p R^(theta+2s-(theta+1)p)
                               + mu C R^(theta+2s-e).
     Fails with DomainError when the window is empty (p >= p_plus) and with
     ConstructionError when no (theta, amplitude) yields a positive margin
     (mu too large for this construction).
     """
-    N, s, lam, p, mu_src = params.N, params.s, params.lam, params.p, params.mu
+    s, lam, p = params.s, params.lam, params.p
     if lam <= 0.0:
         raise DomainError("the supersolution construction needs lambda > 0")
-    mu, mubar, theta_line = _window(params)
-    top = min(mubar, theta_line)
-    if top <= mu:
+    rep = specfun.exponents_for(params.N, s, lam)
+    top = min(rep.mubar_exp, (2.0 * s - p) / (p - 1.0))
+    if top <= rep.mu_exp:
         raise DomainError(
-            f"empty supersolution window: p={p} is not below "
-            f"p_plus={specfun.exponents_for(N, s, lam).p_plus}"
+            f"empty supersolution window: p={p} is not below p_plus={rep.p_plus}"
         )
-    e = float(f_bound_exponent)
-    cf = float(f_bound_coef)
-    if cf < 0.0:
-        raise DomainError("source bound coefficient must be nonnegative")
-    for theta in _theta_ladder(mu, top):
-        if e > 2.0 * s + theta:
-            continue  # source too singular for this theta; move up the ladder
-        gam = gamma_multiplier((N - 2.0 * s) / 2.0 - theta, N, s)
-        grad_pow = theta + 2.0 * s - (theta + 1.0) * p
-        src_pow = theta + 2.0 * s - e
-        amp = ((gam - lam) / (p * theta**p * R**grad_pow)) ** (1.0 / (p - 1.0))
-        margin = (amp * (gam - lam)
-                  - amp**p * theta**p * R**grad_pow
-                  - mu_src * cf * R**src_pow)
-        if margin > 0.0:
-            return SupersolutionSpec(
-                kind="dirichlet-supersolution",
-                theta=theta,
-                amplitude=amp,
-                window=(mu, top),
-                margin=margin,
-                N=N, s=s, lam=lam, p=p,
-                f_bound_exponent=e,
-            )
-    raise ConstructionError(
-        "no (theta, amplitude) gives a positive supersolution margin "
-        f"(mu={mu_src} too large for this construction)"
-    )
+    return _ladder_supersolution(
+        "dirichlet-supersolution", params, 0.0, (rep.mu_exp, top),
+        f_bound_exponent, f_bound_coef, R,
+        lambda margin, gap, theta, grad_pow:
+            (gap / (p * theta**p * R**grad_pow)) ** (1.0 / (p - 1.0)))
 
 
 def damped_supersolution(params: ProblemParams, alpha_damp: float,
+                         f_bound_exponent: float, f_bound_coef: float = 1.0,
                          R: float = 1.0) -> SupersolutionSpec:
-    """Supersolution on the ball of radius R for the gradient term of the
-    problem ``params`` damped by (1+u)^-alpha (``params.mu`` is not used).
+    """Supersolution on the ball of radius R for the problem ``params`` with
+    its gradient term damped by (1+u)^-alpha, for sources f <= C |x|^-e.
 
-    Requires alpha_damp > 2s - 1 strictly and p < 2s.  Returns the profile
-    exponent beta close to mu(lambda), the amplitude, and the margin
-        c(A) = A (gamma - lambda) - A^(p-alpha) beta^p R^grad_pow
-    for sources f <= |x|^-(beta+2s) (the bound the construction uses).  The
-    guards force p - alpha < 1, so c is convex or increasing in A and
-    unbounded above: the amplitude is capped to [2^-8, 2^8], c is maximised
-    at an end of that range (in practice 2^8), and the margin is set by that
-    cap, so it is no source-scale threshold.
+    Walks theta up from just above mu(lambda) below mubar.  Requires
+    alpha_damp > 2s - 1 strictly and p < 2s, which make the gradient power
+    positive and p - alpha < 1: the margin is then convex or increasing in A
+    and unbounded above, and the amplitude is the better end of [2^-8, 2^8]
+    (in practice 2^8).
     """
-    N, s, lam, p = params.N, params.s, params.lam, params.p
+    s, p = params.s, params.p
     if not (p < 2.0 * s):
         raise DomainError(f"damped construction needs p < 2s, got p={p}, s={s}")
     if not (alpha_damp > 2.0 * s - 1.0):
         raise DomainError(
             f"damping exponent must exceed 2s-1 = {2 * s - 1}, got {alpha_damp}"
         )
-    rep = specfun.exponents_for(N, s, lam)
-    mu, mubar = rep.mu_exp, rep.mubar_exp
-    beta = next(_theta_ladder(mu, mubar), None)
-    if beta is None:
-        raise ConstructionError(
-            f"empty damped window: mubar - mu = {mubar - mu} is too narrow for "
-            "the least exponent step (lambda too close to Lambda)"
-        )
-    gam = gamma_multiplier((N - 2.0 * s) / 2.0 - beta, N, s)
-    # positive for every beta > 0, since p < 2s and alpha > 2s - 1 > p - 1
-    grad_pow = beta + 2.0 * s - ((beta + 1.0) * p - beta * alpha_damp)
-    a_exp = p - alpha_damp
-
-    def c_of(amp: float) -> float:
-        return amp * (gam - lam) - amp**a_exp * beta**p * R**grad_pow
-
-    lo_amp, hi_amp = 2.0**-8, 2.0**8
-    c_lo, c_hi = c_of(lo_amp), c_of(hi_amp)
-    best_amp, best_c = (hi_amp, c_hi) if c_hi > c_lo else (lo_amp, c_lo)
-    if best_c <= 0.0:
-        raise ConstructionError("no amplitude gives a positive damped margin")
-    return SupersolutionSpec(
-        kind="damped-supersolution",
-        theta=beta,
-        amplitude=best_amp,
-        window=(mu, mubar),
-        margin=best_c,
-        N=N, s=s, lam=lam, p=p,
-        f_bound_exponent=beta + 2.0 * s,
-    )
+    rep = specfun.exponents_for(params.N, s, params.lam)
+    return _ladder_supersolution(
+        "damped-supersolution", params, alpha_damp, (rep.mu_exp, rep.mubar_exp),
+        f_bound_exponent, f_bound_coef, R,
+        lambda margin, *_: max((2.0**-8, 2.0**8), key=margin))

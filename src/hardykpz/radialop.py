@@ -196,7 +196,8 @@ class RadialGrid:
 
 
 def build_grid(R: float, M: int, g: float, N: int) -> RadialGrid:
-    """Graded radial grid on (0, R] with M nodes and grading exponent g."""
+    """Graded radial grid on (0, R] with M nodes and grading exponent g; a
+    first node R (1/M)^g below the least normal double is refused."""
     if not R > 0.0:
         raise ConfigError(f"domain radius must be positive, got R={R}")
     if not 16 <= M <= _MAX_NODES:
@@ -214,6 +215,9 @@ def build_grid(R: float, M: int, g: float, N: int) -> RadialGrid:
     hi = np.where(idx == M, R, R * ((idx + 0.5) / M) ** g)
     sn = specfun.sphere_area(N)
     w = sn * (hi**N - lo**N) / N
+    if not r[0] >= np.finfo(float).tiny:
+        raise ConfigError(f"grading exponent g={g} is too large for M={M} nodes: the "
+                          f"first node R (1/M)^g = {r[0]} is not a normal double")
     return RadialGrid(R=float(R), M=M, g=float(g), N=int(N), r=r, weights=w)
 
 

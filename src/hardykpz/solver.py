@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DomainError,
     GridMismatchError,
     NumericalDivergenceError,
@@ -53,8 +55,8 @@ __all__ = [
 class PowerSource:
     """Analytic source bound f(r) = coefficient * r^-exponent.
 
-    Using the descriptor instead of nodal data keeps admissibility checks
-    (f <= |x|^-(2s+theta)) exact rather than sampled.
+    Using the descriptor instead of nodal data lets a barrier's margin count
+    the source exactly rather than sampled.
     """
 
     coefficient: float
@@ -69,13 +71,6 @@ class PowerSource:
 
     def scaled(self, factor: float) -> "PowerSource":
         return PowerSource(self.coefficient * factor, self.exponent)
-
-    def admissible_for(self, spec: SupersolutionSpec, R: float) -> bool:
-        """Exact check of f <= |x|^-(2s+theta) on (0, R]."""
-        e_max = 2.0 * spec.s + spec.theta
-        if self.exponent > e_max:
-            return False
-        return self.coefficient * R ** (e_max - self.exponent) <= 1.0 + 1e-12
 
 
 @dataclass(frozen=True)
@@ -146,8 +141,9 @@ def run_inputs(cfg: dict) -> tuple[ProblemParams, radialop.RadialGrid,
     ``hardykpz solve``/``probe`` pass their config file, a sweep
     plan its first cell's.  Defaults: ``mu`` 0, ``R`` 1, ``g`` 2, and the
     schedule 2^0..2^(n_levels-1) with 13 levels unless ``controls`` gives
-    ``n_levels``, its only key.  A missing or unknown key, or a value of the
-    wrong type, raises ConfigError naming it.
+    ``n_levels``, its only key, at most 1024 so that the top level is a
+    finite double.  A missing or unknown key, or a value of the wrong type
+    or out of range, raises ConfigError naming it.
     """
     block = known(require(cfg, "problem", "config"), ("N", "s", "lambda", "p", "mu"),
                   "problem")
@@ -167,6 +163,9 @@ def run_inputs(cfg: dict) -> tuple[ProblemParams, radialop.RadialGrid,
     )
     block = known(cfg.get("controls", {}), ("n_levels",), "controls")
     n_levels = value(block, "n_levels", "controls", int, 13)
+    if n_levels > sys.float_info.max_exp:
+        raise ConfigError(f"controls key 'n_levels' must be at most {sys.float_info.max_exp} "
+                          f"(2^(n_levels-1) a finite double), got {n_levels}")
     controls = SolverControls(n_schedule=tuple(2.0**j for j in range(n_levels)))
     block = known(require(cfg, "source", "config"), ("coefficient", "exponent"), "source")
     source = PowerSource(

@@ -150,8 +150,7 @@ def test_criterion_5a_subcritical_converges():
     t0 = time.time()
     op = desk_operator(200)
     params = sf.ProblemParams(N=N, s=S, lam=LAM, p=0.9 * REP.p_plus, mu=1e-3)
-    spec = co.dirichlet_supersolution(params, f_bound_exponent=2 * S, f_bound_coef=0.3)
-    assert _F.admissible_for(spec, 1.0)
+    spec = co.dirichlet_supersolution(params, _F.exponent, _F.coefficient)
     rep = so.solve_kpz(params, _F, op, controls=CTRL, supersolution=spec)
     elapsed = time.time() - t0
     below = bool(np.all(rep.field.values <= spec.evaluate(op.grid.r) + 1e-10))
@@ -207,16 +206,16 @@ def test_criterion_6_mu_threshold():
 def test_criterion_7_damped_regime():
     p = 2 * S - 0.05
     alpha = 2 * S - 1.0 + 0.5
-    spec = co.damped_supersolution(sf.ProblemParams(N, S, LAM, p), alpha)
     c = 1e-3
     grid = ro.build_grid(1.0, 100, 2.0, N)
     params = sf.ProblemParams(N=N, s=S, lam=LAM, p=p, mu=c)
+    f = so.PowerSource(1.0, 2 * S)
+    spec = co.damped_supersolution(params, alpha, f.exponent, f.coefficient)
     op = ro.assemble_operator(grid, S)
-    rep = so.solve_damped(params, alpha, so.PowerSource(1.0, spec.f_bound_exponent),
-                          op, controls=CTRL, supersolution=spec)
+    rep = so.solve_damped(params, alpha, f, op, controls=CTRL, supersolution=spec)
     rejected = False
     try:
-        co.damped_supersolution(sf.ProblemParams(N, S, LAM, p), 2 * S - 1.0)
+        co.damped_supersolution(sf.ProblemParams(N, S, LAM, p), 2 * S - 1.0, 2 * S)
     except DomainError:
         rejected = True
     ok = rep.status == "Converged" and rejected

@@ -344,7 +344,29 @@ def test_damped_auto_near_lambda_exits_1(capsys, tmp_path):
                       supersolution="auto")
     code, err = _main(capsys, tmp_path, "solve", cfg)
     assert code == 1
-    assert "empty damped window" in err
+    assert "no ladder exponent" in err
+
+
+@pytest.mark.parametrize("mu, code", [(100.0, 0), (3000.0, 1)])
+def test_damped_auto_barrier_counts_the_source(capsys, tmp_path, mu, code):
+    # the damped barrier's margin 31.24 at the cap amplitude 2^8 leaves room
+    # for mu C = 30 at mu = 100, not for mu C = 900 at mu = 3000
+    cfg = {"problem": {"N": 3, "s": 0.75, "lambda": 0.11, "p": 1.2, "mu": mu},
+           "grid": {"R": 1.0, "M": 100, "g": 2.0}, "controls": {"n_levels": 13},
+           "source": {"coefficient": 0.3, "exponent": 1.5},
+           "supersolution": "auto", "alpha_damp": 1.0}
+    got, err = _main(capsys, tmp_path, "solve", cfg)
+    assert got == code
+    if code == 1:
+        assert "positive supersolution margin" in err and "mu=3000.0" in err
+        return
+    with open(os.path.join(tmp_path, "out", "report.json")) as fh:
+        report = json.load(fh)
+    assert report["status"] == "Converged"
+    spec = report["supersolution"]
+    assert spec["f_bound_exponent"] == 1.5
+    assert spec["margin"] == pytest.approx(1.24, abs=5e-3)
+    assert report["sup_norm"] <= report["sup_bound"]
 
 
 def test_solve_alpha_damp_is_the_damped_scheme(capsys, tmp_path):
@@ -524,6 +546,9 @@ def _main(capsys, tmp_path, command, cfg, *extra):
     ("sweep", _sweep_cfg(problem={"N": N, "s": S, "lambda": LAM, "p": 1.3, "MU": 1e-3}),
      "'MU' in problem"),
     ("sweep", _sweep_cfg(n_levels="8"), "plan key 'n_levels'"),
+    ("solve", _solve_cfg(controls={"n_levels": 1100}), "'n_levels' must be at most 1024"),
+    ("sweep", _sweep_cfg(n_levels=1025), "'n_levels' must be at most 1024"),
+    ("solve", _solve_cfg(grid={"R": 1.0, "M": 16, "g": 300.0}), "g=300.0"),
 ], ids=["sweep-missing-N", "sweep-plan-n_levels", "solve-unknown-control",
         "sweep-unknown-control", "sweep-unknown-plan-key", "sweep-unknown-axis-key",
         "sweep-negative-source", "solve-non-object-config", "solve-grid-M-not-int",
@@ -539,7 +564,8 @@ def _main(capsys, tmp_path, command, cfg, *extra):
         "solve-problem-typo", "solve-grid-typo", "solve-source-typo",
         "solve-top-level-typo", "probe-block-typo", "probe-alpha_damp",
         "damped-c", "sweep-top-level-key",
-        "sweep-problem-typo", "sweep-n_levels-string"])
+        "sweep-problem-typo", "sweep-n_levels-string", "solve-n_levels-overflow",
+        "sweep-n_levels-overflow", "solve-degenerate-grid"])
 def test_malformed_input_exits_2(capsys, tmp_path, command, cfg, named):
     code, err = _main(capsys, tmp_path, command, cfg)
     assert code == 2

@@ -155,15 +155,16 @@ def test_dirichlet_amplitude_maximises_margin(n_dim, s, lam_frac, p_frac, mu, e_
 
 def test_damped_rejects_boundary_exponent():
     with pytest.raises(DomainError):
-        co.damped_supersolution(sf.ProblemParams(N, S, LAM, 2 * S - 0.05), 2 * S - 1.0)
+        co.damped_supersolution(sf.ProblemParams(N, S, LAM, 2 * S - 0.05), 2 * S - 1.0, 2 * S)
 
 
 def test_damped_exists_for_strong_damping():
-    spec = co.damped_supersolution(sf.ProblemParams(N, S, LAM, 2 * S - 0.05), 2 * S - 1.0 + 0.5)
+    spec = co.damped_supersolution(sf.ProblemParams(N, S, LAM, 2 * S - 0.05), 2 * S - 1.0 + 0.5,
+                                   1.0)
     assert spec.kind == "damped-supersolution"
     assert REP.mu_exp < spec.theta < REP.mubar_exp
     assert spec.margin > 0.0
-    assert spec.f_bound_exponent == pytest.approx(spec.theta + 2 * S)
+    assert spec.f_bound_exponent == 1.0
 
 
 def test_damped_window_contains_undamped_and_cstar_monotone():
@@ -171,7 +172,7 @@ def test_damped_window_contains_undamped_and_cstar_monotone():
     und = co.dirichlet_supersolution(_params(p), f_bound_exponent=2 * S)
     margins = []
     for alpha in (0.6, 1.0, 2.0, 4.0):
-        spec = co.damped_supersolution(sf.ProblemParams(N, S, LAM, p), alpha)
+        spec = co.damped_supersolution(sf.ProblemParams(N, S, LAM, p), alpha, 2 * S)
         lo, hi = spec.window
         assert lo <= und.window[0] + 1e-12 and hi >= und.window[1] - 1e-12
         margins.append(spec.margin)
@@ -185,7 +186,7 @@ def test_damped_cstar_is_the_capped_maximum(n_dim, s, lam_frac, p_frac, alpha_ga
     p = 1.0 + p_frac * (2 * s - 1.0)
     alpha = 2 * s - 1.0 + alpha_gap
     try:
-        spec = co.damped_supersolution(sf.ProblemParams(n_dim, s, lam, p), alpha)
+        spec = co.damped_supersolution(sf.ProblemParams(n_dim, s, lam, p), alpha, 2 * s)
     except ConstructionError:
         assume(False)
     gap = _gap(spec)
@@ -201,38 +202,81 @@ def test_damped_cstar_is_the_capped_maximum(n_dim, s, lam_frac, p_frac, alpha_ga
 
 def test_damped_needs_p_below_two_s():
     with pytest.raises(DomainError):
-        co.damped_supersolution(sf.ProblemParams(N, S, LAM, 2 * S), 1.0)
+        co.damped_supersolution(sf.ProblemParams(N, S, LAM, 2 * S), 1.0, 2 * S)
 
 
 def test_damped_empty_window_near_lambda_is_a_construction_error():
     # at lambda = Lambda (1 - 1e-10) the window mubar - mu is about 1.5e-5,
     # narrower than the least exponent step the construction tries
     lam = sf.hardy_constant(N, S) * (1.0 - 1e-10)
-    with pytest.raises(ConstructionError, match="empty damped window"):
-        co.damped_supersolution(sf.ProblemParams(N, S, lam, 2 * S - 0.05), 2 * S - 1.0 + 0.5)
+    with pytest.raises(ConstructionError, match="no ladder exponent"):
+        co.damped_supersolution(sf.ProblemParams(N, S, lam, 2 * S - 0.05), 2 * S - 1.0 + 0.5,
+                                2 * S)
 
 
 @pytest.mark.parametrize("R", [0.5, 2.0])
-def test_constructions_hold_on_the_ball_of_radius_R(R):
-    # the margin coefficient A (gamma - lambda) - A^p theta^p r^gp - mu C r^sp
-    # is nonnegative at every node of (0, R] and recorded at r = R
-    p, mu, cf, e = 0.9 * REP.p_plus, 1e-3, 0.3, 1.5
-    spec = co.dirichlet_supersolution(_params(p, mu=mu), f_bound_exponent=e,
-                                      f_bound_coef=cf, R=R)
-    r = ro.build_grid(R, 64, 2.0, N).r
-    theta, amp = spec.theta, spec.amplitude
-    margin = (amp * _gap(spec) - amp**p * theta**p * r ** (theta + 2 * S - (theta + 1) * p)
-              - mu * cf * r ** (theta + 2 * S - e))
-    assert margin.min() >= 0.0
-    assert spec.margin == pytest.approx(margin[-1], rel=1e-12)
-    alpha = 2 * S - 1.0 + 0.5
-    p = 2 * S - 0.05
-    spec = co.damped_supersolution(sf.ProblemParams(N, S, LAM, p), alpha, R=R)
-    theta, amp = spec.theta, spec.amplitude
-    grad_pow = theta + 2 * S - ((theta + 1) * p - theta * alpha)
-    margin = amp * _gap(spec) - amp ** (p - alpha) * theta**p * r**grad_pow
-    assert margin.min() >= 0.0
-    assert spec.margin == pytest.approx(margin[-1], rel=1e-12)
+@settings(max_examples=40, deadline=None)
+@given(**_problem_points, damped=st.booleans(), p_frac=st.floats(0.05, 0.95),
+       alpha_gap=st.floats(0.01, 3.0), mu_frac=st.floats(0.01, 2.0),
+       cf=st.floats(0.01, 2.0), e_frac=st.floats(0.0, 1.3))
+def test_constructions_hold_on_the_ball_of_radius_R(R, n_dim, s, lam_frac, damped, p_frac,
+                                                    alpha_gap, mu_frac, cf, e_frac):
+    # the margin coefficient A (gamma - lambda) - A^(p-alpha) theta^p r^gp
+    # - mu C r^(theta+2s-e), source term included, is nonnegative at every
+    # node of (0, R] and recorded at r = R, for both constructions; mu C is
+    # mu_frac times the source-free margin, so above 1 the walk goes deeper
+    lam = lam_frac * sf.hardy_constant(n_dim, s)
+    e = e_frac * 2 * s
+    if damped:
+        p, alpha = 1.0 + p_frac * (2 * s - 1.0), 2 * s - 1.0 + alpha_gap
+        build = lambda params: co.damped_supersolution(params, alpha, e, cf, R=R)
+    else:
+        p_plus = sf.exponents_for(n_dim, s, lam).p_plus
+        p, alpha = 1.0 + p_frac * (p_plus - 1.0), 0.0
+        build = lambda params: co.dirichlet_supersolution(params, e, cf, R=R)
+    try:
+        free = build(sf.ProblemParams(N=n_dim, s=s, lam=lam, p=p))
+        mu = mu_frac * free.margin / cf
+        spec = build(sf.ProblemParams(N=n_dim, s=s, lam=lam, p=p, mu=mu))
+    except ConstructionError:
+        assume(False)
+    assert spec.f_bound_exponent == e <= spec.theta + 2 * s
+    r = ro.build_grid(R, 64, 2.0, n_dim).r
+    theta, amp, gap = spec.theta, spec.amplitude, _gap(spec)
+    grad_pow = theta + 2 * s - ((theta + 1) * p - theta * alpha)
+    margin = (amp * gap - amp ** (p - alpha) * theta**p * r**grad_pow
+              - mu * cf * r ** (theta + 2 * s - e))
+    rounding = 1e-12 * amp * gap
+    assert margin.min() >= -rounding
+    assert spec.margin == pytest.approx(margin[-1], rel=1e-12, abs=rounding)
+
+
+def test_dirichlet_spec_matches_the_plain_formulas_bitwise():
+    # the ladder walk, the balance amplitude and the margin, written out as
+    # the construction evaluates them; the first case is the solve
+    # benchmark's problem, which takes the third exponent of the ladder, and
+    # the next two round differently if p theta^p R^gp is grouped otherwise
+    for lam_frac, p, mu, cf, e, R in ((0.5, 1.27, 1e-3, 0.3, 1.5, 1.0),
+                                      (0.5, 1.3, 1e-3, 0.3, 1.5, 2.0),
+                                      (0.3, 1.2, 1e-3, 0.3, 1.5, 1.5),
+                                      (0.2, 1.4, 1e-2, 0.5, 1.2, 0.5),
+                                      (0.8, 1.1, 0.0, 1.0, 0.5, 0.5)):
+        lam = lam_frac * sf.hardy_constant(N, S)
+        rep = sf.exponents_for(N, S, lam)
+        top = min(rep.mubar_exp, (2.0 * S - p) / (p - 1.0))
+        for frac in (0.1, 0.2, 0.35, 0.5, 0.7, 0.9):
+            theta = rep.mu_exp + max(frac * (top - rep.mu_exp), 1e-4)
+            gam = sf.gamma_multiplier((N - 2.0 * S) / 2.0 - theta, N, S)
+            grad_pow = theta + 2.0 * S - (theta + 1.0) * p
+            amp = ((gam - lam) / (p * theta**p * R**grad_pow)) ** (1.0 / (p - 1.0))
+            margin = (amp * (gam - lam) - amp**p * theta**p * R**grad_pow
+                      - mu * cf * R ** (theta + 2.0 * S - e))
+            if margin > 0.0:
+                break
+        spec = co.dirichlet_supersolution(_params(p, mu=mu, lam=lam), e, cf, R=R)
+        assert (spec.theta, spec.amplitude, spec.margin) == (theta, amp, margin) \
+            and margin > 0.0
+        assert spec.window == (rep.mu_exp, top)
 
 
 # ---------------------------------------------------------- serialization

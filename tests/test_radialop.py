@@ -55,6 +55,12 @@ def test_grid_validation():
         ro.build_grid(-1.0, 64, 2.0, N)
     with pytest.raises(ConfigError):
         ro.build_grid(1.0, 64, 0.5, N)
+    # at M = 16 the first node 16^-g is subnormal from g = 256 (g = 268 also
+    # rounds five shell weights to <= 0) and 0.0 from g = 269
+    for g in (256.0, 268.0, 269.0):
+        with pytest.raises(ConfigError, match=f"g={g}"):
+            ro.build_grid(1.0, 16, g, N)
+    assert ro.build_grid(1.0, 16, 255.0, N).r[0] == 2.0**-1020
 
 
 # ------------------------------------------------------------ kernel oracle

@@ -46,9 +46,8 @@ def test_zero_data_converges_to_zero(grid, op):
 
 def test_subcritical_converges_under_barrier(grid, op):
     params = _params(0.9 * REP.p_plus, 1e-3)
-    spec = co.dirichlet_supersolution(params, f_bound_exponent=2 * S, f_bound_coef=0.3)
     f = so.PowerSource(0.3, 2 * S)
-    assert f.admissible_for(spec, grid.R)
+    spec = co.dirichlet_supersolution(params, f.exponent, f.coefficient, R=grid.R)
     rep = so.solve_kpz(params, f, op, controls=CTRL, supersolution=spec)
     assert rep.status == "Converged"
     assert rep.monotonicity_violations == 0
@@ -99,11 +98,10 @@ def test_damped_zero_alpha_matches_kpz_bitwise(grid, op):
 def test_damped_strong_damping_converges(grid):
     p = 2 * S - 0.05
     alpha = 2 * S - 1.0 + 0.5
-    spec = co.damped_supersolution(sf.ProblemParams(N, S, LAM, p), alpha)
-    c = 1e-3
-    params = sf.ProblemParams(N=N, s=S, lam=LAM, p=p, mu=c)
+    params = sf.ProblemParams(N=N, s=S, lam=LAM, p=p, mu=1e-3)
     op_local = ro.assemble_operator(grid, S)
-    f = so.PowerSource(1.0, spec.f_bound_exponent)
+    f = so.PowerSource(1.0, 2 * S)
+    spec = co.damped_supersolution(params, alpha, f.exponent, f.coefficient)
     rep = so.solve_damped(params, alpha, f, op_local, controls=CTRL,
                           supersolution=spec)
     assert rep.status == "Converged"
@@ -154,12 +152,25 @@ def test_domain_bounds_refuse_nan(build):
         build()
 
 
+def test_n_levels_up_to_the_double_range():
+    # the top level 2^(n_levels-1) is a finite double up to n_levels = 1024
+    cfg = {"problem": {"N": N, "s": S, "lambda": LAM, "p": 1.3},
+           "grid": {"M": 16}, "source": {"coefficient": 0.3, "exponent": 2 * S}}
+    controls = so.run_inputs({**cfg, "controls": {"n_levels": 1024}})[2]
+    assert controls.n_schedule[-1] == 2.0**1023
+    with pytest.raises(ConfigError, match="'n_levels'"):
+        so.run_inputs({**cfg, "controls": {"n_levels": 1025}})
+
+
 def test_power_source_admissibility():
-    spec = co.dirichlet_supersolution(_params(1.25, 0.0), f_bound_exponent=2 * S)
-    ok = so.PowerSource(1.0, 2 * S)
-    too_singular = so.PowerSource(1.0, 2 * S + spec.theta + 0.1)
-    assert ok.admissible_for(spec, 1.0)
-    assert not too_singular.admissible_for(spec, 1.0)
+    # a barrier takes a source f = C r^-e only at a theta with e <= 2s + theta:
+    # a more singular source moves it up the ladder, or leaves none
+    params = _params(1.25, 1e-4)
+    spec = co.dirichlet_supersolution(params, 2 * S, 1.0)
+    deeper = co.dirichlet_supersolution(params, 2 * S + spec.theta + 1e-3, 1.0)
+    assert deeper.theta > spec.theta and deeper.f_bound_exponent <= 2 * S + deeper.theta
+    with pytest.raises(ConstructionError):
+        co.dirichlet_supersolution(params, 2 * S + spec.window[1], 1.0)
     with pytest.raises(DomainError):
         so.PowerSource(-1.0, 1.0)
 
@@ -475,9 +486,9 @@ def _case(case):
     else:
         p = 2 * S - 0.05
         alpha = 2 * S - 1.0 + 0.5
-        spec = co.damped_supersolution(sf.ProblemParams(N, S, LAM, p), alpha)
         params = sf.ProblemParams(N=N, s=S, lam=LAM, p=p, mu=1e-3)
-        f = so.PowerSource(1.0, spec.f_bound_exponent)
+        f = so.PowerSource(1.0, 2 * S)
+        spec = co.damped_supersolution(params, alpha, f.exponent, f.coefficient)
     return params, alpha, f, controls, spec
 
 
@@ -562,7 +573,6 @@ def test_accelerated_iterates_stay_monotone_and_under_the_barrier(
         spec = co.dirichlet_supersolution(params, f.exponent, f.coefficient)
     except ConstructionError:
         assume(False)  # mu too large for this barrier
-    assume(f.admissible_for(spec, 1.0))
     grid, op = _small_operator(M)
     rep = so.solve_kpz(params, f, op, controls=CTRL, supersolution=spec)
     assert rep.monotonicity_violations == 0
