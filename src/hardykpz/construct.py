@@ -1,4 +1,4 @@
-"""Closed-form radial solutions and supersolutions.
+"""Closed-form radial solutions, supersolutions and the source-free bound.
 
 All constructions here are power profiles w = A |x|^-theta whose response
 under the fractional Laplacian is available through the Gamma-ratio
@@ -16,7 +16,9 @@ nonnegative power of r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+import functools
+import math
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
@@ -29,6 +31,7 @@ __all__ = [
     "exact_radial_solution",
     "dirichlet_supersolution",
     "damped_supersolution",
+    "admissible_bound_sup",
 ]
 
 @dataclass(frozen=True)
@@ -60,36 +63,49 @@ class SupersolutionSpec:
         return {**asdict(self), "window": list(self.window)}
 
 
+def _window(params: ProblemParams):
+    """The exponent report, theta0 = (2s-p)/(p-1) and the undamped window
+    (mu, min(mubar, theta0)), which is empty exactly when p >= p_plus."""
+    s, p = params.s, params.p
+    rep = specfun.exponents_for(params.N, s, params.lam)
+    theta0 = (2.0 * s - p) / (p - 1.0)
+    return rep, theta0, (rep.mu_exp, min(rep.mubar_exp, theta0))
+
+
+def _member(params: ProblemParams, alpha: float, theta: float) -> tuple[float, float]:
+    """Gap gamma - lambda and gradient power of A |x|^-theta, damped by alpha."""
+    N, s, p = params.N, params.s, params.p
+    gap = gamma_multiplier((N - 2.0 * s) / 2.0 - theta, N, s) - params.lam
+    return gap, theta + 2.0 * s - ((theta + 1.0) * p - theta * alpha)
+
+
+def _balance_root(p: float, k: float, theta: float, gap: float, grad_pow: float,
+                  R: float) -> float:
+    """The amplitude A of an undamped member with A gap = k A^p theta^p R^grad_pow."""
+    return (gap / (k * theta**p * R**grad_pow)) ** (1.0 / (p - 1.0))
+
+
 def exact_radial_solution(params: ProblemParams) -> SupersolutionSpec:
     """Whole-space homogeneous solution w = A |x|^-theta0 of the gradient problem.
 
-    theta0 = (2s-p)/(p-1); the amplitude solves
-    gamma_beta - lambda = A^(p-1) theta0^p with beta = (N-2s)/2 - theta0,
+    theta0 = (2s-p)/(p-1); the amplitude, the balance root at k = 1, R = 1,
+    solves gamma_beta - lambda = A^(p-1) theta0^p with beta = (N-2s)/2 - theta0,
     positive exactly when p lies strictly between the critical exponents.
     """
     N, s, lam, p = params.N, params.s, params.lam, params.p
     if lam <= 0.0:
         raise DomainError("the exact radial solution needs lambda > 0")
-    rep = specfun.exponents_for(N, s, lam)
-    theta0 = (2.0 * s - p) / (p - 1.0)
+    rep, theta0, window = _window(params)
     if not (rep.mu_exp < theta0 < rep.mubar_exp):
-        gam_gap = None
         half = (N - 2.0 * s) / 2.0
-        if abs(half - theta0) < half:
-            gam_gap = gamma_multiplier(half - theta0, N, s) - lam
+        gam_gap = _member(params, 0.0, theta0)[0] if abs(half - theta0) < half else None
         raise DomainError(
             f"gradient exponent p={p} lies outside the admissible window: "
             f"gamma_beta - lambda = {gam_gap}"
         )
-    beta = (N - 2.0 * s) / 2.0 - theta0
-    gam = gamma_multiplier(beta, N, s)
-    amplitude = ((gam - lam) / theta0**p) ** (1.0 / (p - 1.0))
     return SupersolutionSpec(
-        kind="exact-homogeneous",
-        theta=theta0,
-        amplitude=amplitude,
-        window=(rep.mu_exp, theta0),
-        margin=0.0,
+        kind="exact-homogeneous", theta=theta0, window=window, margin=0.0,
+        amplitude=_balance_root(p, 1.0, theta0, *_member(params, 0.0, theta0), 1.0),
         N=N, s=s, lam=lam, p=p,
     )
 
@@ -109,11 +125,9 @@ def _ladder_supersolution(kind: str, params: ProblemParams, alpha: float,
                           f_bound_coef: float, R: float, amplitude) -> SupersolutionSpec:
     """The power profile at the first ladder exponent theta of ``window``
     whose margin on the ball of radius R,
-        A (gamma - lambda) - A^(p-alpha) theta^p R^grad_pow - mu C R^(theta+2s-e)
-    with grad_pow = theta + 2s - ((theta+1) p - theta alpha), is positive for
-    sources f <= C |x|^-e.  Exponents with e > 2s + theta are skipped.
-    ``amplitude(margin, gap, theta, grad_pow)`` picks A, given the margin as
-    a function of A and gap = gamma - lambda.
+        A gap - A^(p-alpha) theta^p R^grad_pow - mu C R^(theta+2s-e),
+    is positive for sources f <= C |x|^-e.  Exponents with e > 2s + theta
+    are skipped.  ``amplitude(theta, gap, grad_pow)`` picks A.
     """
     N, s, lam, p = params.N, params.s, params.lam, params.p
     e, cf = float(f_bound_exponent), float(f_bound_coef)
@@ -122,16 +136,11 @@ def _ladder_supersolution(kind: str, params: ProblemParams, alpha: float,
     for theta in _theta_ladder(*window):
         if e > 2.0 * s + theta:
             continue  # source too singular for this theta; move up the ladder
-        gap = gamma_multiplier((N - 2.0 * s) / 2.0 - theta, N, s) - lam
-        grad_pow = theta + 2.0 * s - ((theta + 1.0) * p - theta * alpha)
-        src_pow = theta + 2.0 * s - e
-
-        def margin(amp: float) -> float:
-            return (amp * gap - amp ** (p - alpha) * theta**p * R**grad_pow
-                    - params.mu * cf * R**src_pow)
-
-        amp = amplitude(margin, gap, theta, grad_pow)
-        if (c := margin(amp)) > 0.0:
+        gap, grad_pow = _member(params, alpha, theta)
+        amp = amplitude(theta, gap, grad_pow)
+        c = (amp * gap - amp ** (p - alpha) * theta**p * R**grad_pow
+             - params.mu * cf * R ** (theta + 2.0 * s - e))
+        if c > 0.0:
             return SupersolutionSpec(kind=kind, theta=theta, amplitude=amp,
                                      window=window, margin=c,
                                      N=N, s=s, lam=lam, p=p, f_bound_exponent=e)
@@ -148,29 +157,26 @@ def dirichlet_supersolution(params: ProblemParams, f_bound_exponent: float,
     """Radial supersolution of the Dirichlet problem on the ball of radius R
     for sources f <= C |x|^-e.
 
-    Walks theta up from just above mu(lambda) below min(mubar, (2s-p)/(p-1))
-    and takes the amplitude at the balance point, the maximiser of the margin
-    (strictly concave in A) of
+    Walks theta up the undamped window and takes the amplitude at the
+    balance root with k = p, the maximiser of the margin (strictly concave
+    in A) of
         A (gamma - lambda) >= A^p theta^p R^(theta+2s-(theta+1)p)
                               + mu C R^(theta+2s-e).
     Fails with DomainError when the window is empty (p >= p_plus) and with
     ConstructionError when no (theta, amplitude) yields a positive margin
     (mu too large for this construction).
     """
-    s, lam, p = params.s, params.lam, params.p
-    if lam <= 0.0:
+    p = params.p
+    if params.lam <= 0.0:
         raise DomainError("the supersolution construction needs lambda > 0")
-    rep = specfun.exponents_for(params.N, s, lam)
-    top = min(rep.mubar_exp, (2.0 * s - p) / (p - 1.0))
-    if top <= rep.mu_exp:
+    rep, _, window = _window(params)
+    if window[1] <= window[0]:
         raise DomainError(
             f"empty supersolution window: p={p} is not below p_plus={rep.p_plus}"
         )
     return _ladder_supersolution(
-        "dirichlet-supersolution", params, 0.0, (rep.mu_exp, top),
-        f_bound_exponent, f_bound_coef, R,
-        lambda margin, gap, theta, grad_pow:
-            (gap / (p * theta**p * R**grad_pow)) ** (1.0 / (p - 1.0)))
+        "dirichlet-supersolution", params, 0.0, window, f_bound_exponent, f_bound_coef,
+        R, lambda theta, gap, grad_pow: _balance_root(p, p, theta, gap, grad_pow, R))
 
 
 def damped_supersolution(params: ProblemParams, alpha_damp: float,
@@ -181,9 +187,9 @@ def damped_supersolution(params: ProblemParams, alpha_damp: float,
 
     Walks theta up from just above mu(lambda) below mubar.  Requires
     alpha_damp > 2s - 1 strictly and p < 2s, which make the gradient power
-    positive and p - alpha < 1: the margin is then convex or increasing in A
-    and unbounded above, and the amplitude is the better end of [2^-8, 2^8]
-    (in practice 2^8).
+    positive and p - alpha < 1: the margin is then increasing in A, or convex
+    and nonpositive at A = 0, so the amplitude is the cap 2^8, and a refusal
+    means only that the margin at 2^8 is not positive.
     """
     s, p = params.s, params.p
     if not (p < 2.0 * s):
@@ -195,5 +201,34 @@ def damped_supersolution(params: ProblemParams, alpha_damp: float,
     rep = specfun.exponents_for(params.N, s, params.lam)
     return _ladder_supersolution(
         "damped-supersolution", params, alpha_damp, (rep.mu_exp, rep.mubar_exp),
-        f_bound_exponent, f_bound_coef, R,
-        lambda margin, *_: max((2.0**-8, 2.0**8), key=margin))
+        f_bound_exponent, f_bound_coef, R, lambda *_: 2.0**8)
+
+
+def admissible_bound_sup(params: ProblemParams, R: float, r1: float) -> float:
+    """Supremum at r1 (a grid's first node) of the source-free barrier family.
+
+    Every member A r^-theta (theta in the undamped window, A up to the
+    balance root at k = 1) bounds the source-free iterates on the ball of
+    radius R; the supremum over 128 exponents is the scheme's blow-up
+    reference when no barrier is supplied.  It is inf for lambda <= 0 and 0
+    exactly when the window is empty (p >= p_plus).  Memoized per
+    (N, s, lambda, p, R, r1), mu aside, for the probe's bisection; a call
+    that raises is not remembered.
+    """
+    return _family_bound_sup(replace(params, mu=0.0), R, r1)
+
+
+@functools.lru_cache(maxsize=256)
+def _family_bound_sup(params: ProblemParams, R: float, r1: float) -> float:
+    if params.lam <= 0.0:
+        return math.inf
+    _, _, (mu, top) = _window(params)
+    if top <= mu:
+        return 0.0
+    best = 0.0
+    for theta in np.linspace(mu * (1 + 1e-6), top * (1 - 1e-6), 128):
+        gap, grad_pow = _member(params, 0.0, theta)
+        if gap > 0.0:
+            amp = _balance_root(params.p, 1.0, theta, gap, grad_pow, R)
+            best = max(best, amp * r1 ** (-theta))
+    return best

@@ -577,16 +577,23 @@ class _Assembler:
         shared = np.frombuffer(mmap.mmap(-1, 8 * M * (M + 1)))
         A = shared[:M * M].reshape(M, M)
         tail = shared[M * M:]
-        _on_row_blocks(M, lambda lo, hi: self._rows(A, tail, lo, hi))
-        # what calls BLAS runs here, after every block: the analytic
-        # principal value of the profile + its exterior tail, less the
-        # profile values rho_j^-w0 each row's off-diagonal entries place
-        # (A has no diagonal yet), so every row is exact on the profile
-        diag = self.gamma_profile * r ** (-2.0 * self.s) + rw * tail
-        diag -= rw * (A @ (1.0 / rw))
-        self._origin_cell(A, diag)
         idx = np.arange(M)
-        A[idx, idx] += diag
+        # a non-finite entry is refused below, not warned about
+        with np.errstate(all="ignore"):
+            _on_row_blocks(M, lambda lo, hi: self._rows(A, tail, lo, hi))
+            # what calls BLAS runs here, after every block: the analytic
+            # principal value of the profile + its exterior tail, less the
+            # profile values rho_j^-w0 each row's off-diagonal entries place
+            # (A has no diagonal yet), so every row is exact on the profile
+            diag = self.gamma_profile * r ** (-2.0 * self.s) + rw * tail
+            diag -= rw * (A @ (1.0 / rw))
+            self._origin_cell(A, diag)
+            A[idx, idx] += diag
+        if not np.isfinite(A).all():
+            raise AssemblyError(
+                f"the assembled operator holds a non-finite entry at N={self.N}, "
+                f"M={M}, g={self.g}, r_1={fmt17(r[0])}: the kernel's powers of the first "
+                "node leave the double range")
         self._calibrate(A)
         return A
 

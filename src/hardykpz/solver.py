@@ -16,7 +16,6 @@ supersolution bound plus sustained growth), never proved.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass, field, replace
@@ -31,10 +30,11 @@ from .errors import (
     NumericalDivergenceError,
     SolveError,
 )
+# exponents_for, gamma_multiplier: unused here, but perfbench/tracing.py wraps both bindings
 from .specfun import ProblemParams, exponents_for, gamma_multiplier
 from .construct import SupersolutionSpec
 from .util import fmt17, known, require, value
-from . import radialop
+from . import construct, radialop
 
 __all__ = [
     "PowerSource",
@@ -68,9 +68,6 @@ class PowerSource:
 
     def values(self, grid: radialop.RadialGrid) -> np.ndarray:
         return self.coefficient * grid.r ** (-self.exponent)
-
-    def scaled(self, factor: float) -> "PowerSource":
-        return PowerSource(self.coefficient * factor, self.exponent)
 
 
 @dataclass(frozen=True)
@@ -175,43 +172,6 @@ def run_inputs(cfg: dict) -> tuple[ProblemParams, radialop.RadialGrid,
     return params, grid, controls, source
 
 
-def admissible_bound_sup(params: ProblemParams, grid: radialop.RadialGrid) -> float:
-    """Supremum of sup-norms over the source-free barrier family.
-
-    Every admissible supersolution w = A r^-theta (theta in the window,
-    amplitude up to the balance root) bounds the monotone iterates of the
-    source-free problem; the family supremum is the blow-up reference when
-    no explicit barrier is supplied.  It collapses to zero exactly when the
-    window empties at p = p_plus: iterates of a supercritical run exceed
-    every admissible bound by definition.  It does not depend on mu, so it is
-    memoized per (N, s, lambda, p, R, r_1): the probe's bisection asks for
-    the same value on every run.  A call that raises is not remembered.
-    """
-    return _family_bound_sup(params.N, params.s, params.lam, params.p,
-                             grid.R, grid.r[0])
-
-
-@functools.lru_cache(maxsize=256)
-def _family_bound_sup(N: int, s: float, lam: float, p: float, R: float,
-                      r1: float) -> float:
-    if lam <= 0.0:
-        return math.inf
-    rep = exponents_for(N, s, lam)
-    theta_line = (2.0 * s - p) / (p - 1.0)
-    top = min(rep.mubar_exp, theta_line)
-    if top <= rep.mu_exp:
-        return 0.0
-    best = 0.0
-    for theta in np.linspace(rep.mu_exp * (1 + 1e-6), top * (1 - 1e-6), 128):
-        gam = gamma_multiplier((N - 2.0 * s) / 2.0 - theta, N, s)
-        if gam <= lam:
-            continue
-        grad_pow = theta + 2.0 * s - (theta + 1.0) * p
-        a_max = ((gam - lam) / (theta**p * R**grad_pow)) ** (1.0 / (p - 1.0))
-        best = max(best, a_max * r1 ** (-theta))
-    return best
-
-
 def lu_factor(a: np.ndarray) -> np.ndarray:
     """The inverse of ``a``, formed once by LU with partial pivoting
     (``np.linalg.inv``); raises numpy's LinAlgError when ``a`` is singular.
@@ -283,7 +243,7 @@ def _run_scheme(params: ProblemParams, alpha_damp: float, f: PowerSource,
         w_vals = supersolution.evaluate(r)
         sup_bound = float(np.max(w_vals))
     else:
-        sup_bound = admissible_bound_sup(params, grid)
+        sup_bound = construct.admissible_bound_sup(params, grid.R, grid.r[0])
 
     M = grid.M
     u = np.zeros(M)        # the iterate x; after each level, its certified G(x)

@@ -37,9 +37,23 @@ def config_hash(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
 
 
+def _finite_or_null(obj):
+    """``obj`` with every non-finite float in it replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(item) for key, item in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(item) for item in obj]
+    return obj
+
+
 def json_text(obj) -> str:
-    """Indented JSON document with sorted keys, as every artifact writes it."""
-    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+    """Indented strict JSON with sorted keys, as every artifact writes it: a
+    NaN or an infinity is written as null, since no JSON reader need accept
+    them (the config readers refuse them)."""
+    return json.dumps(_finite_or_null(obj), sort_keys=True, indent=1,
+                      allow_nan=False) + "\n"
 
 
 def write_json(path: str, obj) -> None:

@@ -194,7 +194,8 @@ def test_criterion_6_mu_threshold():
     params = sf.ProblemParams(N=N, s=S, lam=LAM, p=0.9 * REP.p_plus, mu=1e-3)
     ctrl = so.SolverControls(n_schedule=tuple(2.0**j for j in range(15)))
     res = so.mu_threshold_probe(params, _F, op, controls=ctrl)
-    res2 = so.mu_threshold_probe(params, _F.scaled(2.0), op, controls=ctrl)
+    f2 = so.PowerSource(2.0 * _F.coefficient, _F.exponent)
+    res2 = so.mu_threshold_probe(params, f2, op, controls=ctrl)
     halving = abs(2.0 * res2.midpoint - res.midpoint) / res.midpoint
     ok = (res.status == "bracketed" and res.mu_hi / res.mu_lo <= 1.05
           and res2.status == "bracketed" and halving <= 0.10)

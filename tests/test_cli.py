@@ -182,6 +182,23 @@ def test_exponents_table(tmp_path):
         assert "--count" in r.stderr
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["--N", "3", "--theta", "0.3", "--M", "16", "--g", "60"], "N=3, M=16, g=60.0"),
+    (["--N", "3", "--theta", "0.3", "--M", "16", "--g", "100"], "N=3, M=16, g=100.0"),
+    (["--N", "100", "--theta", "0.5", "--M", "64"], "N=100, M=64, g=2.0"),
+], ids=["g-60", "g-100", "N-100"])
+def test_non_finite_assembly_exits_1_without_warnings(argv, named):
+    """A grid whose first node takes the kernel's powers out of the double
+    range is refused by the assembly, before the calibration: the g = 60 case
+    used to report a pass on a matrix holding inf, the others ended in a
+    failed calibration fit after a screen of RuntimeWarnings."""
+    r = run_cli("oracle", "--s", "0.75", "--tolerance", "1", *argv)
+    assert r.returncode == 1, r.stderr
+    assert r.stderr.startswith(
+        f"error: the assembled operator holds a non-finite entry at {named}, r_1=")
+    assert len(r.stderr.splitlines()) == 1 and "Warning" not in r.stderr
+
+
 def test_oracle_pass_fail(tmp_path):
     r = run_cli("oracle", "--N", "3", "--s", "0.75", "--theta",
                 repr(REP.mu_exp), "--M", "100")
@@ -446,6 +463,34 @@ def test_probe_cli(tmp_path):
     payload = json.loads(open(os.path.join(tmp_path, "probe.json")).read())
     assert payload["status"] == "bracketed"
     assert payload["mu_hi"] / payload["mu_lo"] <= 1.05
+
+
+def _strict_json(path):
+    def refuse(constant):
+        raise ValueError(f"{path} holds the non-standard constant {constant}")
+    with open(path) as fh:
+        return json.loads(fh.read(), parse_constant=refuse)
+
+
+def test_artifacts_are_strict_json(capsys, tmp_path):
+    """A NaN or an infinity is written as null: a solve at lambda = 0 with no
+    barrier has an infinite sup bound, a run that does not converge has no
+    finiteness diagnostics, and an inconclusive probe has no bracket."""
+    problem = {"N": N, "s": S, "lambda": LAM, "p": 1.3, "mu": 1e-3}
+    cases = [
+        ("solve", _solve_cfg(problem={**problem, "lambda": 0.0}), "report.json",
+         "Converged", ["sup_bound"]),
+        ("solve", _solve_cfg(problem={**problem, "p": 1.1 * REP.p_plus}), "report.json",
+         "BlowUp", ["fixed_point_residual", "gradient_lp_integral", "hardy_l1_integral"]),
+        ("probe", _solve_cfg(source={"coefficient": 0.0, "exponent": 2 * S}), "probe.json",
+         "inconclusive", ["mu_lo", "mu_hi"]),
+    ]
+    for command, cfg, name, status, nulls in cases:
+        code, err = _main(capsys, tmp_path, command, cfg)
+        assert code == 0, err
+        payload = _strict_json(os.path.join(tmp_path, "out", name))
+        assert payload["status"] == status
+        assert all(payload[key] is None for key in nulls), (name, payload)
 
 
 def test_help_documents_domains():

@@ -1,6 +1,7 @@
 """Closed-form solutions and supersolutions: identities, windows, margins."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -67,6 +68,24 @@ def test_exact_solution_rejects_outside_window():
     with pytest.raises(DomainError) as err:
         co.exact_radial_solution(_params(REP.p_plus + 0.01))
     assert "gamma_beta - lambda" in str(err.value)
+
+
+def test_exact_amplitude_is_the_family_balance_root_bitwise():
+    # the balance root (gap / (k theta^p R^gp))^(1/(p-1)) at k = 1, R = 1,
+    # theta = theta0, and the exact solution's own formula, written out
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        n_dim, s = int(rng.integers(2, 6)), float(rng.uniform(0.55, 0.95))
+        lam = float(rng.uniform(0.05, 0.95)) * sf.hardy_constant(n_dim, s)
+        rep = sf.exponents_for(n_dim, s, lam)
+        p = float(rng.uniform(rep.p_minus, rep.p_plus))
+        spec = co.exact_radial_solution(sf.ProblemParams(N=n_dim, s=s, lam=lam, p=p))
+        theta0 = (2.0 * s - p) / (p - 1.0)
+        gap = sf.gamma_multiplier((n_dim - 2.0 * s) / 2.0 - theta0, n_dim, s) - lam
+        grad_pow = theta0 + 2.0 * s - (theta0 + 1.0) * p
+        root = (gap / (1.0 * theta0**p * 1.0**grad_pow)) ** (1.0 / (p - 1.0))
+        assert spec.amplitude == root == (gap / theta0**p) ** (1.0 / (p - 1.0))
+        assert spec.window == (rep.mu_exp, theta0)
 
 
 # ------------------------------------------------- Dirichlet supersolution
@@ -182,6 +201,9 @@ def test_damped_window_contains_undamped_and_cstar_monotone():
 @settings(max_examples=60, deadline=None)
 @given(**_problem_points, p_frac=st.floats(0.05, 0.95), alpha_gap=st.floats(0.01, 3.0))
 def test_damped_cstar_is_the_capped_maximum(n_dim, s, lam_frac, p_frac, alpha_gap):
+    """The damped amplitude is the cap 2^8: with p - alpha < 1 the margin is
+    increasing in A, or convex with margin(0) <= 0, so a positive margin at
+    any smaller amplitude forces a larger one at the cap."""
     lam = lam_frac * sf.hardy_constant(n_dim, s)
     p = 1.0 + p_frac * (2 * s - 1.0)
     alpha = 2 * s - 1.0 + alpha_gap
@@ -194,7 +216,7 @@ def test_damped_cstar_is_the_capped_maximum(n_dim, s, lam_frac, p_frac, alpha_ga
     def margin_at(amp):
         return amp * gap - amp ** (p - alpha) * spec.theta**p
 
-    assert spec.amplitude in (_SCALES[0], _SCALES[-1])
+    assert spec.amplitude == 2.0**8
     assert spec.margin == pytest.approx(margin_at(spec.amplitude), rel=1e-12)
     for amp in _SCALES:
         assert margin_at(amp) <= spec.margin + 1e-12 * abs(spec.margin)
@@ -277,6 +299,90 @@ def test_dirichlet_spec_matches_the_plain_formulas_bitwise():
         assert (spec.theta, spec.amplitude, spec.margin) == (theta, amp, margin) \
             and margin > 0.0
         assert spec.window == (rep.mu_exp, top)
+
+
+# ------------------------------------------------ source-free family bound
+
+def _plain_bound(n_dim, s, lam, p, R, r1):
+    """The family bound's 128-point scan, written out."""
+    rep = sf.exponents_for(n_dim, s, lam)
+    top = min(rep.mubar_exp, (2.0 * s - p) / (p - 1.0))
+    if top <= rep.mu_exp:
+        return 0.0
+    best = 0.0
+    for theta in np.linspace(rep.mu_exp * (1 + 1e-6), top * (1 - 1e-6), 128):
+        gam = sf.gamma_multiplier((n_dim - 2.0 * s) / 2.0 - theta, n_dim, s)
+        if gam <= lam:
+            continue
+        grad_pow = theta + 2.0 * s - (theta + 1.0) * p
+        a_max = ((gam - lam) / (theta**p * R**grad_pow)) ** (1.0 / (p - 1.0))
+        best = max(best, a_max * r1 ** (-theta))
+    return best
+
+
+def test_admissible_bound_sup_matches_the_plain_scan_bitwise():
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        n_dim, s = int(rng.integers(2, 6)), float(rng.uniform(0.55, 0.95))
+        lam = float(rng.uniform(0.05, 0.95)) * sf.hardy_constant(n_dim, s)
+        p_plus = sf.exponents_for(n_dim, s, lam).p_plus
+        p = 1.0 + float(rng.uniform(0.05, 1.3)) * (p_plus - 1.0)
+        R, r1 = float(rng.uniform(0.5, 2.0)), float(10.0 ** rng.uniform(-6, -2))
+        bound = co.admissible_bound_sup(sf.ProblemParams(n_dim, s, lam, p), R, r1)
+        assert bound == _plain_bound(n_dim, s, lam, p, R, r1)
+    assert co.admissible_bound_sup(sf.ProblemParams(N, S, 0.0, 1.2), 1.0, 1e-3) == math.inf
+
+
+@pytest.mark.parametrize("lam_frac", [0.05, 0.3, 0.5, 0.8, 0.99])
+def test_family_bound_vanishes_exactly_where_the_dirichlet_window_is_empty(lam_frac):
+    # at p_plus and one ulp on either side
+    lam = lam_frac * sf.hardy_constant(N, S)
+    p_plus = sf.exponents_for(N, S, lam).p_plus
+    for p in (math.nextafter(p_plus, 1.0), p_plus, math.nextafter(p_plus, 2.0)):
+        params = _params(p, lam=lam)
+        try:
+            co.dirichlet_supersolution(params, 2 * S)
+            empty = False
+        except ConstructionError:
+            empty = False
+        except DomainError as err:
+            assert "empty supersolution window" in str(err)
+            empty = True
+        bound = co.admissible_bound_sup(params, 1.0, 1e-4)
+        assert (bound == 0.0) == empty and bound >= 0.0
+    assert co.admissible_bound_sup(_params(math.nextafter(p_plus, 2.0), lam=lam),
+                                   1.0, 1e-4) == 0.0
+
+
+def test_admissible_bound_sup_is_memoized_and_errors_are_not(monkeypatch):
+    gammas, failures = [], []
+    gamma_multiplier, exponents_for = co.gamma_multiplier, sf.exponents_for
+
+    def counting(*args):
+        gammas.append(args)
+        return gamma_multiplier(*args)
+
+    def failing(*args):
+        failures.append(args)
+        raise DomainError("no exponents")
+    monkeypatch.setattr(co, "gamma_multiplier", counting)
+    monkeypatch.setattr(co.specfun, "exponents_for", failing)
+    co._family_bound_sup.cache_clear()
+    params = _params(0.9 * REP.p_plus, 1e-3)
+    R, r1 = 1.0, 1e-4
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            co.admissible_bound_sup(params, R, r1)
+    assert len(failures) == 2
+    monkeypatch.setattr(co.specfun, "exponents_for", exponents_for)
+    bound = co.admissible_bound_sup(params, R, r1)
+    calls = len(gammas)
+    assert calls > 0 and bound > 0.0
+    # mu does not enter the bound: another mu is a cache hit
+    assert co.admissible_bound_sup(_params(0.9 * REP.p_plus, 5e-3), R, r1) == bound
+    assert len(gammas) == calls
+    assert co.admissible_bound_sup(_params(0.8 * REP.p_plus, 1e-3), R, r1) != bound
+    assert len(gammas) > calls
 
 
 # ---------------------------------------------------------- serialization

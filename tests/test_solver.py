@@ -187,7 +187,8 @@ def test_probe_brackets_and_scales(op):
     statuses = dict(res.evaluations)
     assert statuses[res.mu_lo] == "Converged"
     assert statuses[res.mu_hi] != "Converged"
-    res2 = so.mu_threshold_probe(params, f.scaled(2.0), op, controls=ctrl)
+    f2 = so.PowerSource(2.0 * f.coefficient, f.exponent)
+    res2 = so.mu_threshold_probe(params, f2, op, controls=ctrl)
     # doubling the source exactly halves the threshold (the scheme depends
     # on the product mu * f only)
     assert res2.midpoint == pytest.approx(res.midpoint / 2.0, rel=1e-12)
@@ -198,8 +199,9 @@ def _probes_under_f_and_2f(lam, p, mu0, coefficient):
     params = sf.ProblemParams(N=N, s=S, lam=lam, p=p, mu=mu0)
     ctrl = so.SolverControls(n_schedule=tuple(2.0**j for j in range(12)))
     f = so.PowerSource(coefficient, 2 * S)
+    f2 = so.PowerSource(2.0 * f.coefficient, f.exponent)
     return (so.mu_threshold_probe(params, f, op, controls=ctrl),
-            so.mu_threshold_probe(params, f.scaled(2.0), op, controls=ctrl))
+            so.mu_threshold_probe(params, f2, op, controls=ctrl))
 
 
 @settings(max_examples=5, deadline=None)
@@ -299,36 +301,6 @@ def test_probe_bracket_holds_under_uncapped_plain_picard(monkeypatch):
         assert max(row.inner_iters for row in rep.trace) < 20_000
 
 
-def test_admissible_bound_sup_is_memoized_and_errors_are_not(grid, monkeypatch):
-    gammas, failures = [], []
-    gamma_multiplier, exponents_for = so.gamma_multiplier, so.exponents_for
-
-    def counting(*args):
-        gammas.append(args)
-        return gamma_multiplier(*args)
-
-    def failing(*args):
-        failures.append(args)
-        raise DomainError("no exponents")
-    monkeypatch.setattr(so, "gamma_multiplier", counting)
-    monkeypatch.setattr(so, "exponents_for", failing)
-    so._family_bound_sup.cache_clear()
-    params = _params(0.9 * REP.p_plus, 1e-3)
-    for _ in range(2):
-        with pytest.raises(DomainError):
-            so.admissible_bound_sup(params, grid)
-    assert len(failures) == 2
-    monkeypatch.setattr(so, "exponents_for", exponents_for)
-    bound = so.admissible_bound_sup(params, grid)
-    calls = len(gammas)
-    assert calls > 0 and bound > 0.0
-    # mu does not enter the bound: another mu is a cache hit
-    assert so.admissible_bound_sup(_params(0.9 * REP.p_plus, 5e-3), grid) == bound
-    assert len(gammas) == calls
-    assert so.admissible_bound_sup(_params(0.8 * REP.p_plus, 1e-3), grid) != bound
-    assert len(gammas) > calls
-
-
 # ------------------------------------------- the plain scheme, bit for bit
 
 def _plain_gradient(grid, u):
@@ -363,7 +335,7 @@ def _plain_scheme(params, alpha, c, f, grid, op, controls, spec):
     source = c * f.values(grid)
     w = spec.evaluate(grid.r) if spec is not None else None
     sup_bound = float(np.max(w)) if spec is not None \
-        else so.admissible_bound_sup(params, grid)
+        else co.admissible_bound_sup(params, grid.R, grid.r[0])
     tol, omega = controls.picard_tol, controls.damping
 
     def rhs_of(v, level):
