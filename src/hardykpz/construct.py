@@ -126,21 +126,28 @@ def _ladder_supersolution(kind: str, params: ProblemParams, alpha: float,
     """The power profile at the first ladder exponent theta of ``window``
     whose margin on the ball of radius R,
         A gap - A^(p-alpha) theta^p R^grad_pow - mu C R^(theta+2s-e),
-    is positive for sources f <= C |x|^-e.  Exponents with e > 2s + theta
-    are skipped.  ``amplitude(theta, gap, grad_pow)`` picks A.
+    is positive and a finite double for sources f <= C |x|^-e.  Exponents
+    with e > 2s + theta are skipped.  ``amplitude(theta, gap, grad_pow,
+    source)`` picks A, given the source term mu C R^(theta+2s-e).
     """
     N, s, lam, p = params.N, params.s, params.lam, params.p
     e, cf = float(f_bound_exponent), float(f_bound_coef)
     if cf < 0.0:
         raise DomainError("source bound coefficient must be nonnegative")
+    overflow = ""
     for theta in _theta_ladder(*window):
         if e > 2.0 * s + theta:
             continue  # source too singular for this theta; move up the ladder
         gap, grad_pow = _member(params, alpha, theta)
-        amp = amplitude(theta, gap, grad_pow)
-        c = (amp * gap - amp ** (p - alpha) * theta**p * R**grad_pow
-             - params.mu * cf * R ** (theta + 2.0 * s - e))
-        if c > 0.0:
+        source = params.mu * cf * R ** (theta + 2.0 * s - e)
+        try:
+            amp = amplitude(theta, gap, grad_pow, source)
+            c = amp * gap - amp ** (p - alpha) * theta**p * R**grad_pow - source
+        except OverflowError:
+            c = math.inf
+        if not math.isfinite(c):  # also when A is: A gap is then inf or nan
+            overflow = f"; the amplitude leaves the double range at theta={theta}"
+        elif c > 0.0:
             return SupersolutionSpec(kind=kind, theta=theta, amplitude=amp,
                                      window=window, margin=c,
                                      N=N, s=s, lam=lam, p=p, f_bound_exponent=e)
@@ -148,6 +155,7 @@ def _ladder_supersolution(kind: str, params: ProblemParams, alpha: float,
         f"no ladder exponent in {window} gives a positive supersolution margin "
         f"for the source {cf} r^-{e} at mu={params.mu} (mu too large, the source "
         "too singular, or the window narrower than the least exponent step 1e-4)"
+        + overflow
     )
 
 
@@ -176,7 +184,7 @@ def dirichlet_supersolution(params: ProblemParams, f_bound_exponent: float,
         )
     return _ladder_supersolution(
         "dirichlet-supersolution", params, 0.0, window, f_bound_exponent, f_bound_coef,
-        R, lambda theta, gap, grad_pow: _balance_root(p, p, theta, gap, grad_pow, R))
+        R, lambda theta, gap, grad_pow, _: _balance_root(p, p, theta, gap, grad_pow, R))
 
 
 def damped_supersolution(params: ProblemParams, alpha_damp: float,
@@ -187,9 +195,11 @@ def damped_supersolution(params: ProblemParams, alpha_damp: float,
 
     Walks theta up from just above mu(lambda) below mubar.  Requires
     alpha_damp > 2s - 1 strictly and p < 2s, which make the gradient power
-    positive and p - alpha < 1: the margin is then increasing in A, or convex
-    and nonpositive at A = 0, so the amplitude is the cap 2^8, and a refusal
-    means only that the margin at 2^8 is not positive.
+    positive and q = p - alpha < 1.  The amplitude is
+        A = max((2 theta^p R^grad_pow / gap)^(1/(1-q)), 2 mu C R^(theta+2s-e) / gap),
+    at which each half of A gap covers one subtracted term of the margin, so
+    the first exponent that admits the source has a positive margin unless
+    A leaves the double range (q near 1), which moves the walk up the ladder.
     """
     s, p = params.s, params.p
     if not (p < 2.0 * s):
@@ -199,9 +209,12 @@ def damped_supersolution(params: ProblemParams, alpha_damp: float,
             f"damping exponent must exceed 2s-1 = {2 * s - 1}, got {alpha_damp}"
         )
     rep = specfun.exponents_for(params.N, s, params.lam)
+    power = 1.0 / (1.0 - (p - alpha_damp))
     return _ladder_supersolution(
         "damped-supersolution", params, alpha_damp, (rep.mu_exp, rep.mubar_exp),
-        f_bound_exponent, f_bound_coef, R, lambda *_: 2.0**8)
+        f_bound_exponent, f_bound_coef, R,
+        lambda theta, gap, grad_pow, source: max(
+            (2.0 * theta**p * R**grad_pow / gap) ** power, 2.0 * source / gap))
 
 
 def admissible_bound_sup(params: ProblemParams, R: float, r1: float) -> float:
@@ -210,10 +223,11 @@ def admissible_bound_sup(params: ProblemParams, R: float, r1: float) -> float:
     Every member A r^-theta (theta in the undamped window, A up to the
     balance root at k = 1) bounds the source-free iterates on the ball of
     radius R; the supremum over 128 exponents is the scheme's blow-up
-    reference when no barrier is supplied.  It is inf for lambda <= 0 and 0
-    exactly when the window is empty (p >= p_plus).  Memoized per
-    (N, s, lambda, p, R, r1), mu aside, for the probe's bisection; a call
-    that raises is not remembered.
+    reference when no barrier is supplied.  It is inf for lambda <= 0, and 0
+    when the window is empty (p >= p_plus) or narrower than about 2e-6 mu,
+    where the scan's ends mu (1 + 1e-6) and top (1 - 1e-6) cross.  Memoized
+    per (N, s, lambda, p, R, r1), mu aside, for the probe's bisection; a
+    call that raises is not remembered.
     """
     return _family_bound_sup(replace(params, mu=0.0), R, r1)
 
@@ -223,10 +237,11 @@ def _family_bound_sup(params: ProblemParams, R: float, r1: float) -> float:
     if params.lam <= 0.0:
         return math.inf
     _, _, (mu, top) = _window(params)
-    if top <= mu:
+    lo, hi = mu * (1 + 1e-6), top * (1 - 1e-6)
+    if hi < lo:
         return 0.0
     best = 0.0
-    for theta in np.linspace(mu * (1 + 1e-6), top * (1 - 1e-6), 128):
+    for theta in np.linspace(lo, hi, 128):
         gap, grad_pow = _member(params, 0.0, theta)
         if gap > 0.0:
             amp = _balance_root(params.p, 1.0, theta, gap, grad_pow, R)

@@ -33,7 +33,7 @@ from .errors import (
 # exponents_for, gamma_multiplier: unused here, but perfbench/tracing.py wraps both bindings
 from .specfun import ProblemParams, exponents_for, gamma_multiplier
 from .construct import SupersolutionSpec
-from .util import fmt17, known, require, value
+from .util import fmt17, from_block, known, require, value
 from . import construct, radialop
 
 __all__ = [
@@ -72,7 +72,9 @@ class PowerSource:
 
 @dataclass(frozen=True)
 class SolverControls:
-    """Outer truncation schedule; the inner iteration and blow-up rules are fixed.
+    """Outer truncation ladder: ``n_levels`` levels 2^0..2^(n_levels-1), at
+    most 1024 so that the top level is a finite double (a run config's
+    ``controls`` key and a sweep plan's key, both with this default).
 
     The class constants are the inner tolerance, the cap on map evaluations
     per level and the damping of the Picard map G; the Anderson history
@@ -84,7 +86,7 @@ class SolverControls:
     increases with no admissible barrier, or a sup-norm above ``sup_cap``.
     """
 
-    n_schedule: tuple = tuple(2.0**j for j in range(13))
+    n_levels: int = 13
     picard_tol: ClassVar[float] = 1e-8
     picard_max: ClassVar[int] = 500
     blowup_factor: ClassVar[float] = 10.0
@@ -95,10 +97,11 @@ class SolverControls:
     sup_cap: ClassVar[float] = 1e12
 
     def __post_init__(self):
-        if len(self.n_schedule) == 0 or min(self.n_schedule) <= 0:
-            raise DomainError("truncation schedule must be positive")
-        if list(self.n_schedule) != sorted(self.n_schedule):
-            raise DomainError("truncation schedule must be increasing")
+        n = value(vars(self), "n_levels", "controls", int)
+        if not 1 <= n <= sys.float_info.max_exp:
+            raise ConfigError(f"'n_levels' must be at most {sys.float_info.max_exp} "
+                              f"(2^(n_levels-1) a finite double) and at least 1, got {n}")
+        object.__setattr__(self, "n_levels", n)
 
 
 @dataclass
@@ -137,10 +140,9 @@ def run_inputs(cfg: dict) -> tuple[ProblemParams, radialop.RadialGrid,
     The one reader of the ``problem``/``grid``/``controls``/``source`` blocks:
     ``hardykpz solve``/``probe`` pass their config file, a sweep
     plan its first cell's.  Defaults: ``mu`` 0, ``R`` 1, ``g`` 2, and the
-    schedule 2^0..2^(n_levels-1) with 13 levels unless ``controls`` gives
-    ``n_levels``, its only key, at most 1024 so that the top level is a
-    finite double.  A missing or unknown key, or a value of the wrong type
-    or out of range, raises ConfigError naming it.
+    SolverControls defaults (``controls`` takes its one field, ``n_levels``).
+    A missing or unknown key, or a value of the wrong type or out of range,
+    raises ConfigError naming it.
     """
     block = known(require(cfg, "problem", "config"), ("N", "s", "lambda", "p", "mu"),
                   "problem")
@@ -158,12 +160,7 @@ def run_inputs(cfg: dict) -> tuple[ProblemParams, radialop.RadialGrid,
         g=value(block, "g", "grid", float, 2.0),
         N=params.N,
     )
-    block = known(cfg.get("controls", {}), ("n_levels",), "controls")
-    n_levels = value(block, "n_levels", "controls", int, 13)
-    if n_levels > sys.float_info.max_exp:
-        raise ConfigError(f"controls key 'n_levels' must be at most {sys.float_info.max_exp} "
-                          f"(2^(n_levels-1) a finite double), got {n_levels}")
-    controls = SolverControls(n_schedule=tuple(2.0**j for j in range(n_levels)))
+    controls = from_block(SolverControls, cfg.get("controls", {}), "controls")
     block = known(require(cfg, "source", "config"), ("coefficient", "exponent"), "source")
     source = PowerSource(
         coefficient=value(block, "coefficient", "source", float),
@@ -258,7 +255,6 @@ def _run_scheme(params: ProblemParams, alpha_damp: float, f: PowerSource,
     d_res = np.empty((depth, M))  # differences of successive residuals
     trace: list[TraceRow] = []
     mono_violations = 0
-    sup_history: list[float] = []
     lam = params.lam
     p = params.p
     omega = controls.damping
@@ -283,7 +279,7 @@ def _run_scheme(params: ProblemParams, alpha_damp: float, f: PowerSource,
         rhs += source
         return rhs
 
-    for level in controls.n_schedule:
+    for level in (2.0**j for j in range(controls.n_levels)):
         u_prev_outer = u.copy()
         inner_resid = math.inf
         best = math.inf
@@ -341,7 +337,6 @@ def _run_scheme(params: ProblemParams, alpha_damp: float, f: PowerSource,
                     hist = 0
         u, g = g, u
         sup = float(np.max(np.abs(u)))
-        sup_history.append(sup)
         drop = u_prev_outer - u
         tol_abs = 10.0 * controls.picard_tol * max(sup, 1.0)
         mono_violations += int(np.sum(drop > tol_abs))
@@ -352,7 +347,7 @@ def _run_scheme(params: ProblemParams, alpha_damp: float, f: PowerSource,
 
         # classification: iterates exceeding the barrier (or, with no
         # admissible barrier at all, any sustained growth) mean blow-up
-        recent = sup_history[-(controls.growth_window + 1):]
+        recent = [row.sup_norm for row in trace[-(controls.growth_window + 1):]]
         growing = len(recent) > controls.growth_window and all(
             b > a + tol_abs for a, b in zip(recent, recent[1:]))
         if (math.isfinite(sup_bound) and sup_bound > 0.0
@@ -379,7 +374,7 @@ def _run_scheme(params: ProblemParams, alpha_damp: float, f: PowerSource,
         sup_bound=sup_bound,
     )
     if status == "Converged":
-        rhs_full = rhs_of(u, controls.n_schedule[-1])
+        rhs_full = rhs_of(u, level)  # the loop ran to the top level
         denom = max(float(np.max(np.abs(rhs_full))), 1e-300)
         report.fixed_point_residual = float(np.max(np.abs(op.matrix @ u - rhs_full))) / denom
         grad_p = radialop.gradient_values(grid, u) ** p

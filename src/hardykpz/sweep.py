@@ -84,8 +84,8 @@ class SweepPlan:
     ``_cells`` keeps each cell's (axis values, params, alpha_damp, p_plus),
     in index order.  Every cell runs solve_damped with ``alpha_damp`` (a plan
     value or an axis; 0 is the undamped problem) and scales the source by
-    ``mu``.  ``n_levels`` sets the truncation schedule.  A plan of more than
-    ``_MAX_CELLS`` cells is refused before its lattice is built.
+    ``mu``.  ``n_levels`` is a run config's ``controls`` key, default alike.
+    A plan of more than ``_MAX_CELLS`` cells is refused before its lattice is built.
     """
 
     problem: dict
@@ -93,7 +93,7 @@ class SweepPlan:
     axes: list
     source: dict
     alpha_damp: float = 0.0
-    n_levels: int = 17
+    n_levels: int = solver.SolverControls.n_levels
 
     def __post_init__(self):
         for key, kind in (("alpha_damp", float), ("n_levels", int)):

@@ -142,7 +142,7 @@ def test_criterion_4_exact_solution_identity():
                   f"edge amplitudes {a_hi:.1e}, {a_lo:.1e} -> 0")
 
 
-CTRL = so.SolverControls(n_schedule=tuple(2.0**j for j in range(17)))
+CTRL = so.SolverControls(n_levels=17)
 _F = so.PowerSource(0.3, 2 * S)
 
 
@@ -192,7 +192,7 @@ def test_criterion_5c_transition_band():
 def test_criterion_6_mu_threshold():
     op = ro.assemble_operator(ro.build_grid(1.0, 100, 2.0, N), S)
     params = sf.ProblemParams(N=N, s=S, lam=LAM, p=0.9 * REP.p_plus, mu=1e-3)
-    ctrl = so.SolverControls(n_schedule=tuple(2.0**j for j in range(15)))
+    ctrl = so.SolverControls(n_levels=15)
     res = so.mu_threshold_probe(params, _F, op, controls=ctrl)
     f2 = so.PowerSource(2.0 * _F.coefficient, _F.exponent)
     res2 = so.mu_threshold_probe(params, f2, op, controls=ctrl)

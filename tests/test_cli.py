@@ -364,26 +364,36 @@ def test_damped_auto_near_lambda_exits_1(capsys, tmp_path):
     assert "no ladder exponent" in err
 
 
-@pytest.mark.parametrize("mu, code", [(100.0, 0), (3000.0, 1)])
-def test_damped_auto_barrier_counts_the_source(capsys, tmp_path, mu, code):
-    # the damped barrier's margin 31.24 at the cap amplitude 2^8 leaves room
-    # for mu C = 30 at mu = 100, not for mu C = 900 at mu = 3000
+@pytest.mark.parametrize("mu, margin", [(100.0, 29.42), (3000.0, 898.86)])
+def test_damped_auto_barrier_counts_the_source(capsys, tmp_path, mu, margin):
+    # the damped amplitude grows with the source: at mu = 3000 it is 14513,
+    # and half of A gap covers mu C = 900 there; the fixed amplitude 2^8
+    # refused this run
     cfg = {"problem": {"N": 3, "s": 0.75, "lambda": 0.11, "p": 1.2, "mu": mu},
            "grid": {"R": 1.0, "M": 100, "g": 2.0}, "controls": {"n_levels": 13},
            "source": {"coefficient": 0.3, "exponent": 1.5},
            "supersolution": "auto", "alpha_damp": 1.0}
-    got, err = _main(capsys, tmp_path, "solve", cfg)
-    assert got == code
-    if code == 1:
-        assert "positive supersolution margin" in err and "mu=3000.0" in err
-        return
+    assert _main(capsys, tmp_path, "solve", cfg)[0] == 0
     with open(os.path.join(tmp_path, "out", "report.json")) as fh:
         report = json.load(fh)
     assert report["status"] == "Converged"
     spec = report["supersolution"]
     assert spec["f_bound_exponent"] == 1.5
-    assert spec["margin"] == pytest.approx(1.24, abs=5e-3)
+    assert spec["margin"] == pytest.approx(margin, abs=5e-3)
     assert report["sup_norm"] <= report["sup_bound"]
+
+
+def test_damped_auto_amplitude_beyond_the_double_range_exits_1(capsys, tmp_path):
+    # s near 1/2 and alpha just above 2s - 1: q = p - alpha lies within 1e-6
+    # of 1, and the amplitude's power 1/(1-q) overflows at every exponent
+    s = 0.51
+    cfg = _solve_cfg(problem={"N": N, "s": s, "lambda": sf.hardy_constant(N, s) / 2,
+                              "p": 2 * s - 1e-6, "mu": 1e-3},
+                     alpha_damp=2 * s - 1 + 1e-9, supersolution="auto")
+    code, err = _main(capsys, tmp_path, "solve", cfg)
+    assert code == 1
+    assert "amplitude leaves the double range" in err
+    assert "Traceback" not in err and "Warning" not in err
 
 
 def test_solve_alpha_damp_is_the_damped_scheme(capsys, tmp_path):
@@ -555,7 +565,6 @@ def _main(capsys, tmp_path, command, cfg, *extra):
     ("solve", _solve_cfg(controls={"n_levels": "x"}), "controls key 'n_levels'"),
     ("solve", _solve_cfg(controls=5), "controls must be a JSON object"),
     ("solve", _solve_cfg(controls={"picard_max": 10}), "picard_max"),
-    ("solve", _solve_cfg(controls={"n_schedule": [1.0, 2.0]}), "n_schedule"),
     ("sweep", _sweep_cfg(controls={}), "'controls'"),
     ("solve", _damped_cfg(supersolution={"f_bound_exponent": 2 * S,
                                          "f_bound_coef": 0.3}), "supersolution"),
@@ -593,12 +602,14 @@ def _main(capsys, tmp_path, command, cfg, *extra):
     ("sweep", _sweep_cfg(n_levels="8"), "plan key 'n_levels'"),
     ("solve", _solve_cfg(controls={"n_levels": 1100}), "'n_levels' must be at most 1024"),
     ("sweep", _sweep_cfg(n_levels=1025), "'n_levels' must be at most 1024"),
+    ("solve", _solve_cfg(controls={"n_levels": 0}), "'n_levels'"),
+    ("sweep", _sweep_cfg(n_levels=0), "'n_levels'"),
     ("solve", _solve_cfg(grid={"R": 1.0, "M": 16, "g": 300.0}), "g=300.0"),
 ], ids=["sweep-missing-N", "sweep-plan-n_levels", "solve-unknown-control",
         "sweep-unknown-control", "sweep-unknown-plan-key", "sweep-unknown-axis-key",
         "sweep-negative-source", "solve-non-object-config", "solve-grid-M-not-int",
         "solve-n_levels-not-int", "solve-non-object-controls", "solve-control-picard_max",
-        "solve-control-n_schedule", "sweep-plan-controls",
+        "sweep-plan-controls",
         "damped-explicit-supersolution", "damped-supersolution-Auto",
         "probe-supersolution-object",
         "probe-rel_width-string", "probe-mu_floor-null", "probe-mu_cap-bool",
@@ -610,7 +621,8 @@ def _main(capsys, tmp_path, command, cfg, *extra):
         "solve-top-level-typo", "probe-block-typo", "probe-alpha_damp",
         "damped-c", "sweep-top-level-key",
         "sweep-problem-typo", "sweep-n_levels-string", "solve-n_levels-overflow",
-        "sweep-n_levels-overflow", "solve-degenerate-grid"])
+        "sweep-n_levels-overflow", "solve-n_levels-zero", "sweep-n_levels-zero",
+        "solve-degenerate-grid"])
 def test_malformed_input_exits_2(capsys, tmp_path, command, cfg, named):
     code, err = _main(capsys, tmp_path, command, cfg)
     assert code == 2

@@ -187,39 +187,50 @@ def test_damped_exists_for_strong_damping():
 
 
 def test_damped_window_contains_undamped_and_cstar_monotone():
+    # source-free, every alpha takes the first ladder exponent, where the
+    # amplitude (2 theta^p / gap)^(1/(1-p+alpha)) tends to 1 monotonically
     p = 1.3
     und = co.dirichlet_supersolution(_params(p), f_bound_exponent=2 * S)
-    margins = []
-    for alpha in (0.6, 1.0, 2.0, 4.0):
-        spec = co.damped_supersolution(sf.ProblemParams(N, S, LAM, p), alpha, 2 * S)
+    specs = [co.damped_supersolution(sf.ProblemParams(N, S, LAM, p), alpha, 2 * S)
+             for alpha in (0.6, 1.0, 2.0, 4.0)]
+    for spec in specs:
         lo, hi = spec.window
         assert lo <= und.window[0] + 1e-12 and hi >= und.window[1] - 1e-12
-        margins.append(spec.margin)
-    assert all(b >= a - 1e-12 for a, b in zip(margins, margins[1:]))
+        assert spec.theta == specs[0].theta
+    logs = [abs(math.log(spec.amplitude)) for spec in specs]
+    assert all(b <= a for a, b in zip(logs, logs[1:]))
 
 
 @settings(max_examples=60, deadline=None)
-@given(**_problem_points, p_frac=st.floats(0.05, 0.95), alpha_gap=st.floats(0.01, 3.0))
-def test_damped_cstar_is_the_capped_maximum(n_dim, s, lam_frac, p_frac, alpha_gap):
-    """The damped amplitude is the cap 2^8: with p - alpha < 1 the margin is
-    increasing in A, or convex with margin(0) <= 0, so a positive margin at
-    any smaller amplitude forces a larger one at the cap."""
+@given(**_problem_points, p_frac=st.floats(0.05, 0.95), alpha_gap=st.floats(0.01, 3.0),
+       log_mu=st.floats(-4.0, 4.0), cf=st.floats(0.01, 2.0), e_frac=st.floats(0.0, 1.0),
+       R=st.floats(0.5, 2.0))
+def test_damped_amplitude_is_the_closed_form(n_dim, s, lam_frac, p_frac, alpha_gap,
+                                             log_mu, cf, e_frac, R):
+    """With q = p - alpha < 1 the damped amplitude is
+    A = max((2 theta^p R^gp / gap)^(1/(1-q)), 2 mu C R^(theta+2s-e) / gap):
+    each half of A gap covers one subtracted term of the margin, so the first
+    ladder exponent that admits the source has a positive margin."""
     lam = lam_frac * sf.hardy_constant(n_dim, s)
     p = 1.0 + p_frac * (2 * s - 1.0)
-    alpha = 2 * s - 1.0 + alpha_gap
+    alpha, mu, e = 2 * s - 1.0 + alpha_gap, 10.0**log_mu, e_frac * 2 * s
     try:
-        spec = co.damped_supersolution(sf.ProblemParams(n_dim, s, lam, p), alpha, 2 * s)
-    except ConstructionError:
+        spec = co.damped_supersolution(sf.ProblemParams(n_dim, s, lam, p, mu), alpha, e, cf,
+                                       R=R)
+    except ConstructionError as err:
+        assert "leaves the double range" in str(err)
         assume(False)
-    gap = _gap(spec)
-
-    def margin_at(amp):
-        return amp * gap - amp ** (p - alpha) * spec.theta**p
-
-    assert spec.amplitude == 2.0**8
-    assert spec.margin == pytest.approx(margin_at(spec.amplitude), rel=1e-12)
-    for amp in _SCALES:
-        assert margin_at(amp) <= spec.margin + 1e-12 * abs(spec.margin)
+    theta, gap = spec.theta, _gap(spec)
+    assert theta == next(t for t in co._theta_ladder(*spec.window) if e <= 2 * s + t)
+    grad_pow = theta + 2 * s - ((theta + 1) * p - theta * alpha)
+    source = mu * cf * R ** (theta + 2 * s - e)
+    amp = max((2 * theta**p * R**grad_pow / gap) ** (1.0 / (1.0 - (p - alpha))),
+              2 * source / gap)
+    grad_term = amp ** (p - alpha) * theta**p * R**grad_pow
+    assert spec.amplitude == amp
+    assert spec.margin == amp * gap - grad_term - source > 0.0
+    half = amp * gap / 2
+    assert grad_term <= half * (1 + 1e-12) and source <= half * (1 + 1e-12)
 
 
 def test_damped_needs_p_below_two_s():
@@ -335,23 +346,22 @@ def test_admissible_bound_sup_matches_the_plain_scan_bitwise():
 
 @pytest.mark.parametrize("lam_frac", [0.05, 0.3, 0.5, 0.8, 0.99])
 def test_family_bound_vanishes_exactly_where_the_dirichlet_window_is_empty(lam_frac):
-    # at p_plus and one ulp on either side
+    # from two ulps below p_plus to one above, the window is empty or
+    # narrower than the scan's nudged ends mu (1 + 1e-6) and top (1 - 1e-6),
+    # which then cross.  Either way the bound is 0, not a value built from
+    # exponents outside the window, and no Dirichlet barrier exists; 0.1%
+    # below p_plus both do
     lam = lam_frac * sf.hardy_constant(N, S)
     p_plus = sf.exponents_for(N, S, lam).p_plus
-    for p in (math.nextafter(p_plus, 1.0), p_plus, math.nextafter(p_plus, 2.0)):
+    below = math.nextafter(p_plus, 1.0)
+    for p in (math.nextafter(below, 1.0), below, p_plus, math.nextafter(p_plus, 2.0)):
         params = _params(p, lam=lam)
-        try:
+        with pytest.raises((DomainError, ConstructionError)):
             co.dirichlet_supersolution(params, 2 * S)
-            empty = False
-        except ConstructionError:
-            empty = False
-        except DomainError as err:
-            assert "empty supersolution window" in str(err)
-            empty = True
-        bound = co.admissible_bound_sup(params, 1.0, 1e-4)
-        assert (bound == 0.0) == empty and bound >= 0.0
-    assert co.admissible_bound_sup(_params(math.nextafter(p_plus, 2.0), lam=lam),
-                                   1.0, 1e-4) == 0.0
+        assert co.admissible_bound_sup(params, 1.0, 1 / 400**2) == 0.0
+    params = _params(p_plus * (1 - 1e-3), lam=lam)
+    assert co.dirichlet_supersolution(params, 2 * S).margin > 0.0
+    assert co.admissible_bound_sup(params, 1.0, 1 / 400**2) > 0.0
 
 
 def test_admissible_bound_sup_is_memoized_and_errors_are_not(monkeypatch):

@@ -21,7 +21,7 @@ LAM = sf.hardy_constant(N, S) / 2
 REP = sf.exponents_for(N, S, LAM)
 M_TEST = 100
 
-CTRL = so.SolverControls(n_schedule=tuple(2.0**j for j in range(17)))
+CTRL = so.SolverControls(n_levels=17)
 
 
 @pytest.fixture(scope="module")
@@ -77,13 +77,15 @@ def test_outer_sequence_monotone(grid, op):
 
 
 def test_truncation_path_independence(grid, op):
+    # the ladder's field is the fixed point of its top level: the reference
+    # scheme run at that one level, from zero, reaches it within 5 tol
     params = _params(0.9 * REP.p_plus, 1e-3)
     f = so.PowerSource(0.3, 2 * S)
-    scheduled = so.solve_kpz(params, f, op, controls=CTRL)
-    fixed = so.solve_kpz(params, f, op,
-                         controls=so.SolverControls(n_schedule=(CTRL.n_schedule[-1],)))
-    diff = np.max(np.abs(scheduled.field.values - fixed.field.values))
-    assert diff <= 5 * CTRL.picard_tol * max(scheduled.field.sup_norm(), 1e-300)
+    ladder = so.solve_kpz(params, f, op, controls=CTRL)
+    status, u, *_ = _plain_scheme(params, 0.0, params.mu, f, grid, op, CTRL, None, [2.0**16])
+    assert ladder.status == status == "Converged"
+    diff = np.max(np.abs(ladder.field.values - u))
+    assert diff <= 5 * CTRL.picard_tol * max(ladder.field.sup_norm(), 1e-300)
 
 
 def test_damped_zero_alpha_matches_kpz_bitwise(grid, op):
@@ -129,10 +131,10 @@ def test_lambda_zero_degeneration_bounded(grid):
 
 
 def test_controls_validation():
-    with pytest.raises(DomainError):
-        so.SolverControls(n_schedule=())
-    with pytest.raises(DomainError):
-        so.SolverControls(n_schedule=(4.0, 2.0))
+    for n_levels in (0, -1, 1025):
+        with pytest.raises(ConfigError, match="'n_levels'"):
+            so.SolverControls(n_levels=n_levels)
+    assert so.SolverControls(n_levels=1024).n_levels == 1024
 
 
 _NAN = float("nan")
@@ -157,7 +159,7 @@ def test_n_levels_up_to_the_double_range():
     cfg = {"problem": {"N": N, "s": S, "lambda": LAM, "p": 1.3},
            "grid": {"M": 16}, "source": {"coefficient": 0.3, "exponent": 2 * S}}
     controls = so.run_inputs({**cfg, "controls": {"n_levels": 1024}})[2]
-    assert controls.n_schedule[-1] == 2.0**1023
+    assert controls.n_levels == 1024 and math.isfinite(2.0 ** (controls.n_levels - 1))
     with pytest.raises(ConfigError, match="'n_levels'"):
         so.run_inputs({**cfg, "controls": {"n_levels": 1025}})
 
@@ -179,7 +181,7 @@ def test_power_source_admissibility():
 
 def test_probe_brackets_and_scales(op):
     params = _params(0.9 * REP.p_plus, 1e-3)
-    ctrl = so.SolverControls(n_schedule=tuple(2.0**j for j in range(15)))
+    ctrl = so.SolverControls(n_levels=15)
     f = so.PowerSource(0.3, 2 * S)
     res = so.mu_threshold_probe(params, f, op, controls=ctrl)
     assert res.status == "bracketed"
@@ -197,7 +199,7 @@ def test_probe_brackets_and_scales(op):
 def _probes_under_f_and_2f(lam, p, mu0, coefficient):
     op = ro.assemble_operator(ro.build_grid(1.0, 32, 2.0, N), S)
     params = sf.ProblemParams(N=N, s=S, lam=lam, p=p, mu=mu0)
-    ctrl = so.SolverControls(n_schedule=tuple(2.0**j for j in range(12)))
+    ctrl = so.SolverControls(n_levels=12)
     f = so.PowerSource(coefficient, 2 * S)
     f2 = so.PowerSource(2.0 * f.coefficient, f.exponent)
     return (so.mu_threshold_probe(params, f, op, controls=ctrl),
@@ -242,7 +244,7 @@ def test_probe_zero_source_inconclusive(op):
 
 def _probe_m32(mu0):
     op = ro.assemble_operator(ro.build_grid(1.0, 32, 2.0, N), S)
-    ctrl = so.SolverControls(n_schedule=tuple(2.0**j for j in range(12)))
+    ctrl = so.SolverControls(n_levels=12)
     return so.mu_threshold_probe(_params(0.9 * REP.p_plus, mu0), so.PowerSource(0.3, 2 * S),
                                  op, controls=ctrl)
 
@@ -288,7 +290,7 @@ def test_probe_bracket_holds_under_uncapped_plain_picard(monkeypatch):
     p = 0.9 * sf.exponents_for(N, S, _LAM_08).p_plus
     params = sf.ProblemParams(N=N, s=S, lam=_LAM_08, p=p, mu=1e-3)
     f = so.PowerSource(0.3, 1.5)
-    ctrl = so.SolverControls(n_schedule=tuple(2.0**j for j in range(15)))
+    ctrl = so.SolverControls(n_levels=15)
     res = so.mu_threshold_probe(params, f, small, controls=ctrl)
     assert res.status == "bracketed"
     monkeypatch.setattr(so.SolverControls, "picard_max", 20_000)
@@ -319,11 +321,11 @@ def _plain_gradient(grid, u):
     return np.abs(out)
 
 
-def _plain_scheme(params, alpha, c, f, grid, op, controls, spec):
+def _plain_scheme(params, alpha, c, f, grid, op, controls, spec, levels):
     """Reference truncation scheme: plain array expressions, the operator's
     inverse applied by ``@``.
 
-    Each level runs the safeguarded Anderson iteration on the damped map
+    Each of the increasing ``levels`` runs the safeguarded Anderson iteration on the damped map
     G(x) = (1-omega) x + omega L^-1 rhs_n(x), with the history kept in lists
     and the constants read from ``controls``; with ``anderson_depth`` = 0 and
     ``polish_steps`` = 0 it is plain damped Picard.  Returns (status, u,
@@ -347,7 +349,7 @@ def _plain_scheme(params, alpha, c, f, grid, op, controls, spec):
 
     u = np.zeros(grid.M)
     rows, sups, mono, status = [], [], 0, "MaxIterations"
-    for level in controls.n_schedule:
+    for level in levels:
         prev = u.copy()
         x, d_g, d_res, best, stall = u, [], [], math.inf, 0
         depth = controls.anderson_depth
@@ -401,14 +403,14 @@ def _plain_scheme(params, alpha, c, f, grid, op, controls, spec):
                 or sup > controls.sup_cap:
             status = "BlowUp"
             break
-        if level == controls.n_schedule[-1]:
+        if level == levels[-1]:
             if resid > tol or (w is not None and np.any(u > w + 1e-6 * sup_bound + 1e-12)):
                 status = "MaxIterations"
             else:
                 status = "Converged"
     residual = math.nan
     if status == "Converged":
-        rhs = rhs_of(u, controls.n_schedule[-1])
+        rhs = rhs_of(u, levels[-1])
         residual = float(np.max(np.abs(op.matrix @ u - rhs))) / max(
             float(np.max(np.abs(rhs))), 1e-300)
     return status, u, rows, mono, sup_bound, residual
@@ -425,7 +427,7 @@ def _assert_same_trace(trace, rows):
                               [row[k] for row in rows], equal_nan=True), name
 
 
-_LEVELS10 = so.SolverControls(n_schedule=tuple(2.0**j for j in range(10)))
+_LEVELS10 = so.SolverControls(n_levels=10)
 _LAM_08 = 0.8 * sf.hardy_constant(N, S)
 
 
@@ -476,7 +478,8 @@ def test_scheme_matches_the_plain_formulas_bitwise(grid, op, case):
     rep = _solve_case(case, op)
     params, alpha, f, controls, spec = _case(case)
     status, u, rows, mono, sup_bound, residual = _plain_scheme(
-        params, alpha, params.mu, f, grid, op, controls, spec)
+        params, alpha, params.mu, f, grid, op, controls, spec,
+        [2.0**j for j in range(controls.n_levels)])
     assert rep.status == status == _EXPECTED[case]
     if case == "capped":
         assert any(row[1] == controls.picard_max for row in rows)
@@ -495,7 +498,7 @@ def test_accelerated_scheme_certifies_the_picard_fixed_point(grid, op, case, mon
     monkeypatch.setattr(so.SolverControls, "anderson_depth", 0)
     monkeypatch.setattr(so.SolverControls, "polish_steps", 0)
     status, u, rows, *_ = _plain_scheme(params, alpha, params.mu, f, grid, op,
-                                        controls, spec)
+                                        controls, spec, [2.0**j for j in range(controls.n_levels)])
     assert max(row[1] for row in rows) < 20_000
     assert rep.status == status
     # a plain-Picard stop lies up to tol q/(1-q) short of the fixed point, q
@@ -570,7 +573,7 @@ def factor_calls(monkeypatch):
 
 def test_probe_factors_its_operator_once(grid, factor_calls):
     params = _params(0.9 * REP.p_plus, 1e-3)
-    ctrl = so.SolverControls(n_schedule=tuple(2.0**j for j in range(12)))
+    ctrl = so.SolverControls(n_levels=12)
     res = so.mu_threshold_probe(params, so.PowerSource(0.3, 2 * S),
                                 ro.assemble_operator(grid, S), controls=ctrl)
     assert res.status == "bracketed"

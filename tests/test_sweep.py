@@ -207,6 +207,10 @@ def test_sweep_plan_validation():
     for key in ("kind", "budget"):
         with pytest.raises(ConfigError, match=f"unknown key '{key}' in plan"):
             _plan(**{key: 4096})
+    # a plan without n_levels runs the ladder of a run config without controls
+    plain = {k: v for k, v in _plan().as_dict().items() if k != "n_levels"}
+    run_cfg = {k: plain[k] for k in ("problem", "grid", "source")}
+    assert sw.SweepPlan.from_dict(plain)._controls == so.run_inputs(run_cfg)[2]
 
 
 def test_sweep_worker_pool_matches_serial(tmp_path):
