@@ -122,13 +122,16 @@ def _theta_ladder(mu: float, top: float):
 
 def _ladder_supersolution(kind: str, params: ProblemParams, alpha: float,
                           window: tuple[float, float], f_bound_exponent: float,
-                          f_bound_coef: float, R: float, amplitude) -> SupersolutionSpec:
+                          f_bound_coef: float, R: float, amplitude,
+                          causes: str) -> SupersolutionSpec:
     """The power profile at the first ladder exponent theta of ``window``
     whose margin on the ball of radius R,
         A gap - A^(p-alpha) theta^p R^grad_pow - mu C R^(theta+2s-e),
     is positive and a finite double for sources f <= C |x|^-e.  Exponents
     with e > 2s + theta are skipped.  ``amplitude(theta, gap, grad_pow,
-    source)`` picks A, given the source term mu C R^(theta+2s-e).
+    source)`` picks A, given the source term mu C R^(theta+2s-e).  When no
+    exponent does, ConstructionError offers ``causes``, the barrier's own
+    reasons for a refusal.
     """
     N, s, lam, p = params.N, params.s, params.lam, params.p
     e, cf = float(f_bound_exponent), float(f_bound_coef)
@@ -153,9 +156,7 @@ def _ladder_supersolution(kind: str, params: ProblemParams, alpha: float,
                                      N=N, s=s, lam=lam, p=p, f_bound_exponent=e)
     raise ConstructionError(
         f"no ladder exponent in {window} gives a positive supersolution margin "
-        f"for the source {cf} r^-{e} at mu={params.mu} (mu too large, the source "
-        "too singular, or the window narrower than the least exponent step 1e-4)"
-        + overflow
+        f"for the source {cf} r^-{e} at mu={params.mu} ({causes})" + overflow
     )
 
 
@@ -184,7 +185,9 @@ def dirichlet_supersolution(params: ProblemParams, f_bound_exponent: float,
         )
     return _ladder_supersolution(
         "dirichlet-supersolution", params, 0.0, window, f_bound_exponent, f_bound_coef,
-        R, lambda theta, gap, grad_pow, _: _balance_root(p, p, theta, gap, grad_pow, R))
+        R, lambda theta, gap, grad_pow, _: _balance_root(p, p, theta, gap, grad_pow, R),
+        "mu too large, the source too singular, or the window narrower than the "
+        "least exponent step 1e-4")
 
 
 def damped_supersolution(params: ProblemParams, alpha_damp: float,
@@ -214,7 +217,9 @@ def damped_supersolution(params: ProblemParams, alpha_damp: float,
         "damped-supersolution", params, alpha_damp, (rep.mu_exp, rep.mubar_exp),
         f_bound_exponent, f_bound_coef, R,
         lambda theta, gap, grad_pow, source: max(
-            (2.0 * theta**p * R**grad_pow / gap) ** power, 2.0 * source / gap))
+            (2.0 * theta**p * R**grad_pow / gap) ** power, 2.0 * source / gap),
+        "the source too singular, the window narrower than the least exponent "
+        "step 1e-4, or the amplitude beyond the double range")
 
 
 def admissible_bound_sup(params: ProblemParams, R: float, r1: float) -> float:

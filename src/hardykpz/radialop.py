@@ -54,21 +54,19 @@ Discretization notes
   by at most 1e-8 of their largest entry at desk scale (README).
 * The rows are assembled in contiguous blocks, one per usable CPU
   (``util.usable_cpus``) and at least ``_MIN_BLOCK_ROWS`` rows each.  Every
-  block but the first runs in a child made by ``os.fork``, which writes its
+  block but the first runs in a forked child (``util.FORK``), which writes its
   rows' off-diagonal entries and their profile's exterior tails into one
   anonymous shared mapping that holds the matrix.  No row's arithmetic
   depends on another row, so the matrix is bitwise the same for every
-  block count.  The calling process reaps every child, then alone runs
+  block count.  The calling process joins every child, then alone runs
   what calls BLAS: the diagonal's profile identity, the origin cell and the
-  calibration.  Where ``os.fork`` is missing the assembly is serial.
+  calibration.  Where fork is missing the assembly is serial.
 """
 
 from __future__ import annotations
 
 import math
 import mmap
-import os
-import traceback
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -847,42 +845,34 @@ def _on_row_blocks(M: int, work) -> None:
     """Run ``work(lo, hi)`` on contiguous blocks [lo, hi) of the rows 0..M-1,
     one block per usable CPU and at least ``_MIN_BLOCK_ROWS`` rows each.
 
-    This process runs the first block; every other one runs in a child made
-    by ``os.fork``, which never returns into the caller: it leaves by
-    ``os._exit``, with status 1 and its traceback on stderr if ``work``
-    raised.  ``work`` must call no BLAS routine, whose threads would spin
-    against the other processes.  Every child is reaped before this returns
-    or raises, whatever this process's own block did; a child that failed
-    raises AssemblyError.  A block whose fork fails runs here instead.
+    This process runs the first block; every other one runs in a child
+    process of ``util.FORK``, which prints its traceback and exits with
+    code 1 if ``work`` raises.  ``work`` must call no BLAS routine, whose
+    threads would spin against the other processes.  Every child is joined
+    before this returns or raises, whatever this process's own block did; a
+    child that failed raises AssemblyError.  A block whose child cannot
+    start runs here instead.
     """
     n = max(1, min(util.usable_cpus(), M // _MIN_BLOCK_ROWS))
     edges = [M * b // n for b in range(n + 1)]
-    children = {}
+    children = []
     try:
         for lo, hi in zip(edges[1:-1], edges[2:]):
+            child = util.FORK.Process(target=work, args=(lo, hi))
             try:
-                pid = os.fork()
+                child.start()
             except OSError:
                 work(lo, hi)
                 continue
-            if pid == 0:
-                code = 1
-                try:
-                    work(lo, hi)
-                    code = 0
-                except BaseException:   # reported by the exit code, never re-raised
-                    traceback.print_exc()
-                finally:
-                    os._exit(code)
-            children[pid] = (lo, hi)
+            children.append((child, lo, hi))
         work(edges[0], edges[1])
     finally:
-        statuses = {rows: os.waitpid(pid, 0)[1] for pid, rows in children.items()}
-    for (lo, hi), status in statuses.items():
-        if status:
-            raise AssemblyError(
-                f"the child assembling rows {lo}..{hi - 1} ended with exit code "
-                f"{os.waitstatus_to_exitcode(status)}")
+        for child, _, _ in children:
+            child.join()
+    for child, lo, hi in children:
+        if child.exitcode:
+            raise AssemblyError(f"the child assembling rows {lo}..{hi - 1} ended with "
+                                f"exit code {child.exitcode}")
 
 
 def assemble_operator(grid: RadialGrid, s: float) -> OperatorMatrix:
@@ -998,8 +988,5 @@ def gradient_values(grid: RadialGrid, u: np.ndarray) -> np.ndarray:
 def save_field(fld: RadialField, path: str) -> None:
     """CSV dump: one header line with grid metadata, then r,value rows."""
     grid = fld.grid
-    with open(path, "w") as fh:
-        fh.write(f"# radial field N={grid.N},R={fmt17(grid.R)},M={grid.M},g={fmt17(grid.g)}\n")
-        fh.write("r,value\n")
-        for ri, vi in zip(grid.r, fld.values):
-            fh.write(f"{fmt17(ri)},{fmt17(vi)}\n")
+    util.write_csv(path, f"# radial field N={grid.N},R={fmt17(grid.R)},M={grid.M},"
+                         f"g={fmt17(grid.g)}\nr,value\n", zip(grid.r, fld.values))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
@@ -33,7 +33,7 @@ from .errors import (
 # exponents_for, gamma_multiplier: unused here, but perfbench/tracing.py wraps both bindings
 from .specfun import ProblemParams, exponents_for, gamma_multiplier
 from .construct import SupersolutionSpec
-from .util import fmt17, from_block, known, require, value
+from .util import from_block, known, require, value, write_csv
 from . import construct, radialop
 
 __all__ = [
@@ -235,12 +235,16 @@ def _run_scheme(params: ProblemParams, alpha_damp: float, f: PowerSource,
     inverse = factor_operator(op)
     source = params.mu * f.values(grid)
 
+    # the blow-up reference: the barrier's sup, else the source-free bound,
+    # which holds only for the undamped problem; none (inf) for a damped run
     w_vals = None
     if supersolution is not None:
         w_vals = supersolution.evaluate(r)
         sup_bound = float(np.max(w_vals))
-    else:
+    elif alpha_damp == 0.0:
         sup_bound = construct.admissible_bound_sup(params, grid.R, grid.r[0])
+    else:
+        sup_bound = math.inf
 
     M = grid.M
     u = np.zeros(M)        # the iterate x; after each level, its certified G(x)
@@ -495,10 +499,5 @@ def mu_threshold_probe(params: ProblemParams, f: PowerSource,
 
 def save_trace(report: SolverReport, path: str) -> None:
     """CSV trace: outer_n, inner_iters, residual, sup_norm, margin."""
-    with open(path, "w") as fh:
-        fh.write("outer_n,inner_iters,residual,sup_norm,margin\n")
-        for row in report.trace:
-            fh.write(
-                f"{fmt17(row.outer_n)},{row.inner_iters},"
-                f"{fmt17(row.residual)},{fmt17(row.sup_norm)},{fmt17(row.margin)}\n"
-            )
+    write_csv(path, "outer_n,inner_iters,residual,sup_norm,margin\n",
+              (astuple(row) for row in report.trace))

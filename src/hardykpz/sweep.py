@@ -14,9 +14,10 @@ cells it finished.
 
 The axes never change N, s or the grid, so a sweep has one operator: the
 parent process assembles it and forms its inverse once, before any cell
-runs, and every cell solves with it.  Pool workers receive it, with the
-plan, through the pool initializer and only apply the inverse.  Serial and
-pool sweeps therefore read the same inverse and write the same bytes.
+runs, and every cell solves with it.  Pool workers are forked
+(``util.FORK``) and inherit it, with the plan, through the pool
+initializer; they only apply the inverse.  Serial and pool sweeps
+therefore read the same inverse and write the same bytes.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, HardyKPZError
 from .specfun import exponents_for, hardy_constant
-from .util import config_hash, fmt17, from_block, value, write_json
+from .util import config_hash, csv_line, from_block, value, write_csv, write_json
 from . import radialop, solver, util
 
 __all__ = [
@@ -234,15 +235,15 @@ def _cells_path(out_dir: str) -> str:
     return os.path.join(out_dir, _CELLS_FILE)
 
 
-def _cell_line(names: list, c: CellResult) -> str:
-    vals = ",".join(fmt17(c.values[n]) for n in names)
-    return f"{c.index},{vals},{c.status},{fmt17(c.sup_norm)},{c.inner_iters},{c.note}\n"
+def _cell_row(names: list, c: CellResult) -> list:
+    return [c.index, *(c.values[n] for n in names), c.status, c.sup_norm, c.inner_iters,
+            c.note]
 
 
-def _write_cells(fh, names: list, cells: list) -> None:
-    """The cells.csv header, then one line per cell in the order given."""
-    fh.write("index," + ",".join(names) + ",status,sup_norm,inner_iters,note\n")
-    fh.writelines(_cell_line(names, c) for c in cells)
+def _write_cells(path: str, names: list, cells: list) -> None:
+    """cells.csv: the header, then one row per cell in the order given."""
+    write_csv(path, csv_line(["index", *names, "status", "sup_norm", "inner_iters", "note"]),
+              (_cell_row(names, c) for c in cells))
 
 
 def _load_done(out_dir: str, plan: SweepPlan, plan_hash: str) -> dict:
@@ -288,8 +289,8 @@ def _finished_cells(plan: SweepPlan, op, todo: list, workers: int):
         for idx in todo:
             yield _run_cell(plan, op, idx)
         return
-    with ProcessPoolExecutor(max_workers=workers, initializer=_use_plan,
-                             initargs=(plan, op)) as pool:
+    with ProcessPoolExecutor(max_workers=workers, mp_context=util.FORK,
+                             initializer=_use_plan, initargs=(plan, op)) as pool:
         futures = [pool.submit(_pool_cell, idx) for idx in todo]
         for fut in as_completed(futures):
             yield fut.result()
@@ -329,21 +330,19 @@ def run_sweep(plan: SweepPlan, out_dir: str | None = None, workers: int = 1,
     else:
         write_json(os.path.join(out_dir, _SIDECAR_FILE),
                    {"plan": plan_dict, "plan_hash": plan_hash})
-        checkpoint = open(_cells_path(out_dir), "w")
+        _write_cells(_cells_path(out_dir), names, results)
+        checkpoint = open(_cells_path(out_dir), "a")
     with checkpoint:
-        _write_cells(checkpoint, names, results)
-        checkpoint.flush()
         op = _plan_operator(plan) if todo else None
         pool_size = min(workers, len(todo), util.usable_cpus())
         for cell in _finished_cells(plan, op, todo, pool_size):
             results.append(cell)
-            checkpoint.write(_cell_line(names, cell))
+            checkpoint.write(csv_line(_cell_row(names, cell)))
             checkpoint.flush()
     results.sort(key=lambda c: c.index)
     region = RegionMap(cells=results, overlay=overlay)
     if out_dir is not None:
-        with open(_cells_path(out_dir), "w") as fh:
-            _write_cells(fh, names, results)
+        _write_cells(_cells_path(out_dir), names, results)
         sidecar = {
             "plan": plan_dict,
             "plan_hash": plan_hash,
@@ -352,6 +351,10 @@ def run_sweep(plan: SweepPlan, out_dir: str | None = None, workers: int = 1,
         }
         write_json(os.path.join(out_dir, _SIDECAR_FILE), sidecar)
     return region
+
+
+# the exponent table's columns, as ExponentReport.as_dict names them
+_TABLE_KEYS = ("lambda", "alpha", "mu", "mu_bar", "p_minus", "p_plus")
 
 
 def exponent_table(N: int, s: float, lambda_grid) -> list:
@@ -371,29 +374,16 @@ def exponent_table(N: int, s: float, lambda_grid) -> list:
         rep = exponents_for(N, s, lam)
         chain_ok = (rep.p_star < rep.p_minus <= mid <= rep.p_plus < 2.0 * s) \
             if lam == lam_max else (rep.p_star < rep.p_minus < mid < rep.p_plus < 2.0 * s)
-        rows.append({
-            "lambda": lam,
-            "alpha": rep.alpha,
-            "mu": rep.mu_exp,
-            "mu_bar": rep.mubar_exp,
-            "p_minus": rep.p_minus,
-            "p_plus": rep.p_plus,
-            "valid": True,
-            "chain_ok": bool(chain_ok),
-        })
+        full = rep.as_dict()
+        rows.append({**{key: full[key] for key in _TABLE_KEYS}, "valid": True,
+                     "chain_ok": bool(chain_ok)})
     return rows
 
 
 def write_exponent_table(path: str, N: int, s: float, lambda_grid) -> None:
-    rows = exponent_table(N, s, lambda_grid)
-    with open(path, "w") as fh:
-        fh.write("lambda,alpha,mu,mu_bar,p_minus,p_plus,valid,chain_ok\n")
-        for row in rows:
-            if not row["valid"]:
-                fh.write(f"{fmt17(row['lambda'])},,,,,,invalid,\n")
-                continue
-            fh.write(
-                f"{fmt17(row['lambda'])},{fmt17(row['alpha'])},{fmt17(row['mu'])},"
-                f"{fmt17(row['mu_bar'])},{fmt17(row['p_minus'])},{fmt17(row['p_plus'])},"
-                f"valid,{row['chain_ok']}\n"
-            )
+    """The exponent table as CSV: an invalid row keeps its lambda and
+    leaves the exponents and chain_ok empty."""
+    write_csv(path, csv_line([*_TABLE_KEYS, "valid", "chain_ok"]), (
+        [*(row.get(key) for key in _TABLE_KEYS), "valid" if row["valid"] else "invalid",
+         row.get("chain_ok")]
+        for row in exponent_table(N, s, lambda_grid)))

@@ -1,5 +1,5 @@
-"""Small shared helpers: deterministic output, config hashing, config blocks,
-the usable CPU count."""
+"""Small shared helpers: deterministic output (JSON and CSV), config hashing,
+config blocks, the start method of child processes and the usable CPU count."""
 
 from __future__ import annotations
 
@@ -7,17 +7,27 @@ import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 
 from .errors import ConfigError
 
 
+# How every child process starts: forked, so that it inherits the parent's
+# operator and plan instead of receiving them pickled (the assembly's row
+# blocks and a sweep's pool).  None where fork is missing.
+try:
+    FORK = multiprocessing.get_context("fork")
+except ValueError:
+    FORK = None
+
+
 def usable_cpus() -> int:
     """The CPUs this process may run on: the one count by which the
-    assembly splits its rows and a sweep caps its pool.  1 where
-    ``os.fork`` or ``os.sched_getaffinity`` is missing, so that nothing is
-    split there."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+    assembly splits its rows and a sweep caps its pool.  1 where ``FORK``
+    or ``os.sched_getaffinity`` is missing, so that nothing is split
+    there."""
+    if FORK is None or not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
 
@@ -25,6 +35,21 @@ def usable_cpus() -> int:
 def fmt17(x: float) -> str:
     """17-significant-digit repr so emitted numbers round-trip exactly."""
     return format(float(x), ".17g")
+
+
+def csv_line(cells) -> str:
+    """One CSV row, as every artifact writes it: a float by ``fmt17``, None
+    as an empty cell, anything else by ``str``."""
+    return ",".join("" if c is None else fmt17(c) if isinstance(c, float) else str(c)
+                    for c in cells) + "\n"
+
+
+def write_csv(path: str, header: str, rows) -> None:
+    """``header`` (its lines above the rows, each ending in a newline), then
+    ``csv_line`` of every row."""
+    with open(path, "w") as fh:
+        fh.write(header)
+        fh.writelines(map(csv_line, rows))
 
 
 def canonical_json(obj) -> str:

@@ -393,7 +393,41 @@ def test_damped_auto_amplitude_beyond_the_double_range_exits_1(capsys, tmp_path)
     code, err = _main(capsys, tmp_path, "solve", cfg)
     assert code == 1
     assert "amplitude leaves the double range" in err
+    assert "mu too large" not in err   # the damped amplitude grows with mu
     assert "Traceback" not in err and "Warning" not in err
+
+
+def test_dirichlet_auto_refusal_names_mu(capsys, tmp_path):
+    # the Dirichlet amplitude is capped by the balance root, so a large
+    # source scale leaves its margin no room
+    code, err = _main(capsys, tmp_path, "solve",
+                      _solve_cfg(problem={"N": N, "s": S, "lambda": LAM, "p": 1.3, "mu": 1e6},
+                                 supersolution="auto"))
+    assert code == 1
+    assert "no ladder exponent" in err and "mu too large" in err
+    assert "Traceback" not in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("mu", [100.0, 3000.0])
+def test_damped_run_without_a_barrier_has_no_undamped_bound(capsys, tmp_path, mu):
+    # the source-free bound holds for alpha = 0 only: without a barrier a
+    # damped run has no bound (null), so only the sup-norm cap can call it
+    # BlowUp, and it computes the field of the same run with the auto barrier
+    fields = {}
+    for sup in ("auto", "none"):
+        cfg = {"problem": {"N": 3, "s": 0.75, "lambda": 0.11, "p": 1.2, "mu": mu},
+               "grid": {"R": 1.0, "M": 100, "g": 2.0}, "controls": {"n_levels": 13},
+               "source": {"coefficient": 0.3, "exponent": 1.5},
+               "supersolution": sup, "alpha_damp": 1.0}
+        os.makedirs(os.path.join(tmp_path, sup))
+        assert _main(capsys, os.path.join(tmp_path, sup), "solve", cfg)[0] == 0
+        out = os.path.join(tmp_path, sup, "out")
+        with open(os.path.join(out, "report.json")) as fh:
+            report = json.load(fh)
+        assert report["status"] == "Converged", sup
+        fields[sup] = open(os.path.join(out, "field.csv"), "rb").read()
+    assert report["sup_bound"] is None
+    assert fields["none"] == fields["auto"]
 
 
 def test_solve_alpha_damp_is_the_damped_scheme(capsys, tmp_path):

@@ -505,7 +505,7 @@ def test_a_block_whose_fork_fails_runs_in_this_process(monkeypatch):
     def no_fork():
         raise OSError("fork refused")
     _split_rows(monkeypatch, 3)
-    monkeypatch.setattr(ro.os, "fork", no_fork)
+    monkeypatch.setattr(os, "fork", no_fork)
     assert np.array_equal(ro.assemble_operator(grid, S).matrix, whole)
 
 

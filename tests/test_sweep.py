@@ -232,12 +232,15 @@ def test_sweep_worker_pool_matches_serial(tmp_path):
 
 
 class _InlinePool:
-    """ProcessPoolExecutor stand-in: records max_workers, runs cells in-process."""
+    """ProcessPoolExecutor stand-in: records max_workers and mp_context, runs
+    cells in-process."""
 
     sizes = []
+    contexts = []
 
-    def __init__(self, max_workers, initializer, initargs):
+    def __init__(self, max_workers, initializer, initargs, mp_context=None):
         self.sizes.append(max_workers)
+        self.contexts.append(mp_context)
         initializer(*initargs)
 
     def __enter__(self):
@@ -283,8 +286,20 @@ def _no_real_pool(monkeypatch):
     """Run pool sweeps in-process, and undo what the pool initializer sets."""
     monkeypatch.setattr(sw, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(_InlinePool, "contexts", [])
     monkeypatch.setattr(sw, "_worker_plan", None)
     monkeypatch.setattr(sw, "_worker_op", None)
+
+
+def test_sweep_pool_forks_its_workers(monkeypatch):
+    # the workers inherit the plan and the operator by fork, whatever start
+    # method multiprocessing defaults to (forkserver on Linux from Python 3.14)
+    _no_real_pool(monkeypatch)
+    monkeypatch.setattr(util, "usable_cpus", lambda: 2)
+    plan = _plan(axes=[{"name": "p", "start": 1.25, "stop": 1.45, "count": 2}],
+                 grid={"R": 1.0, "M": 32, "g": 2.0}, n_levels=10)
+    sw.run_sweep(plan, workers=2)
+    assert [ctx.get_start_method() for ctx in _InlinePool.contexts] == ["fork"]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
