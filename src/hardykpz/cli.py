@@ -27,7 +27,6 @@ from .specfun import exponents_for, hardy_constant, normalizing_constant
 from .util import config_hash, json_text, known, require, value, write_json
 from . import construct, radialop, solver, sweep
 
-_ENV_OUTDIR = "HARDYKPZ_OUTPUT_DIR"
 _MAX_TABLE_ROWS = 100_000   # largest `exponents --table --count`
 
 # the top-level keys of a run config (probe; solve also takes alpha_damp) and
@@ -40,12 +39,6 @@ def _emit(obj, path: str | None):
     if path:
         write_json(path, obj)
     sys.stdout.write(json_text(obj))
-
-
-def _out_dir(args) -> str:
-    out = args.output_dir or os.environ.get(_ENV_OUTDIR) or "."
-    os.makedirs(out, exist_ok=True)
-    return out
 
 
 def _load_config(path: str, keys) -> dict:
@@ -68,11 +61,13 @@ def _load_config(path: str, keys) -> dict:
 def _run_inputs(args, keys=_RUN_KEYS):
     """(config, output dir, problem, grid, controls, source) of a run command."""
     cfg = _load_config(args.config, keys)
-    out = _out_dir(args)
-    return (cfg, out, *solver.run_inputs(cfg))
+    return (cfg, args.output_dir, *solver.run_inputs(cfg))
 
 
 def _write_resolved(cfg: dict, out: str) -> str:
+    """resolved_config.json in ``out``, creating the directory: solve and
+    probe write nothing before it, so a refused command leaves none behind."""
+    os.makedirs(out, exist_ok=True)
     cfg_hash = config_hash(cfg)
     write_json(os.path.join(out, "resolved_config.json"), {**cfg, "config_hash": cfg_hash})
     return cfg_hash
@@ -200,13 +195,12 @@ def cmd_probe(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config, _SWEEP_KEYS)
-    out = _out_dir(args)
     plan = sweep.SweepPlan.from_dict(require(cfg, "plan", "config"))
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-    region = sweep.run_sweep(plan, out_dir=out, workers=args.workers,
+    region = sweep.run_sweep(plan, out_dir=args.output_dir, workers=args.workers,
                              resume=not args.no_resume)
-    _write_resolved(cfg, out)
+    _write_resolved(cfg, args.output_dir)
     counts = region.counts()
     sys.stdout.write("cells: " + json.dumps(counts, sort_keys=True) + "\n")
     return 0
@@ -269,12 +263,14 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=hlp)
         p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--output-dir", help=f"artifact directory (or ${_ENV_OUTDIR})")
+        p.add_argument("--output-dir", default=".",
+                       help="artifact directory (default: %(default)s)")
         p.set_defaults(fn=fn)
 
     psw = sub.add_parser("sweep", help="parameter sweep with checkpoint/resume")
     psw.add_argument("--config", required=True)
-    psw.add_argument("--output-dir", help=f"artifact directory (or ${_ENV_OUTDIR})")
+    psw.add_argument("--output-dir", default=".",
+                     help="artifact directory (default: %(default)s)")
     psw.add_argument("--workers", type=int, default=1,
                      help="worker processes, >= 1; the pool takes at most one "
                           "per usable CPU and per cell left")

@@ -21,7 +21,6 @@ Conventions
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -227,15 +226,8 @@ class ExponentReport:
         }
 
 
-@functools.lru_cache(maxsize=256)
 def exponents_for(N: int, s: float, lam: float) -> ExponentReport:
-    """Full exponent report for (N, s, lambda); lam may equal the Hardy constant.
-
-    Memoized per (N, s, lambda): a sweep asks for the same point once per
-    cell, and the report is frozen, so every caller can share it.  A call
-    that raises is not remembered.  The memo is bounded because an exponent
-    table asks for one new lambda per row.
-    """
+    """Full exponent report for (N, s, lambda); lam may equal the Hardy constant."""
     _check_order(N, s)
     alpha = alpha_of_lambda(lam, N, s)
     half_gap = (N - 2.0 * s) / 2.0

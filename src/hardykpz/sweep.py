@@ -229,10 +229,8 @@ def _overlay_for(plan: SweepPlan) -> dict:
 
 _CELLS_FILE = "cells.csv"
 _SIDECAR_FILE = "overlay.json"
-
-
-def _cells_path(out_dir: str) -> str:
-    return os.path.join(out_dir, _CELLS_FILE)
+# the statuses a cell can have: the solver's three, and the sweep's own
+_STATUSES = ("Converged", "BlowUp", "MaxIterations", "Inconclusive")
 
 
 def _cell_row(names: list, c: CellResult) -> list:
@@ -247,11 +245,22 @@ def _write_cells(path: str, names: list, cells: list) -> None:
 
 
 def _load_done(out_dir: str, plan: SweepPlan, plan_hash: str) -> dict:
-    """Cells of the checkpoint in out_dir, which must come from this plan."""
-    path = _cells_path(out_dir)
-    done: dict = {}
-    if not os.path.exists(path):
-        return done
+    """Cells of the checkpoint in out_dir whose rows this plan wrote.
+
+    A checkpoint with no row after its header resumes nothing; one with rows
+    must carry this plan's hash in overlay.json.  A row is resumed only when
+    it is byte for byte the row this plan writes for the cell it names: its
+    index is a cell of the plan, its axis values are the plan's, its status
+    is a cell's, and ``csv_line`` gives it back.  Every other line, a killed
+    sweep's unterminated last row among them, is left to be recomputed.
+    """
+    try:
+        with open(os.path.join(out_dir, _CELLS_FILE)) as fh:
+            rows = fh.readlines()[1:]
+    except FileNotFoundError:
+        return {}
+    if not rows:
+        return {}
     try:
         with open(os.path.join(out_dir, _SIDECAR_FILE)) as fh:
             stored_hash = json.load(fh).get("plan_hash")
@@ -263,23 +272,19 @@ def _load_done(out_dir: str, plan: SweepPlan, plan_hash: str) -> dict:
             "match this plan; use --no-resume to recompute every cell"
         )
     names = [a.name for a in plan.axes]
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("index,"):
-            return {}
-        for line in fh:
-            if not line.endswith("\n"):
-                break  # the row a killed sweep was writing
-            parts = line.rstrip("\n").split(",")
-            if len(parts) < 4 + len(names):
-                continue
-            idx = int(parts[0])
-            vals = {n: float(v) for n, v in zip(names, parts[1:1 + len(names)])}
-            status = parts[1 + len(names)]
-            sup = float(parts[2 + len(names)])
-            iters = int(parts[3 + len(names)])
-            note = ",".join(parts[4 + len(names):])
-            done[idx] = CellResult(idx, vals, status, sup, iters, note)
+    done: dict = {}
+    for line in rows:
+        try:
+            index, *_, status, sup_norm, iters, note = \
+                line.removesuffix("\n").split(",", 4 + len(names))
+            index, sup_norm, iters = int(index), float(sup_norm), int(iters)
+        except ValueError:
+            continue
+        if not (0 <= index < len(plan._cells) and status in _STATUSES):
+            continue
+        cell = CellResult(index, plan._cells[index][0], status, sup_norm, iters, note)
+        if csv_line(_cell_row(names, cell)) == line:
+            done[index] = cell
     return done
 
 
@@ -296,9 +301,9 @@ def _finished_cells(plan: SweepPlan, op, todo: list, workers: int):
             yield fut.result()
 
 
-def run_sweep(plan: SweepPlan, out_dir: str | None = None, workers: int = 1,
+def run_sweep(plan: SweepPlan, out_dir: str, workers: int = 1,
               resume: bool = True) -> RegionMap:
-    """Execute every cell of the plan; optionally checkpoint to out_dir.
+    """Execute every cell of the plan, checkpointing to out_dir (created if missing).
 
     The plan's operator is assembled and factored here, once, when any cell
     is left to run.  With ``workers`` > 1, more than one cell left and more
@@ -306,33 +311,28 @@ def run_sweep(plan: SweepPlan, out_dir: str | None = None, workers: int = 1,
     usable CPUs) processes, whose initializer hands each one the plan and
     the operator.
 
-    overlay.json (with the plan hash) and cells.csv (header and resumed
-    cells) are written before any cell runs, and each row is appended and
-    flushed as its cell finishes.  At the end both are written in full, rows
-    in index order, so their bytes do not depend on worker scheduling.  With
-    ``resume`` (default) cells already in out_dir's cells.csv are not
-    recomputed; a checkpoint whose overlay.json names another plan hash
+    Before any cell runs, cells.csv is written (header and resumed rows),
+    then overlay.json is stamped with the plan hash, so a stamp never stands
+    over another plan's rows; each row is appended and flushed as its cell
+    finishes.  At the end both are written in full, rows in index order, so
+    their bytes do not depend on worker scheduling.
+    With ``resume`` (default) a row already in out_dir's cells.csv is kept
+    only when it is byte for byte the row this plan writes for its cell;
+    every other cell is recomputed.  A checkpoint with no rows resumes
+    nothing; one with rows whose overlay.json names another plan hash
     raises ConfigError.
     """
     plan_dict = plan.as_dict()
     plan_hash = config_hash(plan_dict)
     names = [a.name for a in plan.axes]
-    done: dict = {}
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        if resume:
-            done = _load_done(out_dir, plan, plan_hash)
+    cells_path, sidecar_path = (os.path.join(out_dir, f) for f in (_CELLS_FILE, _SIDECAR_FILE))
+    os.makedirs(out_dir, exist_ok=True)
+    done = _load_done(out_dir, plan, plan_hash) if resume else {}
     todo = [idx for idx in range(len(plan._cells)) if idx not in done]
-    results = sorted(done.values(), key=lambda c: c.index)
-    overlay = _overlay_for(plan)
-    if out_dir is None:
-        checkpoint = open(os.devnull, "w")
-    else:
-        write_json(os.path.join(out_dir, _SIDECAR_FILE),
-                   {"plan": plan_dict, "plan_hash": plan_hash})
-        _write_cells(_cells_path(out_dir), names, results)
-        checkpoint = open(_cells_path(out_dir), "a")
-    with checkpoint:
+    results = [done[idx] for idx in sorted(done)]
+    _write_cells(cells_path, names, results)
+    write_json(sidecar_path, {"plan": plan_dict, "plan_hash": plan_hash})
+    with open(cells_path, "a") as checkpoint:
         op = _plan_operator(plan) if todo else None
         pool_size = min(workers, len(todo), util.usable_cpus())
         for cell in _finished_cells(plan, op, todo, pool_size):
@@ -340,16 +340,10 @@ def run_sweep(plan: SweepPlan, out_dir: str | None = None, workers: int = 1,
             checkpoint.write(csv_line(_cell_row(names, cell)))
             checkpoint.flush()
     results.sort(key=lambda c: c.index)
-    region = RegionMap(cells=results, overlay=overlay)
-    if out_dir is not None:
-        _write_cells(_cells_path(out_dir), names, results)
-        sidecar = {
-            "plan": plan_dict,
-            "plan_hash": plan_hash,
-            "overlay": overlay,
-            "counts": region.counts(),
-        }
-        write_json(os.path.join(out_dir, _SIDECAR_FILE), sidecar)
+    region = RegionMap(cells=results, overlay=_overlay_for(plan))
+    _write_cells(cells_path, names, results)
+    write_json(sidecar_path, {"plan": plan_dict, "plan_hash": plan_hash,
+                              "overlay": region.overlay, "counts": region.counts()})
     return region
 
 

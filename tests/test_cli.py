@@ -785,7 +785,7 @@ def test_plan_errors_exit_2_before_assembly(capsys, tmp_path, monkeypatch, over,
     code, err = _main(capsys, tmp_path, "sweep", _sweep_cfg(**over))
     assert code == 2
     assert named in err
-    assert os.listdir(os.path.join(tmp_path, "out")) == []
+    assert not os.path.exists(os.path.join(tmp_path, "out"))
 
 
 @pytest.mark.parametrize("probe", [
@@ -855,6 +855,33 @@ def test_sweep_workers_come_from_the_flag_alone(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(sweep, "run_sweep", recording)
     assert _main(capsys, tmp_path, "sweep", _sweep_cfg())[0] == 0
     assert counts == [1]
+
+
+@pytest.mark.parametrize("command, cfg, artifacts", [
+    ("solve", _solve_cfg(), ["field.csv", "report.json", "trace.csv"]),
+    ("sweep", _sweep_cfg(), ["cells.csv", "overlay.json"]),
+], ids=["solve", "sweep"])
+def test_artifacts_land_in_the_working_directory_without_the_flag(tmp_path, monkeypatch,
+                                                                  command, cfg, artifacts):
+    # --output-dir alone names the artifact directory; no environment variable does
+    monkeypatch.setenv("HARDYKPZ_OUTPUT_DIR", os.path.join(tmp_path, "env"))
+    monkeypatch.chdir(tmp_path)
+    with open("cfg.json", "w") as fh:
+        json.dump(cfg, fh)
+    assert cli.main([command, "--config", "cfg.json"]) == 0
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        ["cfg.json", "resolved_config.json", *artifacts])
+
+
+@pytest.mark.parametrize("command, cfg, extra", [
+    ("solve", _solve_cfg(grid={"R": 1.0, "M": 8, "g": 2.0}), ()),
+    ("probe", _solve_cfg(grid={"R": 1.0, "M": 8, "g": 2.0}), ()),
+    ("sweep", _sweep_cfg(), ("--workers", "0")),
+], ids=["solve-grid", "probe-grid", "sweep-workers"])
+def test_refused_command_creates_no_directory(capsys, tmp_path, command, cfg, extra):
+    code, err = _main(capsys, tmp_path, command, cfg, *extra)
+    assert code == 2 and err.startswith("error: ")
+    assert not os.path.exists(os.path.join(tmp_path, "out"))
 
 
 def test_artifacts_do_not_depend_on_the_usable_cpus(capsys, tmp_path, monkeypatch):

@@ -259,26 +259,6 @@ def test_two_forms_of_critical_exponents_agree():
     assert rep.p_minus == pytest.approx((rep.mubar_exp + 2 * s) / (rep.mubar_exp + 1), rel=1e-12)
 
 
-def test_exponents_for_is_memoized_and_errors_are_not(monkeypatch):
-    N, s = DESK["N"], DESK["s"]
-    roots = []
-    alpha_of_lambda = sf.alpha_of_lambda
-
-    def counting(*args):
-        roots.append(args)
-        return alpha_of_lambda(*args)
-    monkeypatch.setattr(sf, "alpha_of_lambda", counting)
-    sf.exponents_for.cache_clear()
-    lam = 0.3 * sf.hardy_constant(N, s)
-    rep = sf.exponents_for(N, s, lam)
-    assert sf.exponents_for(N, s, lam) is rep
-    assert len(roots) == 1
-    for _ in range(2):
-        with pytest.raises(DomainError):
-            sf.exponents_for(N, s, 2.0 * sf.hardy_constant(N, s))
-    assert len(roots) == 3
-
-
 # --------------------------------------------------- normalizing constant
 
 def test_normalizing_constant_oracle_values():

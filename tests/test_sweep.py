@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hardykpz import radialop as ro
@@ -120,15 +120,39 @@ def _finished_sweep():
                      for name in ("cells.csv", "overlay.json"))
 
 
-@settings(max_examples=20, deadline=None)
-@given(dropped=st.sets(st.integers(0, 4)))
-def test_sweep_resume_is_idempotent(dropped):
+def _with_field(row: str, k: int, text: str) -> str:
+    fields = row.split(",")
+    fields[k] = text
+    return ",".join(fields)
+
+
+# lines the resume plan never writes, made from its finished rows
+# (index, p, status, sup_norm, inner_iters, note); the unterminated one
+# comes last, as a killed sweep leaves it
+_FOREIGN = {
+    "past-the-end": lambda rows: "7,9.5,Converged,1.0,3,\n",
+    "negative-index": lambda rows: _with_field(rows[4], 0, "-1"),
+    "other-cells-values": lambda rows: _with_field(rows[1], 1, rows[2].split(",")[1]),
+    "forged-values": lambda rows: "1,1.2999,BlowUp,2.0,4,forged\n",
+    "unknown-status": lambda rows: _with_field(rows[3], 2, "Forged"),
+    "unterminated": lambda rows: rows[0].removesuffix("\n"),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(dropped=st.sets(st.integers(0, 4)), foreign=st.sets(st.sampled_from(sorted(_FOREIGN))))
+@example(dropped=set(), foreign=set(_FOREIGN))
+@example(dropped={0, 1, 3, 4}, foreign=set(_FOREIGN))
+def test_sweep_resume_is_idempotent(dropped, foreign):
+    # rows the plan did not write are never resumed: only the cells whose
+    # own row is missing run, and the sweep writes the finished bytes
     cells, overlay = _finished_sweep()
     header, *rows = cells.decode().splitlines(keepends=True)
     assert sum("policy" in row for row in rows) == 1
     with tempfile.TemporaryDirectory() as d:
         with open(os.path.join(d, "cells.csv"), "w") as fh:
-            fh.write(header + "".join(r for i, r in enumerate(rows) if i not in dropped))
+            fh.write(header + "".join(r for i, r in enumerate(rows) if i not in dropped)
+                     + "".join(_FOREIGN[kind](rows) for kind in _FOREIGN if kind in foreign))
         with open(os.path.join(d, "overlay.json"), "wb") as fh:
             fh.write(overlay)
         with mock.patch.object(so, "solve_damped", wraps=so.solve_damped) as solve:
@@ -152,7 +176,55 @@ def test_sweep_resume_refuses_another_plan(tmp_path):
     assert open(os.path.join(d, "cells.csv"), "rb").read() == old_cells
     region = sw.run_sweep(new, out_dir=d, resume=False)
     assert [c.values["p"] for c in region.cells] == [1.4, 1.6]
-    assert region.cells == sw.run_sweep(new).cells
+    assert region.cells == sw.run_sweep(new, os.path.join(d, "fresh")).cells
+
+
+@pytest.mark.parametrize("torn", [False, True], ids=["before", "torn"])
+@pytest.mark.parametrize("k", range(4))
+def test_interrupted_switch_of_plans_never_resumes_the_old_rows(tmp_path, k, torn):
+    # plan A finishes, then a --no-resume sweep of plan B in the same
+    # directory is interrupted at its k-th checkpoint write, before the write
+    # or after half of it; resuming B then refuses or writes B's finished
+    # bytes, running only the cells whose B row was not yet written
+    small = dict(grid={"R": 1.0, "M": 32, "g": 2.0}, n_levels=10)
+    old = _plan(axes=[{"name": "p", "start": 1.1, "stop": 1.3, "count": 2}], **small)
+    new = _plan(axes=[{"name": "p", "start": 1.4, "stop": 1.6, "count": 2}], **small)
+    sw.run_sweep(new, os.path.join(tmp_path, "b"))
+    finished = [open(os.path.join(tmp_path, "b", name), "rb").read()
+                for name in ("cells.csv", "overlay.json")]
+    d = os.path.join(tmp_path, "switch")
+    sw.run_sweep(old, d)
+    old_values = {row.split(",")[1] for row in open(os.path.join(d, "cells.csv"))} - {"p"}
+    writes = []
+
+    def interrupted(write):
+        def once(path, *args):
+            if len(writes) == k:
+                if torn:
+                    write(path, *args)
+                    with open(path, "r+b") as fh:
+                        fh.truncate(os.path.getsize(path) // 2)
+                raise KeyboardInterrupt
+            writes.append(path)
+            write(path, *args)
+        return once
+    with mock.patch.object(sw, "write_csv", interrupted(sw.write_csv)), \
+            mock.patch.object(sw, "write_json", interrupted(sw.write_json)), \
+            pytest.raises(KeyboardInterrupt):
+        sw.run_sweep(new, d, resume=False)
+    new_rows = finished[0].decode().splitlines(keepends=True)[1:]
+    kept = set(open(os.path.join(d, "cells.csv")).readlines()) & set(new_rows)
+    with mock.patch.object(so, "solve_damped", wraps=so.solve_damped) as solve:
+        try:
+            sw.run_sweep(new, d)
+        except ConfigError as exc:
+            assert "--no-resume" in str(exc)
+            assert solve.call_count == 0
+            return
+    assert solve.call_count == len(new_rows) - len(kept)
+    assert not old_values & {row.split(",")[1] for row in open(os.path.join(d, "cells.csv"))}
+    for name, expected in zip(("cells.csv", "overlay.json"), finished):
+        assert open(os.path.join(d, name), "rb").read() == expected, name
 
 
 def test_sweep_axis_count_as_float_is_the_count(tmp_path):
@@ -168,9 +240,9 @@ def test_sweep_axis_count_as_float_is_the_count(tmp_path):
     assert cells[0] == cells[1]
 
 
-def test_sweep_empty_range():
+def test_sweep_empty_range(tmp_path):
     plan = _plan(axes=[{"name": "p", "start": 1.2, "stop": 1.2, "count": 0}])
-    region = sw.run_sweep(plan)
+    region = sw.run_sweep(plan, str(tmp_path))
     assert region.cells == []
 
 
@@ -183,10 +255,10 @@ def test_sweep_overlay_matches_specfun(tmp_path):
     assert region.overlay["p_star"] == N / (N - 2 * S + 1)
 
 
-def test_sweep_two_axes_and_mu():
+def test_sweep_two_axes_and_mu(tmp_path):
     plan = _plan(axes=[{"name": "p", "start": 1.25, "stop": 1.35, "count": 2},
                        {"name": "mu", "start": 1e-4, "stop": 1e-3, "count": 2}])
-    region = sw.run_sweep(plan)
+    region = sw.run_sweep(plan, str(tmp_path))
     assert len(region.cells) == 4
     assert {c.status for c in region.cells} <= {"Converged", "BlowUp",
                                                 "MaxIterations", "Inconclusive"}
@@ -279,7 +351,7 @@ def test_sweep_pool_is_sized_to_the_cells_left(tmp_path, monkeypatch, workers, c
     region = sw.run_sweep(plan, out_dir=str(tmp_path), workers=workers)
     assert _InlinePool.sizes == ([] if pool_size is None else [pool_size])
     assert len(region.cells) == cells
-    assert region.cells == sw.run_sweep(plan).cells
+    assert region.cells == sw.run_sweep(plan, os.path.join(tmp_path, "fresh")).cells
 
 
 def _no_real_pool(monkeypatch):
@@ -291,19 +363,19 @@ def _no_real_pool(monkeypatch):
     monkeypatch.setattr(sw, "_worker_op", None)
 
 
-def test_sweep_pool_forks_its_workers(monkeypatch):
+def test_sweep_pool_forks_its_workers(tmp_path, monkeypatch):
     # the workers inherit the plan and the operator by fork, whatever start
     # method multiprocessing defaults to (forkserver on Linux from Python 3.14)
     _no_real_pool(monkeypatch)
     monkeypatch.setattr(util, "usable_cpus", lambda: 2)
     plan = _plan(axes=[{"name": "p", "start": 1.25, "stop": 1.45, "count": 2}],
                  grid={"R": 1.0, "M": 32, "g": 2.0}, n_levels=10)
-    sw.run_sweep(plan, workers=2)
+    sw.run_sweep(plan, str(tmp_path), workers=2)
     assert [ctx.get_start_method() for ctx in _InlinePool.contexts] == ["fork"]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_sweep_reads_its_run_inputs_once(monkeypatch, workers):
+def test_sweep_reads_its_run_inputs_once(tmp_path, monkeypatch, workers):
     _no_real_pool(monkeypatch)
     calls = {"run_inputs": 0, "build_grid": 0}
     for module, name in ((so, "run_inputs"), (ro, "build_grid")):
@@ -313,7 +385,7 @@ def test_sweep_reads_its_run_inputs_once(monkeypatch, workers):
         monkeypatch.setattr(module, name, counting)
     plan = _plan(axes=[{"name": "p", "start": 1.2, "stop": 1.5, "count": 16}],
                  grid={"R": 1.0, "M": 32, "g": 2.0}, n_levels=10)
-    region = sw.run_sweep(plan, workers=workers)
+    region = sw.run_sweep(plan, str(tmp_path), workers=workers)
     assert len(region.cells) == 16
     assert calls == {"run_inputs": 1, "build_grid": 1}
 
@@ -368,11 +440,11 @@ def test_killed_sweep_keeps_its_finished_cells(tmp_path, monkeypatch, workers, k
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0], ids=["kpz", "damped"])
-def test_sweep_cell_matches_direct_solve(alpha):
+def test_sweep_cell_matches_direct_solve(tmp_path, alpha):
     # at alpha_damp = 0 a cell is the undamped scheme, solve_kpz
     plan = _plan(axes=[{"name": "p", "start": 1.25, "stop": 1.45, "count": 3}],
                  grid={"R": 1.0, "M": 32, "g": 2.0}, n_levels=12, alpha_damp=alpha)
-    region = sw.run_sweep(plan)
+    region = sw.run_sweep(plan, str(tmp_path))
     assert len(region.cells) == 3
     for cell in region.cells:
         cfg = {"problem": {**plan.problem, "p": cell.values["p"]}, "grid": plan.grid,
@@ -389,7 +461,7 @@ def test_sweep_cell_matches_direct_solve(alpha):
 
 
 
-def test_serial_sweep_factors_its_operator_once(monkeypatch):
+def test_serial_sweep_factors_its_operator_once(tmp_path, monkeypatch):
     calls = []
     lu_factor = so.lu_factor
 
@@ -399,14 +471,14 @@ def test_serial_sweep_factors_its_operator_once(monkeypatch):
     monkeypatch.setattr(so, "lu_factor", counting)
     plan = _plan(axes=[{"name": "p", "start": 1.2, "stop": 1.5, "count": 16}],
                  grid={"R": 1.0, "M": 48, "g": 2.0}, n_levels=12)
-    region = sw.run_sweep(plan, workers=1)
+    region = sw.run_sweep(plan, str(tmp_path), workers=1)
     assert len(region.cells) == 16
     assert {c.status for c in region.cells} == {"Converged", "BlowUp"}
     assert len(calls) == 1
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_sweep_assembly_error_marks_cells(monkeypatch, workers):
+def test_sweep_assembly_error_marks_cells(tmp_path, monkeypatch, workers):
     calls = []
     assemble = ro.assemble_operator
 
@@ -418,7 +490,7 @@ def test_sweep_assembly_error_marks_cells(monkeypatch, workers):
     plan = _plan(axes=[{"name": "p", "start": REP.p_plus, "stop": REP.p_plus + 0.3,
                         "count": 4}],
                  grid={"R": 1.0, "M": 32, "g": 2.0}, n_levels=12)
-    region = sw.run_sweep(plan, workers=workers)
+    region = sw.run_sweep(plan, str(tmp_path), workers=workers)
     assert [c.status for c in region.cells] == ["Inconclusive"] * 4
     # the cell at p_plus never reaches the operator and keeps its policy note
     assert "policy" in region.cells[0].note
