@@ -130,9 +130,9 @@ def cmd_oracle(args) -> int:
     return 0 if result["passed"] else 1
 
 
-def _write_solver_outputs(report: solver.SolverReport, spec, out: str,
+def _write_solver_outputs(report: solver.SolverReport, grid, spec, out: str,
                           cfg_hash: str) -> None:
-    radialop.save_field(report.field, os.path.join(out, "field.csv"))
+    radialop.save_field(grid, report.field, os.path.join(out, "field.csv"))
     solver.save_trace(report, os.path.join(out, "trace.csv"))
     summary = {
         "config_hash": cfg_hash,
@@ -141,7 +141,7 @@ def _write_solver_outputs(report: solver.SolverReport, spec, out: str,
         "fixed_point_residual": float(report.fixed_point_residual),
         "gradient_lp_integral": float(report.gradient_lp_integral),
         "hardy_l1_integral": float(report.hardy_l1_integral),
-        "sup_norm": float(report.field.sup_norm()),
+        "sup_norm": report.sup_norm,
         "sup_bound": float(report.sup_bound),
         "supersolution": spec.as_dict() if spec is not None else None,
     }
@@ -168,7 +168,7 @@ def cmd_solve(args) -> int:
     report = solver.solve_damped(params, alpha, f, op, controls=controls,
                                  supersolution=spec)
     cfg_hash = _write_resolved(cfg, out)
-    _write_solver_outputs(report, spec, out, cfg_hash)
+    _write_solver_outputs(report, grid, spec, out, cfg_hash)
     sys.stdout.write(f"status: {report.status}\n")
     return 0
 

@@ -79,7 +79,6 @@ from . import specfun, util
 
 __all__ = [
     "RadialGrid",
-    "RadialField",
     "OperatorMatrix",
     "build_grid",
     "assemble_operator",
@@ -144,7 +143,7 @@ _RULE_TAIL = _unit_rule(_N_TAIL_NODES)
 
 
 # --------------------------------------------------------------------------
-# grid and field containers
+# graded grid
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -163,14 +162,6 @@ class RadialGrid:
     N: int
     r: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-
-    def same_as(self, other: "RadialGrid") -> bool:
-        return (
-            self.M == other.M
-            and self.N == other.N
-            and abs(self.R - other.R) <= 1e-15 * self.R
-            and abs(self.g - other.g) <= 1e-15 * max(1.0, self.g)
-        )
 
     @property
     def tau(self) -> np.ndarray:
@@ -195,7 +186,8 @@ class RadialGrid:
 
 def build_grid(R: float, M: int, g: float, N: int) -> RadialGrid:
     """Graded radial grid on (0, R] with M nodes and grading exponent g; a
-    first node R (1/M)^g below the least normal double is refused."""
+    first node R (1/M)^g below the least normal double, or a radius whose
+    shell weights overflow, is refused."""
     if not R > 0.0:
         raise ConfigError(f"domain radius must be positive, got R={R}")
     if not 16 <= M <= _MAX_NODES:
@@ -212,31 +204,15 @@ def build_grid(R: float, M: int, g: float, N: int) -> RadialGrid:
     lo = np.where(idx == 1, 0.0, R * ((idx - 0.5) / M) ** g)
     hi = np.where(idx == M, R, R * ((idx + 0.5) / M) ** g)
     sn = specfun.sphere_area(N)
-    w = sn * (hi**N - lo**N) / N
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = sn * (hi**N - lo**N) / N
     if not r[0] >= np.finfo(float).tiny:
         raise ConfigError(f"grading exponent g={g} is too large for M={M} nodes: the "
                           f"first node R (1/M)^g = {r[0]} is not a normal double")
+    if not np.all(np.isfinite(w)):
+        raise ConfigError(f"domain radius R={R} is too large for dimension N={N}: "
+                          f"the shell weights, of order R^N, are not finite")
     return RadialGrid(R=float(R), M=M, g=float(g), N=int(N), r=r, weights=w)
-
-
-@dataclass
-class RadialField:
-    """Nodal values of a radial function, zero outside the ball."""
-
-    grid: RadialGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.M,):
-            raise GridMismatchError(
-                f"field has {self.values.shape} values for a grid of M={self.grid.M}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise DomainError("field values must be finite")
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
 
 # --------------------------------------------------------------------------
@@ -938,17 +914,21 @@ def oracle_power_test(op: OperatorMatrix, theta: float, r_max_check: float | Non
     return float(rel.max())
 
 
-def rayleigh_quotient(op: OperatorMatrix, fld: RadialField) -> float:
-    """<Lu, u> / int u^2 |x|^-2s over the ball, with grid quadrature.
+def rayleigh_quotient(op: OperatorMatrix, u: np.ndarray) -> float:
+    """<Lu, u> / int u^2 |x|^-2s over the ball, with grid quadrature, for the
+    nodal values ``u`` on ``op.grid``.
 
     Both quadratures skip the origin-closure node (index 0), whose
     collocation row is a structural closure rather than an accurate response
     (see the module docstring); its shell carries negligible measure for any
-    resolved field.
+    resolved field.  Values of another length than the grid's raise
+    GridMismatchError; a non-finite or all-zero field raises DomainError.
     """
-    if not op.grid.same_as(fld.grid):
-        raise GridMismatchError("field grid does not match the operator grid")
-    u = fld.values
+    u = np.asarray(u, dtype=float)
+    if u.shape != (op.grid.M,):
+        raise GridMismatchError(f"field has {u.shape} values for a grid of M={op.grid.M}")
+    if not np.all(np.isfinite(u)):
+        raise DomainError("field values must be finite")
     if np.max(np.abs(u)) == 0.0:
         raise DomainError("Rayleigh quotient of the zero field")
     grid = op.grid
@@ -985,8 +965,8 @@ def gradient_values(grid: RadialGrid, u: np.ndarray) -> np.ndarray:
 # serialization (documented CSV dump)
 # --------------------------------------------------------------------------
 
-def save_field(fld: RadialField, path: str) -> None:
-    """CSV dump: one header line with grid metadata, then r,value rows."""
-    grid = fld.grid
+def save_field(grid: RadialGrid, u: np.ndarray, path: str) -> None:
+    """CSV dump of the nodal values ``u`` on ``grid``: one header line with
+    grid metadata, then r,value rows."""
     util.write_csv(path, f"# radial field N={grid.N},R={fmt17(grid.R)},M={grid.M},"
-                         f"g={fmt17(grid.g)}\nr,value\n", zip(grid.r, fld.values))
+                         f"g={fmt17(grid.g)}\nr,value\n", zip(grid.r, u))

@@ -118,13 +118,16 @@ class SolverReport:
     """Outcome of one scheme run.
 
     ``status`` is one of Converged / BlowUp / MaxIterations; blow-up is a
-    classification, not an error.  On convergence the report carries the
-    fixed-point residual of the last truncated problem and the finiteness
-    diagnostics (ball integrals of |grad u|^p and u |x|^-2s).
+    classification, not an error.  ``field`` is the last level's nodal
+    solution on the operator's grid and ``sup_norm`` its max |u|, the last
+    trace row's.  On convergence the report carries the fixed-point residual
+    of the last truncated problem and the finiteness diagnostics (ball
+    integrals of |grad u|^p and u |x|^-2s).
     """
 
     status: str
-    field: radialop.RadialField
+    field: np.ndarray
+    sup_norm: float
     trace: list = field(default_factory=list)
     monotonicity_violations: int = 0
     fixed_point_residual: float = math.nan
@@ -203,6 +206,7 @@ def lu_solve(inverse: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.dot(inverse, b, out=out)
 
 
+@np.errstate(all="ignore")  # a non-finite iterate raises NumericalDivergenceError
 def _run_scheme(params: ProblemParams, alpha_damp: float, f: PowerSource,
                 op: radialop.OperatorMatrix, controls: SolverControls,
                 supersolution: SupersolutionSpec | None) -> SolverReport:
@@ -372,7 +376,8 @@ def _run_scheme(params: ProblemParams, alpha_damp: float, f: PowerSource,
 
     report = SolverReport(
         status=status,
-        field=radialop.RadialField(grid, u),
+        field=u,
+        sup_norm=sup,
         trace=trace,
         monotonicity_violations=mono_violations,
         sup_bound=sup_bound,
@@ -397,9 +402,11 @@ def solve_kpz(params: ProblemParams, f: PowerSource, op: radialop.OperatorMatrix
     PowerSource f(r) = C r^-e, the problem's one kind of datum, scaled by
     ``params.mu``.  ``supersolution`` - when provided - supplies the barrier
     used both for the blow-up threshold and the nodewise margin in the
-    trace; without one, classification relies on the sustained-growth
-    heuristic alone (used by the threshold probe).  ``hardykpz solve`` and
-    sweep cells run solve_damped, which is this scheme at alpha_damp = 0.
+    trace; without one (as in the threshold probe), a run is judged against
+    the source-free bound ``construct.admissible_bound_sup``: BlowUp above
+    ``blowup_factor`` times it, and by sustained growth only where that
+    bound is 0.  ``hardykpz solve`` and sweep cells run solve_damped, which
+    is this scheme at alpha_damp = 0.
     """
     controls = controls or SolverControls()
     return _run_scheme(params, 0.0, f, op, controls, supersolution)
@@ -452,16 +459,17 @@ class ProbeResult:
 def mu_threshold_probe(params: ProblemParams, f: PowerSource,
                        op: radialop.OperatorMatrix,
                        controls: SolverControls | None = None) -> ProbeResult:
-    """Bisect the source scale between a Converged and a BlowUp run.
+    """Bisect the source scale between a Converged run and one that is not
+    (BlowUp or MaxIterations).
 
     Every run is a solve_kpz on the operator ``op`` it is given, factored on
-    the first run and reused by the rest.  From mu_0 =
-    ``params.mu`` (1 when it is 0), the scale steps by a factor 4 (up from a
-    Converged run, down from any other) until the status flips, then bisects
-    geometrically to relative width <= ``_REL_WIDTH``.  The result is
-    inconclusive (reported, not raised) when no bracket exists inside
-    [``_MU_FLOOR``, ``_MU_CAP``] - e.g. for a vanishing source, where the
-    scale is irrelevant by design.
+    the first run and reused by the rest.  From mu_0 = ``params.mu`` clamped
+    to [``_MU_FLOOR``, ``_MU_CAP``] (1 when it is 0), the scale steps by a
+    factor 4 (up from a Converged run, down from any other) until the status
+    flips, then bisects geometrically to relative width <= ``_REL_WIDTH``.
+    The result is inconclusive (reported, not raised) when no bracket exists
+    inside [``_MU_FLOOR``, ``_MU_CAP``] - e.g. for a vanishing source, where
+    the scale is irrelevant by design.
     """
     controls = controls or SolverControls()
     if f.coefficient == 0.0:
@@ -474,7 +482,7 @@ def mu_threshold_probe(params: ProblemParams, f: PowerSource,
         evaluations.append((mu_val, rep.status))
         return rep.status == "Converged"
 
-    mu = params.mu if params.mu > 0.0 else 1.0
+    mu = min(max(params.mu, _MU_FLOOR), _MU_CAP) if params.mu > 0.0 else 1.0
     up = converges(mu)
     while True:
         prev, mu = mu, mu * 4.0 if up else mu / 4.0

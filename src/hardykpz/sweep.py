@@ -187,8 +187,7 @@ def _run_cell(plan: SweepPlan, op: radialop.OperatorMatrix | HardyKPZError,
         report = solver.solve_damped(params, alpha, plan._source, op,
                                      controls=plan._controls)
         iters = int(sum(row.inner_iters for row in report.trace))
-        return CellResult(index, values, report.status,
-                          report.field.sup_norm(), iters)
+        return CellResult(index, values, report.status, report.sup_norm, iters)
     except HardyKPZError as exc:
         return CellResult(index, values, "Inconclusive", math.nan, 0,
                           f"{type(exc).__name__}: {exc}")

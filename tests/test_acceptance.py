@@ -103,12 +103,12 @@ def test_criterion_3_hardy_bound():
         coef = rng.random(4)
         u = sum(c * (1 - grid.r**2) ** (k + 1) for k, c in enumerate(coef))
         u = u + rng.random() * np.exp(-((grid.r - 0.5) / 0.2) ** 2)
-        worst = min(worst, ro.rayleigh_quotient(op, ro.RadialField(grid, u)))
+        worst = min(worst, ro.rayleigh_quotient(op, u))
     near = []
     for fac in (0.95, 0.99, 1.0):
         theta = (N - 2 * S) / 2 * fac
         u = grid.r ** (-theta) * (1.0 - grid.r)
-        near.append(ro.rayleigh_quotient(op, ro.RadialField(grid, u)))
+        near.append(ro.rayleigh_quotient(op, u))
     ok = worst >= 0.95 * LAM_MAX
     ok &= min(near) >= 0.999 * LAM_MAX and min(near) <= 1.10 * LAM_MAX
     report(3, ok, f"random family min {worst / LAM_MAX:.3f} Lambda (>=0.95); "
@@ -153,7 +153,7 @@ def test_criterion_5a_subcritical_converges():
     spec = co.dirichlet_supersolution(params, _F.exponent, _F.coefficient)
     rep = so.solve_kpz(params, _F, op, controls=CTRL, supersolution=spec)
     elapsed = time.time() - t0
-    below = bool(np.all(rep.field.values <= spec.evaluate(op.grid.r) + 1e-10))
+    below = bool(np.all(rep.field <= spec.evaluate(op.grid.r) + 1e-10))
     ok = (rep.status == "Converged" and rep.monotonicity_violations == 0
           and below and elapsed < 300.0)
     report("5a", ok, f"p=0.9 p+: {rep.status}, {rep.monotonicity_violations} "

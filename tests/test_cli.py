@@ -445,7 +445,7 @@ def test_solve_alpha_damp_is_the_damped_scheme(capsys, tmp_path):
     rep = solver.solve_damped(params, 2 * S - 1 + 0.5, f, ro.assemble_operator(grid, S),
                               controls=controls)
     path = os.path.join(tmp_path, "direct.csv")
-    ro.save_field(rep.field, path)
+    ro.save_field(grid, rep.field, path)
     assert field == open(path, "rb").read()
     assert artifacts("zero", _solve_cfg(alpha_damp=0)) == artifacts("absent", _solve_cfg())
 
@@ -507,6 +507,40 @@ def test_probe_cli(tmp_path):
     payload = json.loads(open(os.path.join(tmp_path, "probe.json")).read())
     assert payload["status"] == "bracketed"
     assert payload["mu_hi"] / payload["mu_lo"] <= 1.05
+
+
+def _edge_cfg(mu):
+    """A small run config whose source scale ``mu`` is at the edge of the doubles."""
+    return _solve_cfg(problem={"N": N, "s": S, "lambda": 0.2, "p": 1.25, "mu": mu},
+                      controls={"n_levels": 8},
+                      source={"coefficient": 0.3, "exponent": 1.5})
+
+
+@pytest.mark.parametrize("mu0, first", [(1e-300, 1e-8), (1e300, 1e8)],
+                         ids=["below-the-floor", "above-the-cap"])
+def test_probe_starts_inside_its_range(capsys, tmp_path, mu0, first):
+    # a start outside [1e-8, 1e8] is clamped to it: below, the probe does
+    # not step up from 1e-300; above, its first run does not overflow
+    code, err = _main(capsys, tmp_path, "probe", _edge_cfg(mu0))
+    assert code == 0, err
+    payload = json.loads(open(os.path.join(tmp_path, "out", "probe.json")).read())
+    mus = [mu for mu, _ in payload["evaluations"]]
+    assert mus[0] == first
+    assert all(1e-8 <= mu <= 1e8 for mu in mus)
+    assert payload["status"] == "bracketed"
+
+
+def test_a_diverging_solve_prints_one_error_line(tmp_path):
+    # mu = 1e300 overflows the first level's right-hand side; the scheme's
+    # non-finite check alone reports it, with no numpy warning before it,
+    # also when warnings are errors
+    path = os.path.join(tmp_path, "cfg.json")
+    open(path, "w").write(json.dumps(_edge_cfg(1e300)))
+    r = subprocess.run([sys.executable, "-m", "hardykpz.cli", "solve", "--config", path,
+                        "--output-dir", str(tmp_path / "out")], capture_output=True, text=True,
+                       env={**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"})
+    assert r.returncode == 1
+    assert r.stderr.splitlines() == ["error: non-finite iterate at truncation level 1.0"]
 
 
 def _strict_json(path):
@@ -639,6 +673,7 @@ def _main(capsys, tmp_path, command, cfg, *extra):
     ("solve", _solve_cfg(controls={"n_levels": 0}), "'n_levels'"),
     ("sweep", _sweep_cfg(n_levels=0), "'n_levels'"),
     ("solve", _solve_cfg(grid={"R": 1.0, "M": 16, "g": 300.0}), "g=300.0"),
+    ("solve", _solve_cfg(grid={"R": 1e120, "M": 32, "g": 2.0}), "R=1e+120"),
 ], ids=["sweep-missing-N", "sweep-plan-n_levels", "solve-unknown-control",
         "sweep-unknown-control", "sweep-unknown-plan-key", "sweep-unknown-axis-key",
         "sweep-negative-source", "solve-non-object-config", "solve-grid-M-not-int",
@@ -656,7 +691,7 @@ def _main(capsys, tmp_path, command, cfg, *extra):
         "damped-c", "sweep-top-level-key",
         "sweep-problem-typo", "sweep-n_levels-string", "solve-n_levels-overflow",
         "sweep-n_levels-overflow", "solve-n_levels-zero", "sweep-n_levels-zero",
-        "solve-degenerate-grid"])
+        "solve-degenerate-grid", "solve-radius-overflows-the-weights"])
 def test_malformed_input_exits_2(capsys, tmp_path, command, cfg, named):
     code, err = _main(capsys, tmp_path, command, cfg)
     assert code == 2

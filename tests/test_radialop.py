@@ -15,7 +15,7 @@ from scipy.special import hyp2f1, roots_legendre
 from hardykpz import radialop as ro
 from hardykpz import specfun as sf
 from hardykpz import util
-from hardykpz.errors import AssemblyError, ConfigError, DomainError
+from hardykpz.errors import AssemblyError, ConfigError, DomainError, GridMismatchError
 
 N, S = 3, 0.75
 LAM_MAX = sf.hardy_constant(N, S)
@@ -61,6 +61,10 @@ def test_grid_validation():
         with pytest.raises(ConfigError, match=f"g={g}"):
             ro.build_grid(1.0, 16, g, N)
     assert ro.build_grid(1.0, 16, 255.0, N).r[0] == 2.0**-1020
+    # the shell weights grow as R^N: 1e360 overflows at N = 3, 1e240 does not at N = 2
+    with pytest.raises(ConfigError, match=r"R=1e\+120 is too large for dimension N=3"):
+        ro.build_grid(1e120, 64, 2.0, 3)
+    assert np.all(np.isfinite(ro.build_grid(1e120, 64, 2.0, 2).weights))
 
 
 # ------------------------------------------------------------ kernel oracle
@@ -281,9 +285,9 @@ def test_nonlocal_leakage_sign(desk_op):
 
 def test_rayleigh_scale_invariance(desk_op):
     grid = desk_op.grid
-    u = ro.RadialField(grid, (1 - grid.r**2) ** 2)
+    u = (1 - grid.r**2) ** 2
     q1 = ro.rayleigh_quotient(desk_op, u)
-    q2 = ro.rayleigh_quotient(desk_op, ro.RadialField(grid, 17.0 * u.values))
+    q2 = ro.rayleigh_quotient(desk_op, 17.0 * u)
     assert q1 == pytest.approx(q2, rel=1e-13)
 
 
@@ -294,7 +298,7 @@ def test_rayleigh_lower_bound_random_family(desk_op):
         coef = rng.random(4)
         u = sum(c * (1 - grid.r**2) ** (k + 1) for k, c in enumerate(coef))
         u = u + rng.random() * np.exp(-((grid.r - 0.5) / 0.2) ** 2)
-        q = ro.rayleigh_quotient(desk_op, ro.RadialField(grid, u))
+        q = ro.rayleigh_quotient(desk_op, u)
         assert q >= 0.95 * LAM_MAX
 
 
@@ -306,14 +310,29 @@ def test_rayleigh_near_optimizer_family(desk_op):
     for fac in (0.95, 0.99, 1.0):
         theta = (N - 2 * S) / 2 * fac
         u = grid.r ** (-theta) * (1.0 - grid.r)
-        qs.append(ro.rayleigh_quotient(desk_op, ro.RadialField(grid, u)))
+        qs.append(ro.rayleigh_quotient(desk_op, u))
     assert min(qs) >= 0.999 * LAM_MAX  # approaches from above
     assert min(qs) <= 1.10 * LAM_MAX   # and gets within 10%
 
 
 def test_rayleigh_zero_field(desk_op):
     with pytest.raises(DomainError):
-        ro.rayleigh_quotient(desk_op, ro.RadialField(desk_op.grid, np.zeros(200)))
+        ro.rayleigh_quotient(desk_op, np.zeros(200))
+
+
+def test_rayleigh_refuses_a_field_of_another_length(desk_op):
+    with pytest.raises(GridMismatchError, match="M=200"):
+        ro.rayleigh_quotient(desk_op, np.ones(199))
+    with pytest.raises(GridMismatchError):
+        ro.rayleigh_quotient(desk_op, np.ones((200, 1)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rayleigh_refuses_a_non_finite_field(desk_op, bad):
+    u = (1 - desk_op.grid.r**2) ** 2
+    u[17] = bad
+    with pytest.raises(DomainError, match="finite"):
+        ro.rayleigh_quotient(desk_op, u)
 
 
 # ------------------------------------------------------------- gradient
@@ -346,16 +365,16 @@ def test_gradient_power_field():
 def test_field_round_trip(tmp_path, desk_op):
     """field.csv parses back to the grid and the field bit for bit."""
     grid = desk_op.grid
-    fld = ro.RadialField(grid, np.sin(grid.r * 5))
+    u = np.sin(grid.r * 5)
     path = os.path.join(tmp_path, "field.csv")
-    ro.save_field(fld, path)
+    ro.save_field(grid, u, path)
     with open(path) as fh:
         lines = fh.read().splitlines()
     assert lines[0] == "# radial field N=3,R=1,M=200,g=2"
     assert lines[1] == "r,value"
     rows = np.array([[float(x) for x in line.split(",")] for line in lines[2:]])
     assert np.array_equal(rows[:, 0], grid.r)
-    assert np.array_equal(rows[:, 1], fld.values)
+    assert np.array_equal(rows[:, 1], u)
 
 
 # ------------------------------------------------------------- assembly
@@ -910,8 +929,8 @@ def _dyda_errors(n_dim, s, M):
 @pytest.mark.parametrize("n_dim, s", [
     (2, 0.6), (2, 0.75), (3, 0.6), (3, 0.75), (5, 0.6), (5, 0.75),
     pytest.param(3, 0.9, marks=pytest.mark.xfail(
-        strict=True, reason="the operator diverges on the ball at s >= 0.85 "
-                            "(ROADMAP item 6(b)): 7.8e-2, 1.4e-1, 3.8e-1 past the band")),
+        strict=True, reason="the operator diverges on the ball at s >= 0.85, for a "
+                            "cause not yet found: 7.8e-2, 1.4e-1, 3.8e-1 past the band")),
 ])
 def test_ball_oracle_converges(n_dim, s):
     """README's ball-oracle tolerances: under M = 100 -> 200 -> 400 the rows

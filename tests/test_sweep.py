@@ -456,7 +456,7 @@ def test_sweep_cell_matches_direct_solve(tmp_path, alpha):
         else:
             rep = so.solve_kpz(params, f, op, controls=controls)
         assert cell.status == rep.status
-        assert cell.sup_norm == rep.field.sup_norm()
+        assert cell.sup_norm == rep.sup_norm
         assert cell.inner_iters == sum(row.inner_iters for row in rep.trace)
 
 
