@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -48,7 +49,9 @@ def _load_config(path: str, keys) -> dict:
             cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:  # a directory, say
+        raise ConfigError(f"config file {path} cannot be read: {exc.strerror}")
+    except (ValueError, RecursionError) as exc:  # not JSON, not text, or nested too deep
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
@@ -158,15 +161,14 @@ def _auto_supersolution(cfg: dict) -> bool:
 
 def cmd_solve(args) -> int:
     cfg, out, params, grid, controls, f = _run_inputs(args, (*_RUN_KEYS, "alpha_damp"))
-    alpha = solver.check_damping(value(cfg, "alpha_damp", "config", float, 0.0))
+    params = replace(params, alpha_damp=value(cfg, "alpha_damp", "config", float, 0.0))
     spec = None
     if _auto_supersolution(cfg):
-        bound = (f.exponent, f.coefficient)
-        spec = construct.damped_supersolution(params, alpha, *bound, R=grid.R) if alpha > 0.0 \
-            else construct.dirichlet_supersolution(params, *bound, R=grid.R)
+        barrier = construct.damped_supersolution if params.alpha_damp > 0.0 \
+            else construct.dirichlet_supersolution
+        spec = barrier(params, f.exponent, f.coefficient, R=grid.R)
     op = radialop.assemble_operator(grid, params.s)
-    report = solver.solve_damped(params, alpha, f, op, controls=controls,
-                                 supersolution=spec)
+    report = solver.solve_damped(params, f, op, controls=controls, supersolution=spec)
     cfg_hash = _write_resolved(cfg, out)
     _write_solver_outputs(report, grid, spec, out, cfg_hash)
     sys.stdout.write(f"status: {report.status}\n")

@@ -95,6 +95,8 @@ def exact_radial_solution(params: ProblemParams) -> SupersolutionSpec:
     N, s, lam, p = params.N, params.s, params.lam, params.p
     if lam <= 0.0:
         raise DomainError("the exact radial solution needs lambda > 0")
+    if params.alpha_damp > 0.0:
+        raise DomainError("the exact radial solution is of the undamped problem, alpha = 0")
     rep, theta0, window = _window(params)
     if not (rep.mu_exp < theta0 < rep.mubar_exp):
         half = (N - 2.0 * s) / 2.0
@@ -190,31 +192,32 @@ def dirichlet_supersolution(params: ProblemParams, f_bound_exponent: float,
         "least exponent step 1e-4")
 
 
-def damped_supersolution(params: ProblemParams, alpha_damp: float,
-                         f_bound_exponent: float, f_bound_coef: float = 1.0,
+def damped_supersolution(params: ProblemParams, f_bound_exponent: float,
+                         f_bound_coef: float = 1.0,
                          R: float = 1.0) -> SupersolutionSpec:
     """Supersolution on the ball of radius R for the problem ``params`` with
-    its gradient term damped by (1+u)^-alpha, for sources f <= C |x|^-e.
+    its gradient term damped by (1+u)^-alpha, alpha = ``params.alpha_damp``,
+    for sources f <= C |x|^-e.
 
     Walks theta up from just above mu(lambda) below mubar.  Requires
-    alpha_damp > 2s - 1 strictly and p < 2s, which make the gradient power
+    alpha > 2s - 1 strictly and p < 2s, which make the gradient power
     positive and q = p - alpha < 1.  The amplitude is
         A = max((2 theta^p R^grad_pow / gap)^(1/(1-q)), 2 mu C R^(theta+2s-e) / gap),
     at which each half of A gap covers one subtracted term of the margin, so
     the first exponent that admits the source has a positive margin unless
     A leaves the double range (q near 1), which moves the walk up the ladder.
     """
-    s, p = params.s, params.p
+    s, p, alpha = params.s, params.p, params.alpha_damp
     if not (p < 2.0 * s):
         raise DomainError(f"damped construction needs p < 2s, got p={p}, s={s}")
-    if not (alpha_damp > 2.0 * s - 1.0):
+    if not (alpha > 2.0 * s - 1.0):
         raise DomainError(
-            f"damping exponent must exceed 2s-1 = {2 * s - 1}, got {alpha_damp}"
+            f"damping exponent must exceed 2s-1 = {2 * s - 1}, got {alpha}"
         )
     rep = specfun.exponents_for(params.N, s, params.lam)
-    power = 1.0 / (1.0 - (p - alpha_damp))
+    power = 1.0 / (1.0 - (p - alpha))
     return _ladder_supersolution(
-        "damped-supersolution", params, alpha_damp, (rep.mu_exp, rep.mubar_exp),
+        "damped-supersolution", params, alpha, (rep.mu_exp, rep.mubar_exp),
         f_bound_exponent, f_bound_coef, R,
         lambda theta, gap, grad_pow, source: max(
             (2.0 * theta**p * R**grad_pow / gap) ** power, 2.0 * source / gap),
@@ -227,12 +230,12 @@ def admissible_bound_sup(params: ProblemParams, R: float, r1: float) -> float:
 
     Every member A r^-theta (theta in the undamped window, A up to the
     balance root at k = 1) bounds the source-free iterates on the ball of
-    radius R; the supremum over 128 exponents is the scheme's blow-up
-    reference when no barrier is supplied.  It is inf for lambda <= 0, and 0
-    when the window is empty (p >= p_plus) or narrower than about 2e-6 mu,
-    where the scan's ends mu (1 + 1e-6) and top (1 - 1e-6) cross.  Memoized
-    per (N, s, lambda, p, R, r1), mu aside, for the probe's bisection; a
-    call that raises is not remembered.
+    radius R; the supremum over 128 exponents is the blow-up reference of an
+    undamped run without a barrier, so the scheme calls it only at alpha = 0.
+    It is inf for lambda <= 0, and 0 when the window is empty (p >= p_plus)
+    or narrower than about 2e-6 mu, where the scan's ends mu (1 + 1e-6) and
+    top (1 - 1e-6) cross.  Memoized per (N, s, lambda, p, R, r1), mu aside,
+    for the probe's bisection; a call that raises is not remembered.
     """
     return _family_bound_sup(replace(params, mu=0.0), R, r1)
 

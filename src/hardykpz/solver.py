@@ -42,9 +42,7 @@ __all__ = [
     "TraceRow",
     "SolverReport",
     "ProbeResult",
-    "solve_kpz",
     "solve_damped",
-    "check_damping",
     "mu_threshold_probe",
     "run_inputs",
     "save_trace",
@@ -207,15 +205,22 @@ def lu_solve(inverse: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(all="ignore")  # a non-finite iterate raises NumericalDivergenceError
-def _run_scheme(params: ProblemParams, alpha_damp: float, f: PowerSource,
-                op: radialop.OperatorMatrix, controls: SolverControls,
-                supersolution: SupersolutionSpec | None) -> SolverReport:
-    """Shared engine behind solve_kpz (alpha_damp = 0) and solve_damped.
+def solve_damped(params: ProblemParams, f: PowerSource, op: radialop.OperatorMatrix,
+                 controls: SolverControls | None = None,
+                 supersolution: SupersolutionSpec | None = None) -> SolverReport:
+    """Run the truncation scheme for the problem ``params``, its gradient
+    term damped by (1+u)^-alpha, alpha = ``params.alpha_damp`` (0: undamped).
 
-    The scheme runs on ``op`` and its grid; an operator of another (N, s)
-    than the problem's raises GridMismatchError before any iteration.  The
-    operator's inverse is formed on its first run and reused by every later
-    run on it.  Every step evaluates one plain Picard map
+    ``op`` is ``radialop.assemble_operator(grid, params.s)`` for a grid of
+    N = ``params.N``, else GridMismatchError before any iteration; its
+    inverse is formed on its first run and reused by every later one.  The
+    source is the PowerSource ``f`` scaled by ``params.mu``.  The barrier
+    ``supersolution`` sets the blow-up threshold and the trace's margin;
+    without one (as in the probe) an undamped run is judged against
+    ``construct.admissible_bound_sup`` (BlowUp above ``blowup_factor`` times
+    it, or by sustained growth where it is 0), and a damped run has no bound.
+
+    Every step evaluates one plain Picard map
     G(x) = (1-omega) x + omega L^-1 rhs (rhs = g/(1+g/n) [/(1+x)^alpha]
     + lam (x/(1+x/n)) r^-2s + source, g = |grad x|^p) from the plain
     expressions in the same order, in place.  The next x is then
@@ -230,6 +235,7 @@ def _run_scheme(params: ProblemParams, alpha_damp: float, f: PowerSource,
     that L amplifies in the reported fixed-point residual, or after
     ``picard_max`` evaluations.
     """
+    controls = controls or SolverControls()
     if (op.grid.N, op.s) != (params.N, params.s):
         raise GridMismatchError(f"operator assembled for (N, s) = ({op.grid.N}, {op.s}), "
                                 f"problem has (N, s) = ({params.N}, {params.s})")
@@ -239,13 +245,11 @@ def _run_scheme(params: ProblemParams, alpha_damp: float, f: PowerSource,
     inverse = factor_operator(op)
     source = params.mu * f.values(grid)
 
-    # the blow-up reference: the barrier's sup, else the source-free bound,
-    # which holds only for the undamped problem; none (inf) for a damped run
     w_vals = None
     if supersolution is not None:
         w_vals = supersolution.evaluate(r)
         sup_bound = float(np.max(w_vals))
-    elif alpha_damp == 0.0:
+    elif params.alpha_damp == 0.0:
         sup_bound = construct.admissible_bound_sup(params, grid.R, grid.r[0])
     else:
         sup_bound = math.inf
@@ -274,9 +278,9 @@ def _run_scheme(params: ProblemParams, alpha_damp: float, f: PowerSource,
         t = np.divide(rhs, level, out=tmp)
         t += 1.0
         rhs /= t
-        if alpha_damp != 0.0:
+        if params.alpha_damp != 0.0:
             t = np.add(v, 1.0, out=tmp)
-            t **= alpha_damp
+            t **= params.alpha_damp
             rhs /= t
         t = np.divide(v, level, out=tmp)
         t += 1.0
@@ -392,47 +396,9 @@ def _run_scheme(params: ProblemParams, alpha_damp: float, f: PowerSource,
     return report
 
 
-def solve_kpz(params: ProblemParams, f: PowerSource, op: radialop.OperatorMatrix,
-              controls: SolverControls | None = None,
-              supersolution: SupersolutionSpec | None = None) -> SolverReport:
-    """Run the truncation scheme for the gradient problem on the operator ``op``.
-
-    ``op`` is ``radialop.assemble_operator(grid, params.s)`` for a grid of
-    N = ``params.N`` (else GridMismatchError).  The source is always a
-    PowerSource f(r) = C r^-e, the problem's one kind of datum, scaled by
-    ``params.mu``.  ``supersolution`` - when provided - supplies the barrier
-    used both for the blow-up threshold and the nodewise margin in the
-    trace; without one (as in the threshold probe), a run is judged against
-    the source-free bound ``construct.admissible_bound_sup``: BlowUp above
-    ``blowup_factor`` times it, and by sustained growth only where that
-    bound is 0.  ``hardykpz solve`` and sweep cells run solve_damped, which
-    is this scheme at alpha_damp = 0.
-    """
-    controls = controls or SolverControls()
-    return _run_scheme(params, 0.0, f, op, controls, supersolution)
-
-
-def check_damping(alpha_damp: float) -> float:
-    """``alpha_damp`` when it is a damping exponent, alpha >= 0; DomainError
-    otherwise.  The one statement of the rule: solve_damped, a sweep plan and
-    ``hardykpz solve`` (before it assembles) all call it."""
-    if not alpha_damp >= 0.0:
-        raise DomainError("damping exponent must be nonnegative")
-    return alpha_damp
-
-
-def solve_damped(params: ProblemParams, alpha_damp: float, f: PowerSource,
-                 op: radialop.OperatorMatrix,
-                 controls: SolverControls | None = None,
-                 supersolution: SupersolutionSpec | None = None) -> SolverReport:
-    """Truncation scheme with the gradient term damped by (1+u)^-alpha.
-
-    It runs on ``op`` as solve_kpz does.  The source is params.mu * f; with
-    alpha_damp = 0 this is bitwise solve_kpz.
-    """
-    check_damping(alpha_damp)
-    controls = controls or SolverControls()
-    return _run_scheme(params, alpha_damp, f, op, controls, supersolution)
+# kept only because perfbench/tracing.py wraps both names; it goes when the
+# benchmark reads an instrumentation record instead (ROADMAP item 1)
+solve_kpz = solve_damped
 
 
 # the probe's search range for mu and the relative width of its final bracket
@@ -462,7 +428,7 @@ def mu_threshold_probe(params: ProblemParams, f: PowerSource,
     """Bisect the source scale between a Converged run and one that is not
     (BlowUp or MaxIterations).
 
-    Every run is a solve_kpz on the operator ``op`` it is given, factored on
+    Every run is a solve_damped on the operator ``op`` it is given, factored on
     the first run and reused by the rest.  From mu_0 = ``params.mu`` clamped
     to [``_MU_FLOOR``, ``_MU_CAP``] (1 when it is 0), the scale steps by a
     factor 4 (up from a Converged run, down from any other) until the status
@@ -478,7 +444,7 @@ def mu_threshold_probe(params: ProblemParams, f: PowerSource,
     evaluations = []
 
     def converges(mu_val: float) -> bool:
-        rep = solve_kpz(replace(params, mu=mu_val), f, op, controls)
+        rep = solve_damped(replace(params, mu=mu_val), f, op, controls)
         evaluations.append((mu_val, rep.status))
         return rep.status == "Converged"
 

@@ -160,12 +160,14 @@ def normalizing_constant(N: int, s: float) -> float:
 
 @dataclass(frozen=True)
 class ProblemParams:
-    """Parameter tuple (N, s, lambda, p, mu) of the gradient problem.
+    """Parameter tuple (N, s, lambda, p, mu, alpha_damp) of the gradient problem.
 
+    ``alpha_damp`` is the damping exponent alpha of the variant whose
+    gradient term is |grad u|^p / (1+u)^alpha; 0 is the paper's problem.
     lam = 0 is tolerated (the plain problem without the Hardy term) so the
     degeneration regression of the solver can run; everything else follows
-    the analytic domain: N > 2s, 1/2 < s < 1, 0 <= lam < Lambda_{N,s},
-    p > 1, mu >= 0.
+    the analytic domain: integer N >= 2 (so N > 2s), 1/2 < s < 1,
+    0 <= lam < Lambda_{N,s}, p > 1, mu >= 0, alpha >= 0.
     """
 
     N: int
@@ -173,14 +175,13 @@ class ProblemParams:
     lam: float
     p: float
     mu: float = 0.0
+    alpha_damp: float = 0.0
 
     def __post_init__(self):
         if int(self.N) != self.N or self.N < 2:
             raise DomainError(f"N must be an integer >= 2, got {self.N}")
         if not (0.5 < self.s < 1.0):
             raise DomainError(f"s must lie in (1/2, 1), got {self.s}")
-        if not (self.N > 2.0 * self.s):
-            raise DomainError(f"need N > 2s, got N={self.N}, s={self.s}")
         if not self.lam >= 0.0:
             raise DomainError(f"lambda must be >= 0, got {self.lam}")
         if self.lam > 0.0 and self.lam >= hardy_constant(self.N, self.s):
@@ -192,6 +193,8 @@ class ProblemParams:
             raise DomainError(f"gradient exponent must satisfy p > 1, got {self.p}")
         if not self.mu >= 0.0:
             raise DomainError(f"source scale must satisfy mu >= 0, got {self.mu}")
+        if not self.alpha_damp >= 0.0:
+            raise DomainError("damping exponent must be nonnegative")
 
 
 @dataclass(frozen=True)

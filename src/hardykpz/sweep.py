@@ -82,11 +82,12 @@ class SweepPlan:
     config (see ``solver.run_inputs``).  Construction reads them once, with
     the first cell's swept values, and checks every cell: one outside the
     analytic domain raises ConfigError naming it, before any cell runs.
-    ``_cells`` keeps each cell's (axis values, params, alpha_damp, p_plus),
-    in index order.  Every cell runs solve_damped with ``alpha_damp`` (a plan
-    value or an axis; 0 is the undamped problem) and scales the source by
-    ``mu``.  ``n_levels`` is a run config's ``controls`` key, default alike.
-    A plan of more than ``_MAX_CELLS`` cells is refused before its lattice is built.
+    ``_cells`` keeps each cell's (axis values, params, p_plus), in index
+    order.  Every cell runs solve_damped on its params, whose ``alpha_damp``
+    is a plan value or an axis (0 is the undamped problem), with the source
+    scaled by ``mu``.  ``n_levels`` is a run config's ``controls`` key,
+    default alike.  A plan of more than ``_MAX_CELLS`` cells is refused
+    before its lattice is built.
     """
 
     problem: dict
@@ -121,14 +122,12 @@ class SweepPlan:
         self._cells = []
         for index, values in enumerate(lattice):
             try:
-                params = replace(self._params, **{
-                    {"lambda": "lam"}.get(k, k): v for k, v in values.items()
-                    if k != "alpha_damp"})
-                alpha = solver.check_damping(values.get("alpha_damp", float(self.alpha_damp)))
+                params = replace(self._params, **{"alpha_damp": float(self.alpha_damp), **{
+                    {"lambda": "lam"}.get(k, k): v for k, v in values.items()}})
                 p_plus = exponents_for(params.N, params.s, params.lam).p_plus
             except DomainError as exc:
                 raise ConfigError(f"sweep cell {index} {values}: {exc}") from None
-            self._cells.append((values, params, alpha, p_plus))
+            self._cells.append((values, params, p_plus))
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -177,15 +176,14 @@ def _plan_operator(plan: SweepPlan) -> radialop.OperatorMatrix | HardyKPZError:
 
 def _run_cell(plan: SweepPlan, op: radialop.OperatorMatrix | HardyKPZError,
               index: int) -> CellResult:
-    values, params, alpha, p_plus = plan._cells[index]
+    values, params, p_plus = plan._cells[index]
     if abs(params.p - p_plus) < 1e-12:
         return CellResult(index, values, "Inconclusive", math.nan, 0,
                           "p equals p_plus: undecided by policy")
     try:
         if isinstance(op, HardyKPZError):
             raise op
-        report = solver.solve_damped(params, alpha, plan._source, op,
-                                     controls=plan._controls)
+        report = solver.solve_damped(params, plan._source, op, controls=plan._controls)
         iters = int(sum(row.inner_iters for row in report.trace))
         return CellResult(index, values, report.status, report.sup_norm, iters)
     except HardyKPZError as exc:
@@ -247,14 +245,15 @@ def _load_done(out_dir: str, plan: SweepPlan, plan_hash: str) -> dict:
     """Cells of the checkpoint in out_dir whose rows this plan wrote.
 
     A checkpoint with no row after its header resumes nothing; one with rows
-    must carry this plan's hash in overlay.json.  A row is resumed only when
-    it is byte for byte the row this plan writes for the cell it names: its
-    index is a cell of the plan, its axis values are the plan's, its status
-    is a cell's, and ``csv_line`` gives it back.  Every other line, a killed
-    sweep's unterminated last row among them, is left to be recomputed.
+    must carry this plan's hash in overlay.json, a JSON object.  A row is
+    resumed only when it is byte for byte the row this plan writes for the
+    cell it names: its index is a cell of the plan, its axis values are the
+    plan's, its status is a cell's, and ``csv_line`` gives it back.  Every
+    other line is left to be recomputed: a killed sweep's unterminated last
+    row, or one with a byte that is not UTF-8 (read as a lone surrogate).
     """
     try:
-        with open(os.path.join(out_dir, _CELLS_FILE)) as fh:
+        with open(os.path.join(out_dir, _CELLS_FILE), errors="surrogateescape") as fh:
             rows = fh.readlines()[1:]
     except FileNotFoundError:
         return {}
@@ -262,10 +261,10 @@ def _load_done(out_dir: str, plan: SweepPlan, plan_hash: str) -> dict:
         return {}
     try:
         with open(os.path.join(out_dir, _SIDECAR_FILE)) as fh:
-            stored_hash = json.load(fh).get("plan_hash")
-    except (FileNotFoundError, json.JSONDecodeError):
-        stored_hash = None
-    if stored_hash != plan_hash:
+            stamp = json.load(fh)
+    except (FileNotFoundError, ValueError, RecursionError):  # no JSON it can read
+        stamp = None
+    if not (isinstance(stamp, dict) and stamp.get("plan_hash") == plan_hash):
         raise ConfigError(
             f"{out_dir} holds a sweep checkpoint whose overlay.json does not "
             "match this plan; use --no-resume to recompute every cell"

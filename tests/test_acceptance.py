@@ -151,7 +151,7 @@ def test_criterion_5a_subcritical_converges():
     op = desk_operator(200)
     params = sf.ProblemParams(N=N, s=S, lam=LAM, p=0.9 * REP.p_plus, mu=1e-3)
     spec = co.dirichlet_supersolution(params, _F.exponent, _F.coefficient)
-    rep = so.solve_kpz(params, _F, op, controls=CTRL, supersolution=spec)
+    rep = so.solve_damped(params, _F, op, controls=CTRL, supersolution=spec)
     elapsed = time.time() - t0
     below = bool(np.all(rep.field <= spec.evaluate(op.grid.r) + 1e-10))
     ok = (rep.status == "Converged" and rep.monotonicity_violations == 0
@@ -164,7 +164,7 @@ def test_criterion_5b_supercritical_blows_up():
     t0 = time.time()
     op = desk_operator(200)
     params = sf.ProblemParams(N=N, s=S, lam=LAM, p=1.1 * REP.p_plus, mu=1e-3)
-    rep = so.solve_kpz(params, _F, op, controls=CTRL)
+    rep = so.solve_damped(params, _F, op, controls=CTRL)
     elapsed = time.time() - t0
     ok = rep.status == "BlowUp" and elapsed < 300.0
     report("5b", ok, f"p=1.1 p+: {rep.status} ({elapsed:.1f}s)")
@@ -177,7 +177,7 @@ def test_criterion_5c_transition_band():
     for frac in np.arange(0.85, 1.16, 0.025):
         p = float(frac * REP.p_plus)
         params = sf.ProblemParams(N=N, s=S, lam=LAM, p=p, mu=1e-3)
-        rep = so.solve_kpz(params, _F, op, controls=CTRL)
+        rep = so.solve_damped(params, _F, op, controls=CTRL)
         statuses[p] = rep.status
     conv = [p for p, st in statuses.items() if st == "Converged"]
     blow = [p for p, st in statuses.items() if st == "BlowUp"]
@@ -206,17 +206,16 @@ def test_criterion_6_mu_threshold():
 
 def test_criterion_7_damped_regime():
     p = 2 * S - 0.05
-    alpha = 2 * S - 1.0 + 0.5
     c = 1e-3
     grid = ro.build_grid(1.0, 100, 2.0, N)
-    params = sf.ProblemParams(N=N, s=S, lam=LAM, p=p, mu=c)
+    params = sf.ProblemParams(N=N, s=S, lam=LAM, p=p, mu=c, alpha_damp=2 * S - 1.0 + 0.5)
     f = so.PowerSource(1.0, 2 * S)
-    spec = co.damped_supersolution(params, alpha, f.exponent, f.coefficient)
+    spec = co.damped_supersolution(params, f.exponent, f.coefficient)
     op = ro.assemble_operator(grid, S)
-    rep = so.solve_damped(params, alpha, f, op, controls=CTRL, supersolution=spec)
+    rep = so.solve_damped(params, f, op, controls=CTRL, supersolution=spec)
     rejected = False
     try:
-        co.damped_supersolution(sf.ProblemParams(N, S, LAM, p), 2 * S - 1.0, 2 * S)
+        co.damped_supersolution(sf.ProblemParams(N, S, LAM, p, alpha_damp=2 * S - 1.0), 2 * S)
     except DomainError:
         rejected = True
     ok = rep.status == "Converged" and rejected

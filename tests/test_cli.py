@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -442,8 +443,8 @@ def test_solve_alpha_damp_is_the_damped_scheme(capsys, tmp_path):
                 for f in ("field.csv", "trace.csv")]
     field, _ = artifacts("damped", _damped_cfg())
     params, grid, controls, f = solver.run_inputs(_solve_cfg())
-    rep = solver.solve_damped(params, 2 * S - 1 + 0.5, f, ro.assemble_operator(grid, S),
-                              controls=controls)
+    rep = solver.solve_damped(replace(params, alpha_damp=2 * S - 1 + 0.5), f,
+                              ro.assemble_operator(grid, S), controls=controls)
     path = os.path.join(tmp_path, "direct.csv")
     ro.save_field(grid, rep.field, path)
     assert field == open(path, "rb").read()
@@ -790,6 +791,26 @@ def test_oracle_tolerance_exits_2(capsys, monkeypatch, tolerance):
                             f"got {float(tolerance)}\n")
 
 
+@pytest.mark.parametrize("command", ["solve", "probe", "sweep"])
+@pytest.mark.parametrize("content", [b"\xff", b"{", b"[" * 100_000],
+                         ids=["undecodable", "truncated", "nested-too-deep"])
+def test_config_that_is_not_json_text_exits_2(capsys, tmp_path, command, content):
+    path = os.path.join(tmp_path, "cfg.json")
+    with open(path, "wb") as fh:
+        fh.write(content)
+    code = cli.main([command, "--config", path, "--output-dir", os.path.join(tmp_path, "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: config file {path} is not valid JSON: ")
+
+
+def test_config_path_that_is_a_directory_exits_2(capsys, tmp_path):
+    code = cli.main(["solve", "--config", str(tmp_path), "--output-dir",
+                     os.path.join(tmp_path, "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: config file {tmp_path} cannot be read: " \
+                                      "Is a directory\n"
+
+
 @pytest.mark.parametrize("supersolution", ["none", "auto"])
 def test_damped_negative_exponent_exits_2_before_assembly(capsys, tmp_path, monkeypatch,
                                                           supersolution):
@@ -833,7 +854,7 @@ def test_probe_bounds_exit_2_before_any_scheme(capsys, tmp_path, monkeypatch, pr
     # in or out of their old domain, is refused before any scheme runs
     def no_scheme(*args, **kwargs):
         raise AssertionError("a scheme ran on a config with a probe block")
-    monkeypatch.setattr(solver, "solve_kpz", no_scheme)
+    monkeypatch.setattr(solver, "solve_damped", no_scheme)
     code, err = _main(capsys, tmp_path, "probe", _solve_cfg(probe=probe))
     assert code == 2
     assert "unknown key 'probe' in config" in err

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -68,6 +69,13 @@ def test_exact_solution_rejects_outside_window():
     with pytest.raises(DomainError) as err:
         co.exact_radial_solution(_params(REP.p_plus + 0.01))
     assert "gamma_beta - lambda" in str(err.value)
+
+
+def test_exact_solution_is_of_the_undamped_problem():
+    params = _params(1.3)
+    co.exact_radial_solution(params)
+    with pytest.raises(DomainError, match="undamped"):
+        co.exact_radial_solution(replace(params, alpha_damp=1.0))
 
 
 def test_exact_amplitude_is_the_family_balance_root_bitwise():
@@ -174,12 +182,13 @@ def test_dirichlet_amplitude_maximises_margin(n_dim, s, lam_frac, p_frac, mu, e_
 
 def test_damped_rejects_boundary_exponent():
     with pytest.raises(DomainError):
-        co.damped_supersolution(sf.ProblemParams(N, S, LAM, 2 * S - 0.05), 2 * S - 1.0, 2 * S)
+        co.damped_supersolution(sf.ProblemParams(N, S, LAM, 2 * S - 0.05, alpha_damp=2 * S - 1.0),
+                                2 * S)
 
 
 def test_damped_exists_for_strong_damping():
-    spec = co.damped_supersolution(sf.ProblemParams(N, S, LAM, 2 * S - 0.05), 2 * S - 1.0 + 0.5,
-                                   1.0)
+    spec = co.damped_supersolution(
+        sf.ProblemParams(N, S, LAM, 2 * S - 0.05, alpha_damp=2 * S - 1.0 + 0.5), 1.0)
     assert spec.kind == "damped-supersolution"
     assert REP.mu_exp < spec.theta < REP.mubar_exp
     assert spec.margin > 0.0
@@ -191,7 +200,7 @@ def test_damped_window_contains_undamped_and_cstar_monotone():
     # amplitude (2 theta^p / gap)^(1/(1-p+alpha)) tends to 1 monotonically
     p = 1.3
     und = co.dirichlet_supersolution(_params(p), f_bound_exponent=2 * S)
-    specs = [co.damped_supersolution(sf.ProblemParams(N, S, LAM, p), alpha, 2 * S)
+    specs = [co.damped_supersolution(sf.ProblemParams(N, S, LAM, p, alpha_damp=alpha), 2 * S)
              for alpha in (0.6, 1.0, 2.0, 4.0)]
     for spec in specs:
         lo, hi = spec.window
@@ -215,7 +224,7 @@ def test_damped_amplitude_is_the_closed_form(n_dim, s, lam_frac, p_frac, alpha_g
     p = 1.0 + p_frac * (2 * s - 1.0)
     alpha, mu, e = 2 * s - 1.0 + alpha_gap, 10.0**log_mu, e_frac * 2 * s
     try:
-        spec = co.damped_supersolution(sf.ProblemParams(n_dim, s, lam, p, mu), alpha, e, cf,
+        spec = co.damped_supersolution(sf.ProblemParams(n_dim, s, lam, p, mu, alpha), e, cf,
                                        R=R)
     except ConstructionError as err:
         assert "leaves the double range" in str(err)
@@ -235,7 +244,7 @@ def test_damped_amplitude_is_the_closed_form(n_dim, s, lam_frac, p_frac, alpha_g
 
 def test_damped_needs_p_below_two_s():
     with pytest.raises(DomainError):
-        co.damped_supersolution(sf.ProblemParams(N, S, LAM, 2 * S), 1.0, 2 * S)
+        co.damped_supersolution(sf.ProblemParams(N, S, LAM, 2 * S, alpha_damp=1.0), 2 * S)
 
 
 def test_damped_empty_window_near_lambda_is_a_construction_error():
@@ -243,8 +252,8 @@ def test_damped_empty_window_near_lambda_is_a_construction_error():
     # narrower than the least exponent step the construction tries
     lam = sf.hardy_constant(N, S) * (1.0 - 1e-10)
     with pytest.raises(ConstructionError, match="no ladder exponent"):
-        co.damped_supersolution(sf.ProblemParams(N, S, lam, 2 * S - 0.05), 2 * S - 1.0 + 0.5,
-                                2 * S)
+        co.damped_supersolution(
+            sf.ProblemParams(N, S, lam, 2 * S - 0.05, alpha_damp=2 * S - 1.0 + 0.5), 2 * S)
 
 
 @pytest.mark.parametrize("R", [0.5, 2.0])
@@ -262,15 +271,16 @@ def test_constructions_hold_on_the_ball_of_radius_R(R, n_dim, s, lam_frac, dampe
     e = e_frac * 2 * s
     if damped:
         p, alpha = 1.0 + p_frac * (2 * s - 1.0), 2 * s - 1.0 + alpha_gap
-        build = lambda params: co.damped_supersolution(params, alpha, e, cf, R=R)
+        build = co.damped_supersolution
     else:
         p_plus = sf.exponents_for(n_dim, s, lam).p_plus
         p, alpha = 1.0 + p_frac * (p_plus - 1.0), 0.0
-        build = lambda params: co.dirichlet_supersolution(params, e, cf, R=R)
+        build = co.dirichlet_supersolution
     try:
-        free = build(sf.ProblemParams(N=n_dim, s=s, lam=lam, p=p))
+        free = build(sf.ProblemParams(N=n_dim, s=s, lam=lam, p=p, alpha_damp=alpha), e, cf, R=R)
         mu = mu_frac * free.margin / cf
-        spec = build(sf.ProblemParams(N=n_dim, s=s, lam=lam, p=p, mu=mu))
+        spec = build(sf.ProblemParams(N=n_dim, s=s, lam=lam, p=p, mu=mu, alpha_damp=alpha),
+                     e, cf, R=R)
     except ConstructionError:
         assume(False)
     assert spec.f_bound_exponent == e <= spec.theta + 2 * s

@@ -2,6 +2,7 @@
 
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ def _params(p, mu):
 
 
 def test_zero_data_converges_to_zero(grid, op):
-    rep = so.solve_kpz(_params(1.3, 0.0), so.PowerSource(0.0, 2 * S), op, controls=CTRL)
+    rep = so.solve_damped(_params(1.3, 0.0), so.PowerSource(0.0, 2 * S), op, controls=CTRL)
     assert rep.status == "Converged"
     assert rep.sup_norm == 0.0
 
@@ -48,7 +49,7 @@ def test_subcritical_converges_under_barrier(grid, op):
     params = _params(0.9 * REP.p_plus, 1e-3)
     f = so.PowerSource(0.3, 2 * S)
     spec = co.dirichlet_supersolution(params, f.exponent, f.coefficient, R=grid.R)
-    rep = so.solve_kpz(params, f, op, controls=CTRL, supersolution=spec)
+    rep = so.solve_damped(params, f, op, controls=CTRL, supersolution=spec)
     assert rep.status == "Converged"
     assert rep.monotonicity_violations == 0
     w = spec.evaluate(grid.r)
@@ -62,14 +63,14 @@ def test_subcritical_converges_under_barrier(grid, op):
 
 def test_supercritical_classified_blow_up(grid, op):
     params = _params(1.1 * REP.p_plus, 1e-3)
-    rep = so.solve_kpz(params, so.PowerSource(0.3, 2 * S), op,
-                       controls=CTRL, supersolution=None)
+    rep = so.solve_damped(params, so.PowerSource(0.3, 2 * S), op,
+                          controls=CTRL, supersolution=None)
     assert rep.status == "BlowUp"
 
 
 def test_outer_sequence_monotone(grid, op):
     params = _params(0.9 * REP.p_plus, 1e-3)
-    rep = so.solve_kpz(params, so.PowerSource(0.3, 2 * S), op, controls=CTRL)
+    rep = so.solve_damped(params, so.PowerSource(0.3, 2 * S), op, controls=CTRL)
     sups = [row.sup_norm for row in rep.trace]
     tol = 10 * CTRL.picard_tol * max(sups)
     assert all(b >= a - tol for a, b in zip(sups, sups[1:]))
@@ -81,38 +82,33 @@ def test_truncation_path_independence(grid, op):
     # scheme run at that one level, from zero, reaches it within 5 tol
     params = _params(0.9 * REP.p_plus, 1e-3)
     f = so.PowerSource(0.3, 2 * S)
-    ladder = so.solve_kpz(params, f, op, controls=CTRL)
-    status, u, *_ = _plain_scheme(params, 0.0, params.mu, f, grid, op, CTRL, None, [2.0**16])
+    ladder = so.solve_damped(params, f, op, controls=CTRL)
+    status, u, *_ = _plain_scheme(params, params.mu, f, grid, op, CTRL, None, [2.0**16])
     assert ladder.status == status == "Converged"
     diff = np.max(np.abs(ladder.field - u))
     assert diff <= 5 * CTRL.picard_tol * max(ladder.sup_norm, 1e-300)
 
 
-def test_damped_zero_alpha_matches_kpz_bitwise(grid, op):
-    params = _params(1.25, 1e-3)
-    f = so.PowerSource(0.3, 2 * S)
-    a = so.solve_kpz(params, f, op, controls=CTRL)
-    b = so.solve_damped(params, 0.0, f, op, controls=CTRL)
-    assert np.array_equal(a.field, b.field)
-    assert a.status == b.status
+def test_solve_kpz_is_an_alias_of_the_one_entry_point():
+    # kept for perfbench/tracing.py only, and not exported
+    assert so.solve_kpz is so.solve_damped
+    assert "solve_kpz" not in so.__all__ and "solve_damped" in so.__all__
 
 
 def test_damped_strong_damping_converges(grid):
     p = 2 * S - 0.05
-    alpha = 2 * S - 1.0 + 0.5
-    params = sf.ProblemParams(N=N, s=S, lam=LAM, p=p, mu=1e-3)
+    params = sf.ProblemParams(N=N, s=S, lam=LAM, p=p, mu=1e-3, alpha_damp=2 * S - 1.0 + 0.5)
     op_local = ro.assemble_operator(grid, S)
     f = so.PowerSource(1.0, 2 * S)
-    spec = co.damped_supersolution(params, alpha, f.exponent, f.coefficient)
-    rep = so.solve_damped(params, alpha, f, op_local, controls=CTRL,
-                          supersolution=spec)
+    spec = co.damped_supersolution(params, f.exponent, f.coefficient)
+    rep = so.solve_damped(params, f, op_local, controls=CTRL, supersolution=spec)
     assert rep.status == "Converged"
     assert np.all(rep.field <= spec.evaluate(grid.r) + 1e-10)
 
 
 def test_damped_zero_source_is_zero(grid, op):
-    params = _params(1.3, 0.0)
-    rep = so.solve_damped(params, 1.0, so.PowerSource(1.0, 0.5), op, controls=CTRL)
+    params = sf.ProblemParams(N=N, s=S, lam=LAM, p=1.3, alpha_damp=1.0)
+    rep = so.solve_damped(params, so.PowerSource(1.0, 0.5), op, controls=CTRL)
     assert rep.status == "Converged"
     assert rep.sup_norm == 0.0
 
@@ -122,7 +118,7 @@ def test_lambda_zero_degeneration_bounded(grid):
     # bounded, with no singular growth over the innermost decade of nodes
     params = sf.ProblemParams(N=N, s=S, lam=0.0, p=1.15, mu=1e-2)
     op_local = ro.assemble_operator(grid, S)
-    rep = so.solve_kpz(params, so.PowerSource(1.0, 0.0), op_local, controls=CTRL)
+    rep = so.solve_damped(params, so.PowerSource(1.0, 0.0), op_local, controls=CTRL)
     assert rep.status == "Converged"
     u = rep.field
     inner = u[grid.r <= 10 * grid.r[0]]
@@ -145,7 +141,7 @@ _NAN = float("nan")
     lambda: sf.ProblemParams(N=N, s=S, lam=LAM, p=1.3, mu=_NAN),
     lambda: sf.alpha_of_lambda(_NAN, N, S),
     lambda: so.PowerSource(_NAN, 2 * S),
-    lambda: so.check_damping(_NAN),
+    lambda: sf.ProblemParams(N=N, s=S, lam=LAM, p=1.3, alpha_damp=_NAN),
     lambda: ro.build_grid(_NAN, 32, 2.0, N),
     lambda: ro.build_grid(1.0, 32, _NAN, N),
 ], ids=["lambda", "mu", "alpha_of_lambda", "source", "damping", "R", "g"])
@@ -297,8 +293,8 @@ def test_probe_bracket_holds_under_uncapped_plain_picard(monkeypatch):
     monkeypatch.setattr(so.SolverControls, "anderson_depth", 0)
     monkeypatch.setattr(so.SolverControls, "polish_steps", 0)
     for mu, expected in ((res.mu_lo, "Converged"), (res.mu_hi, "BlowUp")):
-        rep = so.solve_kpz(sf.ProblemParams(N=N, s=S, lam=_LAM_08, p=p, mu=mu), f,
-                           small, controls=ctrl)
+        rep = so.solve_damped(sf.ProblemParams(N=N, s=S, lam=_LAM_08, p=p, mu=mu), f,
+                              small, controls=ctrl)
         assert rep.status == expected, mu
         assert max(row.inner_iters for row in rep.trace) < 20_000
 
@@ -321,7 +317,7 @@ def _plain_gradient(grid, u):
     return np.abs(out)
 
 
-def _plain_scheme(params, alpha, c, f, grid, op, controls, spec, levels):
+def _plain_scheme(params, c, f, grid, op, controls, spec, levels):
     """Reference truncation scheme: plain array expressions, the operator's
     inverse applied by ``@``.
 
@@ -343,8 +339,8 @@ def _plain_scheme(params, alpha, c, f, grid, op, controls, spec, levels):
     def rhs_of(v, level):
         grad_p = _plain_gradient(grid, v) ** params.p
         grad_term = grad_p / (1.0 + grad_p / level)
-        if alpha != 0.0:
-            grad_term = grad_term / (1.0 + v) ** alpha
+        if params.alpha_damp != 0.0:
+            grad_term = grad_term / (1.0 + v) ** params.alpha_damp
         return grad_term + params.lam * (v / (1.0 + v / level)) * weight + source
 
     u = np.zeros(grid.M)
@@ -437,9 +433,9 @@ _EXPECTED = {"converged": "Converged", "blowup": "BlowUp", "capped": "BlowUp",
 
 
 def _case(case):
-    """(params, damping exponent, source, controls, barrier) of a named case."""
+    """(params, source, controls, barrier) of a named case."""
     f = so.PowerSource(0.3, 2 * S)
-    alpha, spec, controls = 0.0, None, CTRL
+    spec, controls = None, CTRL
     if case == "converged":
         params = _params(0.9 * REP.p_plus, 1e-3)
         spec = co.dirichlet_supersolution(params, f_bound_exponent=2 * S, f_bound_coef=0.3)
@@ -458,27 +454,47 @@ def _case(case):
         params = sf.ProblemParams(N=N, s=S, lam=_LAM_08, p=1.1 * p_plus, mu=0.1)
         f, controls = so.PowerSource(0.3, 1.5), _LEVELS10
     else:
-        p = 2 * S - 0.05
-        alpha = 2 * S - 1.0 + 0.5
-        params = sf.ProblemParams(N=N, s=S, lam=LAM, p=p, mu=1e-3)
+        params = sf.ProblemParams(N=N, s=S, lam=LAM, p=2 * S - 0.05, mu=1e-3,
+                                  alpha_damp=2 * S - 1.0 + 0.5)
         f = so.PowerSource(1.0, 2 * S)
-        spec = co.damped_supersolution(params, alpha, f.exponent, f.coefficient)
-    return params, alpha, f, controls, spec
+        spec = co.damped_supersolution(params, f.exponent, f.coefficient)
+    return params, f, controls, spec
 
 
 def _solve_case(case, op):
-    params, alpha, f, controls, spec = _case(case)
-    if alpha == 0.0:
-        return so.solve_kpz(params, f, op, controls=controls, supersolution=spec)
-    return so.solve_damped(params, alpha, f, op, controls=controls, supersolution=spec)
+    params, f, controls, spec = _case(case)
+    return so.solve_damped(params, f, op, controls=controls, supersolution=spec)
+
+
+@pytest.mark.parametrize("scale, status", [(0.02, "MaxIterations"), (0.05, "Converged")])
+def test_barrier_violated_below_the_threshold_is_max_iterations(scale, status):
+    # the Dirichlet barrier shrunk by ``scale``: at 0.02 the last level
+    # crosses it (margin -2.8e-4) with a sup of 4.4e-3, below blowup_factor
+    # times the barrier's sup (0.130), so no blow-up call decides the run
+    grid, op = _small_operator(64)
+    p_plus = sf.exponents_for(N, S, LAM).p_plus
+    params = _params(0.9 * p_plus, 1e-3)
+    f = so.PowerSource(0.3, 1.5)
+    spec = co.dirichlet_supersolution(params, f.exponent, f.coefficient)
+    spec = replace(spec, amplitude=scale * spec.amplitude)
+    rep = so.solve_damped(params, f, op, controls=_LEVELS10, supersolution=spec)
+    assert rep.status == status
+    w_sup = float(np.max(spec.evaluate(grid.r)))
+    assert rep.sup_bound == w_sup
+    assert rep.sup_norm <= so.SolverControls.blowup_factor * w_sup
+    if status == "MaxIterations":
+        assert rep.trace[-1].residual <= so.SolverControls.picard_tol
+        assert rep.trace[-1].margin == pytest.approx(-2.8e-4, rel=0.05)
+        assert rep.sup_norm == pytest.approx(4.4e-3, rel=0.05)
+        assert 10 * w_sup == pytest.approx(0.130, rel=0.01)
 
 
 @pytest.mark.parametrize("case", _CASES)
 def test_scheme_matches_the_plain_formulas_bitwise(grid, op, case):
     rep = _solve_case(case, op)
-    params, alpha, f, controls, spec = _case(case)
+    params, f, controls, spec = _case(case)
     status, u, rows, mono, sup_bound, residual = _plain_scheme(
-        params, alpha, params.mu, f, grid, op, controls, spec,
+        params, params.mu, f, grid, op, controls, spec,
         [2.0**j for j in range(controls.n_levels)])
     assert rep.status == status == _EXPECTED[case]
     if case == "capped":
@@ -496,11 +512,11 @@ def test_scheme_matches_the_plain_formulas_bitwise(grid, op, case):
 @pytest.mark.parametrize("case", _CASES)
 def test_accelerated_scheme_certifies_the_picard_fixed_point(grid, op, case, monkeypatch):
     rep = _solve_case(case, op)
-    params, alpha, f, controls, spec = _case(case)
+    params, f, controls, spec = _case(case)
     monkeypatch.setattr(so.SolverControls, "picard_max", 20_000)
     monkeypatch.setattr(so.SolverControls, "anderson_depth", 0)
     monkeypatch.setattr(so.SolverControls, "polish_steps", 0)
-    status, u, rows, *_ = _plain_scheme(params, alpha, params.mu, f, grid, op,
+    status, u, rows, *_ = _plain_scheme(params, params.mu, f, grid, op,
                                         controls, spec, [2.0**j for j in range(controls.n_levels)])
     assert max(row[1] for row in rows) < 20_000
     assert rep.status == status
@@ -552,7 +568,7 @@ def test_accelerated_iterates_stay_monotone_and_under_the_barrier(
     except ConstructionError:
         assume(False)  # mu too large for this barrier
     grid, op = _small_operator(M)
-    rep = so.solve_kpz(params, f, op, controls=CTRL, supersolution=spec)
+    rep = so.solve_damped(params, f, op, controls=CTRL, supersolution=spec)
     assert rep.monotonicity_violations == 0
     slack = 1e-6 * rep.sup_bound
     assert all(row.margin >= -slack for row in rep.trace)
@@ -588,11 +604,11 @@ def test_run_on_factored_operator_matches_fresh_operator(grid, factor_calls):
     params = _params(0.9 * REP.p_plus, 1e-3)
     f = so.PowerSource(0.3, 2 * S)
     used = ro.assemble_operator(grid, S)
-    so.solve_kpz(params, f, used, controls=CTRL)
+    so.solve_damped(params, f, used, controls=CTRL)
     assert used.factors is not None and len(factor_calls) == 1
-    again = so.solve_kpz(params, f, used, controls=CTRL)
+    again = so.solve_damped(params, f, used, controls=CTRL)
     assert len(factor_calls) == 1
-    fresh = so.solve_kpz(params, f, ro.assemble_operator(grid, S), controls=CTRL)
+    fresh = so.solve_damped(params, f, ro.assemble_operator(grid, S), controls=CTRL)
     assert len(factor_calls) == 2
     assert again.status == fresh.status
     assert np.array_equal(again.field, fresh.field)
@@ -604,10 +620,10 @@ def test_run_on_factored_operator_matches_fresh_operator(grid, factor_calls):
 
 
 @pytest.mark.parametrize("run", [
-    lambda params, f, op: so.solve_kpz(params, f, op),
-    lambda params, f, op: so.solve_damped(params, 1.0, f, op),
+    lambda params, f, op: so.solve_damped(params, f, op),
+    lambda params, f, op: so.solve_damped(replace(params, alpha_damp=1.0), f, op),
     lambda params, f, op: so.mu_threshold_probe(params, f, op),
-], ids=["solve_kpz", "solve_damped", "mu_threshold_probe"])
+], ids=["solve_damped-undamped", "solve_damped", "mu_threshold_probe"])
 def test_scheme_refuses_an_operator_of_another_problem(run):
     # an operator assembled for s = 0.75 would run a problem with s = 0.9 on
     # the wrong (-Lap)^s; the refusal comes before the first factorization

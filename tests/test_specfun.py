@@ -296,3 +296,11 @@ def test_problem_params_validation():
         sf.ProblemParams(N=3, s=0.75, lam=0.1, p=1.3, mu=-1.0)
     with pytest.raises(DomainError):
         sf.ProblemParams(N=1, s=0.75, lam=0.1, p=1.3, mu=0.0)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, float("nan")], ids=["negative", "nan"])
+def test_problem_params_refuse_a_damping_exponent_below_zero(alpha):
+    # the damping exponent is a field of the problem, checked with the others
+    assert sf.ProblemParams(N=3, s=0.75, lam=0.1, p=1.3).alpha_damp == 0.0
+    with pytest.raises(DomainError, match="^damping exponent must be nonnegative$"):
+        sf.ProblemParams(N=3, s=0.75, lam=0.1, p=1.3, alpha_damp=alpha)

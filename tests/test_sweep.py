@@ -4,6 +4,7 @@ import functools
 import os
 import tempfile
 from concurrent.futures import Future
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -161,6 +162,39 @@ def test_sweep_resume_is_idempotent(dropped, foreign):
         assert solve.call_count == sum("policy" not in rows[i] for i in dropped)
         for name, expected in (("cells.csv", cells), ("overlay.json", overlay)):
             assert open(os.path.join(d, name), "rb").read() == expected, name
+
+
+@pytest.mark.parametrize("stamp", [b"[]", b"null", b'"x"', b"\xff{}", b"[" * 100_000],
+                         ids=["list", "null", "string", "undecodable", "nested-too-deep"])
+def test_unreadable_overlay_counts_as_unstamped(tmp_path, stamp):
+    # an overlay.json that holds no JSON object this sweep can read stamps
+    # no plan, so the rows under it are refused, not resumed
+    cells, _ = _finished_sweep()
+    d = str(tmp_path)
+    with open(os.path.join(d, "cells.csv"), "wb") as fh:
+        fh.write(cells)
+    with open(os.path.join(d, "overlay.json"), "wb") as fh:
+        fh.write(stamp)
+    with pytest.raises(ConfigError, match="does not match this plan"):
+        sw.run_sweep(_plan(**_RESUME_PLAN), out_dir=d)
+    assert open(os.path.join(d, "cells.csv"), "rb").read() == cells
+
+
+def test_undecodable_checkpoint_line_is_recomputed(tmp_path):
+    # a row with a byte that is not UTF-8 fails the byte-for-byte rule
+    cells, overlay = _finished_sweep()
+    header, *rows = cells.splitlines(keepends=True)
+    assert b"policy" not in rows[1]
+    d = str(tmp_path)
+    with open(os.path.join(d, "cells.csv"), "wb") as fh:
+        fh.write(b"".join([header, rows[0], rows[1].replace(b",", b"\xff,", 1), *rows[2:]]))
+    with open(os.path.join(d, "overlay.json"), "wb") as fh:
+        fh.write(overlay)
+    with mock.patch.object(so, "solve_damped", wraps=so.solve_damped) as solve:
+        sw.run_sweep(_plan(**_RESUME_PLAN), out_dir=d)
+    assert solve.call_count == 1
+    for name, expected in (("cells.csv", cells), ("overlay.json", overlay)):
+        assert open(os.path.join(d, name), "rb").read() == expected, name
 
 
 def test_sweep_resume_refuses_another_plan(tmp_path):
@@ -441,7 +475,7 @@ def test_killed_sweep_keeps_its_finished_cells(tmp_path, monkeypatch, workers, k
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0], ids=["kpz", "damped"])
 def test_sweep_cell_matches_direct_solve(tmp_path, alpha):
-    # at alpha_damp = 0 a cell is the undamped scheme, solve_kpz
+    # a cell is solve_damped on its own params, alpha_damp included
     plan = _plan(axes=[{"name": "p", "start": 1.25, "stop": 1.45, "count": 3}],
                  grid={"R": 1.0, "M": 32, "g": 2.0}, n_levels=12, alpha_damp=alpha)
     region = sw.run_sweep(plan, str(tmp_path))
@@ -451,14 +485,20 @@ def test_sweep_cell_matches_direct_solve(tmp_path, alpha):
                "controls": {"n_levels": plan.n_levels}, "source": plan.source}
         params, grid, controls, f = so.run_inputs(cfg)
         op = ro.assemble_operator(grid, params.s)
-        if alpha:
-            rep = so.solve_damped(params, alpha, f, op, controls=controls)
-        else:
-            rep = so.solve_kpz(params, f, op, controls=controls)
+        rep = so.solve_damped(replace(params, alpha_damp=alpha), f, op, controls=controls)
         assert cell.status == rep.status
         assert cell.sup_norm == rep.sup_norm
         assert cell.inner_iters == sum(row.inner_iters for row in rep.trace)
 
+
+
+def test_sweep_cell_carries_its_damping_exponent_in_its_params():
+    # an alpha_damp axis sets each cell's params; the plan value is the default
+    plan = _plan(axes=[{"name": "alpha_damp", "start": 0.0, "stop": 1.5, "count": 4}],
+                 alpha_damp=2.0)
+    assert [params.alpha_damp for _, params, _ in plan._cells] == [0.0, 0.5, 1.0, 1.5]
+    assert all(params.p == 1.3 for _, params, _ in plan._cells)
+    assert [params.alpha_damp for _, params, _ in _plan(alpha_damp=2.0)._cells] == [2.0] * 9
 
 
 def test_serial_sweep_factors_its_operator_once(tmp_path, monkeypatch):
