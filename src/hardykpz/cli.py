@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, GridMismatchError, HardyKPZError
 from .specfun import exponents_for, hardy_constant, normalizing_constant
-from .util import config_hash, json_text, known, require, value, write_json
+from .util import config_hash, json_text, known, make_output_dir, require, value, write_json
 from . import construct, radialop, solver, sweep
 
 _MAX_TABLE_ROWS = 100_000   # largest `exponents --table --count`
@@ -70,7 +70,7 @@ def _run_inputs(args, keys=_RUN_KEYS):
 def _write_resolved(cfg: dict, out: str) -> str:
     """resolved_config.json in ``out``, creating the directory: solve and
     probe write nothing before it, so a refused command leaves none behind."""
-    os.makedirs(out, exist_ok=True)
+    make_output_dir(out)
     cfg_hash = config_hash(cfg)
     write_json(os.path.join(out, "resolved_config.json"), {**cfg, "config_hash": cfg_hash})
     return cfg_hash

@@ -746,12 +746,6 @@ class _Assembler:
             y = z / gs
             A[ii, cols[off]] -= y - ub
             A[ii, ii] += u @ (c - G @ y) / vn
-            # row-sum floor: never let the constant-field response dip below
-            # zero (can happen marginally for s near 1)
-            rowsum = float(A[ii].sum())
-            target0 = float(target[0])
-            if rowsum < 0.0 and target0 > 0.0:
-                A[ii, ii] += target0 - rowsum
 
 
 def nnls(G: np.ndarray, d: np.ndarray, lam: float, z0: np.ndarray):

@@ -1,17 +1,17 @@
 """Monotone approximation scheme for the gradient problem with Hardy term.
 
 The truncated problems saturate the gradient power and the Hardy term at
-level n; each level solves the fixed point of the damped map
-G(u) = (1-omega) u + omega L^-1 RHS_n(u), warm-started from the previous
-level, starting from zero.  The inner iteration is safeguarded Anderson
-acceleration of G (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011), and its
-certificate is the plain Picard one: a level converges only when one plain
-step G(x) moves x by at most ``picard_tol`` relative, and G(x) is the
-level's result, so the fixed point and the convergence test are those of
-damped Picard.  Increasing truncation levels produce an increasing iterate
-sequence bounded by any valid supersolution; divergence across levels is
-classified as blow-up by a fixed heuristic (threshold against the
-supersolution bound plus sustained growth), never proved.
+level n; each level solves the fixed point of the Picard map
+G(u) = L^-1 RHS_n(u), warm-started from the previous level, starting from
+zero.  The inner iteration is safeguarded Anderson acceleration of G
+(Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011), and its certificate is the
+plain Picard one: a level converges at the first x whose image G(x) moves
+it by at most ``picard_tol`` relative, and G(x), which solves
+L G(x) = RHS_n(x) exactly, is the level's result.  Increasing truncation
+levels produce an increasing iterate sequence bounded by any valid
+supersolution; divergence across levels is classified as blow-up by a fixed
+heuristic (threshold against the supersolution bound plus sustained
+growth), never proved.
 """
 
 from __future__ import annotations
@@ -74,23 +74,20 @@ class SolverControls:
     most 1024 so that the top level is a finite double (a run config's
     ``controls`` key and a sweep plan's key, both with this default).
 
-    The class constants are the inner tolerance, the cap on map evaluations
-    per level and the damping of the Picard map G; the Anderson history
-    depth, which is also the number of steps without a new least residual
-    after which a level takes plain steps only (``anderson_depth`` = 0 is
-    plain damped Picard); the plain ``polish_steps`` taken once the
-    certificate holds; and the blow-up thresholds: a sup-norm above
-    ``blowup_factor`` times the barrier bound, ``growth_window`` consecutive
-    increases with no admissible barrier, or a sup-norm above ``sup_cap``.
+    The class constants are the inner tolerance and the cap on map
+    evaluations per level; the Anderson history depth, which is also the
+    number of steps without a new least residual after which a level takes
+    plain steps only (``anderson_depth`` = 0 is plain Picard); and the
+    blow-up thresholds: a sup-norm above ``blowup_factor`` times the barrier
+    bound, ``growth_window`` consecutive increases with no admissible
+    barrier, or a sup-norm above ``sup_cap``.
     """
 
     n_levels: int = 13
     picard_tol: ClassVar[float] = 1e-8
     picard_max: ClassVar[int] = 500
     blowup_factor: ClassVar[float] = 10.0
-    damping: ClassVar[float] = 0.7
     anderson_depth: ClassVar[int] = 5
-    polish_steps: ClassVar[int] = 5
     growth_window: ClassVar[int] = 5
     sup_cap: ClassVar[float] = 1e12
 
@@ -220,20 +217,18 @@ def solve_damped(params: ProblemParams, f: PowerSource, op: radialop.OperatorMat
     ``construct.admissible_bound_sup`` (BlowUp above ``blowup_factor`` times
     it, or by sustained growth where it is 0), and a damped run has no bound.
 
-    Every step evaluates one plain Picard map
-    G(x) = (1-omega) x + omega L^-1 rhs (rhs = g/(1+g/n) [/(1+x)^alpha]
-    + lam (x/(1+x/n)) r^-2s + source, g = |grad x|^p) from the plain
-    expressions in the same order, in place.  The next x is then
-    G(x) - sum_i gamma_i dG_i, projected onto x >= 0 (which keeps the
-    right-hand side finite), where dG_i and dF_i are the differences of the
-    last ``anderson_depth`` successive G(x) and residuals F(x) = G(x) - x,
-    and gamma solves the normal equations of min |F(x) - sum_i gamma_i dF_i|.
+    Every step evaluates one plain Picard map G(x) = L^-1 rhs
+    (rhs = g/(1+g/n) [/(1+x)^alpha] + lam (x/(1+x/n)) r^-2s + source,
+    g = |grad x|^p) from the plain expressions in the same order, in place.
+    The next x is then G(x) - sum_i gamma_i dG_i, projected onto x >= 0
+    (which keeps the right-hand side finite), where dG_i and dF_i are the
+    differences of the last ``anderson_depth`` successive G(x) and residuals
+    F(x) = G(x) - x, and gamma solves the normal equations of
+    min |F(x) - sum_i gamma_i dF_i|.
     Once ``anderson_depth`` consecutive steps make no new least residual on
-    the level, or once the certificate holds, the steps are plain: x = G(x).
-    A level ends when the certificate holds after ``polish_steps`` plain
-    steps, which damp the high-frequency part of the extrapolation error
-    that L amplifies in the reported fixed-point residual, or after
-    ``picard_max`` evaluations.
+    the level, the steps are plain: x = G(x).  A level ends at its first
+    certificate |G(x) - x| <= ``picard_tol`` |G(x)| (max norms) and keeps
+    G(x), or after ``picard_max`` evaluations.
     """
     controls = controls or SolverControls()
     if (op.grid.N, op.s) != (params.N, params.s):
@@ -260,7 +255,6 @@ def solve_damped(params: ProblemParams, f: PowerSource, op: radialop.OperatorMat
     res = np.empty(M)      # G(x) - x
     g_prev = np.empty(M)
     res_prev = np.empty(M)
-    step = np.empty(M)     # L^-1 rhs, then scratch
     tmp = np.empty(M)
     depth = controls.anderson_depth
     d_g = np.empty((depth, M))    # differences of successive G(x), oldest first
@@ -269,7 +263,6 @@ def solve_damped(params: ProblemParams, f: PowerSource, op: radialop.OperatorMat
     mono_violations = 0
     lam = params.lam
     p = params.p
-    omega = controls.damping
     tol = controls.picard_tol
 
     def rhs_of(v: np.ndarray, level: float) -> np.ndarray:
@@ -297,7 +290,6 @@ def solve_damped(params: ProblemParams, f: PowerSource, op: radialop.OperatorMat
         best = math.inf
         stall = 0
         hist = 0
-        polish = controls.polish_steps
         gamma = None
         for iters in range(1, controls.picard_max + 1):
             if gamma is not None:
@@ -307,24 +299,18 @@ def solve_damped(params: ProblemParams, f: PowerSource, op: radialop.OperatorMat
                 np.maximum(u, 0.0, out=u)
             elif iters > 1:
                 np.copyto(u, g)
-            lu_solve(inverse, rhs_of(u, level), step)
-            step *= omega
-            np.multiply(u, 1.0 - omega, out=g)
-            g += step
+            lu_solve(inverse, rhs_of(u, level), g)
             # np.max propagates NaN and inf, so this is the finiteness check
-            top = float(np.abs(g, out=step).max())
+            top = float(np.abs(g, out=res).max())
             if not math.isfinite(top):
                 raise NumericalDivergenceError(
                     f"non-finite iterate at truncation level {level}"
                 )
             np.subtract(g, u, out=res)
-            inner_resid = float(np.abs(res, out=step).max()) / max(top, 1e-300)
-            gamma = None
+            inner_resid = float(np.abs(res, out=tmp).max()) / max(top, 1e-300)
             if inner_resid <= tol:
-                if polish == 0:
-                    break
-                polish -= 1
-                continue
+                break
+            gamma = None
             if stall < depth:
                 stall = 0 if inner_resid < best else stall + 1
                 best = min(best, inner_resid)

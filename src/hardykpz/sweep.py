@@ -33,7 +33,8 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, HardyKPZError
 from .specfun import exponents_for, hardy_constant
-from .util import config_hash, csv_line, from_block, value, write_csv, write_json
+from .util import (config_hash, csv_line, from_block, make_output_dir, open_output, value,
+                   write_csv, write_json)
 from . import radialop, solver, util
 
 __all__ = [
@@ -252,18 +253,24 @@ def _load_done(out_dir: str, plan: SweepPlan, plan_hash: str) -> dict:
     other line is left to be recomputed: a killed sweep's unterminated last
     row, or one with a byte that is not UTF-8 (read as a lone surrogate).
     """
+    path = os.path.join(out_dir, _CELLS_FILE)
     try:
-        with open(os.path.join(out_dir, _CELLS_FILE), errors="surrogateescape") as fh:
+        with open(path, errors="surrogateescape") as fh:
             rows = fh.readlines()[1:]
     except FileNotFoundError:
         return {}
+    except OSError as exc:  # a directory, say
+        raise ConfigError(f"checkpoint {path} cannot be read: {exc.strerror}") from None
     if not rows:
         return {}
+    path = os.path.join(out_dir, _SIDECAR_FILE)
     try:
-        with open(os.path.join(out_dir, _SIDECAR_FILE)) as fh:
+        with open(path) as fh:
             stamp = json.load(fh)
     except (FileNotFoundError, ValueError, RecursionError):  # no JSON it can read
         stamp = None
+    except OSError as exc:
+        raise ConfigError(f"checkpoint {path} cannot be read: {exc.strerror}") from None
     if not (isinstance(stamp, dict) and stamp.get("plan_hash") == plan_hash):
         raise ConfigError(
             f"{out_dir} holds a sweep checkpoint whose overlay.json does not "
@@ -324,13 +331,13 @@ def run_sweep(plan: SweepPlan, out_dir: str, workers: int = 1,
     plan_hash = config_hash(plan_dict)
     names = [a.name for a in plan.axes]
     cells_path, sidecar_path = (os.path.join(out_dir, f) for f in (_CELLS_FILE, _SIDECAR_FILE))
-    os.makedirs(out_dir, exist_ok=True)
+    make_output_dir(out_dir)
     done = _load_done(out_dir, plan, plan_hash) if resume else {}
     todo = [idx for idx in range(len(plan._cells)) if idx not in done]
     results = [done[idx] for idx in sorted(done)]
     _write_cells(cells_path, names, results)
     write_json(sidecar_path, {"plan": plan_dict, "plan_hash": plan_hash})
-    with open(cells_path, "a") as checkpoint:
+    with open_output(cells_path, "a") as checkpoint:
         op = _plan_operator(plan) if todo else None
         pool_size = min(workers, len(todo), util.usable_cpus())
         for cell in _finished_cells(plan, op, todo, pool_size):

@@ -44,10 +44,28 @@ def csv_line(cells) -> str:
                     for c in cells) + "\n"
 
 
+def open_output(path: str, mode: str = "w"):
+    """``open(path, mode)`` of an artifact; a path that cannot be written (a
+    directory there, say) raises ConfigError naming it."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise ConfigError(f"artifact path {path} cannot be written: {exc.strerror}") from None
+
+
+def make_output_dir(path: str) -> None:
+    """``os.makedirs(path, exist_ok=True)``; a path that cannot be a directory
+    (a regular file there, say) raises ConfigError naming it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {path} cannot be made: {exc.strerror}") from None
+
+
 def write_csv(path: str, header: str, rows) -> None:
     """``header`` (its lines above the rows, each ending in a newline), then
     ``csv_line`` of every row."""
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         fh.write(header)
         fh.writelines(map(csv_line, rows))
 
@@ -82,7 +100,7 @@ def json_text(obj) -> str:
 
 
 def write_json(path: str, obj) -> None:
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         fh.write(json_text(obj))
 
 

@@ -25,24 +25,24 @@ _SHARED = {"specfun.exponents_for.calls": 1, "radialop.assemble.calls": 1,
            "solver.lu_factor.calls": 1, "sweep.assemblies": 0}
 COUNTERS = {
     "solve-m400": {**_SHARED, "specfun.gamma_multiplier.calls": 44,
-                   "radialop.nnls.calls": 39, "radialop.gradient_values.calls": 216,
+                   "radialop.nnls.calls": 39, "radialop.gradient_values.calls": 120,
                    "construct.supersolution.calls": 1, "solver.scheme.calls": 1,
-                   "solver.inner_iters": 214, "solver.levels": 17,
-                   "solver.capped_levels": 0, "solver.lu_solve.calls": 214,
-                   "solver.lu.flops_computed": 111146666, "sweep.cells": 0},
+                   "solver.inner_iters": 118, "solver.levels": 17,
+                   "solver.capped_levels": 0, "solver.lu_solve.calls": 118,
+                   "solver.lu.flops_computed": 80426666, "sweep.cells": 0},
     "probe-m200-near": {**_SHARED, "specfun.gamma_multiplier.calls": 169,
-                        "radialop.nnls.calls": 19, "radialop.gradient_values.calls": 3665,
+                        "radialop.nnls.calls": 19, "radialop.gradient_values.calls": 2115,
                         "construct.supersolution.calls": 0, "solver.scheme.calls": 8,
-                        "solver.inner_iters": 3655, "solver.levels": 106,
-                        "solver.capped_levels": 2, "solver.lu_solve.calls": 3655,
-                        "solver.lu.flops_computed": 297733333, "sweep.cells": 0},
+                        "solver.inner_iters": 2105, "solver.levels": 105,
+                        "solver.capped_levels": 0, "solver.lu_solve.calls": 2105,
+                        "solver.lu.flops_computed": 173733333, "sweep.cells": 0},
     "sweep-p16-w2": {**_SHARED, "specfun.exponents_for.calls": 33,
                      "specfun.gamma_multiplier.calls": 1065, "radialop.nnls.calls": 19,
-                     "radialop.gradient_values.calls": 2343,
+                     "radialop.gradient_values.calls": 1272,
                      "construct.supersolution.calls": 0, "solver.scheme.calls": 16,
-                     "solver.inner_iters": 2327, "solver.levels": 184,
-                     "solver.capped_levels": 0, "solver.lu_solve.calls": 2327,
-                     "solver.lu.flops_computed": 191493333, "sweep.cells": 16},
+                     "solver.inner_iters": 1256, "solver.levels": 184,
+                     "solver.capped_levels": 0, "solver.lu_solve.calls": 1256,
+                     "solver.lu.flops_computed": 105813333, "sweep.cells": 16},
 }
 
 

@@ -111,6 +111,27 @@ def test_exponents_single_and_errors(tmp_path):
     assert payload["p_plus"] == pytest.approx(payload["p_minus"], rel=1e-12)
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["exponents", "--N", "3", "--s", "0.75", "--table", "--lambda-min", "0.1"],
+     "error: --table needs --lambda-min and --lambda-max\n"),
+    (["exponents", "--N", "3", "--s", "0.75"], "error: provide --lambda or --table\n"),
+    (["constants", "--N", "3", "--s", "0.75", "--out"], ""),
+    (["exponents", "--N", "3", "--s", "0.75", "--lambda", "0.1", "--out"], ""),
+], ids=["table-without-bounds", "neither-lambda-nor-table", "constants-out",
+        "exponents-out"])
+def test_point_commands_refuse_or_copy_to_out(capsys, tmp_path, argv, err):
+    # a refused command exits 2 and writes nothing; --out holds the printed JSON
+    out = os.path.join(tmp_path, "out.json")
+    code = cli.main(argv + [out] if argv[-1] == "--out" else argv)
+    printed = capsys.readouterr()
+    if err:
+        assert (code, printed.err) == (2, err)
+        assert not os.path.exists(out)
+    else:
+        assert (code, printed.err) == (0, "")
+        assert open(out).read() == printed.out
+
+
 @pytest.mark.parametrize("argv, code, named", [
     # a tiny lambda has its root: p_plus is 2s to rounding
     (["exponents", "--N", "3", "--s", "0.75", "--lambda", "1e-16"], 0, None),
@@ -809,6 +830,32 @@ def test_config_path_that_is_a_directory_exits_2(capsys, tmp_path):
     assert code == 2
     assert capsys.readouterr().err == f"error: config file {tmp_path} cannot be read: " \
                                       "Is a directory\n"
+
+
+@pytest.mark.parametrize("command, blocked, extra", [
+    ("solve", None, ()),
+    ("probe", None, ()),
+    ("sweep", None, ()),
+    ("sweep", "cells.csv", ()),
+    ("sweep", "cells.csv", ("--no-resume",)),
+    ("sweep", "overlay.json", ()),
+], ids=["solve-dir-is-file", "probe-dir-is-file", "sweep-dir-is-file",
+        "sweep-cells-is-dir", "sweep-cells-is-dir-no-resume", "sweep-overlay-is-dir"])
+def test_unwritable_artifact_path_exits_2_naming_it(capsys, tmp_path, command, blocked,
+                                                    extra):
+    # --output-dir names a regular file, or one of the sweep's files is a directory
+    out = os.path.join(tmp_path, "out")
+    if blocked is None:
+        path = out
+        open(out, "w").close()
+    else:
+        path = os.path.join(out, blocked)
+        os.makedirs(path)
+    cfg = _sweep_cfg() if command == "sweep" else _solve_cfg()
+    code, err = _main(capsys, tmp_path, command, cfg, *extra)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f" {path} " in err
 
 
 @pytest.mark.parametrize("supersolution", ["none", "auto"])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -413,3 +414,20 @@ def test_spec_json_round_trip():
     d = json.loads(json.dumps(spec.as_dict()))
     again = co.SupersolutionSpec(**{**d, "window": tuple(d["window"])})
     assert again == spec
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: co.exact_radial_solution(_params(1.3, lam=0.0)),
+     "the exact radial solution needs lambda > 0"),
+    (lambda: co.dirichlet_supersolution(_params(1.3, 1e-3, lam=0.0), 2 * S, 0.3),
+     "the supersolution construction needs lambda > 0"),
+    (lambda: co.dirichlet_supersolution(_params(1.3, 1e-3), 2 * S, -0.3),
+     "source bound coefficient must be nonnegative"),
+    (lambda: co.damped_supersolution(replace(_params(1.3, 1e-3), alpha_damp=1.0), 2 * S,
+                                     -0.3),
+     "source bound coefficient must be nonnegative"),
+], ids=["exact-lambda-zero", "dirichlet-lambda-zero", "dirichlet-negative-source",
+        "damped-negative-source"])
+def test_construction_refusals(build, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        build()

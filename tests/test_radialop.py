@@ -3,6 +3,7 @@
 import functools
 import math
 import os
+import re
 import tracemalloc
 
 import mpmath
@@ -268,8 +269,21 @@ def test_discrete_maximum_principle(desk_op):
 
 
 def test_constant_field_row_sums_positive(desk_op):
-    row_sums = desk_op.matrix @ np.ones(desk_op.grid.M)
-    assert row_sums.min() > 0.0
+    # (-Lap)^s 1 > 0 in the ball: the calibrated rows respond positively on
+    # every grid of a small family, with no floor under their row sums; so
+    # do all rows, except a few uncalibrated ones at N = 2, s = 0.99 on
+    # graded grids (down to -1.07 at M = 64, g = 2.5)
+    assert (desk_op.matrix @ np.ones(desk_op.grid.M)).min() > 0.0
+    for n_dim in (2, 3, 5, 8):
+        for s in (0.51, 0.75, 0.99):
+            for M in (16, 64):
+                for g in (1.0, 2.0, 3.0):
+                    op = ro.assemble_operator(ro.build_grid(1.0, M, g, n_dim), s)
+                    row_sums = op.matrix @ np.ones(M)
+                    i_cal = max(2, math.ceil(ro._CALIB_FRAC * M))
+                    assert row_sums[1:i_cal].min() > 0.0, (n_dim, s, M, g)
+                    if (n_dim, s) != (2, 0.99):
+                        assert row_sums.min() > 0.0, (n_dim, s, M, g)
 
 
 def test_nonlocal_leakage_sign(desk_op):
@@ -944,3 +958,18 @@ def test_ball_oracle_converges(n_dim, s):
         assert past[0] >= 2.5 * past[1] and past[1] >= 2.5 * past[2], (k, past)
         assert cal[0] <= 0.12, k
         assert cal[0] >= 1.9 * cal[1] and cal[1] >= 1.9 * cal[2], (k, cal)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: ro.build_grid(1.0, 32, 2.0, 1), ConfigError, "dimension must be >= 2, got N=1"),
+    (lambda: ro.angular_kernel_average(N, S, 1.0), DomainError,
+     "radius ratio must lie in [0,1), got 1.0"),
+    (lambda: ro.angular_kernel_average(N, S, -0.5), DomainError,
+     "radius ratio must lie in [0,1), got -0.5"),
+    (lambda: ro.oracle_power_test(
+        ro.assemble_operator(ro.build_grid(1.0, 16, 2.0, N), S), 0.5, 1e-9),
+     DomainError, "no nodes inside the oracle check window"),
+], ids=["grid-dimension-one", "ratio-one", "ratio-negative", "empty-oracle-window"])
+def test_operator_refusals(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()

@@ -304,3 +304,12 @@ def test_problem_params_refuse_a_damping_exponent_below_zero(alpha):
     assert sf.ProblemParams(N=3, s=0.75, lam=0.1, p=1.3).alpha_damp == 0.0
     with pytest.raises(DomainError, match="^damping exponent must be nonnegative$"):
         sf.ProblemParams(N=3, s=0.75, lam=0.1, p=1.3, alpha_damp=alpha)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sf.sphere_area(0),
+    lambda: sf.normalizing_constant(0, 0.75),
+], ids=["sphere_area", "normalizing_constant"])
+def test_dimension_below_one_is_refused(build):
+    with pytest.raises(DomainError, match=r"^dimension must be >= 1, got N=0$"):
+        build()

@@ -2,6 +2,7 @@
 
 import functools
 import os
+import re
 import tempfile
 from concurrent.futures import Future
 from dataclasses import replace
@@ -537,3 +538,17 @@ def test_sweep_assembly_error_marks_cells(tmp_path, monkeypatch, workers):
     for cell in region.cells[1:]:
         assert cell.note.startswith("AssemblyError: kernel table")
     assert len(calls) == 1
+
+
+_P_AXIS = {"name": "p", "start": 1.2, "stop": 1.6, "count": 3}
+
+
+@pytest.mark.parametrize("over, message", [
+    ({"axes": [{**_P_AXIS, "count": -1}]}, "axis point count must be nonnegative"),
+    ({"axes": [{**_P_AXIS, "start": 1.6, "stop": 1.2}]}, "axis range must be increasing"),
+    ({"axes": [_P_AXIS, _P_AXIS]}, "axes must be distinct"),
+    ({"problem": [N, S, LAM, 1.3]}, "problem must be a JSON object"),
+], ids=["negative-count", "decreasing-range", "repeated-axis", "problem-not-object"])
+def test_plan_refusals(over, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        _plan(**over)

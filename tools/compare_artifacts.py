@@ -7,8 +7,8 @@ Usage (from the repository root):
 PARENT and CHANGE are two checkouts of this repository.  Each case runs one
 ``hardykpz`` command in both, as ``python -m hardykpz.cli`` with
 ``PYTHONPATH=<checkout>/src`` and ``OPENBLAS_NUM_THREADS=1``, each from an
-empty working directory that holds only the case's ``config.json``; the
-command writes to ``out/`` there.  The cases are:
+empty working directory that holds only the case's ``config.json`` (if it
+has one); a command with a config writes to ``out/`` there.  The cases are:
 
 * the config of every benchmark workload at seeds 1..N (default 6), made by
   ``perfbench/run.py``'s ``WORKLOADS`` of this script's checkout and run
@@ -16,17 +16,25 @@ command writes to ``out/`` there.  The cases are:
 * four damped configs: a damped solve (alpha = 1, mu = 100, M = 100,
   13 levels) with ``"supersolution": "auto"`` and with ``"none"``; a
   ``--workers 2`` sweep over alpha_damp x p; and a sweep with a plan-level
-  ``alpha_damp``.
+  ``alpha_damp``;
+* the README's ``oracle --refine`` run (N = 3, s = 0.75, theta = 0.2131,
+  M = 200), which has no config and prints its result.
 
 A case differs when its exit code, stdout, stderr, or the set or bytes of
-the files it leaves differ.  The script prints one line per case and exits 1
-when any case differs, 0 otherwise.
+the files it leaves differ.  The script prints one line per case; for a
+case that differs it also says whether its decisions are the same: the
+status in ``report.json``, the status, bracket and evaluation statuses in
+``probe.json``, and the status column of ``cells.csv``.  So a deliberate
+change of the scheme can show "bytes differ, decisions same".  The script
+exits 1 when any case differs, 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import importlib.util
+import io
 import json
 import os
 import random
@@ -64,23 +72,31 @@ def _damped_cases() -> dict:
     }
 
 
+# the README's refinement check of the operator; it takes no config
+_ORACLE_REFINE = ["oracle", "--N", "3", "--s", "0.75", "--theta", "0.2131", "--M", "200",
+                  "--refine"]
+
+
 def cases(seeds: int) -> dict:
-    """Case name -> (CLI arguments, config)."""
+    """Case name -> (CLI arguments, config or None)."""
     out = {}
     for name, (make_config, cli_args, _) in _workloads().items():
         for seed in range(1, seeds + 1):
             out[f"{name}/seed{seed}"] = (cli_args, make_config(random.Random(f"{name}/{seed}")))
     out.update(_damped_cases())
+    out["oracle-refine"] = (_ORACLE_REFINE, None)
     return out
 
 
 def run_case(checkout: Path, cli_args: list, cfg: dict, work: Path) -> dict:
     """Exit code, stdout, stderr and the bytes of every file left in ``work``."""
     work.mkdir(parents=True)
-    (work / "config.json").write_text(json.dumps(cfg, indent=1))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(checkout / "src")}
-    argv = [sys.executable, "-m", "hardykpz.cli", cli_args[0], "--config", "config.json",
-            "--output-dir", "out", *cli_args[1:]]
+    argv = [sys.executable, "-m", "hardykpz.cli", cli_args[0]]
+    if cfg is not None:
+        (work / "config.json").write_text(json.dumps(cfg, indent=1))
+        argv += ["--config", "config.json", "--output-dir", "out"]
+    argv += cli_args[1:]
     proc = subprocess.run(argv, cwd=work, env=env, capture_output=True, timeout=TIMEOUT)
     files = {str(p.relative_to(work)): p.read_bytes()
              for p in sorted(work.rglob("*")) if p.is_file()}
@@ -92,6 +108,39 @@ def differences(a: dict, b: dict) -> list:
     diffs = [key for key in ("exit code", "stdout", "stderr") if a[key] != b[key]]
     names = sorted(set(a["files"]) | set(b["files"]))
     return diffs + [name for name in names if a["files"].get(name) != b["files"].get(name)]
+
+
+def decisions(files: dict) -> dict:
+    """What a case's artifacts decided: report.json's status, probe.json's
+    status, bracket and evaluation statuses, and cells.csv's status column."""
+    out = {}
+    if "out/report.json" in files:
+        out["status"] = json.loads(files["out/report.json"])["status"]
+    if "out/probe.json" in files:
+        probe = json.loads(files["out/probe.json"])
+        out["probe status"] = probe["status"]
+        out["bracket"] = [probe["mu_lo"], probe["mu_hi"]]
+        out["evaluations"] = [status for _, status in probe["evaluations"]]
+    if "out/cells.csv" in files:
+        rows = csv.DictReader(io.StringIO(files["out/cells.csv"].decode()))
+        out["cells"] = [row["status"] for row in rows]
+    return out
+
+
+def decision_changes(a: dict, b: dict) -> list:
+    """'name: parent -> change' for each decision that differs; for lists of
+    one length, one entry per differing position."""
+    changes = []
+    for key in sorted(set(a) | set(b)):
+        x, y = a.get(key), b.get(key)
+        if x == y:
+            continue
+        if isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
+            changes += [f"{key}[{k}]: {p} -> {c}" for k, (p, c) in enumerate(zip(x, y))
+                        if p != c]
+        else:
+            changes.append(f"{key}: {x} -> {y}")
+    return changes
 
 
 def main(argv=None) -> int:
@@ -111,11 +160,17 @@ def main(argv=None) -> int:
             a, b = (run_case(checkout, cli_args, cfg, Path(tmp) / f"case{k}" / side)
                     for checkout, side in zip(checkouts, ("parent", "change")))
             diffs = differences(a, b)
-            print(f"{'DIFFERS' if diffs else 'same'} {name} (exit {a['exit code']}, "
-                  f"{len(a['files'])} files)" + (f": {', '.join(diffs)}" if diffs else ""),
-                  flush=True)
+            line = f"{'DIFFERS' if diffs else 'same'} {name} (exit {a['exit code']}, " \
+                f"{len(a['files'])} files)"
             if diffs:
                 differing.append(name)
+                line += f": {', '.join(diffs)}"
+                decided = decisions(a["files"]), decisions(b["files"])
+                if any(decided):
+                    changes = decision_changes(*decided)
+                    line += "; decisions " + (f"differ: {'; '.join(changes)}" if changes
+                                              else "same")
+            print(line, flush=True)
     if differing:
         print(f"{len(differing)} case(s) differ: {', '.join(differing)}")
         return 1
