@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Subcommands: constants, exponents, oracle, solve (damped by the config's
+Subcommands: constants, exponents, oracle, solve (damped by the problem's
 ``alpha_damp``, default 0), sweep, probe.
-Every run that writes artifacts also writes its fully-resolved configuration
-and that configuration's hash next to them, and reruns from the written
-configuration reproduce the outputs byte for byte at a fixed BLAS thread
-count (no timestamps, sorted keys, 17-significant-digit floats).
+solve, probe and sweep write their fully-resolved configuration and its
+hash next to their artifacts, and reruns from the written configuration
+reproduce the outputs byte for byte at a fixed BLAS thread count (no
+timestamps, sorted keys, 17-significant-digit floats); the ``--out`` file
+of constants, exponents and oracle holds the result alone.
 
 Exit codes: 0 on success (solver BlowUp is a classification, not a
 failure), 1 on tolerance failures and internal errors, 2 on domain or
@@ -19,19 +20,17 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, GridMismatchError, HardyKPZError
 from .specfun import exponents_for, hardy_constant, normalizing_constant
-from .util import config_hash, json_text, known, make_output_dir, require, value, write_json
+from .util import config_hash, json_text, known, make_output_dir, require, write_json
 from . import construct, radialop, solver, sweep
 
 _MAX_TABLE_ROWS = 100_000   # largest `exponents --table --count`
 
-# the top-level keys of a run config (probe; solve also takes alpha_damp) and
-# of a sweep config
+# the top-level keys of a run config (solve, probe) and of a sweep config
 _RUN_KEYS = ("problem", "grid", "controls", "source", "supersolution")
 _SWEEP_KEYS = ("plan",)
 
@@ -61,9 +60,9 @@ def _load_config(path: str, keys) -> dict:
     return known(cfg, keys, "config")
 
 
-def _run_inputs(args, keys=_RUN_KEYS):
+def _run_inputs(args):
     """(config, output dir, problem, grid, controls, source) of a run command."""
-    cfg = _load_config(args.config, keys)
+    cfg = _load_config(args.config, _RUN_KEYS)
     return (cfg, args.output_dir, *solver.run_inputs(cfg))
 
 
@@ -160,8 +159,7 @@ def _auto_supersolution(cfg: dict) -> bool:
 
 
 def cmd_solve(args) -> int:
-    cfg, out, params, grid, controls, f = _run_inputs(args, (*_RUN_KEYS, "alpha_damp"))
-    params = replace(params, alpha_damp=value(cfg, "alpha_damp", "config", float, 0.0))
+    cfg, out, params, grid, controls, f = _run_inputs(args)
     spec = None
     if _auto_supersolution(cfg):
         barrier = construct.damped_supersolution if params.alpha_damp > 0.0 \

@@ -144,8 +144,8 @@ def _ladder_supersolution(kind: str, params: ProblemParams, alpha: float,
         if e > 2.0 * s + theta:
             continue  # source too singular for this theta; move up the ladder
         gap, grad_pow = _member(params, alpha, theta)
-        source = params.mu * cf * R ** (theta + 2.0 * s - e)
         try:
+            source = params.mu * cf * R ** (theta + 2.0 * s - e)
             amp = amplitude(theta, gap, grad_pow, source)
             c = amp * gap - amp ** (p - alpha) * theta**p * R**grad_pow - source
         except OverflowError:
@@ -158,7 +158,7 @@ def _ladder_supersolution(kind: str, params: ProblemParams, alpha: float,
                                      N=N, s=s, lam=lam, p=p, f_bound_exponent=e)
     raise ConstructionError(
         f"no ladder exponent in {window} gives a positive supersolution margin "
-        f"for the source {cf} r^-{e} at mu={params.mu} ({causes})" + overflow
+        f"for the source {cf} r^{-e} at mu={params.mu} ({causes})" + overflow
     )
 
 

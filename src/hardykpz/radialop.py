@@ -37,8 +37,8 @@ Discretization notes
   ``nnls``.  The first row is an origin-closure row: a
   sign-constrained row provably cannot reproduce the non-monotone
   Gamma-ratio response there, so it is kept structure-true and excluded
-  from oracle error metrics (its radius is reported by
-  ``OperatorMatrix.oracle_r_min``).
+  from oracle error metrics, which start at the second node r_2
+  (``OperatorMatrix.oracle_r_min``).
 * The exterior-zero condition enters through the analytically-tailed
   integral of the kernel over (R, infinity); the far field is integrated in
   log-spaced panels out to ``_FAR_FACTOR * R`` and closed with a power-law

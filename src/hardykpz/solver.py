@@ -137,19 +137,21 @@ def run_inputs(cfg: dict) -> tuple[ProblemParams, radialop.RadialGrid,
 
     The one reader of the ``problem``/``grid``/``controls``/``source`` blocks:
     ``hardykpz solve``/``probe`` pass their config file, a sweep
-    plan its first cell's.  Defaults: ``mu`` 0, ``R`` 1, ``g`` 2, and the
-    SolverControls defaults (``controls`` takes its one field, ``n_levels``).
+    plan its first cell's.  Defaults: ``mu`` 0, ``alpha_damp`` 0 (the
+    undamped problem), ``R`` 1, ``g`` 2, and the SolverControls defaults
+    (``controls`` takes its one field, ``n_levels``).
     A missing or unknown key, or a value of the wrong type or out of range,
     raises ConfigError naming it.
     """
-    block = known(require(cfg, "problem", "config"), ("N", "s", "lambda", "p", "mu"),
-                  "problem")
+    block = known(require(cfg, "problem", "config"),
+                  ("N", "s", "lambda", "p", "mu", "alpha_damp"), "problem")
     params = ProblemParams(
         N=value(block, "N", "problem", int),
         s=value(block, "s", "problem", float),
         lam=value(block, "lambda", "problem", float),
         p=value(block, "p", "problem", float),
         mu=value(block, "mu", "problem", float, 0.0),
+        alpha_damp=value(block, "alpha_damp", "problem", float, 0.0),
     )
     block = known(require(cfg, "grid", "config"), ("R", "M", "g"), "grid")
     grid = radialop.build_grid(

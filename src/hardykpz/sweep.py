@@ -1,16 +1,17 @@
 """Parameter-space exploration: existence-region maps and exponent tables.
 
-A sweep runs the solver over a 1D or 2D lattice of (p, lambda, mu,
-alpha_damp) values, records the per-cell classification, and writes a CSV
-(one row per cell, in index order regardless of completion order) plus a
-JSON sidecar carrying the analytic overlay curves (p_plus, p_minus, p_star,
-2s along the swept axis) and the configuration hash.  Every cell is checked
-before any runs; one outside the analytic domain is a configuration error.
-Classification is data: solver errors inside a cell mark it Inconclusive and
-never abort the sweep.  Cells that land exactly on the critical exponent are
-Inconclusive by policy (nothing is proven at p = p_plus).  Each row is
-appended to the CSV as its cell finishes, so a killed sweep resumes from the
-cells it finished.
+A sweep runs the solver over a 1D or 2D lattice of values of the problem
+keys p, lambda, mu and alpha_damp, records the per-cell classification, and
+writes a CSV (one row per cell, in index order regardless of completion
+order) plus a JSON sidecar carrying the analytic overlay curves (p_plus,
+p_minus, p_star, 2s along the swept axis) and the configuration hash.
+Every cell is checked before any runs; one outside the analytic domain is
+a configuration error.  Classification is data: a solver error inside a
+cell marks it Inconclusive and never aborts the sweep, while an operator
+that cannot be assembled or factored ends the sweep as it ends a run.  A
+cell whose p lies within 1e-12 of p_plus is Inconclusive by policy
+(nothing is proven at p = p_plus).  Each row is appended to the CSV as its
+cell finishes, so a killed sweep resumes from the cells it finished.
 
 The axes never change N, s or the grid, so a sweep has one operator: the
 parent process assembles it and forms its inverse once, before any cell
@@ -80,27 +81,24 @@ class SweepPlan:
     """Declarative description of one sweep.
 
     ``problem``, ``grid`` and ``source`` take the keys and defaults of a run
-    config (see ``solver.run_inputs``).  Construction reads them once, with
-    the first cell's swept values, and checks every cell: one outside the
-    analytic domain raises ConfigError naming it, before any cell runs.
-    ``_cells`` keeps each cell's (axis values, params, p_plus), in index
-    order.  Every cell runs solve_damped on its params, whose ``alpha_damp``
-    is a plan value or an axis (0 is the undamped problem), with the source
-    scaled by ``mu``.  ``n_levels`` is a run config's ``controls`` key,
-    default alike.  A plan of more than ``_MAX_CELLS`` cells is refused
-    before its lattice is built.
+    config (see ``solver.run_inputs``); each axis names a ``problem`` key.
+    Construction reads them once, with the first cell's swept values, and
+    checks every cell: one outside the analytic domain raises ConfigError
+    naming it, before any cell runs.  ``_cells`` keeps each cell's (axis
+    values, params, p_plus), in index order.  Every cell runs solve_damped
+    on its params with the source scaled by ``mu``.  ``n_levels`` is a run
+    config's ``controls`` key, default alike.  A plan of more than
+    ``_MAX_CELLS`` cells is refused before its lattice is built.
     """
 
     problem: dict
     grid: dict
     axes: list
     source: dict
-    alpha_damp: float = 0.0
     n_levels: int = solver.SolverControls.n_levels
 
     def __post_init__(self):
-        for key, kind in (("alpha_damp", float), ("n_levels", int)):
-            value(vars(self), key, "plan", kind)
+        value(vars(self), "n_levels", "plan", int)
         if not isinstance(self.axes, (list, tuple)) or not (1 <= len(self.axes) <= 2):
             raise ConfigError("plan key 'axes' must list one or two axes")
         self.axes = [a if isinstance(a, SweepAxis) else from_block(SweepAxis, a, "axis")
@@ -116,15 +114,19 @@ class SweepPlan:
         lattice = [dict(zip(names, map(float, combo)))
                    for combo in product(*(a.points() for a in self.axes))]
         first = lattice[0] if lattice else {}
-        problem = {**self.problem, **{k: v for k, v in first.items() if k != "alpha_damp"}}
-        self._params, self._grid, self._controls, self._source = solver.run_inputs(
-            {"problem": problem, "grid": self.grid, "source": self.source,
-             "controls": {"n_levels": self.n_levels}})
+        try:
+            self._params, self._grid, self._controls, self._source = solver.run_inputs(
+                {"problem": {**self.problem, **first}, "grid": self.grid,
+                 "source": self.source, "controls": {"n_levels": self.n_levels}})
+        except DomainError as exc:
+            if not lattice:
+                raise
+            raise ConfigError(f"sweep cell 0 {first}: {exc}") from None
         self._cells = []
         for index, values in enumerate(lattice):
             try:
-                params = replace(self._params, **{"alpha_damp": float(self.alpha_damp), **{
-                    {"lambda": "lam"}.get(k, k): v for k, v in values.items()}})
+                params = replace(self._params, **{
+                    {"lambda": "lam"}.get(k, k): v for k, v in values.items()})
                 p_plus = exponents_for(params.N, params.s, params.lam).p_plus
             except DomainError as exc:
                 raise ConfigError(f"sweep cell {index} {values}: {exc}") from None
@@ -160,36 +162,18 @@ class RegionMap:
         return out
 
 
-def _plan_operator(plan: SweepPlan) -> radialop.OperatorMatrix | HardyKPZError:
-    """Assemble and factor the one operator of all the cells of ``plan``.
-
-    Returns the error that building it raised instead: every cell that
-    reaches its operator reports that error as its own, as a cell that
-    built the operator itself would.
-    """
-    try:
-        op = radialop.assemble_operator(plan._grid, plan._params.s)
-        solver.factor_operator(op)
-    except HardyKPZError as exc:
-        return exc
-    return op
-
-
-def _run_cell(plan: SweepPlan, op: radialop.OperatorMatrix | HardyKPZError,
-              index: int) -> CellResult:
+def _run_cell(plan: SweepPlan, op: radialop.OperatorMatrix, index: int) -> CellResult:
     values, params, p_plus = plan._cells[index]
     if abs(params.p - p_plus) < 1e-12:
         return CellResult(index, values, "Inconclusive", math.nan, 0,
                           "p equals p_plus: undecided by policy")
     try:
-        if isinstance(op, HardyKPZError):
-            raise op
         report = solver.solve_damped(params, plan._source, op, controls=plan._controls)
-        iters = int(sum(row.inner_iters for row in report.trace))
-        return CellResult(index, values, report.status, report.sup_norm, iters)
     except HardyKPZError as exc:
         return CellResult(index, values, "Inconclusive", math.nan, 0,
                           f"{type(exc).__name__}: {exc}")
+    iters = int(sum(row.inner_iters for row in report.trace))
+    return CellResult(index, values, report.status, report.sup_norm, iters)
 
 
 # the plan and its operator in a pool worker, set there by the pool
@@ -311,10 +295,10 @@ def run_sweep(plan: SweepPlan, out_dir: str, workers: int = 1,
     """Execute every cell of the plan, checkpointing to out_dir (created if missing).
 
     The plan's operator is assembled and factored here, once, when any cell
-    is left to run.  With ``workers`` > 1, more than one cell left and more
-    than one usable CPU, the cells run in a pool of min(workers, cells left,
-    usable CPUs) processes, whose initializer hands each one the plan and
-    the operator.
+    is left to run; an error doing so ends the sweep.  With ``workers`` > 1,
+    more than one cell left and more than one usable CPU, the cells run in
+    a pool of min(workers, cells left, usable CPUs) processes, whose
+    initializer hands each one the plan and the operator.
 
     Before any cell runs, cells.csv is written (header and resumed rows),
     then overlay.json is stamped with the plan hash, so a stamp never stands
@@ -338,7 +322,10 @@ def run_sweep(plan: SweepPlan, out_dir: str, workers: int = 1,
     _write_cells(cells_path, names, results)
     write_json(sidecar_path, {"plan": plan_dict, "plan_hash": plan_hash})
     with open_output(cells_path, "a") as checkpoint:
-        op = _plan_operator(plan) if todo else None
+        op = None
+        if todo:
+            op = radialop.assemble_operator(plan._grid, plan._params.s)
+            solver.factor_operator(op)
         pool_size = min(workers, len(todo), util.usable_cpus())
         for cell in _finished_cells(plan, op, todo, pool_size):
             results.append(cell)

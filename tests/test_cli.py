@@ -7,7 +7,6 @@ import re
 import shlex
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -59,7 +58,8 @@ def test_every_command_runs_without_scipy(tmp_path):
             "axes": [{"name": "p", "start": 1.25, "stop": 1.35, "count": 2}],
             "n_levels": 6}
     configs = {"solve": {**run, "supersolution": "auto"}, "probe": run,
-               "solve-damped": {**run, "alpha_damp": 1.0}, "sweep": {"plan": plan}}
+               "solve-damped": {**run, "problem": {**run["problem"], "alpha_damp": 1.0}},
+               "sweep": {"plan": plan}}
     commands = [["constants", "--N", "3", "--s", "0.75"],
                 ["exponents", "--N", "3", "--s", "0.75", "--lambda", repr(LAM)],
                 ["oracle", "--N", "3", "--s", "0.75", "--theta", "0.5", "--M", "32",
@@ -361,11 +361,11 @@ def test_blowup_is_data_not_failure(tmp_path):
 
 def test_damped_cli(tmp_path):
     cfg = {
-        "problem": {"N": N, "s": S, "lambda": LAM, "p": 2 * S - 0.05, "mu": 1e-4},
+        "problem": {"N": N, "s": S, "lambda": LAM, "p": 2 * S - 0.05, "mu": 1e-4,
+                    "alpha_damp": 2 * S - 1 + 0.5},
         "grid": {"R": 1.0, "M": 64, "g": 2.0},
         "controls": {"n_levels": 15},
         "source": {"coefficient": 1.0, "exponent": 0.5},
-        "alpha_damp": 2 * S - 1 + 0.5,
         "supersolution": "auto",
     }
     path = os.path.join(tmp_path, "cfg.json")
@@ -391,10 +391,11 @@ def test_damped_auto_barrier_counts_the_source(capsys, tmp_path, mu, margin):
     # the damped amplitude grows with the source: at mu = 3000 it is 14513,
     # and half of A gap covers mu C = 900 there; the fixed amplitude 2^8
     # refused this run
-    cfg = {"problem": {"N": 3, "s": 0.75, "lambda": 0.11, "p": 1.2, "mu": mu},
+    cfg = {"problem": {"N": 3, "s": 0.75, "lambda": 0.11, "p": 1.2, "mu": mu,
+                       "alpha_damp": 1.0},
            "grid": {"R": 1.0, "M": 100, "g": 2.0}, "controls": {"n_levels": 13},
            "source": {"coefficient": 0.3, "exponent": 1.5},
-           "supersolution": "auto", "alpha_damp": 1.0}
+           "supersolution": "auto"}
     assert _main(capsys, tmp_path, "solve", cfg)[0] == 0
     with open(os.path.join(tmp_path, "out", "report.json")) as fh:
         report = json.load(fh)
@@ -410,8 +411,8 @@ def test_damped_auto_amplitude_beyond_the_double_range_exits_1(capsys, tmp_path)
     # of 1, and the amplitude's power 1/(1-q) overflows at every exponent
     s = 0.51
     cfg = _solve_cfg(problem={"N": N, "s": s, "lambda": sf.hardy_constant(N, s) / 2,
-                              "p": 2 * s - 1e-6, "mu": 1e-3},
-                     alpha_damp=2 * s - 1 + 1e-9, supersolution="auto")
+                              "p": 2 * s - 1e-6, "mu": 1e-3, "alpha_damp": 2 * s - 1 + 1e-9},
+                     supersolution="auto")
     code, err = _main(capsys, tmp_path, "solve", cfg)
     assert code == 1
     assert "amplitude leaves the double range" in err
@@ -437,10 +438,11 @@ def test_damped_run_without_a_barrier_has_no_undamped_bound(capsys, tmp_path, mu
     # BlowUp, and it computes the field of the same run with the auto barrier
     fields = {}
     for sup in ("auto", "none"):
-        cfg = {"problem": {"N": 3, "s": 0.75, "lambda": 0.11, "p": 1.2, "mu": mu},
+        cfg = {"problem": {"N": 3, "s": 0.75, "lambda": 0.11, "p": 1.2, "mu": mu,
+                           "alpha_damp": 1.0},
                "grid": {"R": 1.0, "M": 100, "g": 2.0}, "controls": {"n_levels": 13},
                "source": {"coefficient": 0.3, "exponent": 1.5},
-               "supersolution": sup, "alpha_damp": 1.0}
+               "supersolution": sup}
         os.makedirs(os.path.join(tmp_path, sup))
         assert _main(capsys, os.path.join(tmp_path, sup), "solve", cfg)[0] == 0
         out = os.path.join(tmp_path, sup, "out")
@@ -453,9 +455,9 @@ def test_damped_run_without_a_barrier_has_no_undamped_bound(capsys, tmp_path, mu
 
 
 def test_solve_alpha_damp_is_the_damped_scheme(capsys, tmp_path):
-    """`solve` with alpha_damp writes the field of solve_damped called
-    directly, and "alpha_damp": 0 writes the artifacts of a config without
-    the key."""
+    """`solve` with problem.alpha_damp writes the field of solve_damped
+    called directly, and "alpha_damp": 0 writes the artifacts of a config
+    without the key."""
     def artifacts(name, cfg):
         d = os.path.join(tmp_path, name)
         os.makedirs(d)
@@ -463,13 +465,29 @@ def test_solve_alpha_damp_is_the_damped_scheme(capsys, tmp_path):
         return [open(os.path.join(d, "out", f), "rb").read()
                 for f in ("field.csv", "trace.csv")]
     field, _ = artifacts("damped", _damped_cfg())
-    params, grid, controls, f = solver.run_inputs(_solve_cfg())
-    rep = solver.solve_damped(replace(params, alpha_damp=2 * S - 1 + 0.5), f,
-                              ro.assemble_operator(grid, S), controls=controls)
+    params, grid, controls, f = solver.run_inputs(_damped_cfg())
+    assert params.alpha_damp == 2 * S - 1 + 0.5
+    rep = solver.solve_damped(params, f, ro.assemble_operator(grid, S), controls=controls)
     path = os.path.join(tmp_path, "direct.csv")
     ro.save_field(grid, rep.field, path)
     assert field == open(path, "rb").read()
-    assert artifacts("zero", _solve_cfg(alpha_damp=0)) == artifacts("absent", _solve_cfg())
+    assert artifacts("zero", _damped_cfg(alpha=0)) == artifacts("absent", _solve_cfg())
+
+
+def test_probe_runs_the_damped_solve_config(capsys, tmp_path):
+    """One damped config serves solve and probe: the probe reads
+    problem.alpha_damp, and the damped runs converge up to its cap."""
+    cfg = {"problem": {"N": 3, "s": 0.75, "lambda": 0.11, "p": 1.2, "mu": 100.0,
+                       "alpha_damp": 1.0},
+           "grid": {"R": 1.0, "M": 100, "g": 2.0}, "controls": {"n_levels": 13},
+           "source": {"coefficient": 0.3, "exponent": 1.5}, "supersolution": "auto"}
+    assert _main(capsys, tmp_path, "solve", cfg)[0] == 0
+    assert _main(capsys, tmp_path, "probe", cfg)[0] == 0
+    with open(os.path.join(tmp_path, "out", "probe.json")) as fh:
+        probe = json.load(fh)
+    assert probe["status"] == "inconclusive"
+    assert probe["note"] == "no blow-up below mu=100000000.0"
+    assert [status for _, status in probe["evaluations"]] == ["Converged"] * 10
 
 
 def test_sweep_cli_checkpoint(tmp_path):
@@ -626,8 +644,11 @@ def _solve_cfg(**over):
     return cfg
 
 
-def _damped_cfg(**over):
-    return _solve_cfg(alpha_damp=2 * S - 1 + 0.5, **over)
+def _damped_cfg(alpha=2 * S - 1 + 0.5, **over):
+    """_solve_cfg(**over) with the damping exponent ``alpha`` in its problem."""
+    cfg = _solve_cfg(**over)
+    cfg["problem"] = {**cfg["problem"], "alpha_damp": alpha}
+    return cfg
 
 
 def _main(capsys, tmp_path, command, cfg, *extra):
@@ -675,7 +696,8 @@ def _main(capsys, tmp_path, command, cfg, *extra):
     ("sweep", _sweep_cfg(axes=5), "'axes'"),
     ("sweep", _sweep_cfg(budget="4096"), "unknown key 'budget' in plan"),
     ("sweep", _sweep_cfg(kind="kpz"), "unknown key 'kind' in plan"),
-    ("sweep", _sweep_cfg(alpha_damp="x"), "plan key 'alpha_damp'"),
+    ("sweep", _sweep_cfg(problem={"N": N, "s": S, "lambda": LAM, "p": 1.3,
+                                  "alpha_damp": "x"}), "problem key 'alpha_damp'"),
     ("solve", _solve_cfg(grid={"R": 1.0, "M": "32", "g": 2.0}), "grid key 'M'"),
     ("solve", _solve_cfg(problem={"N": N, "s": S, "lambda": LAM, "p": 1.3, "MU": 1e-3}),
      "'MU' in problem"),
@@ -684,7 +706,9 @@ def _main(capsys, tmp_path, command, cfg, *extra):
      "'exponant' in source"),
     ("solve", _solve_cfg(supersolutoin="auto"), "'supersolutoin' in config"),
     ("probe", _solve_cfg(probe={"rel_width": 0.05}), "'probe' in config"),
-    ("probe", _damped_cfg(), "'alpha_damp' in config"),
+    ("probe", _solve_cfg(alpha_damp=1.0), "'alpha_damp' in config"),
+    ("solve", _solve_cfg(alpha_damp=1.0), "unknown key 'alpha_damp' in config"),
+    ("sweep", _sweep_cfg(alpha_damp=1.0), "unknown key 'alpha_damp' in plan"),
     ("solve", _damped_cfg(c=1e-4), "'c' in config"),
     ("sweep", {**_sweep_cfg(), "workers": 2}, "'workers' in config"),
     ("sweep", _sweep_cfg(problem={"N": N, "s": S, "lambda": LAM, "p": 1.3, "MU": 1e-3}),
@@ -710,6 +734,7 @@ def _main(capsys, tmp_path, command, cfg, *extra):
         "solve-grid-M-string",
         "solve-problem-typo", "solve-grid-typo", "solve-source-typo",
         "solve-top-level-typo", "probe-block-typo", "probe-alpha_damp",
+        "solve-alpha_damp-top-level", "sweep-alpha_damp-top-level",
         "damped-c", "sweep-top-level-key",
         "sweep-problem-typo", "sweep-n_levels-string", "solve-n_levels-overflow",
         "sweep-n_levels-overflow", "solve-n_levels-zero", "sweep-n_levels-zero",
@@ -739,7 +764,7 @@ _NAN, _INF = float("nan"), float("inf")
     (["solve"], _solve_cfg(grid={"R": _NAN, "M": 32}), "grid key 'R'"),
     (["solve"], _solve_cfg(source={"coefficient": _NAN, "exponent": 2 * S}),
      "source key 'coefficient'"),
-    (["solve"], _solve_cfg(alpha_damp=_NAN), "config key 'alpha_damp'"),
+    (["solve"], _damped_cfg(alpha=_NAN), "problem key 'alpha_damp'"),
     (["sweep"], _sweep_cfg(axes=[{"name": "p", "start": _NAN, "stop": 1.35,
                                   "count": 2}]), "axis key 'start'"),
 ], ids=["exponents-lambda", "oracle-g", "oracle-R", "solve-lambda", "solve-mu-inf",
@@ -868,7 +893,7 @@ def test_damped_negative_exponent_exits_2_before_assembly(capsys, tmp_path, monk
         calls.append(args)
         return assemble(*args, **kwargs)
     monkeypatch.setattr(ro, "assemble_operator", counting)
-    cfg = {**_damped_cfg(supersolution=supersolution), "alpha_damp": -0.5}
+    cfg = _damped_cfg(alpha=-0.5, supersolution=supersolution)
     code, err = _main(capsys, tmp_path, "solve", cfg)
     assert code == 2
     assert err == "error: damping exponent must be nonnegative\n"
@@ -880,7 +905,9 @@ def test_damped_negative_exponent_exits_2_before_assembly(capsys, tmp_path, monk
      "sweep cell 0 {'alpha_damp': -0.5}: damping exponent must be nonnegative"),
     ({"problem": {"N": N, "s": S, "lambda": 0.0, "p": 1.3, "mu": 1e-3}},
      "sweep cell 0 {'p': 1.25}: lambda must be positive"),
-], ids=["damped-negative-cell", "lambda-zero"])
+    ({"axes": [{"name": "p", "start": 0.5, "stop": 1.35, "count": 2}]},
+     "sweep cell 0 {'p': 0.5}: gradient exponent must satisfy p > 1, got 0.5"),
+], ids=["damped-negative-cell", "lambda-zero", "p-below-one"])
 def test_plan_errors_exit_2_before_assembly(capsys, tmp_path, monkeypatch, over, named):
     def no_assembly(*args, **kwargs):
         raise AssertionError("an operator was assembled for a plan with an error")
@@ -888,7 +915,19 @@ def test_plan_errors_exit_2_before_assembly(capsys, tmp_path, monkeypatch, over,
     code, err = _main(capsys, tmp_path, "sweep", _sweep_cfg(**over))
     assert code == 2
     assert named in err
+    assert err.startswith("error: sweep cell 0 ") and err.count("\n") == 1
     assert not os.path.exists(os.path.join(tmp_path, "out"))
+
+
+@pytest.mark.parametrize("command", ["solve", "probe", "sweep"])
+def test_operator_that_cannot_be_built_exits_1(capsys, tmp_path, monkeypatch, command):
+    # a sweep ends as solve and probe do on the same grid: one error line,
+    # and no cell of its cells.csv
+    monkeypatch.setattr(ro, "_CHEB_DEGREE", 3)
+    cfg = _sweep_cfg() if command == "sweep" else _solve_cfg()
+    code, err = _main(capsys, tmp_path, command, cfg)
+    assert code == 1
+    assert err.startswith("error: kernel table") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("probe", [

@@ -431,3 +431,19 @@ def test_spec_json_round_trip():
 def test_construction_refusals(build, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda params, e, R: co.dirichlet_supersolution(params, e, 0.3, R),
+    lambda params, e, R: co.damped_supersolution(
+        replace(params, p=1.2, alpha_damp=1.0), e, 0.3, R),
+], ids=["dirichlet", "damped"])
+@pytest.mark.parametrize("e, R", [(-2000.0, 2.0), (-10.0, 1e50)],
+                         ids=["growing-source", "huge-ball"])
+def test_source_term_beyond_the_double_range_is_a_construction_error(build, e, R):
+    # mu C R^(theta+2s-e) overflows before any amplitude is formed: the
+    # refusal is the barrier's own, naming the double range
+    params = sf.ProblemParams(N=3, s=0.75, lam=0.2, p=1.27, mu=1e-3)
+    with pytest.raises(ConstructionError, match="leaves the double range") as err:
+        build(params, e, R)
+    assert f"source 0.3 r^{-e} " in str(err.value)

@@ -5,7 +5,6 @@ import os
 import re
 import tempfile
 from concurrent.futures import Future
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -18,17 +17,18 @@ from hardykpz import solver as so
 from hardykpz import specfun as sf
 from hardykpz import sweep as sw
 from hardykpz import util
-from hardykpz.errors import ConfigError
+from hardykpz.errors import AssemblyError, ConfigError
 
 N, S = 3, 0.75
 LAM_MAX = sf.hardy_constant(N, S)
 LAM = LAM_MAX / 2
 REP = sf.exponents_for(N, S, LAM)
+PROBLEM = {"N": N, "s": S, "lambda": LAM, "p": 1.3, "mu": 1e-3}
 
 
 def _plan(**over):
     base = dict(
-        problem={"N": N, "s": S, "lambda": LAM, "p": 1.3, "mu": 1e-3},
+        problem=PROBLEM,
         grid={"R": 1.0, "M": 64, "g": 2.0},
         axes=[{"name": "p", "start": 1.2, "stop": 1.6, "count": 9}],
         source={"coefficient": 0.3, "exponent": 2 * S},
@@ -324,7 +324,7 @@ def test_sweep_worker_pool_matches_serial(tmp_path):
     p_axis = [{"name": "p", "start": 1.25, "stop": 1.55, "count": 4}]
     plans = {
         "kpz": dict(axes=p_axis),
-        "damped": dict(axes=p_axis, alpha_damp=1.0),
+        "damped": dict(axes=p_axis, problem={**PROBLEM, "alpha_damp": 1.0}),
         "lambda-mu": dict(axes=[{"name": "lambda", "start": 0.1, "stop": 0.4, "count": 2},
                                 {"name": "mu", "start": 1e-4, "stop": 1e-2, "count": 2}]),
     }
@@ -478,15 +478,17 @@ def test_killed_sweep_keeps_its_finished_cells(tmp_path, monkeypatch, workers, k
 def test_sweep_cell_matches_direct_solve(tmp_path, alpha):
     # a cell is solve_damped on its own params, alpha_damp included
     plan = _plan(axes=[{"name": "p", "start": 1.25, "stop": 1.45, "count": 3}],
-                 grid={"R": 1.0, "M": 32, "g": 2.0}, n_levels=12, alpha_damp=alpha)
+                 grid={"R": 1.0, "M": 32, "g": 2.0}, n_levels=12,
+                 problem={**PROBLEM, "alpha_damp": alpha})
     region = sw.run_sweep(plan, str(tmp_path))
     assert len(region.cells) == 3
     for cell in region.cells:
         cfg = {"problem": {**plan.problem, "p": cell.values["p"]}, "grid": plan.grid,
                "controls": {"n_levels": plan.n_levels}, "source": plan.source}
         params, grid, controls, f = so.run_inputs(cfg)
+        assert params.alpha_damp == alpha
         op = ro.assemble_operator(grid, params.s)
-        rep = so.solve_damped(replace(params, alpha_damp=alpha), f, op, controls=controls)
+        rep = so.solve_damped(params, f, op, controls=controls)
         assert cell.status == rep.status
         assert cell.sup_norm == rep.sup_norm
         assert cell.inner_iters == sum(row.inner_iters for row in rep.trace)
@@ -494,12 +496,13 @@ def test_sweep_cell_matches_direct_solve(tmp_path, alpha):
 
 
 def test_sweep_cell_carries_its_damping_exponent_in_its_params():
-    # an alpha_damp axis sets each cell's params; the plan value is the default
+    # an alpha_damp axis sets each cell's params; the problem value is the default
+    damped = {**PROBLEM, "alpha_damp": 2.0}
     plan = _plan(axes=[{"name": "alpha_damp", "start": 0.0, "stop": 1.5, "count": 4}],
-                 alpha_damp=2.0)
+                 problem=damped)
     assert [params.alpha_damp for _, params, _ in plan._cells] == [0.0, 0.5, 1.0, 1.5]
     assert all(params.p == 1.3 for _, params, _ in plan._cells)
-    assert [params.alpha_damp for _, params, _ in _plan(alpha_damp=2.0)._cells] == [2.0] * 9
+    assert [params.alpha_damp for _, params, _ in _plan(problem=damped)._cells] == [2.0] * 9
 
 
 def test_serial_sweep_factors_its_operator_once(tmp_path, monkeypatch):
@@ -520,6 +523,8 @@ def test_serial_sweep_factors_its_operator_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_assembly_error_marks_cells(tmp_path, monkeypatch, workers):
+    # an operator that cannot be assembled ends the sweep, as it ends a run:
+    # no cell runs, and cells.csv keeps only its header
     calls = []
     assemble = ro.assemble_operator
 
@@ -531,12 +536,10 @@ def test_sweep_assembly_error_marks_cells(tmp_path, monkeypatch, workers):
     plan = _plan(axes=[{"name": "p", "start": REP.p_plus, "stop": REP.p_plus + 0.3,
                         "count": 4}],
                  grid={"R": 1.0, "M": 32, "g": 2.0}, n_levels=12)
-    region = sw.run_sweep(plan, str(tmp_path), workers=workers)
-    assert [c.status for c in region.cells] == ["Inconclusive"] * 4
-    # the cell at p_plus never reaches the operator and keeps its policy note
-    assert "policy" in region.cells[0].note
-    for cell in region.cells[1:]:
-        assert cell.note.startswith("AssemblyError: kernel table")
+    with pytest.raises(AssemblyError, match="^kernel table"):
+        sw.run_sweep(plan, str(tmp_path), workers=workers)
+    with open(os.path.join(tmp_path, "cells.csv")) as fh:
+        assert fh.read() == "index,p,status,sup_norm,inner_iters,note\n"
     assert len(calls) == 1
 
 

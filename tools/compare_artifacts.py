@@ -13,10 +13,11 @@ has one); a command with a config writes to ``out/`` there.  The cases are:
 * the config of every benchmark workload at seeds 1..N (default 6), made by
   ``perfbench/run.py``'s ``WORKLOADS`` of this script's checkout and run
   with the workload's own command-line arguments;
-* four damped configs: a damped solve (alpha = 1, mu = 100, M = 100,
-  13 levels) with ``"supersolution": "auto"`` and with ``"none"``; a
-  ``--workers 2`` sweep over alpha_damp x p; and a sweep with a plan-level
-  ``alpha_damp``;
+* five damped configs, each with ``alpha_damp`` in its problem: a damped
+  solve (alpha = 1, mu = 100, M = 100, 13 levels) with
+  ``"supersolution": "auto"`` and with ``"none"``; a probe of the ``"auto"``
+  config; a ``--workers 2`` sweep over alpha_damp x p; and a sweep over p
+  at alpha = 1;
 * the README's ``oracle --refine`` run (N = 3, s = 0.75, theta = 0.2131,
   M = 200), which has no config and prints its result.
 
@@ -55,20 +56,20 @@ def _workloads() -> dict:
 
 
 def _damped_cases() -> dict:
-    problem = {"N": 3, "s": 0.75, "lambda": 0.11, "p": 1.2, "mu": 100.0}
+    problem = {"N": 3, "s": 0.75, "lambda": 0.11, "p": 1.2, "mu": 100.0, "alpha_damp": 1.0}
     source = {"coefficient": 0.3, "exponent": 1.5}
     run = {"problem": problem, "grid": {"R": 1.0, "M": 100, "g": 2.0},
-           "controls": {"n_levels": 13}, "source": source, "alpha_damp": 1.0}
+           "controls": {"n_levels": 13}, "source": source}
     plan = {"problem": {**problem, "mu": 1e-3}, "grid": {"R": 1.0, "M": 64, "g": 2.0},
             "source": source, "n_levels": 10}
     p_axis = {"name": "p", "start": 1.1, "stop": 1.4, "count": 2}
     return {
         "damped-auto": (["solve"], {**run, "supersolution": "auto"}),
         "damped-none": (["solve"], {**run, "supersolution": "none"}),
+        "damped-probe": (["probe"], {**run, "supersolution": "auto"}),
         "damped-sweep-axis-w2": (["sweep", "--workers", "2"], {"plan": {**plan, "axes": [
             {"name": "alpha_damp", "start": 0.0, "stop": 1.5, "count": 4}, p_axis]}}),
-        "damped-sweep-plan": (["sweep"], {"plan": {
-            **plan, "alpha_damp": 1.0, "axes": [{**p_axis, "count": 4}]}}),
+        "damped-sweep-p": (["sweep"], {"plan": {**plan, "axes": [{**p_axis, "count": 4}]}}),
     }
 
 
