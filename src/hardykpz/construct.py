@@ -146,6 +146,13 @@ def _ladder_supersolution(kind: str, params: ProblemParams, alpha: float,
         gap, grad_pow = _member(params, alpha, theta)
         try:
             source = params.mu * cf * R ** (theta + 2.0 * s - e)
+        except OverflowError:
+            source = math.inf
+        if not math.isfinite(source):  # no amplitude is formed from it
+            overflow = (f"; the source term mu C R^(theta+2s-e) leaves the double "
+                        f"range at theta={theta}")
+            continue
+        try:
             amp = amplitude(theta, gap, grad_pow, source)
             c = amp * gap - amp ** (p - alpha) * theta**p * R**grad_pow - source
         except OverflowError:

@@ -45,6 +45,7 @@ __all__ = [
     "solve_damped",
     "mu_threshold_probe",
     "run_inputs",
+    "source_input",
     "save_trace",
 ]
 
@@ -161,12 +162,16 @@ def run_inputs(cfg: dict) -> tuple[ProblemParams, radialop.RadialGrid,
         N=params.N,
     )
     controls = from_block(SolverControls, cfg.get("controls", {}), "controls")
+    return params, grid, controls, source_input(cfg)
+
+
+def source_input(cfg: dict) -> PowerSource:
+    """The ``source`` block of a run config, as ``run_inputs`` reads it."""
     block = known(require(cfg, "source", "config"), ("coefficient", "exponent"), "source")
-    source = PowerSource(
+    return PowerSource(
         coefficient=value(block, "coefficient", "source", float),
         exponent=value(block, "exponent", "source", float),
     )
-    return params, grid, controls, source
 
 
 def lu_factor(a: np.ndarray) -> np.ndarray:

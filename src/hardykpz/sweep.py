@@ -84,7 +84,8 @@ class SweepPlan:
     config (see ``solver.run_inputs``); each axis names a ``problem`` key.
     Construction reads them once, with the first cell's swept values, and
     checks every cell: one outside the analytic domain raises ConfigError
-    naming it, before any cell runs.  ``_cells`` keeps each cell's (axis
+    naming it, before any cell runs.  No axis changes ``source``, so an
+    error in it names no cell.  ``_cells`` keeps each cell's (axis
     values, params, p_plus), in index order.  Every cell runs solve_damped
     on its params with the source scaled by ``mu``.  ``n_levels`` is a run
     config's ``controls`` key, default alike.  A plan of more than
@@ -114,6 +115,8 @@ class SweepPlan:
         lattice = [dict(zip(names, map(float, combo)))
                    for combo in product(*(a.points() for a in self.axes))]
         first = lattice[0] if lattice else {}
+        # no axis changes the source block, so an error in it names no cell
+        solver.source_input({"source": self.source})
         try:
             self._params, self._grid, self._controls, self._source = solver.run_inputs(
                 {"problem": {**self.problem, **first}, "grid": self.grid,

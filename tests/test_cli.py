@@ -919,6 +919,19 @@ def test_plan_errors_exit_2_before_assembly(capsys, tmp_path, monkeypatch, over,
     assert not os.path.exists(os.path.join(tmp_path, "out"))
 
 
+def test_a_plan_source_error_names_no_cell(capsys, tmp_path, monkeypatch):
+    # no axis changes the source block, so its error is the plan's, not the
+    # first cell's
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("an operator was assembled for a plan with an error")
+    monkeypatch.setattr(ro, "assemble_operator", no_assembly)
+    cfg = _sweep_cfg(source={"coefficient": -0.3, "exponent": 2 * S})
+    code, err = _main(capsys, tmp_path, "sweep", cfg)
+    assert code == 2
+    assert err == "error: source coefficient must be nonnegative\n"
+    assert not os.path.exists(os.path.join(tmp_path, "out"))
+
+
 @pytest.mark.parametrize("command", ["solve", "probe", "sweep"])
 def test_operator_that_cannot_be_built_exits_1(capsys, tmp_path, monkeypatch, command):
     # a sweep ends as solve and probe do on the same grid: one error line,

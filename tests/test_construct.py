@@ -442,8 +442,12 @@ def test_construction_refusals(build, message):
                          ids=["growing-source", "huge-ball"])
 def test_source_term_beyond_the_double_range_is_a_construction_error(build, e, R):
     # mu C R^(theta+2s-e) overflows before any amplitude is formed: the
-    # refusal is the barrier's own, naming the double range
+    # refusal is the barrier's own, and it names the source term, not the
+    # amplitude, as what leaves the double range
     params = sf.ProblemParams(N=3, s=0.75, lam=0.2, p=1.27, mu=1e-3)
     with pytest.raises(ConstructionError, match="leaves the double range") as err:
         build(params, e, R)
     assert f"source 0.3 r^{-e} " in str(err.value)
+    assert "; the source term mu C R^(theta+2s-e) leaves the double range at theta=" \
+        in str(err.value)
+    assert "amplitude leaves" not in str(err.value)

@@ -4,6 +4,8 @@ import functools
 import math
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import mpmath
@@ -458,6 +460,56 @@ def test_assembly_memory_stays_chunked(monkeypatch):
         assert peak <= 4 * 2**20, blocks
 
 
+_SECOND_ASSEMBLY_FAULTS = """
+import resource
+from hardykpz import radialop as ro, util
+util.usable_cpus = lambda: 1
+grid = ro.build_grid(1.0, 400, 2.0, 3)
+ro.assemble_operator(grid, 0.75)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+ro.assemble_operator(grid, 0.75)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="minor faults are counted by ru_minflt on Linux")
+def test_a_second_assembly_faults_few_pages():
+    """A block's chunks share one workspace, so the temporaries of one chunk
+    are not freed and faulted in again by the next: a second serial M = 400
+    assembly takes fewer than 2,000 minor faults (about 360; 4,300 to 11,800
+    with fresh temporaries per chunk, as glibc trims them or not).  It runs
+    in a fresh interpreter, whose heap is the command line's, not that of
+    the test run."""
+    r = subprocess.run([sys.executable, "-c", _SECOND_ASSEMBLY_FAULTS],
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert int(r.stdout) < 2000
+
+
+@pytest.mark.parametrize("n_exp", [1, ro._CALIB_NTHETA])
+def test_tail_integral_does_not_depend_on_its_chunking(monkeypatch, n_exp):
+    """The tails are bitwise the same for any chunk size, with one exponent
+    (the rows' profile) or the calibration's family, in a fresh or a reused
+    workspace."""
+    kern = ro._Kernel(N, S)
+    r = ro.build_grid(1.0, 200, 2.0, N).r
+    span = N - 2 * S
+    if n_exp == 1:
+        ws = [span / 2]   # the profile exponent w0
+    else:
+        ws = 0.5 * (1.0 - np.cos(np.pi * np.arange(n_exp) / (n_exp - 1))) * 0.97 * span
+    lo = np.full(len(r), 1.0)
+    lo[-1] = 1.0 + 0.5 * (1.0 - r[-2])
+    scratch = ro._Scratch()
+    tails = []
+    for chunk in (1 << 9, 1 << 13, len(r) * ro._N_TAIL * ro._N_TAIL_NODES):
+        monkeypatch.setattr(ro, "_CHUNK", chunk)
+        tails.append(ro._tail_integral(kern, r, ws, lo, 50.0))
+        tails.append(ro._tail_integral(kern, r, ws, lo, 50.0, scratch))
+    assert all(np.array_equal(t, tails[0]) for t in tails[1:])
+
+
 # ------------------------------------------------------ row blocks
 
 def _split_rows(monkeypatch, blocks):
@@ -771,8 +823,8 @@ def test_assembly_kernel_points(monkeypatch, M, bound):
     g2 = ro._Kernel.g2
     seen = [0]
 
-    def counting(self, y):
-        out = g2(self, y)
+    def counting(self, y, **kwargs):
+        out = g2(self, y, **kwargs)
         seen[0] += np.size(out)
         return out
 
