@@ -1,4 +1,6 @@
-"""Command-line front end.
+"""Command-line front end: it loads a config file, hands it to its reader
+(``solver.run_inputs`` for solve and probe, ``sweep.plan_input`` for sweep),
+dispatches and writes the artifacts.
 
 Subcommands: constants, exponents, oracle, solve (damped by the problem's
 ``alpha_damp``, default 0), sweep, probe.
@@ -25,14 +27,10 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, GridMismatchError, HardyKPZError
 from .specfun import exponents_for, hardy_constant, normalizing_constant
-from .util import config_hash, json_text, known, make_output_dir, require, write_json
+from .util import config_hash, json_text, make_output_dir, write_json
 from . import construct, radialop, solver, sweep
 
 _MAX_TABLE_ROWS = 100_000   # largest `exponents --table --count`
-
-# the top-level keys of a run config (solve, probe) and of a sweep config
-_RUN_KEYS = ("problem", "grid", "controls", "source", "supersolution")
-_SWEEP_KEYS = ("plan",)
 
 
 def _emit(obj, path: str | None):
@@ -41,8 +39,8 @@ def _emit(obj, path: str | None):
     sys.stdout.write(json_text(obj))
 
 
-def _load_config(path: str, keys) -> dict:
-    """The JSON object in ``path``, whose top-level keys must be in ``keys``."""
+def _load_config(path: str) -> dict:
+    """The JSON object in ``path``, without a replayed ``config_hash``."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -57,13 +55,7 @@ def _load_config(path: str, keys) -> dict:
     # a written resolved config can be replayed directly: its embedded hash
     # is not part of the configuration
     cfg.pop("config_hash", None)
-    return known(cfg, keys, "config")
-
-
-def _run_inputs(args):
-    """(config, output dir, problem, grid, controls, source) of a run command."""
-    cfg = _load_config(args.config, _RUN_KEYS)
-    return (cfg, args.output_dir, *solver.run_inputs(cfg))
+    return cfg
 
 
 def _write_resolved(cfg: dict, out: str) -> str:
@@ -92,6 +84,10 @@ def cmd_exponents(args) -> int:
     if args.table:
         if args.lambda_min is None or args.lambda_max is None:
             raise ConfigError("--table needs --lambda-min and --lambda-max")
+        for flag, lam in (("--lambda-min", args.lambda_min),
+                          ("--lambda-max", args.lambda_max)):
+            if not math.isfinite(lam):
+                raise DomainError(f"{flag} must be a finite number, got {lam}")
         if not 1 <= args.count <= _MAX_TABLE_ROWS:
             raise ConfigError(f"--count must lie in [1, {_MAX_TABLE_ROWS}], got {args.count}")
         lams = np.linspace(args.lambda_min, args.lambda_max, args.count)
@@ -132,10 +128,16 @@ def cmd_oracle(args) -> int:
     return 0 if result["passed"] else 1
 
 
-def _write_solver_outputs(report: solver.SolverReport, grid, spec, out: str,
-                          cfg_hash: str) -> None:
-    radialop.save_field(grid, report.field, os.path.join(out, "field.csv"))
-    solver.save_trace(report, os.path.join(out, "trace.csv"))
+def cmd_solve(args) -> int:
+    cfg = _load_config(args.config)
+    params, grid, controls, f, barrier = solver.run_inputs(cfg)
+    spec = construct.auto_supersolution(params, f.exponent, f.coefficient, R=grid.R) \
+        if barrier == "auto" else None
+    op = radialop.assemble_operator(grid, params.s)
+    report = solver.solve_damped(params, f, op, controls=controls, supersolution=spec)
+    cfg_hash = _write_resolved(cfg, args.output_dir)
+    radialop.save_field(grid, report.field, os.path.join(args.output_dir, "field.csv"))
+    solver.save_trace(report, os.path.join(args.output_dir, "trace.csv"))
     summary = {
         "config_hash": cfg_hash,
         "status": report.status,
@@ -147,38 +149,18 @@ def _write_solver_outputs(report: solver.SolverReport, grid, spec, out: str,
         "sup_bound": float(report.sup_bound),
         "supersolution": spec.as_dict() if spec is not None else None,
     }
-    write_json(os.path.join(out, "report.json"), summary)
-
-
-def _auto_supersolution(cfg: dict) -> bool:
-    """True for ``"supersolution": "auto"``, False for ``"none"`` (the default)."""
-    choice = cfg.get("supersolution", "none")
-    if choice not in ("none", "auto"):
-        raise ConfigError(f'supersolution must be "none" or "auto", got {choice!r}')
-    return choice == "auto"
-
-
-def cmd_solve(args) -> int:
-    cfg, out, params, grid, controls, f = _run_inputs(args)
-    spec = None
-    if _auto_supersolution(cfg):
-        barrier = construct.damped_supersolution if params.alpha_damp > 0.0 \
-            else construct.dirichlet_supersolution
-        spec = barrier(params, f.exponent, f.coefficient, R=grid.R)
-    op = radialop.assemble_operator(grid, params.s)
-    report = solver.solve_damped(params, f, op, controls=controls, supersolution=spec)
-    cfg_hash = _write_resolved(cfg, out)
-    _write_solver_outputs(report, grid, spec, out, cfg_hash)
+    write_json(os.path.join(args.output_dir, "report.json"), summary)
     sys.stdout.write(f"status: {report.status}\n")
     return 0
 
 
 def cmd_probe(args) -> int:
-    cfg, out, params, grid, controls, f = _run_inputs(args)
-    _auto_supersolution(cfg)  # checked as for solve, but the probe runs without a barrier
+    cfg = _load_config(args.config)
+    # the barrier choice is checked as for solve, but the probe runs without one
+    params, grid, controls, f, _ = solver.run_inputs(cfg)
     op = radialop.assemble_operator(grid, params.s)
     result = solver.mu_threshold_probe(params, f, op, controls=controls)
-    cfg_hash = _write_resolved(cfg, out)
+    cfg_hash = _write_resolved(cfg, args.output_dir)
     summary = {
         "config_hash": cfg_hash,
         "status": result.status,
@@ -188,20 +170,20 @@ def cmd_probe(args) -> int:
         "note": result.note,
         "evaluations": [[float(m), st] for m, st in result.evaluations],
     }
-    write_json(os.path.join(out, "probe.json"), summary)
+    write_json(os.path.join(args.output_dir, "probe.json"), summary)
     sys.stdout.write(f"probe: {result.status}\n")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config, _SWEEP_KEYS)
-    plan = sweep.SweepPlan.from_dict(require(cfg, "plan", "config"))
+    cfg = _load_config(args.config)
+    plan = sweep.plan_input(cfg)
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-    region = sweep.run_sweep(plan, out_dir=args.output_dir, workers=args.workers,
-                             resume=not args.no_resume)
+    cells = sweep.run_sweep(plan, out_dir=args.output_dir, workers=args.workers,
+                            resume=not args.no_resume)
     _write_resolved(cfg, args.output_dir)
-    counts = region.counts()
+    counts = sweep.status_counts(cells)
     sys.stdout.write("cells: " + json.dumps(counts, sort_keys=True) + "\n")
     return 0
 

@@ -11,7 +11,8 @@ differ in the damping exponent (0 for the Dirichlet problem), the window's
 top and the amplitude rule.  Margins are coefficients of r^-(theta+2s): the
 inequality, multiplied through by r^(theta+2s), is scalar, and its worst
 case over the ball sits at r = R because every correction term carries a
-nonnegative power of r.
+nonnegative power of r.  The choices that hang on the damping exponent
+alpha are made here: the ``"auto"`` barrier and the bound of a run without one.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "exact_radial_solution",
     "dirichlet_supersolution",
     "damped_supersolution",
+    "auto_supersolution",
     "admissible_bound_sup",
 ]
 
@@ -232,24 +234,33 @@ def damped_supersolution(params: ProblemParams, f_bound_exponent: float,
         "step 1e-4, or the amplitude beyond the double range")
 
 
+def auto_supersolution(params: ProblemParams, f_bound_exponent: float,
+                       f_bound_coef: float = 1.0, R: float = 1.0) -> SupersolutionSpec:
+    """The ``"auto"`` barrier of a run config: ``dirichlet_supersolution`` at
+    alpha = ``params.alpha_damp`` = 0, ``damped_supersolution`` above it."""
+    barrier = damped_supersolution if params.alpha_damp > 0.0 else dirichlet_supersolution
+    return barrier(params, f_bound_exponent, f_bound_coef, R)
+
+
 def admissible_bound_sup(params: ProblemParams, R: float, r1: float) -> float:
     """Supremum at r1 (a grid's first node) of the source-free barrier family.
 
     Every member A r^-theta (theta in the undamped window, A up to the
     balance root at k = 1) bounds the source-free iterates on the ball of
-    radius R; the supremum over 128 exponents is the blow-up reference of an
-    undamped run without a barrier, so the scheme calls it only at alpha = 0.
-    It is inf for lambda <= 0, and 0 when the window is empty (p >= p_plus)
-    or narrower than about 2e-6 mu, where the scan's ends mu (1 + 1e-6) and
-    top (1 - 1e-6) cross.  Memoized per (N, s, lambda, p, R, r1), mu aside,
-    for the probe's bisection; a call that raises is not remembered.
+    radius R; the supremum over 128 exponents is the blow-up reference of a
+    run without a barrier.  The family is undamped, so the bound is inf (no
+    bound) for alpha > 0, as it is for lambda <= 0.  It is 0 when the window
+    is empty (p >= p_plus) or narrower than about 2e-6 mu, where the scan's
+    ends mu (1 + 1e-6) and top (1 - 1e-6) cross.  Memoized per
+    (N, s, lambda, p, R, r1), mu aside, for the probe's bisection; a call
+    that raises is not remembered.
     """
     return _family_bound_sup(replace(params, mu=0.0), R, r1)
 
 
 @functools.lru_cache(maxsize=256)
 def _family_bound_sup(params: ProblemParams, R: float, r1: float) -> float:
-    if params.lam <= 0.0:
+    if params.lam <= 0.0 or params.alpha_damp > 0.0:
         return math.inf
     _, _, (mu, top) = _window(params)
     lo, hi = mu * (1 + 1e-6), top * (1 - 1e-6)

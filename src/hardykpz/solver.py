@@ -11,7 +11,8 @@ L G(x) = RHS_n(x) exactly, is the level's result.  Increasing truncation
 levels produce an increasing iterate sequence bounded by any valid
 supersolution; divergence across levels is classified as blow-up by a fixed
 heuristic (threshold against the supersolution bound plus sustained
-growth), never proved.
+growth), never proved.  ``run_inputs`` is the one reader of a run config,
+for ``solve``, ``probe`` and every sweep plan.
 """
 
 from __future__ import annotations
@@ -133,17 +134,20 @@ class SolverReport:
 
 
 def run_inputs(cfg: dict) -> tuple[ProblemParams, radialop.RadialGrid,
-                                   SolverControls, PowerSource]:
-    """Problem, grid, controls and source of a run config.
+                                   SolverControls, PowerSource, str]:
+    """Problem, grid, controls, source and barrier choice of a run config.
 
-    The one reader of the ``problem``/``grid``/``controls``/``source`` blocks:
-    ``hardykpz solve``/``probe`` pass their config file, a sweep
-    plan its first cell's.  Defaults: ``mu`` 0, ``alpha_damp`` 0 (the
-    undamped problem), ``R`` 1, ``g`` 2, and the SolverControls defaults
-    (``controls`` takes its one field, ``n_levels``).
-    A missing or unknown key, or a value of the wrong type or out of range,
-    raises ConfigError naming it.
+    The one reader of a run config: ``hardykpz solve``/``probe`` pass
+    their config file, a sweep plan its first cell's.  Its top-level keys
+    are ``problem``, ``grid``, ``controls``, ``source`` and
+    ``supersolution``, which is ``"none"`` (the default) or ``"auto"``.
+    Defaults: ``mu`` 0, ``alpha_damp`` 0 (the undamped problem), ``R`` 1,
+    ``g`` 2, and the SolverControls defaults (``controls`` takes its one
+    field, ``n_levels``).  A missing or unknown key, or a value of the wrong
+    type or out of range, raises ConfigError naming it: an unknown top-level
+    key first, then the blocks in the order above, the barrier choice last.
     """
+    known(cfg, ("problem", "grid", "controls", "source", "supersolution"), "config")
     block = known(require(cfg, "problem", "config"),
                   ("N", "s", "lambda", "p", "mu", "alpha_damp"), "problem")
     params = ProblemParams(
@@ -162,7 +166,11 @@ def run_inputs(cfg: dict) -> tuple[ProblemParams, radialop.RadialGrid,
         N=params.N,
     )
     controls = from_block(SolverControls, cfg.get("controls", {}), "controls")
-    return params, grid, controls, source_input(cfg)
+    f = source_input(cfg)
+    barrier = cfg.get("supersolution", "none")
+    if barrier not in ("none", "auto"):
+        raise ConfigError(f'supersolution must be "none" or "auto", got {barrier!r}')
+    return params, grid, controls, f, barrier
 
 
 def source_input(cfg: dict) -> PowerSource:
@@ -220,9 +228,10 @@ def solve_damped(params: ProblemParams, f: PowerSource, op: radialop.OperatorMat
     inverse is formed on its first run and reused by every later one.  The
     source is the PowerSource ``f`` scaled by ``params.mu``.  The barrier
     ``supersolution`` sets the blow-up threshold and the trace's margin;
-    without one (as in the probe) an undamped run is judged against
+    without one (as in the probe) a run is judged against
     ``construct.admissible_bound_sup`` (BlowUp above ``blowup_factor`` times
-    it, or by sustained growth where it is 0), and a damped run has no bound.
+    it, or by sustained growth where it is 0), which is inf, no bound, for a
+    damped run.
 
     Every step evaluates one plain Picard map G(x) = L^-1 rhs
     (rhs = g/(1+g/n) [/(1+x)^alpha] + lam (x/(1+x/n)) r^-2s + source,
@@ -247,14 +256,9 @@ def solve_damped(params: ProblemParams, f: PowerSource, op: radialop.OperatorMat
     inverse = factor_operator(op)
     source = params.mu * f.values(grid)
 
-    w_vals = None
-    if supersolution is not None:
-        w_vals = supersolution.evaluate(r)
-        sup_bound = float(np.max(w_vals))
-    elif params.alpha_damp == 0.0:
-        sup_bound = construct.admissible_bound_sup(params, grid.R, grid.r[0])
-    else:
-        sup_bound = math.inf
+    w_vals = supersolution.evaluate(r) if supersolution is not None else None
+    sup_bound = float(np.max(w_vals)) if w_vals is not None \
+        else construct.admissible_bound_sup(params, grid.R, grid.r[0])
 
     M = grid.M
     u = np.zeros(M)        # the iterate x; after each level, its certified G(x)

@@ -12,6 +12,8 @@ that cannot be assembled or factored ends the sweep as it ends a run.  A
 cell whose p lies within 1e-12 of p_plus is Inconclusive by policy
 (nothing is proven at p = p_plus).  Each row is appended to the CSV as its
 cell finishes, so a killed sweep resumes from the cells it finished.
+``plan_input`` is the one reader of a sweep config, whose one top-level key
+is ``plan``.
 
 The axes never change N, s or the grid, so a sweep has one operator: the
 parent process assembles it and forms its inverse once, before any cell
@@ -26,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, replace
 from itertools import product
@@ -34,16 +37,17 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, HardyKPZError
 from .specfun import exponents_for, hardy_constant
-from .util import (config_hash, csv_line, from_block, make_output_dir, open_output, value,
-                   write_csv, write_json)
+from .util import (config_hash, csv_line, from_block, known, make_output_dir, open_output,
+                   require, value, write_csv, write_json)
 from . import radialop, solver, util
 
 __all__ = [
     "SweepAxis",
     "SweepPlan",
     "CellResult",
-    "RegionMap",
+    "plan_input",
     "run_sweep",
+    "status_counts",
     "exponent_table",
     "write_exponent_table",
 ]
@@ -118,7 +122,7 @@ class SweepPlan:
         # no axis changes the source block, so an error in it names no cell
         solver.source_input({"source": self.source})
         try:
-            self._params, self._grid, self._controls, self._source = solver.run_inputs(
+            self._params, self._grid, self._controls, self._source, _ = solver.run_inputs(
                 {"problem": {**self.problem, **first}, "grid": self.grid,
                  "source": self.source, "controls": {"n_levels": self.n_levels}})
         except DomainError as exc:
@@ -135,12 +139,12 @@ class SweepPlan:
                 raise ConfigError(f"sweep cell {index} {values}: {exc}") from None
             self._cells.append((values, params, p_plus))
 
-    def as_dict(self) -> dict:
-        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SweepPlan":
-        return from_block(cls, d, "plan")
+def plan_input(cfg: dict) -> SweepPlan:
+    """The plan of a sweep config, whose one top-level key is ``plan``; an
+    unknown or missing key raises ConfigError naming it."""
+    known(cfg, ("plan",), "config")
+    return from_block(SweepPlan, require(cfg, "plan", "config"), "plan")
 
 
 @dataclass
@@ -153,16 +157,9 @@ class CellResult:
     note: str = ""
 
 
-@dataclass
-class RegionMap:
-    cells: list
-    overlay: dict
-
-    def counts(self) -> dict:
-        out: dict = {}
-        for c in self.cells:
-            out[c.status] = out.get(c.status, 0) + 1
-        return out
+def status_counts(cells: list) -> dict:
+    """The number of cells of each status, as overlay.json and the CLI print it."""
+    return Counter(c.status for c in cells)
 
 
 def _run_cell(plan: SweepPlan, op: radialop.OperatorMatrix, index: int) -> CellResult:
@@ -294,8 +291,9 @@ def _finished_cells(plan: SweepPlan, op, todo: list, workers: int):
 
 
 def run_sweep(plan: SweepPlan, out_dir: str, workers: int = 1,
-              resume: bool = True) -> RegionMap:
-    """Execute every cell of the plan, checkpointing to out_dir (created if missing).
+              resume: bool = True) -> list:
+    """Execute every cell of the plan, checkpointing to out_dir (created if
+    missing), and return their CellResults in index order.
 
     The plan's operator is assembled and factored here, once, when any cell
     is left to run; an error doing so ends the sweep.  With ``workers`` > 1,
@@ -314,7 +312,7 @@ def run_sweep(plan: SweepPlan, out_dir: str, workers: int = 1,
     nothing; one with rows whose overlay.json names another plan hash
     raises ConfigError.
     """
-    plan_dict = plan.as_dict()
+    plan_dict = asdict(plan)
     plan_hash = config_hash(plan_dict)
     names = [a.name for a in plan.axes]
     cells_path, sidecar_path = (os.path.join(out_dir, f) for f in (_CELLS_FILE, _SIDECAR_FILE))
@@ -335,11 +333,10 @@ def run_sweep(plan: SweepPlan, out_dir: str, workers: int = 1,
             checkpoint.write(csv_line(_cell_row(names, cell)))
             checkpoint.flush()
     results.sort(key=lambda c: c.index)
-    region = RegionMap(cells=results, overlay=_overlay_for(plan))
     _write_cells(cells_path, names, results)
     write_json(sidecar_path, {"plan": plan_dict, "plan_hash": plan_hash,
-                              "overlay": region.overlay, "counts": region.counts()})
-    return region
+                              "overlay": _overlay_for(plan), "counts": status_counts(results)})
+    return results
 
 
 # the exponent table's columns, as ExponentReport.as_dict names them

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from hardykpz import cli, solver, sweep, util
+from hardykpz.errors import HardyKPZError
 from hardykpz import radialop as ro
 from hardykpz import specfun as sf
 
@@ -465,7 +466,7 @@ def test_solve_alpha_damp_is_the_damped_scheme(capsys, tmp_path):
         return [open(os.path.join(d, "out", f), "rb").read()
                 for f in ("field.csv", "trace.csv")]
     field, _ = artifacts("damped", _damped_cfg())
-    params, grid, controls, f = solver.run_inputs(_damped_cfg())
+    params, grid, controls, f, _ = solver.run_inputs(_damped_cfg())
     assert params.alpha_damp == 2 * S - 1 + 0.5
     rep = solver.solve_damped(params, f, ro.assemble_operator(grid, S), controls=controls)
     path = os.path.join(tmp_path, "direct.csv")
@@ -661,7 +662,8 @@ def _main(capsys, tmp_path, command, cfg, *extra):
     return code, capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, cfg, named", [
+# malformed configs: (command, config or file text, what the message names)
+_MALFORMED = [
     ("sweep", _sweep_cfg(problem={"s": S, "lambda": LAM, "p": 1.3}), "'N'"),
     ("sweep", _sweep_cfg(controls={"n_levels": 12}), "'controls'"),
     ("solve", _solve_cfg(controls={"picard_maxx": 10}), "picard_maxx"),
@@ -720,25 +722,31 @@ def _main(capsys, tmp_path, command, cfg, *extra):
     ("sweep", _sweep_cfg(n_levels=0), "'n_levels'"),
     ("solve", _solve_cfg(grid={"R": 1.0, "M": 16, "g": 300.0}), "g=300.0"),
     ("solve", _solve_cfg(grid={"R": 1e120, "M": 32, "g": 2.0}), "R=1e+120"),
-], ids=["sweep-missing-N", "sweep-plan-n_levels", "solve-unknown-control",
-        "sweep-unknown-control", "sweep-unknown-plan-key", "sweep-unknown-axis-key",
-        "sweep-negative-source", "solve-non-object-config", "solve-grid-M-not-int",
-        "solve-n_levels-not-int", "solve-non-object-controls", "solve-control-picard_max",
-        "sweep-plan-controls",
-        "damped-explicit-supersolution", "damped-supersolution-Auto",
-        "probe-supersolution-object",
-        "probe-rel_width-string", "probe-mu_floor-null", "probe-mu_cap-bool",
-        "probe-non-object-block", "sweep-count-string", "sweep-count-fraction",
-        "sweep-start-string", "sweep-stop-null", "sweep-axes-not-list",
-        "sweep-budget-string", "sweep-kind-key", "sweep-alpha_damp-string",
-        "solve-grid-M-string",
-        "solve-problem-typo", "solve-grid-typo", "solve-source-typo",
-        "solve-top-level-typo", "probe-block-typo", "probe-alpha_damp",
-        "solve-alpha_damp-top-level", "sweep-alpha_damp-top-level",
-        "damped-c", "sweep-top-level-key",
-        "sweep-problem-typo", "sweep-n_levels-string", "solve-n_levels-overflow",
-        "sweep-n_levels-overflow", "solve-n_levels-zero", "sweep-n_levels-zero",
-        "solve-degenerate-grid", "solve-radius-overflows-the-weights"])
+]
+_MALFORMED_IDS = [
+    "sweep-missing-N", "sweep-plan-n_levels", "solve-unknown-control",
+    "sweep-unknown-control", "sweep-unknown-plan-key", "sweep-unknown-axis-key",
+    "sweep-negative-source", "solve-non-object-config", "solve-grid-M-not-int",
+    "solve-n_levels-not-int", "solve-non-object-controls", "solve-control-picard_max",
+    "sweep-plan-controls",
+    "damped-explicit-supersolution", "damped-supersolution-Auto",
+    "probe-supersolution-object",
+    "probe-rel_width-string", "probe-mu_floor-null", "probe-mu_cap-bool",
+    "probe-non-object-block", "sweep-count-string", "sweep-count-fraction",
+    "sweep-start-string", "sweep-stop-null", "sweep-axes-not-list",
+    "sweep-budget-string", "sweep-kind-key", "sweep-alpha_damp-string",
+    "solve-grid-M-string",
+    "solve-problem-typo", "solve-grid-typo", "solve-source-typo",
+    "solve-top-level-typo", "probe-block-typo", "probe-alpha_damp",
+    "solve-alpha_damp-top-level", "sweep-alpha_damp-top-level",
+    "damped-c", "sweep-top-level-key",
+    "sweep-problem-typo", "sweep-n_levels-string", "solve-n_levels-overflow",
+    "sweep-n_levels-overflow", "solve-n_levels-zero", "sweep-n_levels-zero",
+    "solve-degenerate-grid", "solve-radius-overflows-the-weights",
+]
+
+
+@pytest.mark.parametrize("command, cfg, named", _MALFORMED, ids=_MALFORMED_IDS)
 def test_malformed_input_exits_2(capsys, tmp_path, command, cfg, named):
     code, err = _main(capsys, tmp_path, command, cfg)
     assert code == 2
@@ -747,12 +755,35 @@ def test_malformed_input_exits_2(capsys, tmp_path, command, cfg, named):
     assert not os.path.exists(os.path.join(tmp_path, "out", "cells.csv"))
 
 
+_MALFORMED_CONFIGS = [(case, name) for case, name in zip(_MALFORMED, _MALFORMED_IDS)
+                      if isinstance(case[1], dict)]
+
+
+@pytest.mark.parametrize("command, cfg, named", [case for case, _ in _MALFORMED_CONFIGS],
+                         ids=[name for _, name in _MALFORMED_CONFIGS])
+def test_the_config_readers_refuse_what_the_cli_refuses(capsys, tmp_path, command, cfg,
+                                                        named):
+    # each check of a loaded config lives in its reader: the CLI prints the
+    # reader's own message
+    reader = sweep.plan_input if command == "sweep" else solver.run_inputs
+    with pytest.raises(HardyKPZError) as refused:
+        reader(cfg)
+    assert named in str(refused.value)
+    assert _main(capsys, tmp_path, command, cfg) == (2, f"error: {refused.value}\n")
+
+
 _NAN, _INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize("argv, cfg, named", [
     (["exponents", "--N", "3", "--s", "0.75", "--lambda", "nan"], None,
      "lambda must be positive, got nan"),
+    (["exponents", "--N", "3", "--s", "0.75", "--table", "--lambda-min", "0.1",
+      "--lambda-max", "inf", "--count", "3"], None,
+     "--lambda-max must be a finite number, got inf"),
+    (["exponents", "--N", "3", "--s", "0.75", "--table", "--lambda-min", "nan",
+      "--lambda-max", "0.5", "--count", "3"], None,
+     "--lambda-min must be a finite number, got nan"),
     (["oracle", "--N", "3", "--s", "0.75", "--theta", "0.5", "--g", "nan"], None,
      "grading exponent must satisfy g >= 1, got g=nan"),
     (["oracle", "--N", "3", "--s", "0.75", "--theta", "0.5", "--R", "nan"], None,
@@ -767,7 +798,8 @@ _NAN, _INF = float("nan"), float("inf")
     (["solve"], _damped_cfg(alpha=_NAN), "problem key 'alpha_damp'"),
     (["sweep"], _sweep_cfg(axes=[{"name": "p", "start": _NAN, "stop": 1.35,
                                   "count": 2}]), "axis key 'start'"),
-], ids=["exponents-lambda", "oracle-g", "oracle-R", "solve-lambda", "solve-mu-inf",
+], ids=["exponents-lambda", "table-lambda-max-inf", "table-lambda-min-nan",
+        "oracle-g", "oracle-R", "solve-lambda", "solve-mu-inf",
         "solve-R", "solve-source", "damped-alpha_damp", "sweep-axis-start"])
 def test_non_finite_numbers_exit_2(capsys, tmp_path, monkeypatch, argv, cfg, named):
     # Python's json reads and writes NaN and Infinity; both are refused
@@ -775,12 +807,14 @@ def test_non_finite_numbers_exit_2(capsys, tmp_path, monkeypatch, argv, cfg, nam
     def no_assembly(*args, **kwargs):
         raise AssertionError("an operator was assembled for a non-finite input")
     monkeypatch.setattr(ro, "assemble_operator", no_assembly)
+    monkeypatch.chdir(tmp_path)  # where `exponents --table` writes its table
     if cfg is None:
         code, err = cli.main(argv), capsys.readouterr().err
     else:
         code, err = _main(capsys, tmp_path, argv[0], json.dumps(cfg))
     assert code == 2
     assert named in err
+    assert not os.path.exists(os.path.join(tmp_path, "exponents.csv"))
 
 
 def _no_assembly(monkeypatch):
@@ -972,21 +1006,15 @@ def test_readme_cli_examples_parse():
         assert args.fn is getattr(cli, f"cmd_{args.command}")
 
 
-def test_readme_configs_pass_the_readers(tmp_path):
+def test_readme_configs_pass_the_readers():
     """The solve and sweep configs shown in README.md pass the config readers."""
     with open(os.path.join(ROOT, "README.md")) as fh:
         blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", fh.read(), re.S)]
     [run_cfg] = [b for b in blocks if "problem" in b]
     [sweep_cfg] = [b for b in blocks if "plan" in b]
-    # the readers of `solve` and `probe`, then those of `sweep`
-    path = os.path.join(tmp_path, "cfg.json")
-    for cfg, keys in ((run_cfg, cli._RUN_KEYS), (sweep_cfg, cli._SWEEP_KEYS)):
-        with open(path, "w") as fh:
-            json.dump(cfg, fh)
-        assert cli._load_config(path, keys) == cfg
-    solver.run_inputs(run_cfg)
-    cli._auto_supersolution(run_cfg)
-    sweep.SweepPlan.from_dict(sweep_cfg["plan"])
+    # the reader of `solve` and `probe`, then that of `sweep`
+    assert solver.run_inputs(run_cfg)[4] == "auto"
+    sweep.plan_input(sweep_cfg)
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"], ids=["flag-zero", "flag-negative"])
@@ -1006,7 +1034,7 @@ def test_sweep_workers_come_from_the_flag_alone(capsys, tmp_path, monkeypatch):
 
     def recording(plan, out_dir, workers, resume):
         counts.append(workers)
-        return sweep.RegionMap(cells=[], overlay={})
+        return []
     monkeypatch.setattr(sweep, "run_sweep", recording)
     assert _main(capsys, tmp_path, "sweep", _sweep_cfg())[0] == 0
     assert counts == [1]

@@ -353,6 +353,10 @@ def test_admissible_bound_sup_matches_the_plain_scan_bitwise():
         bound = co.admissible_bound_sup(sf.ProblemParams(n_dim, s, lam, p), R, r1)
         assert bound == _plain_bound(n_dim, s, lam, p, R, r1)
     assert co.admissible_bound_sup(sf.ProblemParams(N, S, 0.0, 1.2), 1.0, 1e-3) == math.inf
+    # the family is undamped: it bounds no damped run
+    for alpha in (1e-9, 1.0):
+        params = sf.ProblemParams(N, S, 0.5 * sf.hardy_constant(N, S), 1.2, alpha_damp=alpha)
+        assert co.admissible_bound_sup(params, 1.0, 1e-3) == math.inf
 
 
 @pytest.mark.parametrize("lam_frac", [0.05, 0.3, 0.5, 0.8, 0.99])

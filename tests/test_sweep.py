@@ -1,6 +1,8 @@
 """Sweeps and exponent tables: classification maps, overlays, checkpointing."""
 
+import dataclasses
 import functools
+import json
 import os
 import re
 import tempfile
@@ -35,7 +37,7 @@ def _plan(**over):
         n_levels=15,
     )
     base.update(over)
-    return sw.SweepPlan.from_dict(base)
+    return sw.plan_input({"plan": base})
 
 
 # ------------------------------------------------------------------ tables
@@ -74,9 +76,9 @@ def test_exponent_table_csv(tmp_path):
 # ------------------------------------------------------------------ sweeps
 
 def test_sweep_band_contains_critical_exponent(tmp_path):
-    region = sw.run_sweep(_plan(), out_dir=str(tmp_path))
+    cells = sw.run_sweep(_plan(), out_dir=str(tmp_path))
     by_status = {}
-    for cell in region.cells:
+    for cell in cells:
         by_status.setdefault(cell.status, []).append(cell.values["p"])
     last_conv = max(by_status["Converged"])
     first_blow = min(by_status["BlowUp"])
@@ -88,9 +90,9 @@ def test_sweep_band_contains_critical_exponent(tmp_path):
 def test_sweep_policy_inconclusive_at_p_plus(tmp_path):
     plan = _plan(axes=[{"name": "p", "start": REP.p_plus, "stop": REP.p_plus,
                         "count": 1}])
-    region = sw.run_sweep(plan, out_dir=str(tmp_path))
-    assert region.cells[0].status == "Inconclusive"
-    assert "policy" in region.cells[0].note
+    cells = sw.run_sweep(plan, out_dir=str(tmp_path))
+    assert cells[0].status == "Inconclusive"
+    assert "policy" in cells[0].note
 
 
 def test_sweep_deterministic_and_resumable(tmp_path):
@@ -209,9 +211,9 @@ def test_sweep_resume_refuses_another_plan(tmp_path):
         sw.run_sweep(new, out_dir=d)
     # the refused run leaves the checkpoint untouched
     assert open(os.path.join(d, "cells.csv"), "rb").read() == old_cells
-    region = sw.run_sweep(new, out_dir=d, resume=False)
-    assert [c.values["p"] for c in region.cells] == [1.4, 1.6]
-    assert region.cells == sw.run_sweep(new, os.path.join(d, "fresh")).cells
+    cells = sw.run_sweep(new, out_dir=d, resume=False)
+    assert [c.values["p"] for c in cells] == [1.4, 1.6]
+    assert cells == sw.run_sweep(new, os.path.join(d, "fresh"))
 
 
 @pytest.mark.parametrize("torn", [False, True], ids=["before", "torn"])
@@ -277,25 +279,27 @@ def test_sweep_axis_count_as_float_is_the_count(tmp_path):
 
 def test_sweep_empty_range(tmp_path):
     plan = _plan(axes=[{"name": "p", "start": 1.2, "stop": 1.2, "count": 0}])
-    region = sw.run_sweep(plan, str(tmp_path))
-    assert region.cells == []
+    cells = sw.run_sweep(plan, str(tmp_path))
+    assert cells == []
 
 
 def test_sweep_overlay_matches_specfun(tmp_path):
     plan = _plan(axes=[{"name": "lambda", "start": 0.1, "stop": 0.4, "count": 4}])
-    region = sw.run_sweep(plan, out_dir=str(tmp_path))
-    for lam, pp in zip(region.overlay["lambda"], region.overlay["p_plus"]):
+    sw.run_sweep(plan, out_dir=str(tmp_path))
+    with open(os.path.join(tmp_path, "overlay.json")) as fh:
+        overlay = json.load(fh)["overlay"]
+    for lam, pp in zip(overlay["lambda"], overlay["p_plus"]):
         assert pp == sf.exponents_for(N, S, lam).p_plus
-    assert region.overlay["two_s"] == 2 * S
-    assert region.overlay["p_star"] == N / (N - 2 * S + 1)
+    assert overlay["two_s"] == 2 * S
+    assert overlay["p_star"] == N / (N - 2 * S + 1)
 
 
 def test_sweep_two_axes_and_mu(tmp_path):
     plan = _plan(axes=[{"name": "p", "start": 1.25, "stop": 1.35, "count": 2},
                        {"name": "mu", "start": 1e-4, "stop": 1e-3, "count": 2}])
-    region = sw.run_sweep(plan, str(tmp_path))
-    assert len(region.cells) == 4
-    assert {c.status for c in region.cells} <= {"Converged", "BlowUp",
+    cells = sw.run_sweep(plan, str(tmp_path))
+    assert len(cells) == 4
+    assert {c.status for c in cells} <= {"Converged", "BlowUp",
                                                 "MaxIterations", "Inconclusive"}
 
 
@@ -315,9 +319,9 @@ def test_sweep_plan_validation():
         with pytest.raises(ConfigError, match=f"unknown key '{key}' in plan"):
             _plan(**{key: 4096})
     # a plan without n_levels runs the ladder of a run config without controls
-    plain = {k: v for k, v in _plan().as_dict().items() if k != "n_levels"}
+    plain = {k: v for k, v in dataclasses.asdict(_plan()).items() if k != "n_levels"}
     run_cfg = {k: plain[k] for k in ("problem", "grid", "source")}
-    assert sw.SweepPlan.from_dict(plain)._controls == so.run_inputs(run_cfg)[2]
+    assert sw.plan_input({"plan": plain})._controls == so.run_inputs(run_cfg)[2]
 
 
 def test_sweep_worker_pool_matches_serial(tmp_path):
@@ -383,10 +387,10 @@ def test_sweep_pool_is_sized_to_the_cells_left(tmp_path, monkeypatch, workers, c
         lines = open(path).readlines()
         open(path, "w").writelines(lines[:1 + kept])
         _InlinePool.sizes.clear()
-    region = sw.run_sweep(plan, out_dir=str(tmp_path), workers=workers)
+    done = sw.run_sweep(plan, out_dir=str(tmp_path), workers=workers)
     assert _InlinePool.sizes == ([] if pool_size is None else [pool_size])
-    assert len(region.cells) == cells
-    assert region.cells == sw.run_sweep(plan, os.path.join(tmp_path, "fresh")).cells
+    assert len(done) == cells
+    assert done == sw.run_sweep(plan, os.path.join(tmp_path, "fresh"))
 
 
 def _no_real_pool(monkeypatch):
@@ -420,8 +424,8 @@ def test_sweep_reads_its_run_inputs_once(tmp_path, monkeypatch, workers):
         monkeypatch.setattr(module, name, counting)
     plan = _plan(axes=[{"name": "p", "start": 1.2, "stop": 1.5, "count": 16}],
                  grid={"R": 1.0, "M": 32, "g": 2.0}, n_levels=10)
-    region = sw.run_sweep(plan, str(tmp_path), workers=workers)
-    assert len(region.cells) == 16
+    cells = sw.run_sweep(plan, str(tmp_path), workers=workers)
+    assert len(cells) == 16
     assert calls == {"run_inputs": 1, "build_grid": 1}
 
 
@@ -480,12 +484,12 @@ def test_sweep_cell_matches_direct_solve(tmp_path, alpha):
     plan = _plan(axes=[{"name": "p", "start": 1.25, "stop": 1.45, "count": 3}],
                  grid={"R": 1.0, "M": 32, "g": 2.0}, n_levels=12,
                  problem={**PROBLEM, "alpha_damp": alpha})
-    region = sw.run_sweep(plan, str(tmp_path))
-    assert len(region.cells) == 3
-    for cell in region.cells:
+    cells = sw.run_sweep(plan, str(tmp_path))
+    assert len(cells) == 3
+    for cell in cells:
         cfg = {"problem": {**plan.problem, "p": cell.values["p"]}, "grid": plan.grid,
                "controls": {"n_levels": plan.n_levels}, "source": plan.source}
-        params, grid, controls, f = so.run_inputs(cfg)
+        params, grid, controls, f, _ = so.run_inputs(cfg)
         assert params.alpha_damp == alpha
         op = ro.assemble_operator(grid, params.s)
         rep = so.solve_damped(params, f, op, controls=controls)
@@ -515,9 +519,9 @@ def test_serial_sweep_factors_its_operator_once(tmp_path, monkeypatch):
     monkeypatch.setattr(so, "lu_factor", counting)
     plan = _plan(axes=[{"name": "p", "start": 1.2, "stop": 1.5, "count": 16}],
                  grid={"R": 1.0, "M": 48, "g": 2.0}, n_levels=12)
-    region = sw.run_sweep(plan, str(tmp_path), workers=1)
-    assert len(region.cells) == 16
-    assert {c.status for c in region.cells} == {"Converged", "BlowUp"}
+    cells = sw.run_sweep(plan, str(tmp_path), workers=1)
+    assert len(cells) == 16
+    assert {c.status for c in cells} == {"Converged", "BlowUp"}
     assert len(calls) == 1
 
 

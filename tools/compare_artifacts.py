@@ -19,7 +19,11 @@ has one); a command with a config writes to ``out/`` there.  The cases are:
   config; a ``--workers 2`` sweep over alpha_damp x p; and a sweep over p
   at alpha = 1;
 * the README's ``oracle --refine`` run (N = 3, s = 0.75, theta = 0.2131,
-  M = 200), which has no config and prints its result.
+  M = 200), which has no config and prints its result;
+* the point commands at N = 3, s = 0.75, which take no config either:
+  ``constants`` and ``exponents --lambda 0.2`` (each also writing its
+  ``--out`` file), and ``exponents --table`` over 20 lambdas from 0.02 to
+  0.5, past the Hardy constant 0.4464, so that the table has invalid rows.
 
 A case differs when its exit code, stdout, stderr, or the set or bytes of
 the files it leaves differ.  The script prints one line per case; for a
@@ -76,6 +80,14 @@ def _damped_cases() -> dict:
 # the README's refinement check of the operator; it takes no config
 _ORACLE_REFINE = ["oracle", "--N", "3", "--s", "0.75", "--theta", "0.2131", "--M", "200",
                   "--refine"]
+# the commands that read no config: constants and exponents
+_POINT = ["--N", "3", "--s", "0.75"]
+_POINT_CASES = {
+    "constants": ["constants", *_POINT, "--out", "constants.json"],
+    "exponents": ["exponents", *_POINT, "--lambda", "0.2", "--out", "exponents.json"],
+    "exponents-table": ["exponents", *_POINT, "--table", "--lambda-min", "0.02",
+                        "--lambda-max", "0.5", "--count", "20"],
+}
 
 
 def cases(seeds: int) -> dict:
@@ -86,6 +98,7 @@ def cases(seeds: int) -> dict:
             out[f"{name}/seed{seed}"] = (cli_args, make_config(random.Random(f"{name}/{seed}")))
     out.update(_damped_cases())
     out["oracle-refine"] = (_ORACLE_REFINE, None)
+    out.update((name, (argv, None)) for name, argv in _POINT_CASES.items())
     return out
 
 
