@@ -52,8 +52,15 @@ Discretization notes
 * The quadrature is graded by distance: only the near-singular pieces, the
   pairing panels k <= ``_NEAR`` and the ``_NEAR`` remainder cells next to
   each row's pairing band, take the full rules (``_N_PAIR``, ``_N_CELL``
-  nodes); every other panel and cell takes the ``_N_FAR``-node rule.  That
-  halves the kernel evaluations and moves the rows past the calibrated band
+  nodes).  The distant ones, pairing panels k >= ``_DISTANT`` and cells at
+  least ``_DISTANT`` nodes from their row, take the ``_N_DISTANT``-node
+  rule, and every other panel and cell the ``_N_FAR``-node rule.  Two kinds
+  of distant piece keep ``_N_FAR`` nodes: one that reaches the first
+  ``_INNER`` nodes, where the profile blend follows the singular r^-w0, and
+  any piece of the first ceil(``_CALIB_FRAC`` M) rows: the calibrated band,
+  whose fit magnifies a quadrature move about 50-fold, and the
+  origin-closure row before it.  That leaves about a third of the
+  full-order kernel evaluations and moves the rows past the calibrated band
   by at most 1e-8 of their largest entry at desk scale (README).
 * The rows are assembled in contiguous blocks, one per usable CPU
   (``util.usable_cpus``) and at least ``_MIN_BLOCK_ROWS`` rows each.  Every
@@ -107,18 +114,29 @@ _NEAR = 2             # near-singular: pairing panels k <= _NEAR, and the _NEAR
 _N_PAIR = 10          # GL nodes per near pairing panel
 _N_CELL = 8           # GL nodes per near remainder cell
 _N_FAR = 4            # GL nodes per far pairing panel and per far remainder cell
+_DISTANT = 24         # distant: pairing panels k >= _DISTANT, and remainder cells
+                      # at least _DISTANT nodes from their row
+_INNER = 16           # a distant piece that reaches one of the first _INNER nodes,
+                      # where the profile blend follows the singular r^-w0,
+                      # keeps the _N_FAR rule
+_N_DISTANT = 2        # GL nodes per distant pairing panel and remainder cell
 _N_ORIGIN = 16        # GL nodes of the origin cell (0, r_1)
 _N_TAIL = 24          # log-spaced panels of the exterior tail
 _N_TAIL_NODES = 8     # GL nodes per exterior-tail panel
-_CHEB_DEGREE = 20     # degree of each Chebyshev piece of the kernel table
-_CHEB_PIECES = 60     # dyadic pieces [2^-(k+1), 2^-k] of y = 1 - x, k < 60
+_CHEB_DEGREE = 8      # degree of each Chebyshev piece of the kernel table
+_OCTAVES = 60         # dyadic octaves [2^-(k+1), 2^-k] of y = 1 - x, k < 60
+_SUB_BITS = 3         # each octave splits into 2^_SUB_BITS equal pieces, named by
+                      # the top _SUB_BITS mantissa bits of y
 _CHUNK = 1 << 13      # kernel points per chunk of the assembly, its tails included
 _HYP_SWITCH = 1.0 / 16.0  # y from which hyp2f1 sums its series in 1-y, not in y
-_HYP_BAND = 1e-4      # half-width of the band around s = 1/2 that hyp2f1 interpolates
+_HYP_BAND = 5e-4      # half-width of the band around s = 1/2 that hyp2f1 interpolates
 _MAX_NODES = 10_000   # largest grid M: its dense operator holds 800 MB
 _MIN_BLOCK_ROWS = 100  # fewest rows a forked assembly block takes: below
                        # that, forking and reaping cost more than the split
-                       # saves (M = 100: 20 ms in one block, 25 ms in two)
+                       # saves (fresh processes, one block against two, paired:
+                       # M = 150 35 against 40 ms, two faster in 1 of 20;
+                       # M = 200 a tie, two faster in 11 of 20, twice;
+                       # M = 300 69 against 62 ms, two faster in 14 of 14)
 
 
 @lru_cache(maxsize=None)
@@ -141,6 +159,7 @@ _RULE_FIRST = _unit_rule(_N_FIRST)
 _RULE_PAIR = _unit_rule(_N_PAIR)
 _RULE_CELL = _unit_rule(_N_CELL)
 _RULE_FAR = _unit_rule(_N_FAR)
+_RULE_DISTANT = _unit_rule(_N_DISTANT)
 _RULE_ORIGIN = _unit_rule(_N_ORIGIN)
 _RULE_TAIL = _unit_rule(_N_TAIL_NODES)
 
@@ -321,9 +340,9 @@ def hyp2f1(N: int, s: float, y) -> np.ndarray:
     From y = ``_HYP_SWITCH`` up it is the Gauss series in x = 1 - y; below
     it, the connection formula of ``_hyp2f1_near_origin``.  Within
     ``_HYP_BAND`` of s = 1/2, where the two terms of that formula cancel, the
-    small-y values are the 4-point Lagrange interpolant in s through
-    s = 1/2 +- _HYP_BAND and 1/2 +- 2 _HYP_BAND.  It agrees with 30-digit
-    mpmath to about 4e-14 relative (README, "Discretization notes").
+    small-y values are the 6-point Lagrange interpolant in s through
+    s = 1/2 +- k _HYP_BAND, k = 1, 2, 3.  It agrees with 30-digit mpmath to
+    about 5e-15 relative (README, "Discretization notes").
     """
     y = np.asarray(y, float)
     out = np.empty_like(y)
@@ -334,7 +353,7 @@ def hyp2f1(N: int, s: float, y) -> np.ndarray:
     if abs(t) >= 1.0:
         out[~far] = _hyp2f1_near_origin(N, s, near)
         return out
-    nodes = (-2.0, -1.0, 1.0, 2.0)
+    nodes = (-3.0, -2.0, -1.0, 1.0, 2.0, 3.0)
     acc = np.zeros_like(near)
     for tk in nodes:
         weight = math.prod((t - tj) / (tk - tj) for tj in nodes if tj != tk)
@@ -343,18 +362,59 @@ def hyp2f1(N: int, s: float, y) -> np.ndarray:
     return out
 
 
+# the bits of a double y in [2^-_OCTAVES, 1): its exponent field and top
+# _SUB_BITS mantissa bits name its piece, the rest is its place in the piece
+_PIECE_SHIFT = 52 - _SUB_BITS
+_PIECE_OFFSET = (1023 - _OCTAVES) << _SUB_BITS
+_LOCAL_MASK = (1 << _PIECE_SHIFT) - 1
+_ONE_BITS = 1023 << 52
+
+
+def _piece_nodes(t) -> np.ndarray:
+    """y at local variable ``t`` (broadcast along axis 0) on every piece of the
+    kernel table, in piece order: piece p = 2^_SUB_BITS (_OCTAVES - E) + m
+    covers 2^-E [1 + m 2^-_SUB_BITS, 1 + (m + 1) 2^-_SUB_BITS], E = 1.._OCTAVES."""
+    sub = 1 << _SUB_BITS
+    p = np.arange(_OCTAVES * sub)
+    m = p % sub
+    return np.ldexp(1.0 + (2 * m + 1 + np.asarray(t, float)[..., None]) / (2 * sub),
+                    p // sub - _OCTAVES)
+
+
+def _locate(y: np.ndarray, piece: np.ndarray, t: np.ndarray):
+    """The table piece of every y in [2^-_OCTAVES, 1) and its local variable
+    t in [-1, 1), into ``piece`` and ``t``.  The piece is y's bits shifted
+    right past all but the top _SUB_BITS mantissa bits, less the offset of
+    the lowest octave; t = 2^(_SUB_BITS+1) (v - 1) - 1, with v in
+    [1, 1 + 2^-_SUB_BITS) the double whose mantissa holds y's other bits."""
+    bits = y.view(np.int64)
+    np.right_shift(bits, _PIECE_SHIFT, out=piece)
+    piece -= _PIECE_OFFSET
+    t_bits = t.view(np.int64)
+    np.bitwise_and(bits, _LOCAL_MASK, out=t_bits)
+    t_bits |= _ONE_BITS
+    t *= 2.0 ** (_SUB_BITS + 1)
+    t -= 2.0 ** (_SUB_BITS + 1) + 1.0
+    return piece, t
+
+
 class _Kernel:
     """Radial kernel k2(r, rho) = K(r, rho) * rho^(N-1) in closed form.
 
     Its angular factor g2(y) = 2F1(-s, N/2-s-1; N/2; 1-y), with
     y = 1 - (min/max)^2 in [0, 1], comes from a table built once per kernel.
-    Piece k covers y in [2^-(k+1), 2^-k], with local variable
-    t = 2^(k+2) y - 3 in [-1, 1], and holds the degree-``_CHEB_DEGREE``
-    Chebyshev interpolant of ``hyp2f1`` sampled at its Chebyshev nodes.  The
-    pieces are dyadic because g2 has a y^(2s+1) branch point at y = 0: every
-    piece then sits at the same relative distance from it, and one degree
-    serves them all.  Below the last piece g2 equals 2F1(.; 1) to far below
-    double precision, so y is clamped to that piece's lower edge.
+    Each dyadic octave [2^-(k+1), 2^-k], k < ``_OCTAVES``, splits into
+    2^``_SUB_BITS`` equal pieces, and each piece holds the
+    degree-``_CHEB_DEGREE`` Chebyshev interpolant of ``hyp2f1`` sampled at
+    its Chebyshev nodes.  The octaves are dyadic because g2 has a y^(2s+1)
+    branch point at y = 0: every piece of one place in its octave then sits
+    at the same relative distance from it, and one degree serves them all.
+    A point's piece and local variable t in [-1, 1] are read from the bits of
+    y: its exponent field and top mantissa bits, shifted, are the piece, and
+    its other mantissa bits are t.  Below the last octave g2 equals 2F1(.; 1)
+    to far below double precision, so y is clamped to its lower edge; y = 1
+    (where min/max underflows in the square) is clamped to the last double
+    below it, the top of the table.
     """
 
     def __init__(self, N: int, s: float):
@@ -365,12 +425,11 @@ class _Kernel:
         self.C = 2.0 * specfun.normalizing_constant(N, s) * specfun.sphere_area(N)
         n = _CHEB_DEGREE + 1
         theta = np.pi * (np.arange(n) + 0.5) / n
-        y = np.ldexp((np.cos(theta)[:, None] + 3.0) / 4.0, -np.arange(_CHEB_PIECES))
         to_coef = np.cos(np.outer(np.arange(n), theta)) * (2.0 / n)
         to_coef[0] *= 0.5
         # row j holds the coefficient of T_j on every piece
-        self._coef = to_coef @ self.reference(y)
-        self._y_min = math.ldexp(1.0, -_CHEB_PIECES)
+        self._coef = to_coef @ self.reference(_piece_nodes(np.cos(theta)))
+        self._y_lim = (math.ldexp(1.0, -_OCTAVES), math.nextafter(1.0, 0.0))
 
     def reference(self, y):
         """g2(y) from the module's ``hyp2f1``: the values the table interpolates."""
@@ -381,20 +440,11 @@ class _Kernel:
         ``out`` and the buffers of ``scratch`` when given (see ``_Scratch``)."""
         shape = np.shape(y)
         # out holds y, then 2t, until the last step writes g2 there
-        y = np.maximum(y, self._y_min, out=np.empty(shape) if out is None else out)
-        t = scratch("g2.t", shape)
-        ex = scratch("g2.ex", shape, np.intc)
-        np.frexp(y, out=(t, ex))
-        np.negative(ex, out=ex)
-        np.maximum(ex, 0, out=ex)
-        piece = scratch("g2.piece", shape, np.intp)
-        np.copyto(piece, ex)
-        np.ldexp(y, piece, out=t)
-        t *= 4.0
-        t -= 3.0
+        y = np.clip(y, *self._y_lim, out=np.empty(shape) if out is None else out)
+        piece, t = _locate(y, scratch("g2.piece", shape, np.intp), scratch("g2.t", shape))
         t2 = np.multiply(2.0, t, out=y)
         coef = self._coef
-        # every piece lies in [0, _CHEB_PIECES): "clip" only spares take a copy
+        # every piece lies in [0, len(coef[0])): "clip" only spares take a copy
         b1 = coef[-1].take(piece, out=scratch("g2.b1", shape), mode="clip")
         b2 = scratch("g2.b2", shape)
         b2.fill(0.0)
@@ -544,6 +594,8 @@ class _Assembler:
         self.rw = grid.r**self.w0
         self.dlt = 1.0 / grid.M
         self.far = _FAR_FACTOR * grid.R
+        # the origin-closure row and the calibrated rows 1..i_cal-1
+        self.i_cal = max(2, int(math.ceil(_CALIB_FRAC * grid.M)))
         self.m_grade = mgr = min(max(2.0, 2.0 / (2.0 - 2.0 * s)), 8.0)
         # graded rule of the singular first cell: nodes xi^m, weights m xi^(m-1) w
         xi0, wxi0 = _RULE_FIRST
@@ -552,6 +604,16 @@ class _Assembler:
         # empty until a block's first chunk, so every forked child fills its
         # own; the calling process reuses its block's for the calibration
         self.scratch = _Scratch()
+
+    def _tiers(self, first: np.ndarray, count: np.ndarray, lo, hi):
+        """Split each row's run [first, first + count) of far pieces at its
+        distant window [lo, hi): the runs before and after the window, which
+        keep the far rule, as two (first, count) groups, and the run inside
+        it.  The first ``i_cal`` rows have no window."""
+        end = first + count
+        d_lo = np.clip(lo, first, end)
+        d_hi = np.clip(np.where(np.arange(self.M) < self.i_cal, 0, hi), d_lo, end)
+        return [(first, d_lo - first), (d_hi, end - d_hi)], (d_lo, d_hi - d_lo)
 
     # -- kernel helpers --------------------------------------------------
     def _w_sides(self, rows: np.ndarray, eta: np.ndarray, scratch=_fresh):
@@ -609,8 +671,9 @@ class _Assembler:
     def _check_kernel(self):
         """Verify the kernel table against hyp2f1, and the closed angular form
         it feeds against direct GL quadrature."""
-        # geometric piece midpoints 2^-(k+1/2): never an interpolation node
-        y = np.ldexp(math.sqrt(0.5), -np.arange(_CHEB_PIECES))
+        # the midpoint of each piece's upper half, t = 1/2: never an
+        # interpolation node
+        y = _piece_nodes(0.5)
         ref = self.kern.reference(y)
         worst = float(np.max(np.abs(self.kern.g2(y) - ref) / np.abs(ref)))
         if worst > 1e-12:
@@ -693,16 +756,19 @@ class _Assembler:
         interpolated along the profile, k = 0..K-1.  Panel k = 0 is the
         singular first cell, on the graded rule; it places only node 1's
         share, since node 0 is the row itself.  Panels k <= ``_NEAR`` take
-        ``_RULE_PAIR``, the far ones ``_RULE_FAR``."""
+        ``_RULE_PAIR``, the distant ones (k >= ``_DISTANT``, with node i - k - 1
+        past the first ``_INNER``) ``_RULE_DISTANT``, the others ``_RULE_FAR``."""
         scratch = self.scratch
         M, dlt = self.M, self.dlt
-        xip, wxip = _RULE_PAIR
-        xif, wxif = _RULE_FAR
+        (xip, wxip), (xif, wxif), (xid, wxid) = _RULE_PAIR, _RULE_FAR, _RULE_DISTANT
         n_near = np.clip(K - 1, 0, _NEAR)
-        for xi, base, first, count in (
-                (*self.graded, np.zeros(M, int), np.minimum(K, 1)),
-                (xip, dlt * wxip, np.ones(M, int), n_near),
-                (xif, dlt * wxif, np.full(M, _NEAR + 1), np.maximum(K - 1, 0) - n_near)):
+        far, distant = self._tiers(np.full(M, _NEAR + 1), np.maximum(K - 1, 0) - n_near,
+                                   _DISTANT, np.arange(M) - _INNER)
+        groups = [(*self.graded, np.zeros(M, int), np.minimum(K, 1)),
+                  (xip, dlt * wxip, np.ones(M, int), n_near)]
+        groups += [(xif, dlt * wxif, *run) for run in far]
+        groups.append((xid, dlt * wxid, *distant))
+        for xi, base, first, count in groups:
             for rows, k in _ragged(first, count, len(xi), lo, hi):
                 shape = (len(rows), len(xi))
                 eta = np.add(k[:, None], xi, out=scratch("chunk.0", shape))
@@ -736,7 +802,9 @@ class _Assembler:
     def _remainder_cells(self, A, K, lo: int, hi: int) -> None:
         """Unpaired cells (nodes j, j+1) beyond each row's pairing band,
         interpolated along the profile; the ``_NEAR`` cells next to the band
-        on each side take ``_RULE_CELL``, the others ``_RULE_FAR``."""
+        on each side take ``_RULE_CELL``, the distant ones (at least
+        ``_DISTANT`` nodes from the row and past the first ``_INNER`` nodes)
+        ``_RULE_DISTANT``, the others ``_RULE_FAR``."""
         scratch = self.scratch
         M, R, g, dlt, r = self.M, self.R, self.g, self.dlt, self.r
         pn = r ** (-self.w0)
@@ -748,10 +816,14 @@ class _Assembler:
         n_left = np.maximum(jl_hi, 0)
         near_right = np.minimum(n_right, _NEAR)
         near_left = np.minimum(n_left, _NEAR)
+        far_right, distant_right = self._tiers(jr0 + near_right, n_right - near_right,
+                                               np.maximum(i1 + _DISTANT, _INNER + 1), M)
+        far_left, distant_left = self._tiers(np.ones(M, int), n_left - near_left,
+                                             _INNER + 1, i1 - _DISTANT)
         for (xic, wxic), groups in (
                 (_RULE_CELL, ((jr0, near_right), (jl_hi - near_left + 1, near_left))),
-                (_RULE_FAR, ((jr0 + near_right, n_right - near_right),
-                             (np.ones(M, int), n_left - near_left)))):
+                (_RULE_FAR, far_right + far_left),
+                (_RULE_DISTANT, (distant_right, distant_left))):
             # everything but the kernel depends on the cell only
             tq = self.tau_arr[:-1, None] + xic * dlt
             rho = R * tq**g
@@ -820,8 +892,7 @@ class _Assembler:
         solver or the column order, and it is the smallest correction of the
         assembled row that fits.
         """
-        M = self.M
-        i_cal = max(2, int(math.ceil(_CALIB_FRAC * M)))
+        M, i_cal = self.M, self.i_cal
         nth = _CALIB_NTHETA
         span = self.N - 2.0 * self.s
         thetas = 0.5 * (1.0 - np.cos(np.pi * np.arange(nth) / (nth - 1))) * 0.97 * span

@@ -88,12 +88,14 @@ class SweepPlan:
     config (see ``solver.run_inputs``); each axis names a ``problem`` key.
     Construction reads them once, with the first cell's swept values, and
     checks every cell: one outside the analytic domain raises ConfigError
-    naming it, before any cell runs.  No axis changes ``source``, so an
-    error in it names no cell.  ``_cells`` keeps each cell's (axis
-    values, params, p_plus), in index order.  Every cell runs solve_damped
-    on its params with the source scaled by ``mu``.  ``n_levels`` is a run
-    config's ``controls`` key, default alike.  A plan of more than
-    ``_MAX_CELLS`` cells is refused before its lattice is built.
+    naming it, before any cell runs.  When an axis of count 0 empties the
+    lattice, each value of the other axes is checked alone, and one outside
+    the domain raises ConfigError naming its axis.  No axis changes
+    ``source``, so an error in it names no cell.  ``_cells`` keeps each
+    cell's (axis values, params, p_plus), in index order.  Every cell runs
+    solve_damped on its params with the source scaled by ``mu``.
+    ``n_levels`` is a run config's ``controls`` key, default alike.  A plan
+    of more than ``_MAX_CELLS`` cells is refused before its lattice is built.
     """
 
     problem: dict
@@ -132,12 +134,24 @@ class SweepPlan:
         self._cells = []
         for index, values in enumerate(lattice):
             try:
-                params = replace(self._params, **{
-                    {"lambda": "lam"}.get(k, k): v for k, v in values.items()})
-                p_plus = exponents_for(params.N, params.s, params.lam).p_plus
+                self._cells.append((values, *self._cell(values)))
             except DomainError as exc:
                 raise ConfigError(f"sweep cell {index} {values}: {exc}") from None
-            self._cells.append((values, params, p_plus))
+        if not lattice:
+            # no cell checks the axis values, which overlay.json still reads
+            for axis in self.axes:
+                for v in map(float, axis.points()):
+                    try:
+                        self._cell({axis.name: v})
+                    except DomainError as exc:
+                        raise ConfigError(f"sweep axis {axis.name} value {v}: {exc}") from None
+
+    def _cell(self, values: dict):
+        """The params of a cell with these axis values, and their p_plus;
+        DomainError when they are outside the analytic domain."""
+        params = replace(self._params, **{
+            {"lambda": "lam"}.get(k, k): v for k, v in values.items()})
+        return params, exponents_for(params.N, params.s, params.lam).p_plus
 
 
 def plan_input(cfg: dict) -> SweepPlan:

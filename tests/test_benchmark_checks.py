@@ -21,7 +21,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # every integer per-layer counter at seed 1, cli.artifact_bytes aside
 _SHARED = {"specfun.exponents_for.calls": 1, "radialop.assemble.calls": 1,
-           "radialop.hyp2f1.points": 1320, "radialop.roots_legendre.calls": 5,
+           "radialop.hyp2f1.points": 4800, "radialop.roots_legendre.calls": 5,
            "solver.lu_factor.calls": 1, "sweep.assemblies": 0}
 COUNTERS = {
     "solve-m400": {**_SHARED, "specfun.gamma_multiplier.calls": 44,

@@ -953,6 +953,17 @@ def test_plan_errors_exit_2_before_assembly(capsys, tmp_path, monkeypatch, over,
     assert not os.path.exists(os.path.join(tmp_path, "out"))
 
 
+def test_an_empty_lattice_checks_its_axes_before_any_write(capsys, tmp_path):
+    # an axis of count 0 leaves no cell to check; a lambda axis past the
+    # Hardy constant still exits 2, names the axis and leaves no artifact
+    cfg = _sweep_cfg(axes=[{"name": "lambda", "start": 0.1, "stop": 0.9, "count": 3},
+                           {"name": "p", "start": 1.25, "stop": 1.35, "count": 0}])
+    code, err = _main(capsys, tmp_path, "sweep", cfg)
+    assert code == 2
+    assert err.startswith("error: sweep axis lambda value 0.5: ") and err.count("\n") == 1
+    assert not os.path.exists(os.path.join(tmp_path, "out"))
+
+
 def test_a_plan_source_error_names_no_cell(capsys, tmp_path, monkeypatch):
     # no axis changes the source block, so its error is the plan's, not the
     # first cell's

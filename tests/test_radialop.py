@@ -170,6 +170,37 @@ def test_kernel_table_matches_hyp2f1(n_dim, s, ys):
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
 
 
+# the edges and midpoint of every table piece, y = 1 (where min/max
+# underflows in the square) and y below the table's last octave
+_PIECE_Y = np.concatenate([ro._piece_nodes(np.asarray([-1.0, 0.0, 1.0])).ravel(),
+                           [1.0, math.ldexp(1.0, -61), 1e-300, 0.0]])
+
+
+@pytest.mark.parametrize("n_dim", [2, 3, 5, 8])
+def test_kernel_table_matches_hyp2f1_on_every_piece(n_dim):
+    """The table against the module's own hyp2f1 at every piece's edges
+    and midpoint, on both sides of s = 1/2 and across (0, 1)."""
+    for s in (0.2, 0.5 - 1e-9, 0.5 + 1e-9, 0.55, 0.75, 0.9, 0.99):
+        want = ro.hyp2f1(n_dim, s, _PIECE_Y)
+        got = ro._Kernel(n_dim, s).g2(_PIECE_Y)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14, s
+
+
+@settings(max_examples=60, deadline=None)
+@given(ys=st.lists(st.one_of(st.sampled_from(_EDGE_Y[2:62]),
+                             st.floats(-60.0, 0.0).map(lambda e: 2.0**e)),
+                   min_size=1, max_size=40))
+def test_kernel_piece_read_from_the_bits_holds_y(ys):
+    """The piece read from y's bits is the table piece whose interval holds
+    y, and its local variable places y in that interval."""
+    y = np.minimum(np.asarray(ys), math.nextafter(1.0, 0.0))
+    piece, t = ro._locate(y, np.empty(y.shape, np.intp), np.empty(y.shape))
+    assert np.all(ro._piece_nodes(-1.0)[piece] <= y)
+    assert np.all(y < ro._piece_nodes(1.0)[piece])
+    assert np.all((-1.0 <= t) & (t < 1.0))
+    assert np.all(ro._piece_nodes(t)[np.arange(len(y)), piece] == y)
+
+
 # s on both sides of the cancellation at s = 1/2 and across the paper's range;
 # y at the table's dyadic piece edges and geometric midpoints, down to 2^-60
 _HYP_S = [0.2, 0.5, 0.5 - 1e-15, 0.5 + 1e-15, 0.5 - 1e-9, 0.5 + 1e-9, 0.5 - 1e-6,
@@ -645,7 +676,10 @@ def _plain_assemble(asm):
     """The assembly written as one plain loop over rows, without calibration.
 
     Pairing panels k <= 2 take 10 Gauss-Legendre nodes and the two remainder
-    cells next to the pairing band 8; every other panel and cell takes 4.
+    cells next to the pairing band 8.  A pairing panel k >= 24, and a
+    remainder cell whose nearer node is at least 24 nodes from the row, takes
+    2 unless it reaches one of the first 16 nodes or its row is one of the
+    first ceil(M / 10); every other panel and cell takes 4.
     """
     M, R, g = asm.M, asm.R, asm.g
     r, rw, tau = asm.r, asm.rw, asm.tau_arr
@@ -656,6 +690,7 @@ def _plain_assemble(asm):
     eta0 = dlt * xi0**mgr
     deta0 = dlt * mgr * xi0 ** (mgr - 1.0) * wxi0
     xio, wxio = _unit_gl(16)
+    i_cal = max(2, math.ceil(0.1 * M))
     for ii in range(M):
         i1 = ii + 1
         ri = r[ii]
@@ -673,8 +708,11 @@ def _plain_assemble(asm):
             cS = np.zeros(K + 1)
             cD[1] += float(np.sum(deta0 * (dsh / dsh_e[0]) * we))
             cS[1] += float(np.sum(deta0 * (ssh / ssh_e[0]) * wo))
+            far = np.arange(3, K)
+            distant = (far >= 24) & (ii - far - 1 >= 16) & (ii >= i_cal)
             for ks, (xip, wxip) in ((np.arange(1, min(K, 3)), _unit_gl(10)),
-                                    (np.arange(3, K), _unit_gl(4))):
+                                    (far[~distant], _unit_gl(4)),
+                                    (far[distant], _unit_gl(2))):
                 eta = (ks[:, None] + xip[None, :]) * dlt
                 wp, wm = _plain_w_sides(asm, ii, eta)
                 we = 0.5 * (wp + wm)
@@ -717,7 +755,10 @@ def _plain_assemble(asm):
         left = np.arange(1, max(jl_hi, 0) + 1)
         near = np.concatenate([right[:2], left[::-1][:2]])
         far = np.concatenate([right[2:], left[::-1][2:]])
-        for js, (xic, wxic) in ((near, _unit_gl(8)), (far, _unit_gl(4))):
+        distant = (np.minimum(np.abs(far - 1 - ii), np.abs(far - ii)) >= 24) \
+            & (far - 1 >= 16) & (ii >= i_cal)
+        for js, (xic, wxic) in ((near, _unit_gl(8)), (far[~distant], _unit_gl(4)),
+                                (far[distant], _unit_gl(2))):
             tq = tau[js - 1][:, None] + xic[None, :] * dlt
             rho = R * tq**g
             jac = R * g * tq ** (g - 1.0)
@@ -739,9 +780,10 @@ def _plain_assemble(asm):
     return A
 
 
-# (N, s, g, M); the N = 3 cases keep their ids "s-g-M"
+# (N, s, g, M); the N = 3 cases keep their ids "s-g-M"; only from
+# M = 67 does a row have a distant pairing panel
 _PLAIN_CASES = [(n_dim, s, g, M) for n_dim in (3, 2, 5) for s in (0.6, 0.75)
-                for g in (1.0, 2.0) for M in (32, 64)]
+                for g in (1.0, 2.0) for M in (32, 64)] + [(3, 0.75, 2.0, 128)]
 
 
 @pytest.mark.parametrize("n_dim, s, g, M", _PLAIN_CASES,
@@ -801,6 +843,20 @@ def test_graded_quadrature_matches_full_order_at_desk_scale(monkeypatch, M):
     rel, i_cal = _graded_and_full(monkeypatch, N, S, 2.0, M)
     assert rel[i_cal:].max() <= 1e-8
     assert rel[0] <= 1e-8
+
+
+@pytest.mark.parametrize("M", [200, 400])
+def test_distant_rule_moves_only_rows_past_the_inner_band(monkeypatch, M):
+    """Against the operator without the 2-node tier, the rows past the
+    first ceil(M / 10) move by at most 1e-9 of their largest entry at desk
+    scale (README), and those first rows not at all."""
+    grid = ro.build_grid(1.0, M, 2.0, N)
+    tiered = ro.assemble_operator(grid, S).matrix
+    monkeypatch.setattr(ro, "_DISTANT", M)
+    rel = _row_max_relative(tiered, ro.assemble_operator(grid, S).matrix)
+    i_cal = max(2, math.ceil(0.1 * M))
+    assert rel[i_cal:].max() <= 1e-9
+    assert np.all(rel[:i_cal] == 0.0)
 
 
 @pytest.mark.parametrize("n_dim", [2, 3, 5])

@@ -555,7 +555,12 @@ _P_AXIS = {"name": "p", "start": 1.2, "stop": 1.6, "count": 3}
     ({"axes": [{**_P_AXIS, "start": 1.6, "stop": 1.2}]}, "axis range must be increasing"),
     ({"axes": [_P_AXIS, _P_AXIS]}, "axes must be distinct"),
     ({"problem": [N, S, LAM, 1.3]}, "problem must be a JSON object"),
-], ids=["negative-count", "decreasing-range", "repeated-axis", "problem-not-object"])
+    ({"axes": [{"name": "lambda", "start": 0.1, "stop": 0.9, "count": 3},
+               {**_P_AXIS, "count": 0}]},
+     f"sweep axis lambda value 0.5: lambda=0.5 must stay below the Hardy constant "
+     f"{sf.hardy_constant(N, S)!r}"),
+], ids=["negative-count", "decreasing-range", "repeated-axis", "problem-not-object",
+        "empty-lattice-axis-past-lambda"])
 def test_plan_refusals(over, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         _plan(**over)

@@ -30,7 +30,10 @@ the files it leaves differ.  The script prints one line per case; for a
 case that differs it also says whether its decisions are the same: the
 status in ``report.json``, the status, bracket and evaluation statuses in
 ``probe.json``, and the status column of ``cells.csv``.  So a deliberate
-change of the scheme can show "bytes differ, decisions same".  The script
+change of the scheme can show "bytes differ, decisions same".  It then
+sizes the difference: the largest relative change, position by position,
+among the numbers of ``field.csv``, of ``report.json``, of the ``sup_norm``
+column of ``cells.csv`` and of the ``oracle`` command's stdout.  The script
 exits 1 when any case differs, 0 otherwise.
 """
 
@@ -41,8 +44,10 @@ import csv
 import importlib.util
 import io
 import json
+import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -141,6 +146,53 @@ def decisions(files: dict) -> dict:
     return out
 
 
+def _json_numbers(value) -> list:
+    """Every number of a JSON value, in document order."""
+    if isinstance(value, dict):
+        return [x for v in value.values() for x in _json_numbers(v)]
+    if isinstance(value, list):
+        return [x for v in value for x in _json_numbers(v)]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return [float(value)]
+    return []
+
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
+
+
+def numbers(result: dict, command: str) -> dict:
+    """The numbers a case's difference is sized on: field.csv's, report.json's,
+    cells.csv's sup_norm column and, for ``oracle``, stdout's."""
+    files = result["files"]
+    out = {}
+    if "out/field.csv" in files:
+        rows = files["out/field.csv"].decode().splitlines()[2:]
+        out["field.csv"] = [float(x) for row in rows for x in row.split(",")]
+    if "out/report.json" in files:
+        out["report.json"] = _json_numbers(json.loads(files["out/report.json"]))
+    if "out/cells.csv" in files:
+        rows = csv.DictReader(io.StringIO(files["out/cells.csv"].decode()))
+        out["sup_norm"] = [float(row["sup_norm"]) for row in rows]
+    if command == "oracle":
+        out["stdout"] = [float(x) for x in _NUMBER.findall(result["stdout"].decode())]
+    return out
+
+
+def largest_change(a: list, b: list):
+    """max |x - y| / max(|x|, |y|) over the pairs of two lists of numbers of
+    one length that differ (inf where one is not finite); None for lists of
+    two lengths."""
+    if len(a) != len(b):
+        return None
+    worst = 0.0
+    for x, y in zip(a, b):
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        change = abs(x - y) / max(abs(x), abs(y))
+        worst = max(worst, change if math.isfinite(change) else math.inf)
+    return worst
+
+
 def decision_changes(a: dict, b: dict) -> list:
     """'name: parent -> change' for each decision that differs; for lists of
     one length, one entry per differing position."""
@@ -184,6 +236,15 @@ def main(argv=None) -> int:
                     changes = decision_changes(*decided)
                     line += "; decisions " + (f"differ: {'; '.join(changes)}" if changes
                                               else "same")
+                before, after = numbers(a, cli_args[0]), numbers(b, cli_args[0])
+                sizes = []
+                for key, values in before.items():
+                    if key in after:
+                        change = largest_change(values, after[key])
+                        sizes.append(f"{key} " + ("lengths differ" if change is None
+                                                  else f"{change:.2g}"))
+                if sizes:
+                    line += "; largest relative change: " + ", ".join(sizes)
             print(line, flush=True)
     if differing:
         print(f"{len(differing)} case(s) differ: {', '.join(differing)}")
